@@ -12,9 +12,9 @@
 //! binary), and
 //! [`replay`] the deterministic workload replayer driving captured
 //! [`gs_trace::Trace`]s back through a `RenderServer` or a cluster
-//! `Coordinator` (see the `trace_replay` binary). Criterion
-//! micro-benchmarks for the individual kernels and optimizers live under
-//! `benches/`.
+//! `Coordinator` (see the `trace_replay` binary). Per-kernel and
+//! per-optimizer timings are the per-layer probes of the repository's
+//! benchmark (`bench/`).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

@@ -508,6 +508,12 @@ impl GaussianGrads {
 
     /// Mutable flat view of one gradient group.
     pub fn group_mut(&mut self, g: ParamGroup) -> &mut [f32] {
+        self.group_vec_mut(g)
+    }
+
+    /// The vector behind one gradient group, for the methods that grow all
+    /// five together with `len`.
+    fn group_vec_mut(&mut self, g: ParamGroup) -> &mut Vec<f32> {
         match g {
             ParamGroup::Means => &mut self.means,
             ParamGroup::LogScales => &mut self.log_scales,
@@ -548,6 +554,23 @@ impl GaussianGrads {
                 dst[dst_idx * dim + k] += src[src_idx * dim + k];
             }
         }
+    }
+
+    /// Reserves room for `additional` more entries in every group.
+    fn reserve(&mut self, additional: usize) {
+        for g in ParamGroup::ALL {
+            self.group_vec_mut(g).reserve(additional * g.dim());
+        }
+    }
+
+    /// Appends one all-zero entry (amortised growth) and returns its index.
+    fn push_zero(&mut self) -> usize {
+        for g in ParamGroup::ALL {
+            let v = self.group_vec_mut(g);
+            v.resize(v.len() + g.dim(), 0.0);
+        }
+        self.len += 1;
+        self.len - 1
     }
 
     /// L2 norm of the mean-position gradient of Gaussian `i` (used by the
@@ -616,32 +639,25 @@ impl SparseGrads {
 
     /// Merges another sparse gradient set into this one, summing entries for
     /// Gaussians present in both.
+    ///
+    /// The result lists this set's ids first, then the ids only `other` has
+    /// in the order `other` first names them; an id `other` names twice is
+    /// summed into one entry. The cost is linear in `self.len() +
+    /// other.len()`.
     pub fn merge(&mut self, other: &SparseGrads) {
         use std::collections::HashMap;
-        let mut index: HashMap<u32, usize> = self
-            .ids
-            .iter()
-            .enumerate()
-            .map(|(k, &id)| (id, k))
-            .collect();
+        let mut index: HashMap<u32, usize> = HashMap::with_capacity(self.len() + other.len());
+        index.extend(self.ids.iter().enumerate().map(|(k, &id)| (id, k)));
+        self.ids.reserve(other.len());
+        self.grads.reserve(other.len());
         for (k, &id) in other.ids.iter().enumerate() {
-            if let Some(&dst) = index.get(&id) {
-                self.grads.accumulate_one(dst, &other.grads, k);
-            } else {
-                // Append a new entry.
-                let new_idx = self.ids.len();
+            // A new entry is a zero row that `other`'s row is added to, so
+            // merging into an empty set is one pass of row copies.
+            let dst = *index.entry(id).or_insert_with(|| {
                 self.ids.push(id);
-                // Grow the packed grads by one zero entry then accumulate.
-                let mut grown = GaussianGrads::zeros(new_idx + 1);
-                for g in ParamGroup::ALL {
-                    let dim = g.dim();
-                    grown.group_mut(g)[..new_idx * dim]
-                        .copy_from_slice(&self.grads.group(g)[..new_idx * dim]);
-                }
-                self.grads = grown;
-                self.grads.accumulate_one(new_idx, &other.grads, k);
-                index.insert(id, new_idx);
-            }
+                self.grads.push_zero()
+            });
+            self.grads.accumulate_one(dst, &other.grads, k);
         }
     }
 }
@@ -649,6 +665,7 @@ impl SparseGrads {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::Rng64;
 
     fn sample_params(n: usize) -> GaussianParams {
         let mut p = GaussianParams::with_capacity(n);
@@ -818,6 +835,103 @@ mod tests {
         assert_eq!(dense.opacities[1], 1.0);
         assert_eq!(dense.opacities[2], 12.0);
         assert_eq!(dense.opacities[5], 20.0);
+    }
+
+    /// Random packed gradients for `ids` (every group filled).
+    fn random_sparse(rng: &mut Rng64, ids: Vec<u32>) -> SparseGrads {
+        let mut grads = GaussianGrads::zeros(ids.len());
+        for g in ParamGroup::ALL {
+            for v in grads.group_mut(g) {
+                *v = rng.gen_range(-1.0f32..1.0);
+            }
+        }
+        SparseGrads { ids, grads }
+    }
+
+    /// The merge contract spelled out one entry at a time: this set's
+    /// entries, then a zero entry per id `other` names first, with `other`'s
+    /// rows added in order.
+    fn naive_merge(a: &SparseGrads, b: &SparseGrads) -> SparseGrads {
+        let mut ids = a.ids.clone();
+        for &id in &b.ids {
+            if !ids.contains(&id) {
+                ids.push(id);
+            }
+        }
+        let mut grads = GaussianGrads::zeros(ids.len());
+        for k in 0..a.len() {
+            grads.accumulate_one(k, &a.grads, k);
+        }
+        for (k, id) in b.ids.iter().enumerate() {
+            let dst = ids.iter().position(|x| x == id).unwrap();
+            grads.accumulate_one(dst, &b.grads, k);
+        }
+        SparseGrads { ids, grads }
+    }
+
+    fn bits(g: &GaussianGrads) -> Vec<u32> {
+        ParamGroup::ALL
+            .iter()
+            .flat_map(|&grp| g.group(grp).iter().map(|v| v.to_bits()))
+            .collect()
+    }
+
+    #[test]
+    fn sparse_merge_matches_naive_reference() {
+        const TOTAL: u32 = 40;
+        let mut rng = Rng64::seed_from_u64(0x6d65_7267);
+        for round in 0..200 {
+            // `a` has distinct ids (it is itself the result of merges);
+            // `b` may name an id twice. Either may be empty.
+            let mut a_ids: Vec<u32> = (0..TOTAL).filter(|_| rng.gen_bool(0.3)).collect();
+            for i in (1..a_ids.len()).rev() {
+                a_ids.swap(i, rng.gen_range(0..i + 1));
+            }
+            let b_len = rng.gen_range(0usize..16);
+            let mut b_ids: Vec<u32> = (0..b_len).map(|_| rng.gen_range(0..TOTAL)).collect();
+            match round % 10 {
+                0 => a_ids.clear(),
+                1 => b_ids.clear(),
+                _ => {}
+            }
+            let a = random_sparse(&mut rng, a_ids);
+            let b = random_sparse(&mut rng, b_ids);
+
+            let expected = naive_merge(&a, &b);
+            let mut merged = a.clone();
+            merged.merge(&b);
+            assert_eq!(merged.ids, expected.ids, "round {round}");
+            assert_eq!(merged.grads.len(), merged.ids.len());
+            assert_eq!(
+                bits(&merged.to_dense(TOTAL as usize)),
+                bits(&expected.to_dense(TOTAL as usize)),
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn sparse_merge_is_linear_at_scale() {
+        // Not a timing test: a merge that copied the packed gradients once
+        // per appended id would move ~2 TB here and never finish.
+        const N: u32 = 100_000;
+        let mut low = SparseGrads {
+            ids: (0..N).collect(),
+            grads: GaussianGrads::zeros(N as usize),
+        };
+        let mut high = SparseGrads {
+            ids: (N..2 * N).collect(),
+            grads: GaussianGrads::zeros(N as usize),
+        };
+        low.grads.opacities[7] = 1.5;
+        high.grads.opacities[7] = 2.5;
+        low.merge(&high);
+        assert_eq!(low.len(), 2 * N as usize);
+        assert_eq!(low.grads.len(), 2 * N as usize);
+        assert!(low.ids.iter().copied().eq(0..2 * N));
+        assert_eq!(low.grads.opacities[7], 1.5);
+        assert_eq!(low.grads.opacities[N as usize + 7], 2.5);
+        assert_eq!(low.grads.sh.len(), 2 * N as usize * 48);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 use gs_core::gaussian::{GaussianGrads, GaussianParams, ParamGroup, SparseGrads};
 
 use crate::config::AdamConfig;
+use crate::slots::SlotTable;
 use crate::stats::StepStats;
 
 /// First and second moment state with the same layout as the parameters.
@@ -88,12 +89,62 @@ impl MomentState {
     }
 }
 
+/// The constants of one Adam step over one parameter group, and the update
+/// of a single element that every dense entry point shares.
+#[derive(Debug, Clone, Copy)]
+struct ElementUpdate {
+    b1: f32,
+    b2: f32,
+    eps: f32,
+    bc1: f32,
+    bc2: f32,
+    lr: f32,
+}
+
+impl ElementUpdate {
+    fn new(config: &AdamConfig, group: ParamGroup, t: u64) -> Self {
+        Self {
+            b1: config.beta1,
+            b2: config.beta2,
+            eps: config.eps,
+            bc1: 1.0 - config.beta1.powi(t as i32),
+            bc2: 1.0 - config.beta2.powi(t as i32),
+            lr: config.lr_at(group, t),
+        }
+    }
+
+    #[inline(always)]
+    fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, grad: f32) {
+        let m_new = self.b1 * *m + (1.0 - self.b1) * grad;
+        let v_new = self.b2 * *v + (1.0 - self.b2) * grad * grad;
+        *m = m_new;
+        *v = v_new;
+        let m_hat = m_new / self.bc1;
+        let v_hat = v_new / self.bc2;
+        *p -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+    }
+}
+
+/// Traffic of a dense update of `dims` values per Gaussian over `n`
+/// Gaussians.
+fn dense_stats(n: usize, dims: usize) -> StepStats {
+    StepStats {
+        updated_gaussians: n,
+        total_gaussians: n,
+        bytes_read: n as f64 * 4.0 * dims as f64 * 4.0,
+        bytes_written: n as f64 * 3.0 * dims as f64 * 4.0,
+        flops: n as f64 * dims as f64 * 12.0,
+    }
+}
+
 /// Exact Adam: updates every parameter and optimizer state each step.
 #[derive(Debug, Clone)]
 pub struct DenseAdam {
     config: AdamConfig,
     state: MomentState,
     step: u64,
+    /// Scratch for [`DenseAdam::apply_groups_sparse`].
+    slots: SlotTable,
 }
 
 impl DenseAdam {
@@ -103,6 +154,7 @@ impl DenseAdam {
             config,
             state: MomentState::zeros(n),
             step: 0,
+            slots: SlotTable::default(),
         }
     }
 
@@ -171,40 +223,76 @@ impl DenseAdam {
             self.state.len(),
             "optimizer state length mismatch"
         );
-        let n = params.len();
-        let b1 = self.config.beta1;
-        let b2 = self.config.beta2;
-        let eps = self.config.eps;
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
-
         let mut dims = 0usize;
         for &g in groups {
             dims += g.dim();
-            let lr = self.config.lr_at(g, t);
+            let update = ElementUpdate::new(&self.config, g, t);
             let p = params.group_mut(g);
             let gr = grads.group(g);
             let m = self.state.m.group_mut(g);
             let v = self.state.v.group_mut(g);
-            for i in 0..p.len() {
-                let grad = gr[i];
-                let m_new = b1 * m[i] + (1.0 - b1) * grad;
-                let v_new = b2 * v[i] + (1.0 - b2) * grad * grad;
-                m[i] = m_new;
-                v[i] = v_new;
-                let m_hat = m_new / bc1;
-                let v_hat = v_new / bc2;
-                p[i] -= lr * m_hat / (v_hat.sqrt() + eps);
+            for (((p, m), v), &grad) in p.iter_mut().zip(m).zip(v).zip(gr) {
+                update.apply(p, m, v, grad);
             }
         }
+        dense_stats(params.len(), dims)
+    }
 
-        StepStats {
-            updated_gaussians: n,
-            total_gaussians: n,
-            bytes_read: n as f64 * 4.0 * dims as f64 * 4.0,
-            bytes_written: n as f64 * 3.0 * dims as f64 * 4.0,
-            flops: n as f64 * dims as f64 * 12.0,
+    /// [`DenseAdam::apply_groups`] on `sparse.to_dense(params.len())`
+    /// without building it: one walk over all Gaussians that reads each
+    /// gradient row through the packed index and takes zero where `sparse`
+    /// has none. Parameters, moments and the returned stats are bit-identical
+    /// to the densified call.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a size mismatch between `params` and the state, if an id is
+    /// out of range, or if `sparse` lists an id twice (a merged gradient set
+    /// never does).
+    pub fn apply_groups_sparse(
+        &mut self,
+        params: &mut GaussianParams,
+        sparse: &SparseGrads,
+        groups: &[ParamGroup],
+        t: u64,
+    ) -> StepStats {
+        let n = params.len();
+        assert_eq!(n, self.state.len(), "optimizer state length mismatch");
+        assert_eq!(sparse.grads.len(), sparse.len(), "grad/id length mismatch");
+        let distinct = self.slots.fill(n, &sparse.ids);
+        assert_eq!(distinct, sparse.len(), "duplicate gaussian id");
+
+        let mut dims = 0usize;
+        for &g in groups {
+            let dim = g.dim();
+            dims += dim;
+            let update = ElementUpdate::new(&self.config, g, t);
+            let gr = sparse.grads.group(g);
+            let rows = params
+                .group_mut(g)
+                .chunks_exact_mut(dim)
+                .zip(self.state.m.group_mut(g).chunks_exact_mut(dim))
+                .zip(self.state.v.group_mut(g).chunks_exact_mut(dim));
+            for (i, ((p, m), v)) in rows.enumerate() {
+                match self.slots.get(i) {
+                    Some(k) => {
+                        let row = &gr[k * dim..(k + 1) * dim];
+                        for (((p, m), v), &grad) in p.iter_mut().zip(m).zip(v).zip(row) {
+                            // `to_dense` adds the row to zeros, which turns
+                            // a -0.0 into +0.0.
+                            update.apply(p, m, v, 0.0 + grad);
+                        }
+                    }
+                    None => {
+                        for ((p, m), v) in p.iter_mut().zip(m).zip(v) {
+                            update.apply(p, m, v, 0.0);
+                        }
+                    }
+                }
+            }
         }
+        self.slots.clear(&sparse.ids);
+        dense_stats(n, dims)
     }
 }
 
@@ -283,6 +371,7 @@ impl SparseAdam {
 mod tests {
     use super::*;
     use gs_core::math::Vec3;
+    use gs_core::rng::Rng64;
 
     fn params(n: usize) -> GaussianParams {
         let mut p = GaussianParams::new();
@@ -379,6 +468,68 @@ mod tests {
         let stats = opt.apply_groups(&mut p, &g, &ParamGroup::GEOMETRIC, t);
         // 10 of 59 parameters touched.
         assert!((stats.total_bytes() - 4.0 * 7.0 * 10.0 * 4.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn sparse_entry_is_bit_identical_to_the_densified_call() {
+        let cfg = AdamConfig::reference();
+        let n = 50;
+        let mut p_sparse = params(n);
+        let mut p_dense = p_sparse.clone();
+        let mut via_sparse = DenseAdam::new(cfg, n);
+        let mut via_dense = DenseAdam::new(cfg, n);
+        let mut rng = Rng64::seed_from_u64(0x6164_616d);
+        for step in 0..24 {
+            // From no gradients at all to nearly every Gaussian, in an
+            // order that is not the index order.
+            let share = [0.0, 0.05, 0.4, 0.95][step % 4];
+            let mut ids: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(share)).collect();
+            ids.reverse();
+            let mut grads = GaussianGrads::zeros(ids.len());
+            for g in ParamGroup::ALL {
+                for v in grads.group_mut(g) {
+                    *v = rng.gen_range(-0.5f32..0.5);
+                }
+            }
+            if let Some(v) = grads.sh.first_mut() {
+                *v = -0.0;
+            }
+            let sparse = SparseGrads { ids, grads };
+
+            // The trainer's two phases: geometric groups, then the rest.
+            for groups in [&ParamGroup::GEOMETRIC[..], &ParamGroup::NON_GEOMETRIC[..]] {
+                let t = step as u64 + 1;
+                let a = via_sparse.apply_groups_sparse(&mut p_sparse, &sparse, groups, t);
+                let b = via_dense.apply_groups(&mut p_dense, &sparse.to_dense(n), groups, t);
+                assert_eq!(a, b, "step {step}");
+            }
+            for g in ParamGroup::ALL {
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(p_sparse.group(g)), bits(p_dense.group(g)), "{g:?}");
+                assert_eq!(
+                    bits(via_sparse.state().m.group(g)),
+                    bits(via_dense.state().m.group(g)),
+                    "m {g:?} step {step}"
+                );
+                assert_eq!(
+                    bits(via_sparse.state().v.group(g)),
+                    bits(via_dense.state().v.group(g)),
+                    "v {g:?} step {step}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate gaussian id")]
+    fn sparse_entry_rejects_a_repeated_id() {
+        let mut p = params(3);
+        let mut opt = DenseAdam::new(AdamConfig::uniform(0.01), 3);
+        let sparse = SparseGrads {
+            ids: vec![1, 1],
+            grads: GaussianGrads::zeros(2),
+        };
+        opt.apply_groups_sparse(&mut p, &sparse, &ParamGroup::ALL, 1);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use gs_core::gaussian::{GaussianParams, ParamGroup, SparseGrads};
 
 use crate::adam::MomentState;
 use crate::config::AdamConfig;
+use crate::slots::SlotTable;
 use crate::stats::StepStats;
 
 /// Deferred Adam optimizer (see module docs).
@@ -35,6 +36,8 @@ pub struct DeferredAdam {
     /// Per-Gaussian defer counter: number of consecutive steps skipped.
     counters: Vec<u8>,
     step: u64,
+    /// Scratch: the packed gradient row of each Gaussian during a step.
+    slots: SlotTable,
 }
 
 impl DeferredAdam {
@@ -49,6 +52,7 @@ impl DeferredAdam {
             state: MomentState::zeros(n),
             counters: vec![0; n],
             step: 0,
+            slots: SlotTable::default(),
         }
     }
 
@@ -147,13 +151,9 @@ impl DeferredAdam {
         assert_eq!(n, self.counters.len(), "counter length mismatch");
 
         // Which Gaussians need an actual update this step.
-        let mut packed_index: Vec<Option<usize>> = vec![None; n];
-        for (k, &id) in sparse.ids.iter().enumerate() {
-            assert!((id as usize) < n, "gaussian id out of range");
-            packed_index[id as usize] = Some(k);
-        }
+        self.slots.fill(n, &sparse.ids);
         let update_ids: Vec<usize> = (0..n)
-            .filter(|&i| packed_index[i].is_some() || self.counters[i] >= Self::MAX_DEFER)
+            .filter(|&i| self.slots.get(i).is_some() || self.counters[i] >= Self::MAX_DEFER)
             .collect();
 
         let b1 = self.config.beta1;
@@ -177,7 +177,7 @@ impl DeferredAdam {
                 let w_scale = lut[delay.min(Self::MAX_DEFER as usize)];
                 let m_scale = b1.powi(delay as i32 + 1);
                 let v_scale = b2.powi(delay as i32 + 1);
-                let packed = packed_index[i];
+                let packed = self.slots.get(i);
                 for k in 0..dim {
                     let idx = i * dim + k;
                     let grad = packed.map_or(0.0, |pk| gr[pk * dim + k]);
@@ -209,6 +209,7 @@ impl DeferredAdam {
         for &i in &update_ids {
             self.counters[i] = 0;
         }
+        self.slots.clear(&sparse.ids);
 
         let updated = update_ids.len();
         StepStats {
@@ -337,10 +338,11 @@ impl DeferredAdam {
         out
     }
 
-    /// Computes, without mutating any optimizer state or stored parameters,
-    /// the values the Gaussians listed in `ids` would have *after* the next
-    /// optimizer step (step `current_step + 1`) is applied with the pending
-    /// sparse gradients.
+    /// Computes the values the Gaussians listed in `ids` would have *after*
+    /// the next optimizer step (step `current_step + 1`) is applied with the
+    /// pending sparse gradients. Neither optimizer state nor stored
+    /// parameters change; `&mut self` is for the id → row scratch, which is
+    /// left as found.
     ///
     /// This implements *parameter forwarding*: GS-Scale pre-computes the
     /// post-update values of exactly the Gaussians the next iteration's
@@ -356,7 +358,7 @@ impl DeferredAdam {
     ///
     /// Panics if an id is out of range.
     pub fn peek_forwarded(
-        &self,
+        &mut self,
         params: &GaussianParams,
         sparse: &SparseGrads,
         ids: &[u32],
@@ -370,11 +372,7 @@ impl DeferredAdam {
         let bc1 = 1.0 - b1.powi(t as i32);
         let bc2 = 1.0 - b2.powi(t as i32);
 
-        let mut packed_index = std::collections::HashMap::new();
-        for (k, &id) in sparse.ids.iter().enumerate() {
-            packed_index.insert(id, k);
-        }
-
+        self.slots.fill(n, &sparse.ids);
         let mut out = params.gather(ids);
         for &g in groups {
             let lut = self.weight_scale_lut(g, t);
@@ -391,7 +389,7 @@ impl DeferredAdam {
                 let w_scale = lut[delay.min(Self::MAX_DEFER as usize)];
                 let m_scale = b1.powi(delay as i32 + 1);
                 let v_scale = b2.powi(delay as i32 + 1);
-                let packed = packed_index.get(&id).copied();
+                let packed = self.slots.get(i);
                 for k in 0..dim {
                     let idx = i * dim + k;
                     let grad = packed.map_or(0.0, |pk| gr[pk * dim + k]);
@@ -408,6 +406,7 @@ impl DeferredAdam {
                 }
             }
         }
+        self.slots.clear(&sparse.ids);
         out
     }
 }
@@ -418,6 +417,7 @@ mod tests {
     use crate::adam::DenseAdam;
     use gs_core::gaussian::GaussianGrads;
     use gs_core::math::Vec3;
+    use gs_core::rng::Rng64;
 
     fn params(n: usize) -> GaussianParams {
         let mut p = GaussianParams::new();
@@ -661,6 +661,58 @@ mod tests {
                         assert!((a - b).abs() < 1e-6, "id {id} group {g:?} slot {k}");
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_matches_a_fresh_one_every_step() {
+        // Each step is taken twice from the same state: by the long-lived
+        // optimizer, whose id -> row table has been through every earlier
+        // step, forward peek and resize, and by a copy given a new table.
+        let cfg = AdamConfig::reference();
+        let mut n = 64usize;
+        let mut p = params(n);
+        let mut reused = DeferredAdam::new(cfg, n);
+        let mut rng = Rng64::seed_from_u64(0x736c_6f74);
+        for step in 0..40 {
+            let share = [0.0, 0.05, 0.3, 0.9][step % 4];
+            let mut ids: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(share)).collect();
+            if step % 5 == 0 && !ids.is_empty() {
+                // A repeated id: the later row wins, in both.
+                ids.push(ids[0]);
+            }
+            let sparse = sparse_for(&ids, n, step as f32 * 0.37);
+
+            let mut fresh = DeferredAdam {
+                slots: SlotTable::default(),
+                ..reused.clone()
+            };
+            let mut p_fresh = p.clone();
+            let peek_ids: Vec<u32> = (0..n as u32).step_by(3).collect();
+            let forwarded = reused.peek_forwarded(&p, &sparse, &peek_ids, &ParamGroup::ALL);
+            assert_eq!(
+                forwarded,
+                fresh.peek_forwarded(&p, &sparse, &peek_ids, &ParamGroup::ALL)
+            );
+            let stats = reused.step(&mut p, &sparse);
+            assert_eq!(stats, fresh.step(&mut p_fresh, &sparse), "step {step}");
+            assert_eq!(p, p_fresh, "step {step}");
+            assert_eq!(reused.state.m, fresh.state.m, "step {step}");
+            assert_eq!(reused.state.v, fresh.state.v, "step {step}");
+            assert_eq!(reused.counters, fresh.counters, "step {step}");
+
+            if step == 15 || step == 30 {
+                // Densification: prune every fourth Gaussian, add five.
+                reused.flush(&mut p);
+                let mask: Vec<bool> = (0..n).map(|i| i % 4 != 0).collect();
+                p.retain_mask(&mask);
+                reused.retain_mask(&mask);
+                for _ in 0..5 {
+                    p.duplicate(0);
+                }
+                reused.append_zeros(5);
+                n = p.len();
             }
         }
     }

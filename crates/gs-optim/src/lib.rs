@@ -27,6 +27,7 @@ pub mod adam;
 pub mod config;
 pub mod deferred;
 pub mod sgd;
+mod slots;
 pub mod stats;
 
 pub use adam::{DenseAdam, SparseAdam};

@@ -127,12 +127,7 @@ impl MemoryPool {
     pub fn alloc(&mut self, category: MemoryCategory, bytes: u64) -> Result<()> {
         let new_total = self.used_total() + bytes;
         if new_total > self.capacity {
-            return Err(Error::OutOfMemory {
-                device: self.name.clone(),
-                requested_bytes: bytes as usize,
-                available_bytes: self.available() as usize,
-                capacity_bytes: self.capacity as usize,
-            });
+            return Err(self.out_of_memory(bytes));
         }
         *self.used.entry(category).or_insert(0) += bytes;
         self.peak_total = self.peak_total.max(new_total);
@@ -140,6 +135,33 @@ impl MemoryPool {
         let entry = self.peak_by_category.entry(category).or_insert(0);
         *entry = (*entry).max(cat_used);
         Ok(())
+    }
+
+    /// Allocates every `(category, bytes)` request, or none of them.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::OutOfMemory`] (reporting the combined size) if the
+    /// requests together would exceed the pool's capacity; usage and peaks
+    /// are left unchanged in that case.
+    pub fn alloc_all(&mut self, requests: &[(MemoryCategory, u64)]) -> Result<()> {
+        let bytes: u64 = requests.iter().map(|&(_, bytes)| bytes).sum();
+        if self.used_total() + bytes > self.capacity {
+            return Err(self.out_of_memory(bytes));
+        }
+        for &(category, bytes) in requests {
+            self.alloc(category, bytes)?;
+        }
+        Ok(())
+    }
+
+    fn out_of_memory(&self, requested: u64) -> Error {
+        Error::OutOfMemory {
+            device: self.name.clone(),
+            requested_bytes: requested as usize,
+            available_bytes: self.available() as usize,
+            capacity_bytes: self.capacity as usize,
+        }
     }
 
     /// Frees `bytes` from `category` (clamped at zero).
@@ -215,6 +237,28 @@ mod tests {
             }
             other => panic!("unexpected error {other:?}"),
         }
+    }
+
+    #[test]
+    fn alloc_all_charges_every_request_or_none() {
+        let mut pool = MemoryPool::new("gpu", 100);
+        pool.alloc(MemoryCategory::OptimizerState, 30).unwrap();
+        let fits = [
+            (MemoryCategory::Parameters, 40),
+            (MemoryCategory::Gradients, 30),
+        ];
+        let too_big = [
+            (MemoryCategory::Parameters, 40),
+            (MemoryCategory::Gradients, 31),
+        ];
+        let err = pool.alloc_all(&too_big).unwrap_err();
+        assert!(err.is_oom());
+        assert_eq!(pool.used_total(), 30);
+        assert_eq!(pool.peak_total(), 30);
+        assert_eq!(pool.peak(MemoryCategory::Parameters), 0);
+        pool.alloc_all(&fits).unwrap();
+        assert_eq!(pool.used_total(), 100);
+        assert_eq!(pool.used(MemoryCategory::Gradients), 30);
     }
 
     #[test]

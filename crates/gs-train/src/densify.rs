@@ -6,7 +6,7 @@
 //! axis) so that different training systems grow identical models and stay
 //! comparable.
 
-use gs_core::gaussian::{GaussianGrads, GaussianParams};
+use gs_core::gaussian::{GaussianGrads, GaussianParams, SparseGrads};
 use gs_core::math::Vec3;
 
 /// Densification schedule and thresholds.
@@ -107,9 +107,9 @@ impl DensifyAccumulator {
         self.grad_norm_sum.is_empty()
     }
 
-    /// Records the gradients of one iteration. `ids` are the global indices
-    /// of the Gaussians covered by `grads` (packed); pass all indices for a
-    /// dense gradient container.
+    /// Records the gradients of one iteration for the Gaussians listed in
+    /// `ids` only: `grads` is packed and `ids[k]` is the global index of its
+    /// entry `k`. Only the listed Gaussians count an observation.
     pub fn record(&mut self, ids: &[u32], grads: &GaussianGrads) {
         for (k, &id) in ids.iter().enumerate() {
             let i = id as usize;
@@ -117,6 +117,43 @@ impl DensifyAccumulator {
                 self.grad_norm_sum[i] += grads.mean_grad_norm(k);
                 self.observations[i] += 1;
             }
+        }
+    }
+
+    /// Records one iteration whose gradients cover every Gaussian (`grads`
+    /// is indexed by global index): what [`DensifyAccumulator::record`] does
+    /// when given every index, without the index list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `grads` does not cover exactly the tracked Gaussians.
+    pub fn record_dense(&mut self, grads: &GaussianGrads) {
+        assert_eq!(grads.len(), self.len(), "accumulator length mismatch");
+        for (i, sum) in self.grad_norm_sum.iter_mut().enumerate() {
+            *sum += grads.mean_grad_norm(i);
+        }
+        self.count_observation_for_all();
+    }
+
+    /// Records one iteration from its sparse gradients as if they had been
+    /// expanded over the whole model first: norms are added for the listed
+    /// Gaussians (the others would add zero) and every Gaussian counts an
+    /// observation. Bit-identical to `record_dense(&sparse.to_dense(len))`
+    /// for a gradient set that lists no id twice.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an id is out of range.
+    pub fn record_sparse(&mut self, sparse: &SparseGrads) {
+        for (k, &id) in sparse.ids.iter().enumerate() {
+            self.grad_norm_sum[id as usize] += sparse.grads.mean_grad_norm(k);
+        }
+        self.count_observation_for_all();
+    }
+
+    fn count_observation_for_all(&mut self) {
+        for count in &mut self.observations {
+            *count += 1;
         }
     }
 
@@ -261,6 +298,7 @@ pub fn densify(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_core::rng::Rng64;
 
     fn params_with(n: usize, scale: f32, opacity: f32) -> GaussianParams {
         let mut p = GaussianParams::new();
@@ -276,8 +314,7 @@ mod tests {
         for &i in hot {
             grads.means[3 * i] = norm;
         }
-        let ids: Vec<u32> = (0..n as u32).collect();
-        acc.record(&ids, &grads);
+        acc.record_dense(&grads);
         acc
     }
 
@@ -389,6 +426,41 @@ mod tests {
         acc.reset(3);
         assert_eq!(acc.len(), 3);
         assert_eq!(acc.mean_grad_norm(1), 0.0);
+    }
+
+    #[test]
+    fn sparse_and_dense_records_match_the_id_list_record() {
+        let n = 30;
+        let all_ids: Vec<u32> = (0..n as u32).collect();
+        let mut by_ids = DensifyAccumulator::new(n);
+        let mut dense = DensifyAccumulator::new(n);
+        let mut sparse = DensifyAccumulator::new(n);
+        let mut rng = Rng64::seed_from_u64(0x6163_6375);
+        for step in 0..24 {
+            let share = [0.0, 0.1, 0.5, 1.0][step % 4];
+            let mut ids: Vec<u32> = all_ids
+                .iter()
+                .copied()
+                .filter(|_| rng.gen_bool(share))
+                .collect();
+            ids.reverse();
+            let mut grads = GaussianGrads::zeros(ids.len());
+            for v in &mut grads.means {
+                *v = rng.gen_range(-2.0f32..2.0);
+            }
+            let step_grads = SparseGrads { ids, grads };
+            let expanded = step_grads.to_dense(n);
+
+            by_ids.record(&all_ids, &expanded);
+            dense.record_dense(&expanded);
+            sparse.record_sparse(&step_grads);
+            for other in [&dense, &sparse] {
+                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&other.grad_norm_sum), bits(&by_ids.grad_norm_sum));
+                assert_eq!(other.observations, by_ids.observations);
+            }
+        }
+        assert_eq!(by_ids.observations, vec![24; n]);
     }
 
     #[test]

@@ -125,9 +125,8 @@ impl Trainer for GpuOnlyTrainer {
         self.gpu_pool
             .free(MemoryCategory::Activations, activation_bytes);
 
-        // Densification statistics (dense gradients: all ids).
-        let all_ids: Vec<u32> = (0..total as u32).collect();
-        self.accum.record(&all_ids, &result.grads);
+        // Densification statistics (dense gradients: every Gaussian).
+        self.accum.record_dense(&result.grads);
 
         // Dense Adam over every parameter group, on the GPU.
         let opt_stats = self.optimizer.step(&mut self.params, &result.grads);

@@ -20,6 +20,26 @@
 //! Functionally every configuration follows the exact same parameter
 //! trajectory as the GPU-only system (up to the deferred update's ε
 //! approximation), which the integration tests verify.
+//!
+//! # Host-side cost of one step
+//!
+//! With `N` Gaussians of which `A` are in the view, the real (not modelled)
+//! work of [`OffloadTrainer::step`] around the forward/backward pass is:
+//!
+//! * **O(A)** — staging (`gather` / `peek_restored`), merging the
+//!   per-viewport gradients ([`SparseGrads::merge`], linear in the merged
+//!   sizes), adding gradient norms to the densification accumulator, the
+//!   deferred Adam update of the touched Gaussians, and setting and
+//!   resetting the optimizers' id → row tables. The gradients stay packed
+//!   over the active set from the backward pass to the optimizers; no
+//!   `N`-sized gradient container or id list is built.
+//! * **one pass over `N`** — frustum culling over the geometric
+//!   attributes, the densification observation counts (a `u32` each), the
+//!   deferred optimizer's defer counters (a `u8` each, read to find
+//!   saturated entries and incremented), and the dense Adam update of the
+//!   10 geometric columns (which the modelled system runs on the GPU). With
+//!   the deferred update off, dense Adam also walks the 49 host-resident
+//!   columns, which is the cost the deferred update exists to remove.
 
 use std::collections::BTreeMap;
 
@@ -318,12 +338,14 @@ impl Trainer for OffloadTrainer {
         let mut last_gpu_event = cull_event;
         let mut last_d2h_event = cull_event;
         for vp in &viewports {
-            let ids = if viewports.len() == 1 {
-                cull.ids.clone()
+            let sub_cull;
+            let ids: &[u32] = if split {
+                sub_cull = frustum_cull(&self.params, cam, vp);
+                &sub_cull.ids
             } else {
-                frustum_cull(&self.params, cam, vp).ids
+                &cull.ids
             };
-            let staged = self.stage_params(&ids);
+            let staged = self.stage_params(ids);
 
             // Transient GPU memory for this pass.
             let staged_param_bytes = ids.len() as u64 * self.staged_bytes_per_gaussian();
@@ -331,11 +353,14 @@ impl Trainer for OffloadTrainer {
             let activation_bytes = memory_model::ACTIVATION_BYTES_PER_PIXEL
                 * vp.num_pixels() as u64
                 + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * ids.len() as u64;
-            self.gpu_pool
-                .alloc(MemoryCategory::Parameters, staged_param_bytes)?;
-            self.gpu_pool.alloc(MemoryCategory::Gradients, grad_bytes)?;
-            self.gpu_pool
-                .alloc(MemoryCategory::Activations, activation_bytes)?;
+            let transient = [
+                (MemoryCategory::Parameters, staged_param_bytes),
+                (MemoryCategory::Gradients, grad_bytes),
+                (MemoryCategory::Activations, activation_bytes),
+            ];
+            // All or nothing: a view that does not fit must leave no charge
+            // behind for the steps after it.
+            self.gpu_pool.alloc_all(&transient)?;
 
             // Functional forward + loss + backward on the staged subset. The
             // loss gradient is scaled so that split sub-views aggregate to the
@@ -347,12 +372,14 @@ impl Trainer for OffloadTrainer {
                 vp,
                 self.config.background,
             );
-            let target_crop = if viewports.len() == 1 {
-                target.clone()
+            let cropped;
+            let target_crop: &Image = if split {
+                cropped = target.crop(vp.x0, vp.y0, vp.x1, vp.y1);
+                &cropped
             } else {
-                target.crop(vp.x0, vp.y0, vp.x1, vp.y1)
+                target
             };
-            let (loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, &target_crop);
+            let (loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, target_crop);
             let scale = vp.num_pixels() as f32 / full_pixels;
             if (scale - 1.0).abs() > f32::EPSILON {
                 for v in d_image.data_mut() {
@@ -361,7 +388,7 @@ impl Trainer for OffloadTrainer {
             }
             total_loss += loss * scale;
             let grads = render_backward(&staged, cam, self.config.sh_degree, &output, &d_image);
-            merged.merge(&to_sparse_grads(&ids, grads));
+            merged.merge(&to_sparse_grads(ids, grads));
 
             // Timeline: H2D staging (chunked), forward/backward, D2H grads.
             let h2d_time: f64 = self
@@ -389,27 +416,25 @@ impl Trainer for OffloadTrainer {
             last_gpu_event = fwd;
             last_d2h_event = d2h;
 
-            self.gpu_pool
-                .free(MemoryCategory::Parameters, staged_param_bytes);
-            self.gpu_pool.free(MemoryCategory::Gradients, grad_bytes);
-            self.gpu_pool
-                .free(MemoryCategory::Activations, activation_bytes);
+            for (category, bytes) in transient {
+                self.gpu_pool.free(category, bytes);
+            }
         }
 
         // ---- 4. Densification statistics ------------------------------------
         // Statistics are recorded over the full index space (identically to
         // the GPU-only trainer) so every system makes the same densification
-        // decisions and the trained models stay comparable.
-        let dense_grads = merged.to_dense(total);
-        let all_ids: Vec<u32> = (0..total as u32).collect();
-        self.accum.record(&all_ids, &dense_grads);
+        // decisions and the trained models stay comparable. The gradients
+        // stay sparse: Gaussians outside the view add a zero norm.
+        self.accum.record_sparse(&merged);
 
         // ---- 5. Optimizer updates -------------------------------------------
-        // Geometric groups: dense Adam over every Gaussian.
+        // Geometric groups: dense Adam over every Gaussian, reading the
+        // sparse gradients in place.
         let t = self.geom_optimizer.advance();
-        let geom_stats = self.geom_optimizer.apply_groups(
+        let geom_stats = self.geom_optimizer.apply_groups_sparse(
             &mut self.params,
-            &dense_grads,
+            &merged,
             &ParamGroup::GEOMETRIC,
             t,
         );
@@ -444,12 +469,7 @@ impl Trainer for OffloadTrainer {
             let dense = self.cpu_dense.as_mut().expect("dense optimizer present");
             let t = dense.advance();
             (
-                dense.apply_groups(
-                    &mut self.params,
-                    &dense_grads,
-                    &ParamGroup::NON_GEOMETRIC,
-                    t,
-                ),
+                dense.apply_groups_sparse(&mut self.params, &merged, &ParamGroup::NON_GEOMETRIC, t),
                 false,
             )
         };
@@ -715,6 +735,30 @@ mod tests {
         }
         let diff = max_param_diff(whole.params(), split.params());
         assert!(diff < 1e-4, "splitting changed training results by {diff}");
+    }
+
+    #[test]
+    fn a_step_that_runs_out_of_gpu_memory_leaves_no_charge_behind() {
+        let (init, cam, target) = tiny_scene();
+        let staged_bytes = 3 * GaussianParams::NON_GEOMETRIC_PARAMS as u64 * 4;
+        let resident_bytes = init.len() as u64 * GaussianParams::GEOMETRIC_PARAMS as u64 * 4 * 3;
+        // Room for the resident geometric state and the staged parameters of
+        // the three visible Gaussians, but not for their gradients.
+        let platform =
+            PlatformSpec::laptop_rtx4070m().with_gpu_memory(resident_bytes + staged_bytes + 100);
+        let mut trainer = OffloadTrainer::new(
+            TrainConfig::fast_test(5),
+            OffloadOptions::full(),
+            platform,
+            init,
+            10.0,
+        )
+        .unwrap();
+        assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
+        for _ in 0..2 {
+            assert!(trainer.step(&cam, &target).unwrap_err().is_oom());
+            assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
+        }
     }
 
     #[test]
