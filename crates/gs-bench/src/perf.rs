@@ -95,7 +95,7 @@ impl BenchScenario {
 /// flattened here to plain numbers so the JSON schema stays self-contained.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct RooflineEntry {
-    /// Phase label, e.g. `project/soa-lane` or `raster/tiled`.
+    /// Phase label, e.g. `project` or `raster/lane`.
     pub phase: String,
     /// Measured wall-clock seconds for the phase.
     pub seconds: f64,

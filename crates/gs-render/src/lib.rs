@@ -19,14 +19,15 @@
 //!   by the platform timing model.
 //!
 //! The renderer is deterministic by design so that gradient checks and
-//! cross-trainer equivalence tests are exact: the hot path streams a
-//! structure-of-arrays view ([`gs_core::soa::GaussianSoa`]) through
-//! lane-batched, SH-degree-specialized kernels, and rasterization can fan
-//! tile rows out across threads ([`pipeline::render_tiled`]) — every
-//! variant is bit-identical to the single-threaded scalar reference
-//! ([`projection::project_splats_reference`],
-//! [`rasterize::rasterize_forward_reference`]), which is kept as the
-//! in-tree oracle.
+//! cross-trainer equivalence tests are exact, and it has one path per job:
+//! one projector ([`projection::project_splats`]), one blend kernel behind
+//! one band worker ([`rasterize::rasterize_layer`], which can fan tile rows
+//! out across threads), and a forward pass that *is* a fresh layer plus the
+//! background ([`rasterize::rasterize_forward`]) — so the training render
+//! and the serving render produce the same bytes by construction. The
+//! seed's scalar blend loops are kept as in-tree oracles
+//! ([`rasterize::rasterize_forward_reference`],
+//! [`rasterize::rasterize_layer_reference`]).
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -41,14 +42,10 @@ pub mod tiles;
 
 pub use culling::{frustum_cull, CullResult};
 pub use pipeline::{
-    render, render_backward, render_layer, render_layer_tiled, render_layer_tiled_timed,
-    render_tiled, RenderOutput, RenderStats, RenderTimings,
+    render, render_backward, render_layer, RenderOutput, RenderStats, RenderTimings,
 };
-pub use projection::{
-    project_splats, project_splats_reference, project_splats_soa, projection_backward, Splat,
-    SplatGrad,
-};
+pub use projection::{project_splats, projection_backward, Splat, SplatGrad};
 pub use rasterize::{
-    rasterize_backward, rasterize_forward, rasterize_forward_reference, rasterize_forward_tiled,
-    rasterize_layer, rasterize_layer_reference, rasterize_layer_tiled, FrameLayer, RasterAux,
+    rasterize_backward, rasterize_forward, rasterize_forward_reference, rasterize_layer,
+    rasterize_layer_reference, FrameLayer, RasterAux,
 };

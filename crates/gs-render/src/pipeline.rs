@@ -7,16 +7,16 @@
 //! visible Gaussians (as it does in every offloading trainer), those
 //! gradients are exactly the sparse gradients GS-Scale moves between devices.
 
+use std::time::Instant;
+
 use gs_core::camera::{Camera, Viewport};
 use gs_core::gaussian::{GaussianGrads, GaussianParams, SparseGrads};
 use gs_core::image::Image;
 
 use crate::cost::{self, WorkEstimate};
-use crate::loss::{loss_and_grad, LossKind};
 use crate::projection::{project_splats, projection_backward, Splat};
 use crate::rasterize::{
-    rasterize_backward, rasterize_forward, rasterize_forward_tiled, rasterize_layer,
-    rasterize_layer_tiled, FrameLayer, RasterAux,
+    rasterize_backward, rasterize_forward, rasterize_layer, FrameLayer, RasterAux,
 };
 use crate::tiles::TileGrid;
 
@@ -51,7 +51,7 @@ impl RenderStats {
 /// stays `Eq`-comparable across runs).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RenderTimings {
-    /// Seconds spent in projection (SoA build + EWA kernel).
+    /// Seconds spent in projection.
     pub project_s: f64,
     /// Seconds spent binning splats into tiles.
     pub bin_s: f64,
@@ -94,6 +94,34 @@ impl RenderOutput {
     }
 }
 
+/// Projection and tile binning — the front half every render shares — with
+/// the work counters and the two phases' wall time (`raster_s` left at zero
+/// for the caller to fill in).
+fn project_and_bin(
+    params: &GaussianParams,
+    cam: &Camera,
+    sh_degree: usize,
+    viewport: &Viewport,
+) -> (Vec<Splat>, TileGrid, RenderStats, RenderTimings) {
+    let t0 = Instant::now();
+    let splats = project_splats(params, cam, sh_degree, viewport);
+    let t1 = Instant::now();
+    let grid = TileGrid::build(&splats, *viewport);
+    let t2 = Instant::now();
+    let stats = RenderStats {
+        num_input: params.len(),
+        num_splats: splats.len(),
+        num_pairs: grid.total_pairs(),
+        num_pixels: viewport.num_pixels(),
+    };
+    let timings = RenderTimings {
+        project_s: (t1 - t0).as_secs_f64(),
+        bin_s: (t2 - t1).as_secs_f64(),
+        raster_s: 0.0,
+    };
+    (splats, grid, stats, timings)
+}
+
 /// Renders `params` from `cam` over `viewport`.
 ///
 /// `sh_degree` selects the number of SH bands used for color (0..=3) and
@@ -105,63 +133,33 @@ pub fn render(
     viewport: &Viewport,
     background: [f32; 3],
 ) -> RenderOutput {
-    render_tiled(params, cam, sh_degree, viewport, background, 1)
-}
-
-/// [`render`] with rasterization fanned out over up to `threads` scoped
-/// worker threads, each blending a contiguous band of tile rows.
-///
-/// Bit-identical to the sequential [`render`] at any thread count: bands
-/// write disjoint pixel rows and every pixel's blend runs the same
-/// floating-point sequence. `threads <= 1` is the sequential pass.
-pub fn render_tiled(
-    params: &GaussianParams,
-    cam: &Camera,
-    sh_degree: usize,
-    viewport: &Viewport,
-    background: [f32; 3],
-    threads: usize,
-) -> RenderOutput {
-    let t0 = std::time::Instant::now();
-    let splats = project_splats(params, cam, sh_degree, viewport);
-    let t1 = std::time::Instant::now();
-    let grid = TileGrid::build(&splats, *viewport);
-    let t2 = std::time::Instant::now();
-    let (image, aux) = if threads > 1 {
-        rasterize_forward_tiled(&splats, &grid, background, threads)
-    } else {
-        rasterize_forward(&splats, &grid, background)
-    };
-    let t3 = std::time::Instant::now();
-    let stats = RenderStats {
-        num_input: params.len(),
-        num_splats: splats.len(),
-        num_pairs: grid.total_pairs(),
-        num_pixels: viewport.num_pixels(),
-    };
+    let (splats, grid, stats, mut timings) = project_and_bin(params, cam, sh_degree, viewport);
+    let t = Instant::now();
+    let (image, aux) = rasterize_forward(&splats, &grid, background);
+    timings.raster_s = t.elapsed().as_secs_f64();
     RenderOutput {
         image,
         splats,
         grid,
         aux,
         stats,
-        timings: RenderTimings {
-            project_s: (t1 - t0).as_secs_f64(),
-            bin_s: (t2 - t1).as_secs_f64(),
-            raster_s: (t3 - t2).as_secs_f64(),
-        },
+        timings,
     }
 }
 
 /// Renders `params` as a partial frame *into* `layer`, continuing the
 /// layer's per-pixel front-to-back blend (see
-/// [`crate::rasterize::FrameLayer`]).
+/// [`crate::rasterize::FrameLayer`]), and reports the work counters and
+/// per-phase wall time.
 ///
-/// This is the per-shard render of scene sharding: each shard of a
-/// partitioned scene is rendered into the running layer in front-to-back
-/// shard order, and [`FrameLayer::finish`] composites the background once
-/// at the end. For depth-disjoint shards the result is bit-identical to
-/// rendering the whole scene at once.
+/// This is the serving tier's one render call. A full frame is a fresh
+/// layer plus [`FrameLayer::finish`], byte-identical to [`render`]'s image;
+/// a sharded scene renders each shard into the running layer in
+/// front-to-back shard order and composites the background once at the end,
+/// which for depth-disjoint shards is bit-identical to rendering the whole
+/// scene at once. Rasterization fans tile rows out over up to `threads`
+/// scoped worker threads (see [`rasterize_layer`]); the result is
+/// bit-identical at any thread count.
 ///
 /// # Panics
 ///
@@ -172,64 +170,14 @@ pub fn render_layer(
     sh_degree: usize,
     viewport: &Viewport,
     layer: &mut FrameLayer,
-) -> RenderStats {
-    render_layer_tiled(params, cam, sh_degree, viewport, layer, 1)
-}
-
-/// [`render_layer`] with rasterization fanned out over up to `threads`
-/// scoped worker threads (see [`render_tiled`]); bit-identical to the
-/// sequential pass.
-///
-/// # Panics
-///
-/// Panics if `layer`'s size does not match the viewport.
-pub fn render_layer_tiled(
-    params: &GaussianParams,
-    cam: &Camera,
-    sh_degree: usize,
-    viewport: &Viewport,
-    layer: &mut FrameLayer,
-    threads: usize,
-) -> RenderStats {
-    render_layer_tiled_timed(params, cam, sh_degree, viewport, layer, threads).0
-}
-
-/// [`render_layer_tiled`] that also reports per-phase wall time, for the
-/// serving tier's live kernel-phase profiling.
-///
-/// # Panics
-///
-/// Panics if `layer`'s size does not match the viewport.
-pub fn render_layer_tiled_timed(
-    params: &GaussianParams,
-    cam: &Camera,
-    sh_degree: usize,
-    viewport: &Viewport,
-    layer: &mut FrameLayer,
     threads: usize,
 ) -> (RenderStats, RenderTimings) {
-    let t0 = std::time::Instant::now();
-    let splats = project_splats(params, cam, sh_degree, viewport);
-    let t1 = std::time::Instant::now();
-    let grid = TileGrid::build(&splats, *viewport);
-    let t2 = std::time::Instant::now();
-    if threads > 1 {
-        rasterize_layer_tiled(&splats, &grid, layer, threads);
-    } else {
-        rasterize_layer(&splats, &grid, layer);
-    }
-    let t3 = std::time::Instant::now();
-    let stats = RenderStats {
-        num_input: params.len(),
-        num_splats: splats.len(),
-        num_pairs: grid.total_pairs(),
-        num_pixels: viewport.num_pixels(),
-    };
-    let timings = RenderTimings {
-        project_s: (t1 - t0).as_secs_f64(),
-        bin_s: (t2 - t1).as_secs_f64(),
-        raster_s: (t3 - t2).as_secs_f64(),
-    };
+    assert_eq!(layer.width(), viewport.width(), "layer width mismatch");
+    assert_eq!(layer.height(), viewport.height(), "layer height mismatch");
+    let (splats, grid, stats, mut timings) = project_and_bin(params, cam, sh_degree, viewport);
+    let t = Instant::now();
+    rasterize_layer(&splats, &grid, layer, threads);
+    timings.raster_s = t.elapsed().as_secs_f64();
     (stats, timings)
 }
 
@@ -261,52 +209,6 @@ pub fn render_backward(
     projection_backward(params, cam, sh_degree, &output.splats, &splat_grads)
 }
 
-/// Result of a full differentiable render-and-loss step.
-#[derive(Debug, Clone)]
-pub struct ForwardBackwardResult {
-    /// Scalar photometric loss.
-    pub loss: f32,
-    /// Rendered image.
-    pub image: Image,
-    /// Dense gradients over the parameter container that was rendered.
-    pub grads: GaussianGrads,
-    /// Work counters from the forward pass.
-    pub stats: RenderStats,
-}
-
-/// Runs a full forward + loss + backward step against a ground-truth image
-/// restricted to `viewport` (the ground truth is cropped internally).
-///
-/// # Panics
-///
-/// Panics if `target` does not match the camera's full image size.
-pub fn forward_backward(
-    params: &GaussianParams,
-    cam: &Camera,
-    sh_degree: usize,
-    viewport: &Viewport,
-    background: [f32; 3],
-    target: &Image,
-    loss_kind: LossKind,
-) -> ForwardBackwardResult {
-    assert_eq!(target.width(), cam.width, "target width mismatch");
-    assert_eq!(target.height(), cam.height, "target height mismatch");
-    let output = render(params, cam, sh_degree, viewport, background);
-    let target_crop = if viewport.width() == cam.width && viewport.height() == cam.height {
-        target.clone()
-    } else {
-        target.crop(viewport.x0, viewport.y0, viewport.x1, viewport.y1)
-    };
-    let (loss, d_image) = loss_and_grad(loss_kind, &output.image, &target_crop);
-    let grads = render_backward(params, cam, sh_degree, &output, &d_image);
-    ForwardBackwardResult {
-        loss,
-        image: output.image,
-        grads,
-        stats: output.stats,
-    }
-}
-
 /// Converts dense gradients over a gathered subset back into globally indexed
 /// sparse gradients.
 ///
@@ -327,6 +229,7 @@ pub fn to_sparse_grads(gathered_ids: &[u32], grads: GaussianGrads) -> SparseGrad
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::loss::{loss_and_grad, LossKind};
     use gs_core::math::Vec3;
 
     fn cam() -> Camera {
@@ -402,18 +305,29 @@ mod tests {
         }
     }
 
+    /// One forward + loss + backward step, composed the way both trainers do.
+    fn loss_and_grads(
+        kind: LossKind,
+        p: &GaussianParams,
+        c: &Camera,
+        target: &Image,
+    ) -> (f32, GaussianGrads) {
+        let out = render(p, c, 3, &Viewport::full(c), [0.0; 3]);
+        let (loss, d_image) = loss_and_grad(kind, &out.image, target);
+        (loss, render_backward(p, c, 3, &out, &d_image))
+    }
+
     #[test]
     fn forward_backward_produces_sparse_gradients() {
         let p = scene();
         let c = cam();
-        let vp = Viewport::full(&c);
         let target = Image::filled(48, 32, [0.5, 0.5, 0.5]);
-        let result = forward_backward(&p, &c, 3, &vp, [0.0; 3], &target, LossKind::L1);
-        assert!(result.loss > 0.0);
+        let (loss, grads) = loss_and_grads(LossKind::L1, &p, &c, &target);
+        assert!(loss > 0.0);
         // The Gaussian behind the camera must receive exactly zero gradient.
-        assert!(result.grads.is_zero_for(3));
+        assert!(grads.is_zero_for(3));
         // At least one visible Gaussian receives a non-zero gradient.
-        assert!((0..3).any(|i| !result.grads.is_zero_for(i)));
+        assert!((0..3).any(|i| !grads.is_zero_for(i)));
     }
 
     #[test]
@@ -423,26 +337,25 @@ mod tests {
         let mut p = GaussianParams::new();
         p.push_isotropic(Vec3::new(0.6, 0.0, 0.0), 0.5, [1.0, 1.0, 1.0], 0.95);
         let c = cam();
-        let vp = Viewport::full(&c);
         // Target: the same Gaussian rendered at the origin.
         let mut target_params = GaussianParams::new();
         target_params.push_isotropic(Vec3::ZERO, 0.5, [1.0, 1.0, 1.0], 0.95);
         let target = render_image(&target_params, &c, 3, [0.0; 3]);
 
-        let initial = forward_backward(&p, &c, 3, &vp, [0.0; 3], &target, LossKind::Mse);
+        let (initial, _) = loss_and_grads(LossKind::Mse, &p, &c, &target);
         let mut current = p.clone();
-        let mut loss = initial.loss;
+        let mut loss = initial;
         for _ in 0..30 {
-            let res = forward_backward(&current, &c, 3, &vp, [0.0; 3], &target, LossKind::Mse);
-            loss = res.loss;
+            let (step_loss, grads) = loss_and_grads(LossKind::Mse, &current, &c, &target);
+            loss = step_loss;
             // Normalized gradient descent on the means only: a fixed 0.03
             // world-unit step along the negative gradient direction keeps the
             // test independent of the absolute gradient magnitude.
             for i in 0..current.len() {
                 let g = Vec3::new(
-                    res.grads.means[3 * i],
-                    res.grads.means[3 * i + 1],
-                    res.grads.means[3 * i + 2],
+                    grads.means[3 * i],
+                    grads.means[3 * i + 1],
+                    grads.means[3 * i + 2],
                 );
                 if g.norm() > 0.0 {
                     current.set_mean(i, current.mean(i) - g.normalized() * 0.03);
@@ -450,25 +363,30 @@ mod tests {
             }
         }
         assert!(
-            loss < initial.loss * 0.7,
-            "loss did not decrease enough: {} -> {}",
-            initial.loss,
-            loss
+            loss < initial * 0.7,
+            "loss did not decrease enough: {initial} -> {loss}"
         );
     }
 
     #[test]
     fn tiled_render_matches_sequential_bitwise() {
+        // The seam: a fresh layer rendered at any thread count and finished
+        // with the background is `render`'s image, transmittance and stats.
         let p = scene();
         let c = cam();
         let vp = Viewport::full(&c);
         let bg = [0.1, 0.2, 0.3];
         let seq = render(&p, &c, 3, &vp, bg);
         for threads in [2, 4] {
-            let par = render_tiled(&p, &c, 3, &vp, bg, threads);
-            assert_eq!(par.image.data(), seq.image.data(), "{threads} threads");
-            assert_eq!(par.aux, seq.aux, "{threads} threads");
-            assert_eq!(par.stats, seq.stats, "{threads} threads");
+            let mut par = FrameLayer::new(vp.width(), vp.height());
+            let (stats, _) = render_layer(&p, &c, 3, &vp, &mut par, threads);
+            assert_eq!(par.finish(bg).data(), seq.image.data(), "{threads} threads");
+            assert_eq!(
+                par.transmittance(),
+                &seq.aux.final_transmittance[..],
+                "{threads} threads"
+            );
+            assert_eq!(stats, seq.stats, "{threads} threads");
         }
     }
 
@@ -478,11 +396,19 @@ mod tests {
         let c = cam();
         let vp = Viewport::full(&c);
         let mut seq = FrameLayer::new(vp.width(), vp.height());
-        let seq_stats = render_layer(&p, &c, 3, &vp, &mut seq);
+        let (seq_stats, _) = render_layer(&p, &c, 3, &vp, &mut seq, 1);
         let mut par = FrameLayer::new(vp.width(), vp.height());
-        let par_stats = render_layer_tiled(&p, &c, 3, &vp, &mut par, 3);
+        let (par_stats, _) = render_layer(&p, &c, 3, &vp, &mut par, 3);
         assert_eq!(par, seq);
         assert_eq!(par_stats, seq_stats);
+    }
+
+    #[test]
+    #[should_panic(expected = "layer width mismatch")]
+    fn render_layer_rejects_a_mismatched_layer() {
+        let c = cam();
+        let mut layer = FrameLayer::new(4, 32);
+        let _ = render_layer(&scene(), &c, 3, &Viewport::full(&c), &mut layer, 1);
     }
 
     #[test]
@@ -493,7 +419,7 @@ mod tests {
         let bg = [0.1, 0.2, 0.3];
         let reference = render(&p, &c, 3, &vp, bg);
         let mut layer = FrameLayer::new(vp.width(), vp.height());
-        let stats = render_layer(&p, &c, 3, &vp, &mut layer);
+        let (stats, _) = render_layer(&p, &c, 3, &vp, &mut layer, 1);
         assert_eq!(layer.finish(bg).data(), reference.image.data());
         assert_eq!(stats, reference.stats);
     }

@@ -25,10 +25,9 @@
 use gs_core::camera::{Camera, Viewport};
 use gs_core::gaussian::{GaussianGrads, GaussianParams};
 use gs_core::math::{
-    quat_to_rotmat_backward, quat_to_rotmat_with_norm, sigmoid, Mat3, Quat, Sym2, Vec2, Vec3,
+    quat_to_rotmat_backward, quat_to_rotmat_with_norm, sigmoid, Mat3, Sym2, Vec2, Vec3,
 };
 use gs_core::sh;
-use gs_core::soa::GaussianSoa;
 
 /// Low-pass filter added to the diagonal of the projected 2D covariance,
 /// matching the reference implementation.
@@ -93,17 +92,8 @@ fn project_one(params: &GaussianParams, cam: &Camera, i: usize) -> Option<Projec
     if t.z <= cam.near || t.z >= cam.far {
         return None;
     }
-    Some(project_from(t, params.quat(i), params.scale(i), cam))
-}
-
-/// The EWA core shared by the scalar facade ([`project_one`], used by the
-/// backward pass) and the lane-batched SoA kernels: builds the 2D covariance
-/// of a Gaussian whose camera-space position `t` already passed the
-/// near/far test. The floating-point operation sequence is identical on
-/// both call paths, which is what keeps SoA-kernel output bit-identical to
-/// the facade.
-fn project_from(t: Vec3, quat: Quat, scale: Vec3, cam: &Camera) -> ProjectionIntermediates {
-    let (rot, _, _) = quat_to_rotmat_with_norm(quat);
+    let scale = params.scale(i);
+    let (rot, _, _) = quat_to_rotmat_with_norm(params.quat(i));
     let m = rot.mul_mat(Mat3::diag(scale));
     let cov3d = m.mul_mat(m.transpose());
 
@@ -149,7 +139,7 @@ fn project_from(t: Vec3, quat: Quat, scale: Vec3, cam: &Camera) -> ProjectionInt
         trow1.dot(sig_t1) + COV2D_BLUR,
     );
 
-    ProjectionIntermediates {
+    Some(ProjectionIntermediates {
         t,
         rot,
         scale,
@@ -159,12 +149,8 @@ fn project_from(t: Vec3, quat: Quat, scale: Vec3, cam: &Camera) -> ProjectionInt
         cov2d,
         clamped_x,
         clamped_y,
-    }
+    })
 }
-
-/// Number of Gaussians whose camera-space transform is streamed per batch in
-/// the SoA projection kernels.
-pub const PROJ_LANES: usize = 8;
 
 /// Projects all Gaussians in `params` into screen-space splats for `cam`,
 /// keeping only those that could contribute to `viewport`.
@@ -174,115 +160,7 @@ pub const PROJ_LANES: usize = 8;
 /// screen-space footprint does not intersect the viewport.
 ///
 /// `sh_degree` selects how many SH bands are used for color (0..=3).
-///
-/// This is a facade over the SoA path: it builds a [`GaussianSoa`] view and
-/// runs the degree-specialized kernel via [`project_splats_soa`]. Callers on
-/// the hot path that render the same parameters repeatedly should build the
-/// SoA view once and call [`project_splats_soa`] directly. Output is
-/// bit-identical to [`project_splats_reference`].
 pub fn project_splats(
-    params: &GaussianParams,
-    cam: &Camera,
-    sh_degree: usize,
-    viewport: &Viewport,
-) -> Vec<Splat> {
-    let soa = GaussianSoa::build(params, sh_degree);
-    project_splats_soa(&soa, cam, viewport)
-}
-
-/// The signature every monomorphized projection kernel shares.
-type ProjectKernel = fn(&GaussianSoa, &Camera, &Viewport) -> Vec<Splat>;
-
-/// Per-degree monomorphized projection kernels. Indexing by the SoA view's
-/// SH degree selects the kernel once per request, removing the per-Gaussian
-/// degree branch inside SH color evaluation.
-const PROJECT_KERNELS: [ProjectKernel; sh::MAX_DEGREE + 1] = [
-    project_kernel::<0>,
-    project_kernel::<1>,
-    project_kernel::<2>,
-    project_kernel::<3>,
-];
-
-/// Projects a prebuilt SoA view through the kernel specialized for its SH
-/// degree. Bit-identical to [`project_splats_reference`] on the parameters
-/// the view was built from.
-pub fn project_splats_soa(soa: &GaussianSoa, cam: &Camera, viewport: &Viewport) -> Vec<Splat> {
-    PROJECT_KERNELS[soa.sh_degree()](soa, cam, viewport)
-}
-
-/// The lane-batched, SH-monomorphized projection kernel.
-///
-/// Gaussians are processed in [`PROJ_LANES`]-wide batches: a first lane pass
-/// streams the world-to-camera transform and depth test over contiguous SoA
-/// means, then surviving lanes run the EWA core ([`project_from`]), culling,
-/// and the degree-`DEG` SH evaluation. Every floating-point operation a
-/// surviving Gaussian sees is the same op in the same order as the scalar
-/// reference, so output is bit-identical; only the loop structure and memory
-/// access pattern change.
-fn project_kernel<const DEG: usize>(
-    soa: &GaussianSoa,
-    cam: &Camera,
-    viewport: &Viewport,
-) -> Vec<Splat> {
-    let n = soa.len();
-    let mut splats = Vec::new();
-    let mut lane_t = [Vec3::ZERO; PROJ_LANES];
-    let mut lane_live = [false; PROJ_LANES];
-    let mut base = 0;
-    while base < n {
-        let lanes = PROJ_LANES.min(n - base);
-        // Lane pass: stream the camera transform + depth mask for the batch.
-        for l in 0..lanes {
-            let t = cam.world_to_cam(soa.mean(base + l));
-            lane_t[l] = t;
-            lane_live[l] = t.z > cam.near && t.z < cam.far;
-        }
-        for l in 0..lanes {
-            if !lane_live[l] {
-                continue;
-            }
-            let i = base + l;
-            let inter = project_from(lane_t[l], soa.quat(i), soa.scale(i), cam);
-            let det = inter.cov2d.det();
-            if det <= 0.0 || !det.is_finite() {
-                continue;
-            }
-            let conic = match inter.cov2d.inverse() {
-                Some(c) => c,
-                None => continue,
-            };
-            let (l1, _) = inter.cov2d.eigenvalues();
-            let radius = RADIUS_SIGMA * l1.max(0.0).sqrt();
-            let mean2d = cam.cam_to_pixel(inter.t);
-            // Keep any splat whose bounding box could reach a tile that
-            // overlaps the viewport (one extra tile of slack): this makes
-            // rendering a sub-viewport bit-identical to cropping a full-image
-            // render, which balance-aware image splitting relies on.
-            if !viewport.contains_with_margin(mean2d.x, mean2d.y, radius + 16.0) {
-                continue;
-            }
-            let dir = cam.view_dir(soa.mean(i));
-            let color = sh::eval_color_flat(DEG, dir, soa.sh_plane(i));
-            splats.push(Splat {
-                idx: i as u32,
-                mean2d,
-                depth: inter.t.z,
-                conic,
-                radius,
-                color,
-                opacity: soa.opacity(i),
-            });
-        }
-        base += lanes;
-    }
-    splats
-}
-
-/// The seed scalar projection loop, kept verbatim as the bit-identity oracle
-/// for the SoA kernels and as the "before" baseline in kernel benchmarks.
-/// Gathers per Gaussian from the [`GaussianParams`] facade (re-deriving
-/// `exp`/`sigmoid` and copying all SH triples on every access).
-pub fn project_splats_reference(
     params: &GaussianParams,
     cam: &Camera,
     sh_degree: usize,
@@ -304,6 +182,10 @@ pub fn project_splats_reference(
         let (l1, _) = inter.cov2d.eigenvalues();
         let radius = RADIUS_SIGMA * l1.max(0.0).sqrt();
         let mean2d = cam.cam_to_pixel(inter.t);
+        // Keep any splat whose bounding box could reach a tile that overlaps
+        // the viewport (one extra tile of slack): this makes rendering a
+        // sub-viewport bit-identical to cropping a full-image render, which
+        // balance-aware image splitting relies on.
         if !viewport.contains_with_margin(mean2d.x, mean2d.y, radius + 16.0) {
             continue;
         }
@@ -529,25 +411,6 @@ mod tests {
             assert!(s.depth > 0.0);
             assert!(s.radius > 0.0);
             assert!(s.opacity > 0.0 && s.opacity < 1.0);
-        }
-    }
-
-    #[test]
-    fn soa_kernel_matches_the_scalar_reference_bitwise() {
-        let mut params = sample_params();
-        // Exercise higher-order SH so every specialized kernel is distinct.
-        for i in 0..params.len() {
-            for (k, v) in params.sh_coeffs_mut(i).iter_mut().enumerate() {
-                *v += (i as f32 + 1.0) * 0.01 * (k as f32 * 0.7).sin();
-            }
-        }
-        let cam = test_camera();
-        let vp = Viewport::full(&cam);
-        for degree in 0..=sh::MAX_DEGREE {
-            let reference = project_splats_reference(&params, &cam, degree, &vp);
-            let fast = project_splats(&params, &cam, degree, &vp);
-            assert_eq!(fast, reference, "degree {degree}");
-            assert!(!reference.is_empty());
         }
     }
 

@@ -63,12 +63,10 @@ fn splat_alpha(splat: &Splat, sigma: f32) -> Option<(f32, bool)> {
     }
 }
 
-/// The per-pixel front-to-back blend kernel shared by [`rasterize_forward`]
-/// and [`rasterize_layer`]: composites the bin's splats into the running
-/// `(color, t)` state (premultiplied, no background) with early termination
-/// at [`TRANSMITTANCE_MIN`], and returns how many bin entries were
-/// processed. Keeping this in one place is what makes the sharded layer
-/// composite bit-identical to the single-pass render by construction.
+/// The scalar per-pixel front-to-back blend kernel of the `*_reference`
+/// oracles: composites the bin's splats into the running `(color, t)` state
+/// (premultiplied, no background) with early termination at
+/// [`TRANSMITTANCE_MIN`], and returns how many bin entries were processed.
 #[inline]
 fn blend_pixel(
     splats: &[Splat],
@@ -114,6 +112,10 @@ fn blend_pixel(
 /// starting at viewport-absolute column `x0`. Lanes whose incoming
 /// transmittance is already below [`TRANSMITTANCE_MIN`] are left untouched
 /// (the cross-shard early termination of [`rasterize_layer`]).
+// Kept out of line: with its one call site the compiler would inline it into
+// the band worker, which measured 3-4 % slower (192x144, release) than the
+// call.
+#[inline(never)]
 fn blend_row(
     splats: &[Splat],
     bin: &[u32],
@@ -204,147 +206,31 @@ fn band_bounds(tiles_y: usize, threads: usize) -> Vec<(usize, usize)> {
     bands
 }
 
-/// Renders tile rows `ty0..ty1` into band-local buffers (`img` holds
-/// `3 * width` floats per pixel row, `final_t`/`n_processed` one value).
-/// The shared worker for the sequential forward pass (one band covering the
-/// whole grid) and the tile-parallel pass (one band per thread): every pixel
-/// is produced by the same code path regardless of how the image is banded,
-/// which is what makes the two bit-identical.
-#[allow(clippy::too_many_arguments)]
-fn forward_band(
-    splats: &[Splat],
-    grid: &TileGrid,
-    background: [f32; 3],
-    ty0: usize,
-    ty1: usize,
-    img: &mut [f32],
-    final_t: &mut [f32],
-    n_processed: &mut [u32],
-) {
-    let vp = grid.viewport();
-    let width = vp.width();
-    let band_row0 = ty0 * TILE_SIZE;
-    for ty in ty0..ty1 {
-        for tx in 0..grid.tiles_x() {
-            let bin = grid.bin(tx, ty);
-            let (x0, y0, x1, y1) = grid.tile_pixel_range(tx, ty);
-            let row_w = x1 - x0;
-            let lx0 = x0 - vp.x0;
-            for py in y0..y1 {
-                let cy = py as f32 + 0.5;
-                let mut colors = [[0.0f32; 3]; TILE_SIZE];
-                let mut ts = [1.0f32; TILE_SIZE];
-                let mut procs = [0u32; TILE_SIZE];
-                blend_row(
-                    splats,
-                    bin,
-                    x0,
-                    cy,
-                    &mut colors[..row_w],
-                    &mut ts[..row_w],
-                    &mut procs[..row_w],
-                );
-                let ly = (py - vp.y0) - band_row0;
-                for l in 0..row_w {
-                    let t = ts[l];
-                    let mut c = colors[l];
-                    c[0] += background[0] * t;
-                    c[1] += background[1] * t;
-                    c[2] += background[2] * t;
-                    let pix = ly * width + lx0 + l;
-                    img[3 * pix..3 * pix + 3].copy_from_slice(&c);
-                    final_t[pix] = t;
-                    n_processed[pix] = procs[l];
-                }
-            }
-        }
-    }
-}
-
 /// Rasterizes splats over the grid's viewport, returning the rendered image
 /// (sized to the viewport) and the auxiliary state needed for the backward
 /// pass.
 ///
-/// Runs the lane-batched row kernel ([`blend_row`]) sequentially; output is
-/// bit-identical to [`rasterize_forward_reference`] and to
-/// [`rasterize_forward_tiled`] at any thread count.
+/// This is a fresh [`FrameLayer`] run through the one blend path
+/// ([`rasterize_layer`]'s band worker, which also records the per-pixel
+/// processed counts here) with `background` composited in place on the
+/// layer's own buffers: the layer's transmittance *is*
+/// [`RasterAux::final_transmittance`]. Output is bit-identical to
+/// [`rasterize_forward_reference`].
 pub fn rasterize_forward(
     splats: &[Splat],
     grid: &TileGrid,
     background: [f32; 3],
 ) -> (Image, RasterAux) {
     let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    let mut image = Image::zeros(width, height);
-    let mut final_t = vec![1.0f32; width * height];
-    let mut n_processed = vec![0u32; width * height];
-    forward_band(
-        splats,
-        grid,
-        background,
-        0,
-        grid.tiles_y(),
-        image.data_mut(),
-        &mut final_t,
-        &mut n_processed,
-    );
+    let mut layer = FrameLayer::new(vp.width(), vp.height());
+    let mut n_processed = vec![0u32; vp.width() * vp.height()];
+    blend_bands(splats, grid, &mut layer, Some(&mut n_processed), 1);
+    let (mut image, final_transmittance) = layer.into_parts();
+    composite_background(image.data_mut(), &final_transmittance, background);
     (
         image,
         RasterAux {
-            final_transmittance: final_t,
-            n_processed,
-            background,
-        },
-    )
-}
-
-/// [`rasterize_forward`] with tile rows fanned out over `threads` scoped
-/// worker threads.
-///
-/// Each thread renders a contiguous band of tile rows into a disjoint slice
-/// of the output buffers (split at pixel-row boundaries), so no pixel is
-/// touched by two threads and every pixel runs the exact per-pixel code of
-/// the sequential pass — the output is bit-identical to
-/// [`rasterize_forward`]. `threads <= 1` (or a single tile row) falls back
-/// to the sequential pass.
-pub fn rasterize_forward_tiled(
-    splats: &[Splat],
-    grid: &TileGrid,
-    background: [f32; 3],
-    threads: usize,
-) -> (Image, RasterAux) {
-    let bands = band_bounds(grid.tiles_y(), threads);
-    if bands.len() <= 1 {
-        return rasterize_forward(splats, grid, background);
-    }
-    let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    let mut image = Image::zeros(width, height);
-    let mut final_t = vec![1.0f32; width * height];
-    let mut n_processed = vec![0u32; width * height];
-    std::thread::scope(|scope| {
-        let mut img_rest: &mut [f32] = image.data_mut();
-        let mut t_rest: &mut [f32] = &mut final_t;
-        let mut p_rest: &mut [u32] = &mut n_processed;
-        for &(ty0, ty1) in &bands {
-            let rows = (ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE;
-            let (img_band, img_next) = std::mem::take(&mut img_rest).split_at_mut(3 * rows * width);
-            let (t_band, t_next) = std::mem::take(&mut t_rest).split_at_mut(rows * width);
-            let (p_band, p_next) = std::mem::take(&mut p_rest).split_at_mut(rows * width);
-            img_rest = img_next;
-            t_rest = t_next;
-            p_rest = p_next;
-            scope.spawn(move || {
-                forward_band(splats, grid, background, ty0, ty1, img_band, t_band, p_band);
-            });
-        }
-    });
-    (
-        image,
-        RasterAux {
-            final_transmittance: final_t,
+            final_transmittance,
             n_processed,
             background,
         },
@@ -513,13 +399,19 @@ impl FrameLayer {
     /// transmittance, producing the final frame.
     pub fn finish(&self, background: [f32; 3]) -> Image {
         let mut image = self.color.clone();
-        let data = image.data_mut();
-        for (i, &t) in self.transmittance.iter().enumerate() {
-            for ch in 0..3 {
-                data[3 * i + ch] += background[ch] * t;
-            }
-        }
+        composite_background(image.data_mut(), &self.transmittance, background);
         image
+    }
+}
+
+/// Blends `background` behind premultiplied `color` in place:
+/// `color += background * t` per pixel. The one background composite, shared
+/// by [`FrameLayer::finish`] and [`rasterize_forward`].
+fn composite_background(color: &mut [f32], transmittance: &[f32], background: [f32; 3]) {
+    for (px, &t) in color.chunks_exact_mut(3).zip(transmittance) {
+        for ch in 0..3 {
+            px[ch] += background[ch] * t;
+        }
     }
 }
 
@@ -532,35 +424,71 @@ impl FrameLayer {
 /// threaded shard composite bit-identical for depth-disjoint shards (and
 /// lets far shards skip work behind opaque geometry).
 ///
+/// Tile rows are fanned out over up to `threads` scoped worker threads,
+/// each continuing the blend on a disjoint band of the layer's pixel rows;
+/// every pixel's blend is independent of its neighbours', so the result is
+/// bit-identical at any thread count. `threads <= 1` (or a single tile row)
+/// spawns nothing and blends on the calling thread.
+///
 /// # Panics
 ///
 /// Panics if `layer`'s size does not match the grid's viewport.
-pub fn rasterize_layer(splats: &[Splat], grid: &TileGrid, layer: &mut FrameLayer) {
-    let vp = grid.viewport();
-    assert_eq!(layer.width(), vp.width(), "layer width mismatch");
-    assert_eq!(layer.height(), vp.height(), "layer height mismatch");
-    let transmittance = &mut layer.transmittance;
-    layer_band(
-        splats,
-        grid,
-        0,
-        grid.tiles_y(),
-        layer.color.data_mut(),
-        transmittance,
-    );
+pub fn rasterize_layer(splats: &[Splat], grid: &TileGrid, layer: &mut FrameLayer, threads: usize) {
+    blend_bands(splats, grid, layer, None, threads);
 }
 
-/// Rasterizes tile rows `ty0..ty1` into band-local slices of a layer's
-/// color data (`3 * width` floats per pixel row) and transmittance. The
-/// shared worker for [`rasterize_layer`] (one band) and
-/// [`rasterize_layer_tiled`] (one band per thread).
-fn layer_band(
+/// Splits the layer (and `n_processed`, when the forward pass asks for the
+/// per-pixel processed counts) into contiguous tile-row bands at pixel-row
+/// boundaries and runs [`blend_band`] on each: the last band on the calling
+/// thread, the others on scoped threads.
+fn blend_bands(
+    splats: &[Splat],
+    grid: &TileGrid,
+    layer: &mut FrameLayer,
+    mut n_processed: Option<&mut [u32]>,
+    threads: usize,
+) {
+    let vp = grid.viewport();
+    let width = vp.width();
+    let height = vp.height();
+    assert_eq!(layer.width(), width, "layer width mismatch");
+    assert_eq!(layer.height(), height, "layer height mismatch");
+    let mut c_rest = layer.color.data_mut();
+    let mut t_rest = &mut layer.transmittance[..];
+    let bands = band_bounds(grid.tiles_y(), threads);
+    std::thread::scope(|scope| {
+        for (b, &(ty0, ty1)) in bands.iter().enumerate() {
+            let pixels = ((ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE) * width;
+            let c_band = c_rest.split_off_mut(..3 * pixels).expect("band in layer");
+            let t_band = t_rest.split_off_mut(..pixels).expect("band in layer");
+            let p_band = n_processed
+                .as_mut()
+                .map(|p| p.split_off_mut(..pixels).expect("band in layer"));
+            let blend = move || blend_band(splats, grid, ty0, ty1, c_band, t_band, p_band);
+            if b + 1 == bands.len() {
+                blend();
+            } else {
+                scope.spawn(blend);
+            }
+        }
+    });
+}
+
+/// The one band worker: rasterizes tile rows `ty0..ty1` into band-local
+/// slices of a layer's color data (`3 * width` floats per pixel row) and
+/// transmittance, continuing each pixel's running blend, and records how
+/// many bin entries each pixel processed when `n_processed` is given. Every
+/// pixel is produced by this code path regardless of how the image is
+/// banded or whether the caller is the forward pass or a shard layer, which
+/// is what makes all of them bit-identical.
+fn blend_band(
     splats: &[Splat],
     grid: &TileGrid,
     ty0: usize,
     ty1: usize,
     color: &mut [f32],
     transmittance: &mut [f32],
+    mut n_processed: Option<&mut [u32]>,
 ) {
     let vp = grid.viewport();
     let width = vp.width();
@@ -600,48 +528,12 @@ fn layer_band(
                     color[3 * pix..3 * pix + 3].copy_from_slice(&colors[l]);
                     transmittance[pix] = ts[l];
                 }
+                if let Some(n_processed) = n_processed.as_deref_mut() {
+                    n_processed[pix0..pix0 + row_w].copy_from_slice(&procs[..row_w]);
+                }
             }
         }
     }
-}
-
-/// [`rasterize_layer`] with tile rows fanned out over `threads` scoped
-/// worker threads, each continuing the blend on a disjoint band of the
-/// layer's pixel rows. Bit-identical to the sequential [`rasterize_layer`]
-/// (every pixel's blend is independent of its neighbours'). `threads <= 1`
-/// falls back to the sequential pass.
-///
-/// # Panics
-///
-/// Panics if `layer`'s size does not match the grid's viewport.
-pub fn rasterize_layer_tiled(
-    splats: &[Splat],
-    grid: &TileGrid,
-    layer: &mut FrameLayer,
-    threads: usize,
-) {
-    let vp = grid.viewport();
-    let width = vp.width();
-    let height = vp.height();
-    assert_eq!(layer.width(), width, "layer width mismatch");
-    assert_eq!(layer.height(), height, "layer height mismatch");
-    let bands = band_bounds(grid.tiles_y(), threads);
-    if bands.len() <= 1 {
-        rasterize_layer(splats, grid, layer);
-        return;
-    }
-    std::thread::scope(|scope| {
-        let mut c_rest: &mut [f32] = layer.color.data_mut();
-        let mut t_rest: &mut [f32] = &mut layer.transmittance;
-        for &(ty0, ty1) in &bands {
-            let rows = (ty1 * TILE_SIZE).min(height) - ty0 * TILE_SIZE;
-            let (c_band, c_next) = std::mem::take(&mut c_rest).split_at_mut(3 * rows * width);
-            let (t_band, t_next) = std::mem::take(&mut t_rest).split_at_mut(rows * width);
-            c_rest = c_next;
-            t_rest = t_next;
-            scope.spawn(move || layer_band(splats, grid, ty0, ty1, c_band, t_band));
-        }
-    });
 }
 
 /// The seed scalar layer pass (pixel-outer [`blend_pixel`] walk), kept
@@ -1062,25 +954,33 @@ mod tests {
         let (near, far) = splats.split_at(14);
         let far_grid = TileGrid::build(far, viewport);
         let mut seed = FrameLayer::new(24, 56);
-        rasterize_layer(near, &TileGrid::build(near, viewport), &mut seed);
+        rasterize_layer(near, &TileGrid::build(near, viewport), &mut seed, 1);
         let mut reference = seed.clone();
         rasterize_layer_reference(far, &far_grid, &mut reference);
         let mut fast = seed;
-        rasterize_layer(far, &far_grid, &mut fast);
+        rasterize_layer(far, &far_grid, &mut fast, 1);
         assert_eq!(fast, reference);
     }
 
     #[test]
     fn tiled_forward_is_bit_identical_to_sequential_at_any_thread_count() {
+        // The forward pass is a fresh layer plus the background: a layer
+        // blended at any thread count must finish into the forward image and
+        // carry the forward pass's final transmittance.
         let splats = tall_scene();
         let viewport = vp(24, 56);
         let grid = TileGrid::build(&splats, viewport);
         let bg = [0.05, 0.1, 0.15];
         let (seq, seq_aux) = rasterize_forward(&splats, &grid, bg);
         for threads in [0, 1, 2, 3, 7, 64] {
-            let (par, par_aux) = rasterize_forward_tiled(&splats, &grid, bg, threads);
-            assert_eq!(par.data(), seq.data(), "{threads} threads");
-            assert_eq!(par_aux, seq_aux, "{threads} threads");
+            let mut par = FrameLayer::new(24, 56);
+            rasterize_layer(&splats, &grid, &mut par, threads);
+            assert_eq!(par.finish(bg).data(), seq.data(), "{threads} threads");
+            assert_eq!(
+                par.transmittance(),
+                &seq_aux.final_transmittance[..],
+                "{threads} threads"
+            );
         }
     }
 
@@ -1090,10 +990,10 @@ mod tests {
         let viewport = vp(24, 56);
         let grid = TileGrid::build(&splats, viewport);
         let mut seq = FrameLayer::new(24, 56);
-        rasterize_layer(&splats, &grid, &mut seq);
-        for threads in [2, 3, 64] {
+        rasterize_layer(&splats, &grid, &mut seq, 1);
+        for threads in [0, 2, 3, 64] {
             let mut par = FrameLayer::new(24, 56);
-            rasterize_layer_tiled(&splats, &grid, &mut par, threads);
+            rasterize_layer(&splats, &grid, &mut par, threads);
             assert_eq!(par, seq, "{threads} threads");
         }
     }
@@ -1106,7 +1006,7 @@ mod tests {
         let bg = [0.1, 0.2, 0.3];
         let (forward, aux) = rasterize_forward(&splats, &grid, bg);
         let mut layer = FrameLayer::new(16, 16);
-        rasterize_layer(&splats, &grid, &mut layer);
+        rasterize_layer(&splats, &grid, &mut layer, 1);
         assert_eq!(layer.finish(bg).data(), forward.data());
         assert_eq!(layer.transmittance(), &aux.final_transmittance[..]);
     }
@@ -1131,7 +1031,7 @@ mod tests {
             for end in bounds {
                 let group = &splats[start..end];
                 let grid = TileGrid::build(group, viewport);
-                rasterize_layer(group, &grid, &mut layer);
+                rasterize_layer(group, &grid, &mut layer, 1);
                 start = end;
             }
             assert_eq!(
@@ -1157,9 +1057,15 @@ mod tests {
             near_splats,
             &TileGrid::build(near_splats, viewport),
             &mut near,
+            1,
         );
         let mut far = FrameLayer::new(16, 16);
-        rasterize_layer(far_splats, &TileGrid::build(far_splats, viewport), &mut far);
+        rasterize_layer(
+            far_splats,
+            &TileGrid::build(far_splats, viewport),
+            &mut far,
+            1,
+        );
         near.composite_onto(&far);
         let composed = near.finish(bg);
         for (a, b) in composed.data().iter().zip(forward.data()) {
@@ -1187,6 +1093,7 @@ mod tests {
             &near_splats,
             &TileGrid::build(&near_splats, viewport),
             &mut layer,
+            1,
         );
         let before = layer.clone();
         let p = 8 * 16 + 8;
@@ -1197,6 +1104,7 @@ mod tests {
             &far_splats,
             &TileGrid::build(&far_splats, viewport),
             &mut layer,
+            1,
         );
         assert_eq!(
             layer.color().pixel(8, 8),
@@ -1210,7 +1118,7 @@ mod tests {
         let splats = layered_scene();
         let viewport = vp(16, 16);
         let mut layer = FrameLayer::new(16, 16);
-        rasterize_layer(&splats, &TileGrid::build(&splats, viewport), &mut layer);
+        rasterize_layer(&splats, &TileGrid::build(&splats, viewport), &mut layer, 1);
         let rebuilt = {
             let (color, transmittance) = layer.clone().into_parts();
             FrameLayer::from_parts(color, transmittance)
@@ -1229,7 +1137,7 @@ mod tests {
     fn layer_size_must_match_the_grid() {
         let grid = TileGrid::build(&[], vp(8, 8));
         let mut layer = FrameLayer::new(4, 8);
-        rasterize_layer(&[], &grid, &mut layer);
+        rasterize_layer(&[], &grid, &mut layer, 1);
     }
 
     #[test]

@@ -21,7 +21,8 @@ use std::sync::Arc;
 use gs_core::gaussian::GaussianParams;
 use gs_core::image::Image;
 use gs_render::culling::frustum_cull;
-use gs_render::pipeline::{render_tiled, RenderStats, RenderTimings};
+use gs_render::pipeline::{render_layer, RenderStats, RenderTimings};
+use gs_render::rasterize::FrameLayer;
 
 use crate::request::RenderRequest;
 
@@ -93,16 +94,16 @@ pub fn render_shared(
     let mut images = Vec::with_capacity(requests.len());
     let mut renders = Vec::with_capacity(requests.len());
     for r in requests {
-        let out = render_tiled(
+        let mut layer = FrameLayer::new(r.viewport.width(), r.viewport.height());
+        renders.push(render_layer(
             &shared,
             &r.camera,
             r.sh_degree,
             &r.viewport,
-            background,
+            &mut layer,
             tile_threads,
-        );
-        renders.push((out.stats, out.timings));
-        images.push(Arc::new(out.image));
+        ));
+        images.push(Arc::new(layer.finish(background)));
     }
 
     BatchOutcome {

@@ -60,13 +60,6 @@ pub struct ServeConfig {
     /// Frame-cache replacement policy: LRU, or TinyLFU frequency-aware
     /// admission (see [`crate::cache`]).
     pub cache_policy: CachePolicyKind,
-    /// Maximum number of threads one frame's rasterization may fan its tile
-    /// rows out over when the queue is empty (idle pool workers mean those
-    /// cores are otherwise free). Under load the gate closes and
-    /// parallelism comes from concurrent requests instead. `0` follows
-    /// `workers`; `1` disables tile parallelism. Output bytes are identical
-    /// at any setting.
-    pub tile_parallel: usize,
     /// Node label the server's spans carry (shows up in stitched
     /// cross-node trees and Chrome trace exports).
     pub node: String,
@@ -101,7 +94,6 @@ impl Default for ServeConfig {
             shard_bytes: 32 << 20,
             scheduler: SchedulerPolicy::Fifo,
             cache_policy: CachePolicyKind::Lru,
-            tile_parallel: 0,
             node: "gs-serve".to_string(),
             trace_sample_every: 0,
             phase_sample_every: 32,
@@ -174,18 +166,14 @@ struct Shared {
 }
 
 impl Shared {
-    /// Tile-parallel width for the next render: the configured fan-out
-    /// while the queue is empty (idle workers mean free cores), `1` — no
-    /// helper threads — whenever jobs are waiting, so a loaded pool keeps
-    /// its parallelism at the request level.
+    /// Threads the next render may fan its tile rows out over: `workers`
+    /// while the queue is empty (idle pool workers mean those cores are
+    /// otherwise free), `1` — no helper threads — whenever jobs are
+    /// waiting, so a loaded pool keeps its parallelism at the request
+    /// level. Output bytes are identical either way.
     fn tile_threads(&self) -> usize {
-        let limit = if self.config.tile_parallel == 0 {
+        if self.sched.is_empty() {
             self.config.workers
-        } else {
-            self.config.tile_parallel
-        };
-        if limit > 1 && self.sched.is_empty() {
-            limit
         } else {
             1
         }
@@ -745,7 +733,7 @@ impl RenderServer {
                 }
                 let started = Instant::now();
                 let tile_threads = self.shared.tile_threads();
-                let (stats, timings) = gs_render::pipeline::render_layer_tiled_timed(
+                let (stats, timings) = gs_render::pipeline::render_layer(
                     &scene.params,
                     &request.camera,
                     request.sh_degree,
@@ -1279,7 +1267,7 @@ fn render_one_shard(
     }
     let started = Instant::now();
     let tile_threads = shared.tile_threads();
-    let (stats, timings) = gs_render::pipeline::render_layer_tiled_timed(
+    let (stats, timings) = gs_render::pipeline::render_layer(
         &shard.params,
         &request.camera,
         request.sh_degree,

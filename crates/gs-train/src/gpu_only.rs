@@ -14,7 +14,8 @@ use gs_optim::DenseAdam;
 use gs_platform::{kernel_time, MemoryCategory, MemoryPool, PlatformSpec, Stream, TimelineSim};
 use gs_render::cost as render_cost;
 use gs_render::culling::frustum_cull;
-use gs_render::pipeline::forward_backward;
+use gs_render::loss::loss_and_grad;
+use gs_render::pipeline::{render, render_backward};
 
 use crate::config::TrainConfig;
 use crate::densify::{densify, DensifyAccumulator};
@@ -113,23 +114,23 @@ impl Trainer for GpuOnlyTrainer {
 
         // Forward + loss + backward over the full parameter set (the renderer
         // internally touches only the visible Gaussians).
-        let result = forward_backward(
+        let output = render(
             &self.params,
             cam,
             self.config.sh_degree,
             &vp,
             self.config.background,
-            target,
-            self.config.loss,
         );
+        let (loss, d_image) = loss_and_grad(self.config.loss, &output.image, target);
+        let grads = render_backward(&self.params, cam, self.config.sh_degree, &output, &d_image);
         self.gpu_pool
             .free(MemoryCategory::Activations, activation_bytes);
 
         // Densification statistics (dense gradients: every Gaussian).
-        self.accum.record_dense(&result.grads);
+        self.accum.record_dense(&grads);
 
         // Dense Adam over every parameter group, on the GPU.
-        let opt_stats = self.optimizer.step(&mut self.params, &result.grads);
+        let opt_stats = self.optimizer.step(&mut self.params, &grads);
 
         // Execution timeline: everything serial on the GPU queue.
         let mut sim = TimelineSim::new();
@@ -139,9 +140,9 @@ impl Trainer for GpuOnlyTrainer {
             gpu,
             true,
         );
-        let fwd_t = kernel_time(&work_from_estimate(&result.stats.forward_work()), gpu, true);
+        let fwd_t = kernel_time(&work_from_estimate(&output.stats.forward_work()), gpu, true);
         let bwd_t = kernel_time(
-            &work_from_estimate(&result.stats.backward_work()),
+            &work_from_estimate(&output.stats.backward_work()),
             gpu,
             true,
         );
@@ -154,7 +155,7 @@ impl Trainer for GpuOnlyTrainer {
         sim.accumulate_breakdown(&mut breakdown);
 
         Ok(IterationStats {
-            loss: result.loss,
+            loss,
             active_gaussians: active,
             total_gaussians: total,
             sim_time_s: sim.makespan(),

@@ -589,6 +589,55 @@ mod tests {
         worst
     }
 
+    /// FNV-1a over every parameter's bit pattern.
+    fn param_fingerprint(p: &GaussianParams) -> u64 {
+        ParamGroup::ALL
+            .iter()
+            .flat_map(|&g| p.group(g))
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+            })
+    }
+
+    /// Golden fingerprints of every trainer's parameters after 20 steps:
+    /// any change to the renderer, the optimizers or the step composition
+    /// that moves a single bit of the trained model shows up here (the
+    /// baseline matches GPU-only bit for bit; deferral, flushed, matches
+    /// its eager counterpart).
+    #[test]
+    fn trained_parameters_match_golden_fingerprints() {
+        let (init, cam, target) = tiny_scene();
+        let cfg = TrainConfig::fast_test(20);
+        let platform = PlatformSpec::laptop_rtx4070m();
+        let mut reference =
+            GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), 10.0).unwrap();
+        for _ in 0..20 {
+            reference.step(&cam, &target).unwrap();
+        }
+        assert_eq!(param_fingerprint(reference.params()), 0x48da_4b1c_ab76_4e1f);
+
+        for (options, expected) in [
+            (OffloadOptions::baseline(), 0x48da_4b1c_ab76_4e1f_u64),
+            (OffloadOptions::without_deferred(), 0xc544_d061_37ca_0cf7),
+            (OffloadOptions::full(), 0xc544_d061_37ca_0cf7),
+        ] {
+            let mut trainer =
+                OffloadTrainer::new(cfg.clone(), options, platform.clone(), init.clone(), 10.0)
+                    .unwrap();
+            for _ in 0..20 {
+                trainer.step(&cam, &target).unwrap();
+            }
+            trainer.flush();
+            assert_eq!(
+                param_fingerprint(trainer.params()),
+                expected,
+                "{}",
+                trainer.name()
+            );
+        }
+    }
+
     #[test]
     fn all_offload_variants_match_gpu_only_training() {
         let (init, cam, target) = tiny_scene();

@@ -55,7 +55,6 @@ fn replica() -> Arc<RenderServer> {
             shard_bytes: 0,
             scheduler: SchedulerPolicy::batch_aware(),
             cache_policy: CachePolicyKind::Lru,
-            tile_parallel: 0,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),

@@ -41,7 +41,6 @@ fn server_with(scheduler: SchedulerPolicy, scenes: &[SceneDataset]) -> Arc<Rende
             shard_bytes: 0,
             scheduler,
             cache_policy: CachePolicyKind::Lru,
-            tile_parallel: 0,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),
@@ -245,7 +244,6 @@ fn a_rare_scene_is_not_starved_by_popular_traffic() {
                 age_cap: Duration::from_millis(10),
             },
             cache_policy: CachePolicyKind::Lru,
-            tile_parallel: 0,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),

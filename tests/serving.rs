@@ -124,14 +124,7 @@ fn tile_parallel_render_is_byte_identical_and_counted() {
     // frame's tile rows fan out across threads, the output stays
     // byte-identical to a direct render, and the stats record the fan-out.
     let scene = tiny_scene(75, 800);
-    let server = RenderServer::new(
-        ServeConfig {
-            workers: 2,
-            tile_parallel: 4,
-            ..no_cache_config(2)
-        },
-        SceneRegistry::with_budget(1 << 30),
-    );
+    let server = RenderServer::new(no_cache_config(4), SceneRegistry::with_budget(1 << 30));
     server
         .load_scene("city", Arc::new(scene.gt_params.clone()), scene.background)
         .unwrap();
