@@ -5,10 +5,10 @@
 //! coarser grid (`ServeConfig::pose_quant`) collapses more nearby poses
 //! onto one key — higher hit rate — but the served frame was rendered from
 //! a pose up to half a cell away, so pixels go stale. This sweep charts
-//! that trade-off: for each quantization step and each replacement policy
-//! (LRU, TinyLFU) it drives popularity-skewed jittered traffic and reports
-//! the hit rate alongside PSNR between every sampled cache hit and the
-//! exact render of the *requested* camera.
+//! that trade-off: for each quantization step it drives popularity-skewed
+//! jittered traffic through the LRU frame cache and reports the hit rate
+//! alongside PSNR between every sampled cache hit and the exact render of
+//! the *requested* camera.
 //!
 //! Usage: `cargo run --release -p gs-bench --bin cache_pose_sweep [--full]`
 
@@ -19,9 +19,7 @@ use gs_core::rng::Rng64;
 use gs_metrics::psnr;
 use gs_render::pipeline::render_image;
 use gs_scene::{SceneConfig, SceneDataset};
-use gs_serve::{
-    CachePolicyKind, RenderRequest, RenderServer, SceneRegistry, ServeConfig, ServeStats,
-};
+use gs_serve::{RenderRequest, RenderServer, SceneRegistry, ServeConfig, ServeStats};
 
 /// One run's measurements.
 struct Sample {
@@ -49,18 +47,17 @@ fn scene(full: bool) -> SceneDataset {
 
 const FRAME_BYTES: u64 = 64 * 48 * 3 * 4;
 
-fn run(scene: &SceneDataset, step: f32, policy: CachePolicyKind, requests: usize) -> Sample {
+fn run(scene: &SceneDataset, step: f32, requests: usize) -> Sample {
     let server = RenderServer::new(
         ServeConfig {
             workers: 1,
             queue_depth: 16,
             max_batch: 1,
             // Small enough that the working set does not fit at fine
-            // quantization: replacement policy decisions actually matter.
+            // quantization: eviction actually happens.
             cache_bytes: 24 * FRAME_BYTES,
             pose_quant: step,
             shard_bytes: 0,
-            cache_policy: policy,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),
@@ -126,37 +123,31 @@ fn main() {
 
     let mut rows = Vec::new();
     for &step in &[0.02f32, 0.05, 0.1, 0.25, 0.5, 1.0] {
-        for &policy in &[CachePolicyKind::Lru, CachePolicyKind::TinyLfu] {
-            let sample = run(&scene, step, policy, requests);
-            let s = &sample.stats;
-            rows.push(vec![
-                format!("{step}"),
-                policy.name().to_string(),
-                format!("{:.1}%", s.cache.hit_rate() * 100.0),
-                s.cache.evictions.to_string(),
-                s.cache.rejected.to_string(),
-                sample.hits_scored.to_string(),
-                if sample.psnr_mean.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}", sample.psnr_mean)
-                },
-                if sample.psnr_min.is_nan() {
-                    "-".to_string()
-                } else {
-                    format!("{:.1}", sample.psnr_min)
-                },
-            ]);
-        }
+        let sample = run(&scene, step, requests);
+        let s = &sample.stats;
+        rows.push(vec![
+            format!("{step}"),
+            format!("{:.1}%", s.cache.hit_rate() * 100.0),
+            s.cache.evictions.to_string(),
+            sample.hits_scored.to_string(),
+            if sample.psnr_mean.is_nan() {
+                "-".to_string()
+            } else {
+                format!("{:.1}", sample.psnr_mean)
+            },
+            if sample.psnr_min.is_nan() {
+                "-".to_string()
+            } else {
+                format!("{:.1}", sample.psnr_min)
+            },
+        ]);
     }
     print_table(
         "Pose quantization: hit rate vs staleness (PSNR of hits vs exact render)",
         &[
             "Step",
-            "Policy",
             "Hit rate",
             "Evict",
-            "Reject",
             "Hits scored",
             "PSNR mean",
             "PSNR min",
@@ -166,9 +157,7 @@ fn main() {
     println!(
         "\nExpected shape: a coarser grid collapses more jittered poses onto one key, so\n\
          the hit rate climbs while the PSNR of served-from-cache frames falls (the cached\n\
-         pose drifts up to half a cell from the requested one). TinyLFU refuses to let\n\
-         one-off exploratory poses displace the popular cells (nonzero Reject column), so\n\
-         at tight cache capacity it holds the hot working set and a higher hit rate than\n\
-         LRU at the same step; a PSNR of 100 means the hit was pixel-exact."
+         pose drifts up to half a cell from the requested one); a PSNR of 100 means the\n\
+         hit was pixel-exact."
     );
 }

@@ -8,10 +8,10 @@
 //! interchangeable; in-process keeps the sweep about the coordinator, not
 //! the loopback stack), loads a corridor scene — unsharded on one replica,
 //! or sharded **across** the fleet — and drives it with closed-loop
-//! clients. The relay composite is used throughout, so every configuration
-//! serves bit-identical frames; the sweep charts what the fleet buys
-//! (aggregate workers) and what cross-node fan-out costs (sequential layer
-//! hops per request).
+//! clients. Sharded scenes are relayed shard by shard, so every
+//! configuration serves bit-identical frames; the sweep charts what the
+//! fleet buys (aggregate workers) and what cross-node sharding costs
+//! (sequential layer hops per request).
 //!
 //! Usage: `cargo run --release -p gs-bench --bin cluster_scaling
 //! [--full] [--seed <n>] [--out BENCH_cluster.json]`
@@ -22,7 +22,7 @@
 use std::sync::Arc;
 
 use gs_bench::{print_table, BenchArgs, BenchReport, BenchScenario};
-use gs_cluster::{ClusterConfig, ClusterStats, CompositeMode, Coordinator, ReplicaTransport};
+use gs_cluster::{ClusterConfig, ClusterStats, Coordinator, ReplicaTransport};
 use gs_scene::tour::{TourConfig, TourScene};
 use gs_serve::{RenderServer, SceneRegistry, ServeConfig, WireRequest};
 
@@ -64,10 +64,7 @@ fn request_for(scene: &TourScene, view: usize) -> WireRequest {
 }
 
 fn run(workload: &Workload, replicas: usize, shards: usize, workers: usize) -> ClusterStats {
-    let cluster = Arc::new(Coordinator::new(ClusterConfig {
-        composite: CompositeMode::Relay,
-        ..ClusterConfig::default()
-    }));
+    let cluster = Arc::new(Coordinator::new(ClusterConfig::default()));
     for i in 0..replicas {
         let server = Arc::new(RenderServer::new(
             ServeConfig {

@@ -30,7 +30,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use gs_bench::BenchArgs;
-use gs_cluster::{bind_http, ClusterConfig, CompositeMode, Coordinator, ReplicaTransport};
+use gs_cluster::{bind_http, ClusterConfig, Coordinator, ReplicaTransport};
 use gs_obs::lint_prometheus;
 use gs_scene::tour::{TourConfig, TourScene};
 use gs_serve::http::client;
@@ -104,7 +104,6 @@ fn main() {
     });
 
     let cluster = Arc::new(Coordinator::new(ClusterConfig {
-        composite: CompositeMode::Relay,
         node: "coordinator".to_string(),
         obs: smoke_tuning(),
         ..ClusterConfig::default()

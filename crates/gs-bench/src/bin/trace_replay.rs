@@ -4,12 +4,10 @@
 //! workload, drive it through the recorded HTTP front-end over real
 //! loopback TCP, round-trip the captured trace through the `GSTR` wire
 //! format and the filesystem, replay it twice sequentially (asserting
-//! bit-identical frame fingerprints and equal outcome counters), run the
-//! SimPoint-style phase estimate on a Zipf and a flash-crowd scenario,
-//! reporting predicted-vs-full error, and finally replay a mixed-tier
-//! workload (Zipf steady state merged with a flash crowd via
-//! [`Trace::merge`]) through a 2-replica sharded cluster `Coordinator`,
-//! asserting the cluster tier replays deterministically too.
+//! bit-identical frame fingerprints and equal outcome counters), and
+//! finally replay a mixed-tier workload (Zipf steady state merged with a
+//! flash crowd via [`Trace::merge`]) through a 2-replica sharded cluster
+//! `Coordinator`, asserting the cluster tier replays deterministically too.
 //!
 //! Subcommands:
 //!
@@ -17,7 +15,6 @@
 //! trace_replay                                  # CI smoke (see above)
 //! trace_replay generate <scenario> <out.gstr> [--requests N] [--seed S]
 //! trace_replay replay <trace.gstr> [--open <speed>] [--concurrency N]
-//! trace_replay phases <trace.gstr> [--clusters K] [--window-ms MS]
 //! ```
 //!
 //! Scenarios: `zipf`, `diurnal`, `flash`, `tour`.
@@ -26,13 +23,13 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gs_bench::{predict_from_phases, replay, ReplayConfig};
-use gs_cluster::{ClusterConfig, CompositeMode, Coordinator, ReplicaTransport};
+use gs_bench::{replay, ReplayConfig};
+use gs_cluster::{ClusterConfig, Coordinator, ReplicaTransport};
 use gs_serve::http::client;
 use gs_serve::{
     HttpConfig, HttpServer, RenderServer, SceneRegistry, SceneSpec, ServeConfig, WireRequest,
 };
-use gs_trace::{cluster, generate, PhaseConfig, SynthConfig, Trace, TraceRecorder};
+use gs_trace::{generate, SynthConfig, Trace, TraceRecorder};
 
 /// A fresh replay server holding every scene the trace names, built
 /// deterministically from the scene id (so two builds are identical).
@@ -63,10 +60,7 @@ fn build_server(trace: &Trace, cache: bool) -> RenderServer {
 /// across the fleet, built deterministically (same shape as
 /// [`build_server`], one tier up).
 fn build_cluster(trace: &Trace) -> Arc<Coordinator> {
-    let cluster = Arc::new(Coordinator::new(ClusterConfig {
-        composite: CompositeMode::Relay,
-        ..ClusterConfig::default()
-    }));
+    let cluster = Arc::new(Coordinator::new(ClusterConfig::default()));
     for i in 0..2 {
         let server = Arc::new(RenderServer::new(
             ServeConfig {
@@ -194,66 +188,7 @@ fn cmd_replay(args: &[String]) {
     server.shutdown();
 }
 
-fn cmd_phases(args: &[String]) {
-    let Some(path) = args.first().filter(|a| !a.starts_with("--")) else {
-        eprintln!("usage: trace_replay phases <trace.gstr> [--clusters K] [--window-ms MS]");
-        std::process::exit(2);
-    };
-    let trace = load_trace(path);
-    let clusters = flag_value(args, "--clusters")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(4);
-    let window_ms = flag_value(args, "--window-ms")
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(250);
-    report_phase_prediction("phases", &trace, clusters, window_ms * 1000);
-}
-
-/// Clusters `trace` into phases and prints the predicted-vs-full error of
-/// the weighted representative replay. Returns the prediction.
-fn report_phase_prediction(
-    label: &str,
-    trace: &Trace,
-    clusters: usize,
-    window_us: u64,
-) -> gs_bench::PhasePrediction {
-    let phases = cluster(trace, &PhaseConfig::new(window_us, clusters));
-    let rep_server = build_server(trace, true);
-    let full_server = build_server(trace, true);
-    let prediction = predict_from_phases(
-        &rep_server,
-        &full_server,
-        trace,
-        &phases,
-        &ReplayConfig::sequential(),
-    );
-    rep_server.shutdown();
-    full_server.shutdown();
-    println!(
-        "{label}: {} windows -> {} representative(s), replayed {}/{} events ({:.0}%)",
-        phases.windows.len(),
-        phases.representatives.len(),
-        prediction.replayed_events,
-        prediction.total_events,
-        prediction.replay_fraction() * 100.0,
-    );
-    println!(
-        "{label}: hit rate predicted {:.3} vs full {:.3} (abs err {:.3}) | \
-         p50 predicted {:.2} ms vs full {:.2} ms (rel err {:.1}%) | \
-         p99 predicted {:.2} ms vs full {:.2} ms",
-        prediction.predicted_hit_rate,
-        prediction.full_hit_rate,
-        prediction.hit_rate_error(),
-        prediction.predicted_p50_ms,
-        prediction.full_p50_ms,
-        prediction.p50_relative_error() * 100.0,
-        prediction.predicted_p99_ms,
-        prediction.full_p99_ms,
-    );
-    prediction
-}
-
-/// The CI smoke: capture over real TCP, round-trip, replay twice, predict.
+/// The CI smoke: capture over real TCP, round-trip, replay twice.
 fn smoke() {
     // 1. Synthesize a cache-friendly Zipf workload.
     let config = synth_config("zipf", 240, 7);
@@ -336,27 +271,7 @@ fn smoke() {
     assert!(first.served() > 0);
     println!("determinism: PASS (identical fingerprints and outcome counters)");
 
-    // 5. Phase-clustered estimate on a Zipf and a flash-crowd scenario.
-    // Windows split each trace's own span (capture arrival times are the
-    // recorder's clock, far denser than the synthetic timeline) into 12.
-    let window_for = |t: &Trace| (t.duration_us() / 12).max(1);
-    let zipf = report_phase_prediction("phases[zipf]", &captured, 3, window_for(&captured));
-    let flash_trace = generate(&synth_config("flash", 240, 11));
-    let flash = report_phase_prediction("phases[flash]", &flash_trace, 3, window_for(&flash_trace));
-    for (name, prediction) in [("zipf", &zipf), ("flash", &flash)] {
-        assert!(
-            prediction.replay_fraction() < 1.0,
-            "{name}: the estimate must replay a strict subset"
-        );
-        assert!(
-            prediction.hit_rate_error() < 0.35,
-            "{name}: hit-rate estimate off by {:.3}",
-            prediction.hit_rate_error()
-        );
-    }
-    println!("phases: PASS (weighted representative replay tracks the full trace)");
-
-    // 6. Mixed-tier cluster replay: steady Zipf traffic merged with a flash
+    // 5. Mixed-tier cluster replay: steady Zipf traffic merged with a flash
     //    crowd on a shared timeline, driven through a 2-replica cluster
     //    Coordinator with the scene sharded across the fleet. Two replays on
     //    identically-built clusters must agree bit for bit, which pins down
@@ -403,9 +318,8 @@ fn main() {
         None => smoke(),
         Some("generate") => cmd_generate(&args[1..]),
         Some("replay") => cmd_replay(&args[1..]),
-        Some("phases") => cmd_phases(&args[1..]),
         Some(other) => {
-            eprintln!("unknown subcommand {other:?} (use generate|replay|phases or no arguments)");
+            eprintln!("unknown subcommand {other:?} (use generate|replay or no arguments)");
             std::process::exit(2);
         }
     }

@@ -30,6 +30,6 @@ pub use harness::{
 };
 pub use perf::{BenchReport, BenchScenario, RooflineEntry};
 pub use replay::{
-    fnv1a, hash_image, predict_from_phases, replay, replay_events, PhasePrediction, ReplayConfig,
-    ReplayMode, ReplayReport, ReplayTarget, ReplayedRequest,
+    fnv1a, hash_image, replay, replay_events, ReplayConfig, ReplayMode, ReplayReport, ReplayTarget,
+    ReplayedRequest,
 };

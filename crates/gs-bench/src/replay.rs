@@ -18,12 +18,6 @@
 //!   live target. Frame hashes stay deterministic (rendering is
 //!   bit-identical regardless of batching/scheduling); latency and
 //!   cache-counter observables become genuine measurements.
-//!
-//! On top of the replayer sits the SimPoint-style estimate
-//! ([`predict_from_phases`]): replay only each phase cluster's
-//! representative window and combine the per-window metrics with the
-//! cluster weights, reporting how close the cheap weighted replay lands to
-//! the full-trace numbers.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -31,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use gs_cluster::{outcome_for_cluster_error, Coordinator};
 use gs_serve::{outcome_for_error, RenderServer, WireRequest};
-use gs_trace::{Outcome, Phases, Trace, TraceEvent};
+use gs_trace::{Outcome, Trace, TraceEvent};
 
 /// FNV-1a over a byte slice: the workspace's standard cheap stable hash.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
@@ -359,94 +353,6 @@ fn collect_slots(slots: Vec<Mutex<Option<ReplayedRequest>>>) -> Vec<ReplayedRequ
                 .expect("every event is assigned to exactly one worker")
         })
         .collect()
-}
-
-/// The SimPoint-style estimate: metrics predicted from replaying only each
-/// phase cluster's representative window, weighted by the cluster's share
-/// of the trace, next to the full-trace measurement and the resulting
-/// error.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PhasePrediction {
-    /// Weighted hit-rate estimate from the representative windows.
-    pub predicted_hit_rate: f64,
-    /// Hit rate of the full-trace replay.
-    pub full_hit_rate: f64,
-    /// Weighted p50 estimate in milliseconds.
-    pub predicted_p50_ms: f64,
-    /// Full-trace p50 in milliseconds.
-    pub full_p50_ms: f64,
-    /// Weighted p99 estimate in milliseconds.
-    pub predicted_p99_ms: f64,
-    /// Full-trace p99 in milliseconds.
-    pub full_p99_ms: f64,
-    /// Events replayed for the estimate.
-    pub replayed_events: usize,
-    /// Events in the full trace.
-    pub total_events: usize,
-}
-
-impl PhasePrediction {
-    /// Absolute hit-rate error of the estimate.
-    pub fn hit_rate_error(&self) -> f64 {
-        (self.predicted_hit_rate - self.full_hit_rate).abs()
-    }
-
-    /// Relative p50 error of the estimate (0 when the full p50 is 0).
-    pub fn p50_relative_error(&self) -> f64 {
-        if self.full_p50_ms <= 0.0 {
-            0.0
-        } else {
-            (self.predicted_p50_ms - self.full_p50_ms).abs() / self.full_p50_ms
-        }
-    }
-
-    /// Fraction of the trace the estimate had to replay.
-    pub fn replay_fraction(&self) -> f64 {
-        if self.total_events == 0 {
-            0.0
-        } else {
-            self.replayed_events as f64 / self.total_events as f64
-        }
-    }
-}
-
-/// Replays only the phase representatives on `rep_target` (weighted by
-/// cluster share) and the full trace on `full_target`, and reports
-/// predicted vs. measured hit rate and latency quantiles.
-///
-/// The two targets should be identically-built fresh instances: the
-/// estimate's point is that the representative replay touches a fraction
-/// of the trace, so it must not inherit cache state from the full run.
-pub fn predict_from_phases<T: ReplayTarget + ?Sized>(
-    rep_target: &T,
-    full_target: &T,
-    trace: &Trace,
-    phases: &Phases,
-    config: &ReplayConfig,
-) -> PhasePrediction {
-    let mut predicted_hit_rate = 0.0;
-    let mut predicted_p50_ms = 0.0;
-    let mut predicted_p99_ms = 0.0;
-    let mut replayed_events = 0;
-    for rep in &phases.representatives {
-        let events = phases.events(trace, rep);
-        let report = replay_events(rep_target, events, config);
-        predicted_hit_rate += rep.weight * report.hit_rate();
-        predicted_p50_ms += rep.weight * report.latency_ms(0.50);
-        predicted_p99_ms += rep.weight * report.latency_ms(0.99);
-        replayed_events += events.len();
-    }
-    let full = replay(full_target, trace, config);
-    PhasePrediction {
-        predicted_hit_rate,
-        full_hit_rate: full.hit_rate(),
-        predicted_p50_ms,
-        full_p50_ms: full.latency_ms(0.50),
-        predicted_p99_ms,
-        full_p99_ms: full.latency_ms(0.99),
-        replayed_events,
-        total_events: trace.len(),
-    }
 }
 
 #[cfg(test)]

@@ -1,13 +1,13 @@
 //! Integration tests for the trace replayer: deterministic replay against
 //! the single-node server and the cluster coordinator, capture through the
-//! coordinator hook, and the SimPoint-style phase estimate.
+//! coordinator hook, and the wire round trip of captured requests.
 
 use std::sync::Arc;
 
-use gs_bench::{fnv1a, predict_from_phases, replay, ReplayConfig};
+use gs_bench::{fnv1a, replay, ReplayConfig};
 use gs_cluster::{ClusterConfig, Coordinator, ReplicaTransport};
 use gs_serve::{RenderServer, SceneRegistry, SceneSpec, ServeConfig, WireRequest};
-use gs_trace::{cluster, generate, Outcome, PhaseConfig, SynthConfig, Trace, TraceRecorder};
+use gs_trace::{generate, Outcome, SynthConfig, Trace, TraceRecorder};
 
 /// A fresh single-node server holding every scene `trace` names, built
 /// deterministically from the scene ids.
@@ -219,46 +219,6 @@ fn closed_loop_concurrency_keeps_frame_hashes_deterministic() {
     let concurrent = replay(&concurrent_server, &trace, &ReplayConfig::closed_loop(4));
     concurrent_server.shutdown();
     assert_eq!(sequential.fingerprint(), concurrent.fingerprint());
-}
-
-#[test]
-fn phase_prediction_tracks_the_full_replay() {
-    for (name, mut config) in [
-        ("zipf", SynthConfig::zipf(200)),
-        ("flash", SynthConfig::flash_crowd(200)),
-    ] {
-        config.seed = 21;
-        let trace = generate(&config);
-        let window_us = (trace.duration_us() / 10).max(1);
-        let phases = cluster(&trace, &PhaseConfig::new(window_us, 3));
-        let rep_server = build_server(&trace);
-        let full_server = build_server(&trace);
-        let prediction = predict_from_phases(
-            &rep_server,
-            &full_server,
-            &trace,
-            &phases,
-            &ReplayConfig::sequential(),
-        );
-        rep_server.shutdown();
-        full_server.shutdown();
-        assert_eq!(prediction.total_events, trace.len(), "{name}");
-        assert!(
-            prediction.replay_fraction() < 1.0,
-            "{name}: the estimate must replay a strict subset \
-             ({}/{} events)",
-            prediction.replayed_events,
-            prediction.total_events
-        );
-        assert!(
-            prediction.hit_rate_error() < 0.35,
-            "{name}: predicted hit rate {:.3} vs full {:.3}",
-            prediction.predicted_hit_rate,
-            prediction.full_hit_rate
-        );
-        assert!(prediction.predicted_p50_ms.is_finite() && prediction.predicted_p50_ms >= 0.0);
-        assert!(prediction.p50_relative_error().is_finite(), "{name}");
-    }
 }
 
 #[test]

@@ -21,21 +21,13 @@
 //! them (see [`ClusterConfig::shed_inflight`] and
 //! [`ClusterConfig::brownout_sh_degree`]).
 //!
-//! Cross-node sharded rendering comes in two composite modes:
-//!
-//! * [`CompositeMode::Relay`] (default) walks the visible shards
-//!   front-to-back, shipping the **running layer state** to each shard's
-//!   replica in turn ([`gs_serve::wire::encode_layer_request`]). Each
-//!   replica continues the per-pixel blend exactly where the previous shard
-//!   left it, so the final frame is **bit-identical** to the single-node
-//!   sharded render (and, for depth-disjoint shards, to the unsharded
-//!   render) — at the cost of one sequential wire hop per shard.
-//! * [`CompositeMode::Fanout`] renders every visible shard's layer in
-//!   parallel on its replica and composites them front-to-back with
-//!   [`FrameLayer::composite_onto`]. One round-trip of wall-clock latency,
-//!   but the composite re-associates the blend products, which perturbs
-//!   depth-disjoint frames by a few ulps and depth-overlapping frames by a
-//!   measurable boundary error (characterized in `tests/cluster.rs`).
+//! Cross-node sharded rendering is a **relay**: the coordinator walks the
+//! visible shards front-to-back, shipping the running layer state to each
+//! shard's replica in turn ([`gs_serve::wire::encode_layer_request`]). Each
+//! replica continues the per-pixel blend exactly where the previous shard
+//! left it, so the final frame is **bit-identical** to the single-node
+//! sharded render (and, for depth-disjoint shards, to the unsharded render)
+//! — at the cost of one sequential wire hop per shard.
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -47,8 +39,8 @@ use gs_core::image::Image;
 use gs_obs::{Counter, Event, EventLevel, HeatRow, Registry, TraceContext, Watcher};
 use gs_render::rasterize::FrameLayer;
 use gs_serve::{
-    outcome_for_error, shard_scene, visible_shards, Aabb, CachePolicyKind, FrameCache, FrameKey,
-    ObsTuning, Priority, SceneId, ServeError, ServeObs, StatsCollector, WireRequest,
+    outcome_for_error, shard_scene, visible_shards, Aabb, FrameCache, FrameKey, ObsTuning,
+    Priority, SceneId, ServeError, ServeObs, StatsCollector, WireRequest,
 };
 use gs_trace::{Outcome, TraceRecorder};
 
@@ -60,24 +52,9 @@ use crate::replica::{Health, Replica, ReplicaError, ReplicaId, ReplicaTransport}
 use crate::replication::ReplicationConfig;
 use crate::stats::{merge_latency, ClusterStats, ReplicaReport};
 
-/// How the coordinator composites cross-node shard layers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CompositeMode {
-    /// Sequentially relay the running layer through each shard's replica —
-    /// bit-identical to the single-node sharded render.
-    #[default]
-    Relay,
-    /// Render all shard layers in parallel and merge with
-    /// `composite_onto` — one hop of latency, ulp-level reassociation
-    /// error.
-    Fanout,
-}
-
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Cross-node shard compositing mode.
-    pub composite: CompositeMode,
     /// Skip shards whose AABB misses the view frustum before fan-out.
     pub cull_shards: bool,
     /// How many times one request may fail over to another replica before
@@ -94,9 +71,6 @@ pub struct ClusterConfig {
     /// Camera-translation grid for the coordinator cache's key
     /// quantization, in world units.
     pub pose_quant: f32,
-    /// Replacement policy of the coordinator cache (shared with the
-    /// replica-side [`FrameCache`]).
-    pub cache_policy: CachePolicyKind,
     /// Node label the coordinator's spans carry.
     pub node: String,
     /// Trace every Nth ingress render (0 disables coordinator-minted
@@ -132,13 +106,11 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            composite: CompositeMode::Relay,
             cull_shards: true,
             max_failovers: 2,
             shard_bytes: 32 << 20,
             cache_bytes: 0,
             pose_quant: 0.05,
-            cache_policy: CachePolicyKind::Lru,
             node: "gs-cluster".to_string(),
             trace_sample_every: 0,
             slow_trace_ms: 0,
@@ -269,7 +241,6 @@ struct Counters {
     failovers: AtomicU64,
     replacements: AtomicU64,
     shard_relays: AtomicU64,
-    shard_fanouts: AtomicU64,
     shards_culled: AtomicU64,
     replications: AtomicU64,
     dereplications: AtomicU64,
@@ -384,8 +355,8 @@ pub struct Coordinator {
     collector: StatsCollector,
     counters: Counters,
     /// Coordinator-side frame cache (`None` when disabled); reuses the
-    /// replica-tier [`FrameCache`] + [`gs_serve::CachePolicy`] machinery
-    /// with the same key scheme, one tier up.
+    /// replica-tier LRU [`FrameCache`] with the same key scheme, one tier
+    /// up.
     cache: Option<Mutex<CoordCache>>,
     /// Optional workload-capture hook (see [`Coordinator::set_recorder`]):
     /// every render answered by the coordinator — cache hit, completion or
@@ -485,7 +456,7 @@ impl Coordinator {
     pub fn new(config: ClusterConfig) -> Self {
         let cache = (config.cache_bytes > 0).then(|| {
             Mutex::new(CoordCache {
-                cache: FrameCache::with_policy(config.cache_bytes, config.cache_policy),
+                cache: FrameCache::new(config.cache_bytes),
                 epochs: std::collections::HashMap::new(),
                 clock: 0,
             })
@@ -1730,7 +1701,7 @@ impl Coordinator {
     }
 
     /// Renders shard `k`'s layer with failover, optionally continuing
-    /// `into` (relay mode).
+    /// `into` (the previous shard's relayed layer).
     fn render_shard_layer(
         &self,
         request: &WireRequest,
@@ -1743,17 +1714,13 @@ impl Coordinator {
         let mut shard_request = request.clone();
         shard_request.scene = shard_scene_id(id, k);
         shard_request.shard = None;
-        let mode = match self.config.composite {
-            CompositeMode::Relay => "relay",
-            CompositeMode::Fanout => "fanout",
-        };
         let mut attempts = 0usize;
         loop {
             attempts += 1;
             let (rid, replica, _inflight) = self.route_shard(id, k)?;
             // One hop span per attempt (see render_single), named after
-            // the composite mode and the shard's on-replica scene id.
-            let hop = trace.map(|ctx| ctx.child(format!("{mode}:{id}@{k}")));
+            // the shard's on-replica scene id.
+            let hop = trace.map(|ctx| ctx.child(format!("relay:{id}@{k}")));
             let hop_ctx = match (&hop, trace) {
                 (Some(span), Some(ctx)) => Some(ctx.at(span.id())),
                 _ => None,
@@ -1792,8 +1759,8 @@ impl Coordinator {
         }
     }
 
-    /// The cross-node sharded render: cull, depth-order, then composite
-    /// per the configured mode.
+    /// The cross-node sharded render: cull, depth-order, then relay the
+    /// running layer through each visible shard's replica.
     fn render_sharded(
         &self,
         request: &WireRequest,
@@ -1813,9 +1780,9 @@ impl Coordinator {
             let meta: Vec<(Aabb, f32)> = shards.iter().map(|s| (s.aabb, s.max_scale)).collect();
             (hold.background, meta)
         };
-        // The exact shard selection and ordering the single-node fan-out
-        // uses (shared helper), so the relayed composite renders the same
-        // shard sequence.
+        // The exact shard selection and ordering the single-node composite
+        // uses (shared helper), so the relay renders the same shard
+        // sequence.
         let render_request = request.to_render_request();
         let aabbs: Vec<Aabb> = shard_meta.iter().map(|(aabb, _)| *aabb).collect();
         let visible: Vec<usize> = if self.config.cull_shards {
@@ -1835,50 +1802,13 @@ impl Coordinator {
             .fetch_add(culled as u64, Ordering::Relaxed);
 
         let (width, height) = request.frame_size();
-        let layer = match self.config.composite {
-            CompositeMode::Relay => {
-                let mut layer: Option<FrameLayer> = None;
-                for &k in &visible {
-                    layer = Some(self.render_shard_layer(
-                        request,
-                        &request.scene,
-                        k,
-                        layer.as_ref(),
-                        trace,
-                    )?);
-                    self.counters.shard_relays.fetch_add(1, Ordering::Relaxed);
-                }
-                layer.unwrap_or_else(|| FrameLayer::new(width, height))
-            }
-            CompositeMode::Fanout => {
-                let results: Vec<Result<FrameLayer, ClusterError>> = std::thread::scope(|scope| {
-                    let handles: Vec<_> = visible
-                        .iter()
-                        .map(|&k| {
-                            scope.spawn(move || {
-                                self.render_shard_layer(request, &request.scene, k, None, trace)
-                            })
-                        })
-                        .collect();
-                    handles.into_iter().map(|h| h.join().unwrap()).collect()
-                });
-                let mut layers = Vec::with_capacity(results.len());
-                for result in results {
-                    layers.push(result?);
-                    self.counters.shard_fanouts.fetch_add(1, Ordering::Relaxed);
-                }
-                let mut layers = layers.into_iter();
-                match layers.next() {
-                    Some(mut front) => {
-                        for behind in layers {
-                            front.composite_onto(&behind);
-                        }
-                        front
-                    }
-                    None => FrameLayer::new(width, height),
-                }
-            }
-        };
+        let mut layer: Option<FrameLayer> = None;
+        for &k in &visible {
+            layer =
+                Some(self.render_shard_layer(request, &request.scene, k, layer.as_ref(), trace)?);
+            self.counters.shard_relays.fetch_add(1, Ordering::Relaxed);
+        }
+        let layer = layer.unwrap_or_else(|| FrameLayer::new(width, height));
         Ok(ClusterFrame {
             image: Arc::new(layer.finish(background)),
             scene: request.scene.clone(),
@@ -1938,16 +1868,9 @@ impl Coordinator {
             errors: own.errors,
             cache_hits: own.fast_hits,
             cache: own.cache,
-            cache_policy: self
-                .cache
-                .as_ref()
-                .map(|_| self.config.cache_policy.name())
-                .unwrap_or("off")
-                .to_string(),
             failovers: self.counters.failovers.load(Ordering::Relaxed),
             replacements: self.counters.replacements.load(Ordering::Relaxed),
             shard_relays: self.counters.shard_relays.load(Ordering::Relaxed),
-            shard_fanouts: self.counters.shard_fanouts.load(Ordering::Relaxed),
             shards_culled: self.counters.shards_culled.load(Ordering::Relaxed),
             replications: self.counters.replications.load(Ordering::Relaxed),
             dereplications: self.counters.dereplications.load(Ordering::Relaxed),

@@ -16,7 +16,7 @@
 //! * `GET /metrics` — Prometheus text exposition of the coordinator's own
 //!   registry (routing counters, latency histograms, trace-ring gauges).
 //! * `GET /trace` — Chrome trace-event JSON of the coordinator's span
-//!   ring, relay/fanout hops stitched under their request roots;
+//!   ring, relay hops stitched under their request roots;
 //!   `GET /trace?id=<hex>` exports just one trace (`404` once it ages out).
 //! * `GET /slo` — cluster-tier SLO burn-rate status as JSON.
 //! * `GET /heat` — windowed per-scene / per-client top-K telemetry as JSON.

@@ -20,9 +20,8 @@
 //!   rendering**: shards of one scene live on different replicas, each
 //!   renders a partial-frame [`FrameLayer`](gs_render::rasterize::FrameLayer)
 //!   shipped over the lossless layer wire encoding, and the coordinator
-//!   composites front-to-back — bit-identically to the single-node sharded
-//!   render in [`CompositeMode::Relay`], or in parallel via
-//!   `composite_onto` in [`CompositeMode::Fanout`].
+//!   relays the running layer through them front-to-back — bit-identically
+//!   to the single-node sharded render.
 //! * [`prober`] — a background [`HealthProber`] thread running
 //!   [`Coordinator::probe_all`] on an interval, so downed replicas rejoin
 //!   (and silently-dead ones leave) the rotation without an operator call.
@@ -94,8 +93,8 @@ pub mod replication;
 pub mod stats;
 
 pub use coordinator::{
-    outcome_for_cluster_error, ClusterConfig, ClusterError, ClusterFrame, CompositeMode,
-    Coordinator, LoadClaim, ReplicaStatus, ReplicationReport,
+    outcome_for_cluster_error, ClusterConfig, ClusterError, ClusterFrame, Coordinator, LoadClaim,
+    ReplicaStatus, ReplicationReport,
 };
 pub use http::bind as bind_http;
 pub use placement::{

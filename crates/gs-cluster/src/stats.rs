@@ -39,8 +39,6 @@ pub struct ClusterStats {
     pub cache_hits: u64,
     /// Coordinator-side frame-cache counters (all zero when disabled).
     pub cache: CacheStats,
-    /// Replacement policy of the coordinator cache (`"off"` when disabled).
-    pub cache_policy: String,
     /// Requests re-routed to another replica after a transport failure.
     pub failovers: u64,
     /// Scene/shard placements moved off a dead or draining replica.
@@ -58,10 +56,8 @@ pub struct ClusterStats {
     /// Frames served at a reduced SH degree under sustained SLO burn
     /// (graceful brown-out).
     pub brownouts: u64,
-    /// Shard layers relayed sequentially (bit-exact composite mode).
+    /// Shard layers relayed through their replicas.
     pub shard_relays: u64,
-    /// Shard layers rendered by parallel fan-out (`composite_onto` mode).
-    pub shard_fanouts: u64,
     /// Shards skipped by the coordinator's view-adaptive culling.
     pub shards_culled: u64,
     /// Coordinator-side end-to-end latency (submit to frame, including
@@ -99,19 +95,16 @@ impl std::fmt::Display for ClusterStats {
         )?;
         writeln!(
             f,
-            "  cache:      {:.1}% hit rate ({} hits / {} misses, {} evictions, {} rejected, \
-             policy {})",
+            "  cache:      {:.1}% hit rate ({} hits / {} misses, {} evictions)",
             self.cache.hit_rate() * 100.0,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
-            self.cache.rejected,
-            self.cache_policy,
         )?;
         writeln!(
             f,
-            "  sharding:   {} relayed layers, {} fanned-out layers, {} culled",
-            self.shard_relays, self.shard_fanouts, self.shards_culled
+            "  sharding:   {} relayed layers, {} culled",
+            self.shard_relays, self.shards_culled
         )?;
         writeln!(
             f,

@@ -15,12 +15,10 @@
 //!   projection quantities needed for frustum culling.
 //! * [`image`] — a minimal RGB float image container.
 //! * [`scene`] — point clouds and scene initialization from SfM-like inputs.
-//! * [`sketch`] — probabilistic frequency sketches (count-min + doorkeeper)
-//!   for TinyLFU-style cache admission in the serving tier.
+//! * [`sketch`] — a count-min frequency sketch for the bounded heat tables
+//!   of the observability layer.
 //! * [`rng`] — the deterministic workspace RNG ([`Rng64`]) plus a seeded
 //!   [`Zipf`] sampler for power-law scene popularity.
-//! * [`kmeans`] — seeded k-means clustering for SimPoint-style trace
-//!   reduction in the serving tier.
 //! * [`error`] — the crate-wide error type.
 //!
 //! # Example
@@ -43,7 +41,6 @@ pub mod camera;
 pub mod error;
 pub mod gaussian;
 pub mod image;
-pub mod kmeans;
 pub mod math;
 pub mod rng;
 pub mod scene;
@@ -54,8 +51,7 @@ pub use camera::Camera;
 pub use error::{Error, Result};
 pub use gaussian::{GaussianGrads, GaussianParams};
 pub use image::Image;
-pub use kmeans::{kmeans, KMeans};
 pub use math::{Mat3, Quat, Vec2, Vec3, Vec4};
 pub use rng::{Rng64, Zipf};
 pub use scene::PointCloud;
-pub use sketch::{CountMinSketch, Doorkeeper, FrequencySketch};
+pub use sketch::CountMinSketch;

@@ -1,22 +1,14 @@
-//! Probabilistic frequency sketches for admission-controlled caches.
+//! A probabilistic frequency sketch for bounded-cardinality tables.
 //!
-//! A TinyLFU-style cache admission policy needs an estimate of how often a
-//! key has been seen recently, in O(1) space per key-universe rather than
-//! per key. This module provides the two classic building blocks and the
-//! composite the serving tier uses:
+//! [`CountMinSketch`] estimates how often a key has been seen recently in
+//! O(1) space per key-universe rather than per key: a depth-4 count-min
+//! sketch with conservative updates and saturating counters (capped at
+//! [`CountMinSketch::MAX_COUNT`]), periodically halved so the estimate
+//! tracks *recent* frequency instead of all-time frequency. The heat
+//! tables in `gs-obs` use it to gate which keys earn an exact slot.
 //!
-//! * [`CountMinSketch`] — a depth-4 count-min sketch with conservative
-//!   updates and 4-bit-style saturating counters (capped at
-//!   [`CountMinSketch::MAX_COUNT`]), periodically halved so the estimate
-//!   tracks *recent* frequency instead of all-time frequency.
-//! * [`Doorkeeper`] — a small Bloom filter in front of the sketch that
-//!   absorbs one-hit wonders: a key's first appearance only sets Bloom
-//!   bits, so the sketch counters are spent on keys seen at least twice.
-//! * [`FrequencySketch`] — the TinyLFU composite: doorkeeper + sketch +
-//!   sample-window aging, operating on caller-provided 64-bit key hashes.
-//!
-//! Everything is deterministic: row seeds are fixed, and aging is driven by
-//! the observation count, not wall-clock time.
+//! Everything is deterministic: row seeds are fixed, and the caller drives
+//! aging by calling [`CountMinSketch::halve`], not wall-clock time.
 
 /// Splitmix64 finalizer — decorrelates a key hash into per-row indices.
 fn mix(mut h: u64) -> u64 {
@@ -28,8 +20,8 @@ fn mix(mut h: u64) -> u64 {
 /// A count-min sketch with conservative updates and saturating counters.
 ///
 /// Width is rounded up to a power of two so row indexing is a mask. The
-/// counters saturate at [`CountMinSketch::MAX_COUNT`] (the TinyLFU 4-bit
-/// convention): an admission policy only needs to compare *small* recent
+/// counters saturate at [`CountMinSketch::MAX_COUNT`] (the 4-bit
+/// convention): an admission gate only needs to compare *small* recent
 /// frequencies, and small counters make the periodic halving cheap.
 #[derive(Debug, Clone)]
 pub struct CountMinSketch {
@@ -91,134 +83,12 @@ impl CountMinSketch {
         current + 1
     }
 
-    /// Halves every counter (the TinyLFU aging step): old traffic decays so
+    /// Halves every counter (the aging step): old traffic decays so
     /// the estimate tracks the recent sample window.
     pub fn halve(&mut self) {
         for c in &mut self.counters {
             *c >>= 1;
         }
-    }
-}
-
-/// A small Bloom filter used as a TinyLFU doorkeeper.
-///
-/// The first observation of a key only sets its Bloom bits; from the second
-/// observation on the key is "past the door" and counted in the main
-/// sketch. One-hit wonders — the bulk of a heavy-tailed request stream —
-/// therefore never consume sketch counters.
-#[derive(Debug, Clone)]
-pub struct Doorkeeper {
-    bits: Vec<u64>,
-    mask: u64,
-}
-
-impl Doorkeeper {
-    const HASHES: usize = 3;
-
-    /// Creates a doorkeeper sized for roughly `capacity` distinct keys
-    /// (8 bits per expected key, rounded up to a power of two).
-    pub fn new(capacity: usize) -> Self {
-        let bits = (capacity.max(16) * 8).next_power_of_two();
-        Self {
-            bits: vec![0; bits / 64],
-            mask: (bits - 1) as u64,
-        }
-    }
-
-    fn positions(&self, hash: u64) -> [u64; Self::HASHES] {
-        let a = mix(hash);
-        let b = mix(hash.rotate_left(32) ^ 0xa076_1d64_78bd_642f);
-        // Kirsch-Mitzenmacher double hashing.
-        [
-            a & self.mask,
-            a.wrapping_add(b) & self.mask,
-            a.wrapping_add(b.wrapping_mul(2)) & self.mask,
-        ]
-    }
-
-    /// Whether `hash` has (probably) been inserted since the last reset.
-    pub fn contains(&self, hash: u64) -> bool {
-        self.positions(hash)
-            .iter()
-            .all(|&p| self.bits[(p / 64) as usize] >> (p % 64) & 1 == 1)
-    }
-
-    /// Inserts `hash`; returns whether it was (probably) already present.
-    pub fn insert(&mut self, hash: u64) -> bool {
-        let mut present = true;
-        for p in self.positions(hash) {
-            let word = (p / 64) as usize;
-            let bit = 1u64 << (p % 64);
-            present &= self.bits[word] & bit != 0;
-            self.bits[word] |= bit;
-        }
-        present
-    }
-
-    /// Clears every bit (performed at each aging step).
-    pub fn clear(&mut self) {
-        self.bits.fill(0);
-    }
-}
-
-/// The TinyLFU frequency estimator: doorkeeper + count-min sketch + aging.
-///
-/// Callers feed it 64-bit key hashes. [`FrequencySketch::record`] notes one
-/// observation; [`FrequencySketch::frequency`] answers "how often was this
-/// key seen in the recent sample window?" — the quantity a frequency-aware
-/// admission policy compares between a cache candidate and its would-be
-/// eviction victim. After `sample_size` observations every counter is
-/// halved and the doorkeeper cleared, so stale popularity decays instead of
-/// pinning the cache forever.
-#[derive(Debug, Clone)]
-pub struct FrequencySketch {
-    sketch: CountMinSketch,
-    doorkeeper: Doorkeeper,
-    observations: u64,
-    sample_size: u64,
-}
-
-impl FrequencySketch {
-    /// Creates a sketch for a cache holding roughly `capacity` entries. The
-    /// aging window is `10 * capacity` observations (the TinyLFU default).
-    pub fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(16);
-        Self {
-            sketch: CountMinSketch::new(capacity),
-            doorkeeper: Doorkeeper::new(capacity),
-            observations: 0,
-            sample_size: 10 * capacity as u64,
-        }
-    }
-
-    /// Records one observation of `hash`.
-    pub fn record(&mut self, hash: u64) {
-        if self.doorkeeper.insert(hash) {
-            self.sketch.increment(hash);
-        }
-        self.observations += 1;
-        if self.observations >= self.sample_size {
-            self.sketch.halve();
-            self.doorkeeper.clear();
-            self.observations /= 2;
-        }
-    }
-
-    /// The estimated frequency of `hash` in the recent sample window. The
-    /// doorkeeper contributes one count (a key past the door was seen at
-    /// least once more than the sketch recorded).
-    pub fn frequency(&self, hash: u64) -> u32 {
-        let base = u32::from(self.sketch.estimate(hash));
-        if self.doorkeeper.contains(hash) {
-            base + 1
-        } else {
-            base
-        }
-    }
-
-    /// Observations recorded since the last aging step (test/debug aid).
-    pub fn observations(&self) -> u64 {
-        self.observations
     }
 }
 
@@ -270,74 +140,6 @@ mod tests {
             cms.estimate(999_999) <= 3,
             "unseen key estimate {} is implausibly high",
             cms.estimate(999_999)
-        );
-    }
-
-    #[test]
-    fn doorkeeper_remembers_and_clears() {
-        let mut door = Doorkeeper::new(128);
-        assert!(!door.contains(5));
-        assert!(!door.insert(5), "first insert reports absent");
-        assert!(door.contains(5));
-        assert!(door.insert(5), "second insert reports present");
-        door.clear();
-        assert!(!door.contains(5));
-    }
-
-    #[test]
-    fn one_hit_wonders_stay_below_repeated_keys() {
-        let mut sketch = FrequencySketch::new(128);
-        // A hot key seen many times vs. a stream of one-hit wonders.
-        for _ in 0..10 {
-            sketch.record(1);
-        }
-        for k in 100..140u64 {
-            sketch.record(k);
-        }
-        let hot = sketch.frequency(1);
-        assert!(hot >= 5, "hot key frequency {hot} too low");
-        for k in 100..140u64 {
-            assert!(
-                sketch.frequency(k) <= 2,
-                "one-hit wonder {k} reads {} — doorkeeper should absorb it",
-                sketch.frequency(k)
-            );
-        }
-    }
-
-    #[test]
-    fn aging_halves_the_window() {
-        let capacity = 16;
-        let mut sketch = FrequencySketch::new(capacity);
-        for _ in 0..8 {
-            sketch.record(3);
-        }
-        let before = sketch.frequency(3);
-        // Push past the sample window with unrelated keys to trigger aging.
-        for k in 0..(10 * capacity as u64) {
-            sketch.record(1_000 + k);
-        }
-        let after = sketch.frequency(3);
-        assert!(
-            after < before,
-            "aging must decay stale popularity ({before} -> {after})"
-        );
-    }
-
-    #[test]
-    fn frequency_tracks_relative_popularity() {
-        let mut sketch = FrequencySketch::new(256);
-        for round in 0..12u64 {
-            sketch.record(10); // every round
-            if round % 3 == 0 {
-                sketch.record(20); // every third round
-            }
-        }
-        assert!(
-            sketch.frequency(10) > sketch.frequency(20),
-            "popular key must read higher: {} vs {}",
-            sketch.frequency(10),
-            sketch.frequency(20)
         );
     }
 }

@@ -1,29 +1,18 @@
-//! A policy-driven frame cache keyed by (scene, quantized camera pose,
-//! viewport).
+//! An LRU frame cache keyed by (scene, quantized camera pose, viewport).
 //!
 //! Serving workloads revisit nearly identical viewpoints constantly (map
 //! tiles, orbiting clients, popular landmarks). Quantizing the camera pose
 //! collapses those near-duplicate views onto one key so repeated traffic is
 //! answered without touching the renderer — the serving-side analogue of the
 //! amortize-repeated-work theme. The cache is bounded in *bytes* (images
-//! dominate); recency bookkeeping is the *mechanism*, while the replacement
-//! decision is a swappable [`CachePolicy`]:
-//!
-//! * [`CachePolicyKind::Lru`] — classic LRU: every new frame is admitted,
-//!   evicting the least recently used frames to make room.
-//! * [`CachePolicyKind::TinyLfu`] — frequency-aware admission (TinyLFU): a
-//!   [`gs_core::sketch::FrequencySketch`] (count-min sketch + doorkeeper)
-//!   tracks recent key popularity, and a new frame only displaces the LRU
-//!   victim when the candidate's recent frequency beats the victim's. Scan
-//!   and one-hit-wonder traffic stops flushing the hot working set.
+//! dominate): every new frame is admitted, evicting the least recently
+//! used frames to make room.
 
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use gs_core::camera::{Camera, Viewport};
 use gs_core::image::Image;
-use gs_core::sketch::FrequencySketch;
 
 use crate::request::{RenderRequest, SceneId};
 
@@ -96,110 +85,6 @@ impl FrameKey {
     }
 }
 
-/// Which replacement policy a [`FrameCache`] runs (see the module docs).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum CachePolicyKind {
-    /// Plain LRU: always admit, evict least recently used.
-    #[default]
-    Lru,
-    /// TinyLFU-style frequency-aware admission over LRU eviction order.
-    TinyLfu,
-}
-
-impl CachePolicyKind {
-    /// Short policy name as reported in stats.
-    pub fn name(self) -> &'static str {
-        match self {
-            CachePolicyKind::Lru => "lru",
-            CachePolicyKind::TinyLfu => "tinylfu",
-        }
-    }
-
-    /// Builds the policy, sized for a cache of roughly `entries_hint`
-    /// resident frames.
-    fn build(self, entries_hint: usize) -> Box<dyn CachePolicy> {
-        match self {
-            CachePolicyKind::Lru => Box::new(LruPolicy),
-            CachePolicyKind::TinyLfu => Box::new(TinyLfuPolicy::new(entries_hint)),
-        }
-    }
-}
-
-impl std::fmt::Display for CachePolicyKind {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-/// The replacement-policy side of the frame cache. The cache owns the
-/// mechanism (byte accounting, recency order, invalidation); the policy owns
-/// the decisions: what to learn from each lookup, and whether a new frame
-/// may displace the current LRU victim.
-pub trait CachePolicy: Send {
-    /// The policy's [`CachePolicyKind`].
-    fn kind(&self) -> CachePolicyKind;
-
-    /// Notes one (counted) lookup of `key`, hit or miss — the signal a
-    /// frequency-aware policy learns popularity from.
-    fn record_access(&mut self, key: &FrameKey);
-
-    /// Whether inserting `candidate` may evict `victim` (the cache's
-    /// current least-recently-used entry). Returning `false` rejects the
-    /// insertion instead (counted as [`CacheStats::rejected`]).
-    fn should_replace(&mut self, candidate: &FrameKey, victim: &FrameKey) -> bool;
-}
-
-/// Classic LRU: admits everything; eviction order alone decides.
-struct LruPolicy;
-
-impl CachePolicy for LruPolicy {
-    fn kind(&self) -> CachePolicyKind {
-        CachePolicyKind::Lru
-    }
-
-    fn record_access(&mut self, _key: &FrameKey) {}
-
-    fn should_replace(&mut self, _candidate: &FrameKey, _victim: &FrameKey) -> bool {
-        true
-    }
-}
-
-/// Stable 64-bit hash of a frame key for the frequency sketch.
-fn key_hash(key: &FrameKey) -> u64 {
-    let mut hasher = std::collections::hash_map::DefaultHasher::new();
-    key.hash(&mut hasher);
-    hasher.finish()
-}
-
-/// TinyLFU admission: a candidate displaces the LRU victim only when its
-/// recent frequency (count-min sketch + doorkeeper, aged by sample windows)
-/// beats the victim's.
-struct TinyLfuPolicy {
-    sketch: FrequencySketch,
-}
-
-impl TinyLfuPolicy {
-    fn new(entries_hint: usize) -> Self {
-        Self {
-            sketch: FrequencySketch::new(entries_hint),
-        }
-    }
-}
-
-impl CachePolicy for TinyLfuPolicy {
-    fn kind(&self) -> CachePolicyKind {
-        CachePolicyKind::TinyLfu
-    }
-
-    fn record_access(&mut self, key: &FrameKey) {
-        self.sketch.record(key_hash(key));
-    }
-
-    fn should_replace(&mut self, candidate: &FrameKey, victim: &FrameKey) -> bool {
-        self.sketch.frequency(key_hash(candidate)) > self.sketch.frequency(key_hash(victim))
-    }
-}
-
 /// Hit/miss/eviction counters for the frame cache.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -211,10 +96,6 @@ pub struct CacheStats {
     pub insertions: u64,
     /// Frames evicted to stay under the byte budget.
     pub evictions: u64,
-    /// Frames the admission policy refused to insert (a TinyLFU candidate
-    /// whose recent frequency did not beat the LRU victim's; always 0 under
-    /// plain LRU).
-    pub rejected: u64,
 }
 
 impl CacheStats {
@@ -235,8 +116,7 @@ struct Entry {
     tick: u64,
 }
 
-/// Byte-bounded cache of rendered frames with a pluggable replacement
-/// policy (LRU eviction order; the [`CachePolicy`] decides admission).
+/// Byte-bounded LRU cache of rendered frames.
 pub struct FrameCache {
     entries: HashMap<FrameKey, Entry>,
     by_recency: BTreeMap<u64, FrameKey>,
@@ -244,31 +124,16 @@ pub struct FrameCache {
     used_bytes: u64,
     tick: u64,
     stats: CacheStats,
-    policy: Box<dyn CachePolicy>,
 }
 
 fn image_bytes(img: &Image) -> u64 {
     std::mem::size_of_val(img.data()) as u64
 }
 
-/// Sizing hint for frequency sketches: assume frames around 64 KiB, clamped
-/// to a sane entry-count range. The sketch only needs the right order of
-/// magnitude — it tracks relative popularity, not exact residency.
-fn entries_hint(capacity_bytes: u64) -> usize {
-    usize::try_from(capacity_bytes / (64 << 10))
-        .unwrap_or(usize::MAX)
-        .clamp(64, 1 << 16)
-}
-
 impl FrameCache {
     /// Creates an LRU cache bounded to `capacity_bytes` (0 disables
     /// caching).
     pub fn new(capacity_bytes: u64) -> Self {
-        Self::with_policy(capacity_bytes, CachePolicyKind::Lru)
-    }
-
-    /// Creates a cache bounded to `capacity_bytes` running `policy`.
-    pub fn with_policy(capacity_bytes: u64, policy: CachePolicyKind) -> Self {
         Self {
             entries: HashMap::new(),
             by_recency: BTreeMap::new(),
@@ -276,32 +141,24 @@ impl FrameCache {
             used_bytes: 0,
             tick: 0,
             stats: CacheStats::default(),
-            policy: policy.build(entries_hint(capacity_bytes)),
         }
     }
 
-    /// The replacement policy this cache runs.
-    pub fn policy(&self) -> CachePolicyKind {
-        self.policy.kind()
-    }
-
     /// Looks `key` up, refreshing its recency on a hit. Counts the lookup
-    /// (hit or miss) and feeds it to the policy's popularity estimate.
+    /// (hit or miss).
     pub fn get(&mut self, key: &FrameKey) -> Option<Arc<Image>> {
-        self.policy.record_access(key);
         self.lookup(key, true)
     }
 
     /// The pre-enqueue fast-path lookup: answers a hit exactly like
-    /// [`FrameCache::get`], but a miss is *not* counted and *not* fed to the
-    /// policy — the request proceeds to the render path, whose own `get`
-    /// does the counting. Every request therefore contributes exactly one
-    /// counted lookup no matter how many probes it makes.
+    /// [`FrameCache::get`], but a miss is *not* counted — the request
+    /// proceeds to the render path, whose own `get` does the counting.
+    /// Every request therefore contributes exactly one counted lookup no
+    /// matter how many probes it makes.
     pub fn get_fast(&mut self, key: &FrameKey) -> Option<Arc<Image>> {
         if !self.entries.contains_key(key) {
             return None;
         }
-        self.policy.record_access(key);
         self.lookup(key, false)
     }
 
@@ -325,14 +182,10 @@ impl FrameCache {
         }
     }
 
-    /// Inserts a rendered frame, evicting least-recently-used frames as the
-    /// policy permits. Frames larger than the whole cache are not stored,
-    /// and a zero-capacity (disabled) cache admits nothing — not even
-    /// zero-byte frames, which would otherwise pass the size check. Under
-    /// frequency-aware admission the insertion itself can be rejected: if
-    /// the candidate's recent frequency does not beat the LRU victim's, the
-    /// resident working set wins and the new frame is dropped (counted as
-    /// [`CacheStats::rejected`]).
+    /// Inserts a rendered frame, evicting least-recently-used frames to
+    /// make room. Frames larger than the whole cache are not stored, and a
+    /// zero-capacity (disabled) cache admits nothing — not even zero-byte
+    /// frames, which would otherwise pass the size check.
     pub fn insert(&mut self, key: FrameKey, image: Arc<Image>) {
         if self.capacity_bytes == 0 {
             return;
@@ -346,26 +199,11 @@ impl FrameCache {
             self.by_recency.remove(&old.tick);
             self.used_bytes -= old.bytes;
         }
-        // Decide before evicting: collect the LRU victims the insertion
-        // would need, and consult the policy for every one of them first. A
-        // mid-loop rejection after evictions would shrink the cache without
-        // admitting anything — residents must only die for a candidate that
-        // actually gets in.
-        let mut victims: Vec<u64> = Vec::new();
-        let mut freed = 0u64;
-        for (&tick, victim_key) in self.by_recency.iter() {
-            if self.used_bytes - freed + bytes <= self.capacity_bytes {
-                break;
-            }
-            if !self.policy.should_replace(&key, victim_key) {
-                self.stats.rejected += 1;
-                return;
-            }
-            freed += self.entries[victim_key].bytes;
-            victims.push(tick);
-        }
-        for tick in victims {
-            let victim = self.by_recency.remove(&tick).expect("tick just seen");
+        while self.used_bytes + bytes > self.capacity_bytes {
+            let (_, victim) = self
+                .by_recency
+                .pop_first()
+                .expect("over budget implies an entry");
             let entry = self.entries.remove(&victim).expect("entry for tick");
             self.used_bytes -= entry.bytes;
             self.stats.evictions += 1;
@@ -558,102 +396,15 @@ mod tests {
     }
 
     #[test]
-    fn tinylfu_scan_does_not_flush_the_hot_working_set() {
-        // Two hot entries fill the cache and keep getting hit; a scan of
-        // one-hit wonders then streams through. Under TinyLFU the scan
-        // candidates (frequency 1) must not displace the hot entries
-        // (frequency >> 1) — the classic scan-resistance property LRU lacks.
-        let mut cache = FrameCache::with_policy(2 * FRAME_BYTES, CachePolicyKind::TinyLfu);
-        assert_eq!(cache.policy(), CachePolicyKind::TinyLfu);
-        let hot_a = FrameKey::for_request(&req("s", 0.0), 0.1);
-        let hot_b = FrameKey::for_request(&req("s", 10.0), 0.1);
-        // Build popularity: misses first, then repeated hits.
-        for _ in 0..6 {
-            let _ = cache.get(&hot_a);
-            let _ = cache.get(&hot_b);
-        }
-        cache.insert(hot_a.clone(), frame());
-        cache.insert(hot_b.clone(), frame());
-        for _ in 0..6 {
-            assert!(cache.get(&hot_a).is_some());
-            assert!(cache.get(&hot_b).is_some());
-        }
-        // The scan: 20 distinct keys, each seen once.
-        for i in 0..20 {
-            let cold = FrameKey::for_request(&req("s", 100.0 + 20.0 * i as f32), 0.1);
-            assert!(cache.get(&cold).is_none());
-            cache.insert(cold, frame());
-        }
-        assert!(
-            cache.get(&hot_a).is_some() && cache.get(&hot_b).is_some(),
-            "hot entries must survive the scan"
-        );
-        assert_eq!(cache.stats().evictions, 0, "nothing hot was displaced");
-        assert_eq!(cache.stats().rejected, 20, "every scan key was rejected");
-    }
-
-    #[test]
-    fn tinylfu_admits_a_candidate_hotter_than_the_victim() {
-        let mut cache = FrameCache::with_policy(FRAME_BYTES, CachePolicyKind::TinyLfu);
-        let cold = FrameKey::for_request(&req("s", 0.0), 0.1);
-        let hot = FrameKey::for_request(&req("s", 10.0), 0.1);
-        let _ = cache.get(&cold);
-        cache.insert(cold.clone(), frame());
-        // Make `hot` clearly more popular than the resident `cold`.
-        for _ in 0..5 {
-            let _ = cache.get(&hot);
-        }
-        cache.insert(hot.clone(), frame());
-        assert!(
-            cache.get(&hot).is_some(),
-            "hotter candidate must be admitted"
-        );
-        assert!(cache.get(&cold).is_none(), "the colder victim is evicted");
-        assert_eq!(cache.stats().evictions, 1);
-    }
-
-    #[test]
-    fn tinylfu_rejection_never_evicts_residents_first() {
-        // Regression: a candidate needing several slots used to evict the
-        // colder victims one by one and *then* get rejected against a
-        // hotter one — shrinking the cache without admitting anything. The
-        // policy must be consulted against every needed victim before any
-        // eviction happens.
-        let mut cache = FrameCache::with_policy(2 * FRAME_BYTES, CachePolicyKind::TinyLfu);
-        let cold = FrameKey::for_request(&req("s", 0.0), 0.1);
-        let hot = FrameKey::for_request(&req("s", 10.0), 0.1);
-        let mid = FrameKey::for_request(&req("s", 20.0), 0.1);
-        for _ in 0..2 {
-            let _ = cache.get(&cold);
-        }
-        for _ in 0..9 {
-            let _ = cache.get(&hot);
-        }
-        for _ in 0..5 {
-            let _ = cache.get(&mid);
-        }
-        cache.insert(cold.clone(), frame());
-        cache.insert(hot.clone(), frame());
-        // `mid` needs both slots (a double-size frame): it beats `cold`
-        // but not `hot`, so it must be rejected with nothing evicted.
-        cache.insert(mid.clone(), Arc::new(Image::zeros(64, 24)));
-        assert!(cache.get(&cold).is_some(), "cold resident must survive");
-        assert!(cache.get(&hot).is_some(), "hot resident must survive");
-        assert!(cache.get(&mid).is_none());
-        assert_eq!(cache.stats().evictions, 0);
-        assert_eq!(cache.stats().rejected, 1);
-    }
-
-    #[test]
-    fn lru_policy_reports_zero_rejections() {
+    fn lru_admits_every_frame_and_evicts_to_fit() {
         let mut cache = FrameCache::new(FRAME_BYTES);
-        assert_eq!(cache.policy(), CachePolicyKind::Lru);
         for i in 0..5 {
             let key = FrameKey::for_request(&req("s", 10.0 * i as f32), 0.1);
             let _ = cache.get(&key);
             cache.insert(key, frame());
         }
-        assert_eq!(cache.stats().rejected, 0);
+        assert_eq!(cache.stats().insertions, 5);
         assert_eq!(cache.stats().evictions, 4);
+        assert_eq!(cache.used_bytes(), FRAME_BYTES);
     }
 }

@@ -8,12 +8,9 @@
 //!
 //! Architecture (all `std`, no async runtime):
 //!
-//! * [`queue`] — a bounded blocking MPMC job queue; producers get
-//!   backpressure, workers get batching hooks.
-//! * [`sched`] — the **pluggable scheduling layer** between the queue and
-//!   the worker pool: a [`Scheduler`] trait with strict-FIFO and
-//!   batch-aware (bounded cross-scene reordering under an age/deadline
-//!   fairness cap) policies.
+//! * [`queue`] — a bounded blocking MPMC FIFO job queue; producers get
+//!   backpressure, workers pop the head job and drain its scene's other
+//!   queued jobs into the same batch.
 //! * [`registry`] — the scene registry with **memory-aware admission
 //!   control**: scenes are charged against a [`gs_platform::MemoryPool`]
 //!   sized from a [`gs_platform::PlatformSpec`], least-recently-used scenes
@@ -26,10 +23,8 @@
 //! * [`batch`] — **same-scene request batching**: one frustum cull per view,
 //!   one shared gather for the batch's union, bit-identical output to
 //!   unbatched rendering.
-//! * [`cache`] — a policy-driven **frame cache** keyed by (scene, quantized
-//!   camera pose, viewport, SH degree) with hit/miss statistics; the
-//!   [`CachePolicy`] trait swaps plain LRU for TinyLFU frequency-aware
-//!   admission (count-min sketch + doorkeeper from `gs-core`).
+//! * [`cache`] — a byte-budgeted LRU **frame cache** keyed by (scene,
+//!   quantized camera pose, viewport, SH degree) with hit/miss statistics.
 //! * [`server`] — the worker pool tying it together.
 //! * [`stats`] — the [`ServeStats`] report: p50/p90/p99 latency, throughput,
 //!   cache hit rate, batch-size histogram, per-worker counters — all views
@@ -82,13 +77,12 @@ pub mod obs;
 pub mod queue;
 pub mod registry;
 pub mod request;
-pub mod sched;
 pub mod server;
 pub mod shard;
 pub mod stats;
 pub mod wire;
 
-pub use cache::{CachePolicy, CachePolicyKind, CacheStats, FrameCache, FrameKey, QuantizedPose};
+pub use cache::{CacheStats, FrameCache, FrameKey, QuantizedPose};
 pub use http::{
     outcome_for_error, Conn, HttpConfig, HttpHandler, HttpRequest, HttpResponse, HttpServer,
 };
@@ -101,7 +95,6 @@ pub use registry::{
     ShardedSceneView,
 };
 pub use request::{CancelToken, RenderRequest, RenderedFrame, SceneId, ServeError};
-pub use sched::{BatchAwareScheduler, FifoScheduler, SchedItem, Scheduler, SchedulerPolicy};
 pub use server::{RenderServer, ServeConfig, Ticket};
 pub use shard::{
     depth_order, partition_ids, shard_scene, shard_visible, visible_shards, Aabb, ShardSource,

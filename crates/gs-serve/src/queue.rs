@@ -222,6 +222,42 @@ mod tests {
     }
 
     #[test]
+    fn drain_where_sweeps_matching_jobs_fifo() {
+        // The worker's dead-job sweep: an unbounded `drain_where` takes every
+        // matching job queue-wide, in FIFO order, and leaves the rest queued.
+        let q = BoundedQueue::new(8);
+        for seq in 0..6 {
+            q.push((if seq % 2 == 0 { "x" } else { "y" }, seq)).unwrap();
+        }
+        let drained = q.drain_where(usize::MAX, |&(scene, _)| scene == "y");
+        assert_eq!(
+            drained.iter().map(|&(_, seq)| seq).collect::<Vec<_>>(),
+            vec![1, 3, 5]
+        );
+        assert_eq!(q.len(), 3);
+    }
+
+    #[test]
+    fn push_blocks_at_capacity_and_close_fails_pending_pushes() {
+        // The serving worker's view of backpressure: a submit parked on a
+        // full queue fails on shutdown, while the job queued before it still
+        // comes out of the pop-then-drain batching step, then nothing does.
+        let q = Arc::new(BoundedQueue::new(1));
+        q.push(("a", 0)).unwrap();
+        let q2 = Arc::clone(&q);
+        let producer = std::thread::spawn(move || q2.push(("a", 1)));
+        std::thread::sleep(Duration::from_millis(20));
+        assert_eq!(q.len(), 1, "producer should be blocked");
+        q.close();
+        assert!(producer.join().unwrap().is_err());
+        let head = q.pop().unwrap();
+        let mut batch = vec![head];
+        batch.extend(q.drain_where(3, |&(scene, _)| scene == head.0));
+        assert_eq!(batch, vec![("a", 0)]);
+        assert_eq!(q.pop(), None);
+    }
+
+    #[test]
     fn many_producers_and_consumers_deliver_everything() {
         let q = Arc::new(BoundedQueue::new(4));
         let mut producers = Vec::new();
@@ -258,5 +294,36 @@ mod tests {
             .collect();
         expected.sort_unstable();
         assert_eq!(all, expected);
+    }
+
+    #[test]
+    fn pop_then_drain_where_batches_deliver_every_item_once_in_order() {
+        // The serving worker's batching step: pop the head, then drain the
+        // rest of its key queue-wide. Every item comes out exactly once,
+        // batches never mix keys, and each key keeps its FIFO order.
+        let q = BoundedQueue::new(256);
+        let mut rng = gs_core::rng::Rng64::seed_from_u64(99);
+        let total = 200usize;
+        for seq in 0..total {
+            q.push((rng.gen_range(0u32..3), seq)).unwrap();
+        }
+        q.close();
+        let mut seen = vec![false; total];
+        let mut last_per_key = [None::<usize>; 3];
+        while let Some(head) = q.pop() {
+            let key = head.0;
+            let mut batch = vec![head];
+            batch.extend(q.drain_where(3, |&(k, _)| k == key));
+            assert!(batch.len() <= 4);
+            for (k, seq) in batch {
+                assert_eq!(k, key, "batches must not mix keys");
+                assert!(!seen[seq], "item {seq} delivered twice");
+                seen[seq] = true;
+                let last = &mut last_per_key[k as usize];
+                assert!(last.is_none_or(|prev| prev < seq), "per-key FIFO violated");
+                *last = Some(seq);
+            }
+        }
+        assert!(seen.iter().all(|&s| s), "every item must be delivered");
     }
 }

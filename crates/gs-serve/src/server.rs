@@ -1,17 +1,15 @@
-//! The rendering service: a worker pool draining a scheduled job queue.
+//! The rendering service: a worker pool draining a bounded FIFO job queue.
 //!
 //! Request lifecycle: [`RenderServer::submit`] first probes the frame cache
 //! — a hit is answered immediately, before the request ever enqueues — then
-//! hands the job to the configured [`Scheduler`] (blocking when the queue
-//! is full, which gives closed-loop clients natural backpressure). A worker
-//! asks the scheduler for the next same-scene batch (FIFO adjacency or
-//! bounded cross-scene reordering, per [`ServeConfig::scheduler`]), answers
-//! what it can from the frame cache, and renders the remaining views
-//! through the shared cull-and-gather path of [`crate::batch`]. Identical
-//! cache keys inside one batch are rendered once and fanned out to every
-//! waiter. Cache replacement is itself a policy
-//! ([`ServeConfig::cache_policy`]): plain LRU, or TinyLFU frequency-aware
-//! admission.
+//! pushes the job onto the [`BoundedQueue`] (blocking when the queue is
+//! full, which gives closed-loop clients natural backpressure). A worker
+//! pops the head job, drains that scene's other queued jobs into the same
+//! batch (queue-wide, order preserved), answers what it can from the LRU
+//! frame cache, and renders the remaining views through the shared
+//! cull-and-gather path of [`crate::batch`]. Identical cache keys inside
+//! one batch are rendered once and fanned out to every waiter. A job only
+//! ever waits for the jobs queued ahead of it, so no scene can be starved.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -27,11 +25,11 @@ use gs_render::pipeline::RenderTimings;
 use gs_render::rasterize::FrameLayer;
 
 use crate::batch::render_shared;
-use crate::cache::{CachePolicyKind, FrameCache, FrameKey};
+use crate::cache::{FrameCache, FrameKey};
 use crate::obs::{ObsTuning, ServeObs};
+use crate::queue::BoundedQueue;
 use crate::registry::{RegistryStats, SceneLayout, SceneRegistry, SceneView, ShardedSceneView};
 use crate::request::{RenderRequest, RenderedFrame, SceneId, ServeError};
-use crate::sched::{SchedItem, Scheduler, SchedulerPolicy};
 use crate::shard::{self, Aabb};
 use crate::stats::{ServeStats, StatsCollector};
 
@@ -54,12 +52,6 @@ pub struct ServeConfig {
     /// partitioned into `ceil(bytes / shard_bytes)` shards (0 disables
     /// auto-sharding).
     pub shard_bytes: u64,
-    /// Scheduling policy between the queue and the worker pool: strict
-    /// FIFO, or batch-aware cross-scene reordering (see [`crate::sched`]).
-    pub scheduler: SchedulerPolicy,
-    /// Frame-cache replacement policy: LRU, or TinyLFU frequency-aware
-    /// admission (see [`crate::cache`]).
-    pub cache_policy: CachePolicyKind,
     /// Node label the server's spans carry (shows up in stitched
     /// cross-node trees and Chrome trace exports).
     pub node: String,
@@ -92,8 +84,6 @@ impl Default for ServeConfig {
             cache_bytes: 64 << 20,
             pose_quant: 0.05,
             shard_bytes: 32 << 20,
-            scheduler: SchedulerPolicy::Fifo,
-            cache_policy: CachePolicyKind::Lru,
             node: "gs-serve".to_string(),
             trace_sample_every: 0,
             phase_sample_every: 32,
@@ -124,27 +114,9 @@ struct Job {
     trace_root: Option<gs_obs::Span>,
 }
 
-impl SchedItem for Job {
-    fn scene(&self) -> &SceneId {
-        &self.request.scene
-    }
-
-    fn enqueued_at(&self) -> Instant {
-        self.enqueued
-    }
-
-    fn deadline(&self) -> Option<Instant> {
-        self.request.deadline
-    }
-
-    fn client(&self) -> Option<&str> {
-        self.request.client.as_deref()
-    }
-}
-
 struct Shared {
     config: ServeConfig,
-    sched: Box<dyn Scheduler<Job>>,
+    queue: BoundedQueue<Job>,
     registry: Mutex<SceneRegistry>,
     cache: Mutex<FrameCache>,
     stats: StatsCollector,
@@ -172,7 +144,7 @@ impl Shared {
     /// waiting, so a loaded pool keeps its parallelism at the request
     /// level. Output bytes are identical either way.
     fn tile_threads(&self) -> usize {
-        if self.sched.is_empty() {
+        if self.queue.is_empty() {
             self.config.workers
         } else {
             1
@@ -245,12 +217,9 @@ impl RenderServer {
             &config.obs,
         );
         let shared = Arc::new(Shared {
-            sched: config.scheduler.build(config.queue_depth),
+            queue: BoundedQueue::new(config.queue_depth),
             registry: Mutex::new(registry),
-            cache: Mutex::new(FrameCache::with_policy(
-                config.cache_bytes,
-                config.cache_policy,
-            )),
+            cache: Mutex::new(FrameCache::new(config.cache_bytes)),
             stats: StatsCollector::with_registry(metrics, config.workers),
             obs,
             config,
@@ -276,7 +245,7 @@ impl RenderServer {
                 std::time::Duration::from_millis(shared.config.obs.watcher_interval_ms),
                 move || {
                     let completed = shared.stats.completed_count();
-                    if !shared.sched.is_empty() && completed == last_completed {
+                    if !shared.queue.is_empty() && completed == last_completed {
                         stalled_ticks += 1;
                         if stalled_ticks == QUEUE_STALL_TICKS {
                             shared.obs.recorder().record(
@@ -464,7 +433,7 @@ impl RenderServer {
 
     /// Submits a request: answers it straight from the frame cache when the
     /// key is resident (the *fast path* — the request never enqueues), else
-    /// enqueues it with the scheduler, blocking while the queue is full.
+    /// enqueues it, blocking while the queue is full.
     ///
     /// Fast-path hits are counted separately in the service stats
     /// ([`ServeStats::fast_hits`] / [`ServeStats::hit_latency`]) so the
@@ -550,10 +519,9 @@ impl RenderServer {
         }
         // The pre-enqueue cache probe: a resident key is answered here,
         // skipping the queue and the worker pool entirely. A miss is not
-        // counted (and not fed to the admission policy) — the worker-side
-        // lookup does that — so every request still contributes exactly one
-        // counted lookup. The key travels with the job so the worker never
-        // recomputes it.
+        // counted — the worker-side lookup does that — so every request
+        // still contributes exactly one counted lookup. The key travels with
+        // the job so the worker never recomputes it.
         let key = (self.shared.config.cache_bytes > 0)
             .then(|| FrameKey::for_request(&request, self.shared.config.pose_quant));
         if let Some(key) = &key {
@@ -611,7 +579,7 @@ impl RenderServer {
         if let Some(token) = &request.cancel {
             token.watch(&self.shared.pending_cancels);
         }
-        let pushed = self.shared.sched.push(Job {
+        let pushed = self.shared.queue.push(Job {
             request,
             key,
             tx,
@@ -835,11 +803,7 @@ impl RenderServer {
     /// Snapshot of the service statistics.
     pub fn stats(&self) -> ServeStats {
         let cache = self.shared.cache.lock().unwrap().stats();
-        let mut stats = self.shared.stats.snapshot(cache);
-        stats.scheduler = self.shared.sched.name().to_string();
-        stats.cache_policy = self.shared.config.cache_policy.name().to_string();
-        stats.sched_reorders = self.shared.sched.reorders();
-        stats
+        self.shared.stats.snapshot(cache)
     }
 
     /// Drains the queue, stops the workers and returns the final statistics.
@@ -849,9 +813,9 @@ impl RenderServer {
     }
 
     fn stop_workers(&mut self) {
-        // Joined first so no tick observes a closing scheduler as a stall.
+        // Joined first so no tick observes a closing queue as a stall.
         self.watcher.take();
-        self.shared.sched.close();
+        self.shared.queue.close();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -864,8 +828,21 @@ impl Drop for RenderServer {
     }
 }
 
+/// Blocks for the head job and drains its scene's other queued jobs
+/// (queue-wide, FIFO among themselves) into one batch of at most
+/// `max_batch`. `None` once the queue is closed and drained.
+fn next_batch(queue: &BoundedQueue<Job>, max_batch: usize) -> Option<Vec<Job>> {
+    let first = queue.pop()?;
+    let scene = first.request.scene.clone();
+    let mut batch = vec![first];
+    if max_batch > 1 {
+        batch.extend(queue.drain_where(max_batch - 1, |j| j.request.scene == scene));
+    }
+    Some(batch)
+}
+
 fn worker_loop(shared: &Shared, worker_idx: usize) {
-    while let Some(batch) = shared.sched.next_batch(shared.config.max_batch) {
+    while let Some(batch) = next_batch(&shared.queue, shared.config.max_batch) {
         // Skip queued jobs whose deadline has already passed or whose client
         // cancelled (disconnected) — rendering a frame nobody is waiting for
         // anymore only deepens an overload. They are answered
@@ -876,12 +853,12 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
         // since the last sweep (`pending_cancels`, swapped to zero here so
         // each cancel buys at least — and roughly at most — one walk).
         // Plain traffic, token-carrying or not, never pays. (Dead jobs the
-        // scheduler already handed into this batch are partitioned out
+        // worker already drained into this batch are partitioned out
         // below instead.)
         let now = Instant::now();
         let cancels = shared.pending_cancels.swap(0, Ordering::SeqCst) > 0;
         if cancels || shared.deadline_jobs.load(Ordering::Relaxed) > 0 {
-            for job in shared.sched.drain_where(usize::MAX, &mut |j: &Job| {
+            for job in shared.queue.drain_where(usize::MAX, |j| {
                 j.request.is_expired(now) || j.request.is_cancelled()
             }) {
                 if job.request.deadline.is_some() {

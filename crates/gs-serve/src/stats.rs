@@ -96,13 +96,6 @@ pub struct ServeStats {
     pub hit_latency: LatencySummary,
     /// Frame-cache counters.
     pub cache: CacheStats,
-    /// Times the scheduler picked a non-head scene ahead of the queue head
-    /// (0 under FIFO).
-    pub sched_reorders: u64,
-    /// Name of the scheduling policy serving this report.
-    pub scheduler: String,
-    /// Name of the frame-cache replacement policy serving this report.
-    pub cache_policy: String,
     /// `(batch size, number of batches)` in ascending batch-size order.
     pub batch_histogram: Vec<(usize, u64)>,
     /// Completed requests per worker thread.
@@ -190,18 +183,11 @@ impl std::fmt::Display for ServeStats {
         )?;
         writeln!(
             f,
-            "  cache:      {:.1}% hit rate ({} hits / {} misses, {} evictions, {} rejected, \
-             policy {})",
+            "  cache:      {:.1}% hit rate ({} hits / {} misses, {} evictions)",
             self.cache.hit_rate() * 100.0,
             self.cache.hits,
             self.cache.misses,
             self.cache.evictions,
-            self.cache.rejected,
-            if self.cache_policy.is_empty() {
-                "?"
-            } else {
-                &self.cache_policy
-            },
         )?;
         writeln!(
             f,
@@ -209,16 +195,6 @@ impl std::fmt::Display for ServeStats {
             self.fast_hits,
             self.hit_latency.p50 * 1e3,
             self.hit_latency.max * 1e3,
-        )?;
-        writeln!(
-            f,
-            "  scheduler:  {} ({} reorders)",
-            if self.scheduler.is_empty() {
-                "?"
-            } else {
-                &self.scheduler
-            },
-            self.sched_reorders,
         )?;
         let histogram: Vec<String> = self
             .batch_histogram
@@ -583,9 +559,6 @@ impl StatsCollector {
             latency: inner.latency.summary(),
             hit_latency: inner.hit_latency.summary(),
             cache,
-            sched_reorders: 0,
-            scheduler: String::new(),
-            cache_policy: String::new(),
             batch_histogram: inner.batches.iter().map(|(&s, &c)| (s, c)).collect(),
             per_worker: self.per_worker.iter().map(Counter::get).collect(),
             union_active: self.union_active.get(),

@@ -306,8 +306,8 @@ impl Reader<'_> {
     }
 }
 
-/// An ordered workload: the unit the recorder produces and the replayer and
-/// phase clustering consume.
+/// An ordered workload: the unit the recorder produces and the replayer
+/// consumes.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Trace {
     /// Events in arrival order (`at_us` non-decreasing).

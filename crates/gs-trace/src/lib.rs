@@ -1,5 +1,5 @@
-//! `gs-trace`: workload capture, synthetic trace generation and
-//! SimPoint-style phase clustering for the 3DGS serving tier.
+//! `gs-trace`: workload capture and synthetic trace generation for the
+//! 3DGS serving tier.
 //!
 //! The serving stack (scheduler, frame cache, sharding, cluster tier) makes
 //! performance claims that must be tested against *production-shaped*
@@ -16,9 +16,6 @@
 //! * [`synth`] — seeded synthetic generators (Zipf scene popularity,
 //!   diurnal curves, flash crowds, per-client camera tours): the standard
 //!   scenario suite, deterministic in the seed.
-//! * [`phase`] — SimPoint-style phase clustering: window a trace into
-//!   feature vectors, k-means them, and replay only weighted medoid
-//!   windows, with a measurable predicted-vs-full error.
 //!
 //! The deterministic *replayer* that drives a `RenderServer` or cluster
 //! `Coordinator` from a trace lives in `gs-bench` (it needs the serving
@@ -28,26 +25,20 @@
 //! # Example
 //!
 //! ```
-//! use gs_trace::{generate, PhaseConfig, SynthConfig, Trace};
+//! use gs_trace::{generate, SynthConfig, Trace};
 //!
 //! let trace = generate(&SynthConfig::zipf(200));
 //! let blob = trace.encode();
 //! assert_eq!(Trace::decode(&blob).unwrap(), trace);
-//!
-//! let phases = gs_trace::cluster(&trace, &PhaseConfig::new(500_000, 3));
-//! let total: f64 = phases.representatives.iter().map(|r| r.weight).sum();
-//! assert!((total - 1.0).abs() < 1e-9);
 //! ```
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod format;
-pub mod phase;
 pub mod recorder;
 pub mod synth;
 
 pub use format::{Outcome, Trace, TraceError, TraceEvent, TRACE_MAGIC, TRACE_VERSION};
-pub use phase::{cluster, windows, PhaseConfig, PhaseWindow, Phases, Representative};
 pub use recorder::TraceRecorder;
 pub use synth::{generate, scene_name, LoadShape, SynthConfig};

@@ -1,15 +1,12 @@
-//! Mixed-traffic cluster demo: batch-aware scheduling on the replicas plus
-//! the coordinator-side frame cache — the two policy layers working
-//! together on one workload.
+//! Mixed-traffic cluster demo: same-scene batching on the replicas plus
+//! the coordinator-side frame cache, working together on one workload.
 //!
-//! Topology: two in-process replicas whose worker pools run the
-//! **batch-aware scheduler** (cross-scene reordering under a fairness
-//! cap), fronted by a coordinator with a **TinyLFU coordinator-side frame
-//! cache** and a background health prober. Client threads push
+//! Topology: two in-process replicas whose worker pools drain a FIFO queue
+//! into same-scene batches, fronted by a coordinator with an LRU frame
+//! cache and a background health prober. Client threads push
 //! popularity-skewed repeat-heavy traffic over three scenes: repeats of
 //! popular views short-circuit at the coordinator without touching any
-//! replica, and the mixed remainder is regrouped into same-scene batches
-//! by the replicas' schedulers.
+//! replica, and the mixed remainder is batched by the replicas.
 //!
 //! Run with `cargo run --release --example mixed_traffic`.
 
@@ -19,7 +16,7 @@ use std::time::Duration;
 use gs_scale::cluster::{ClusterConfig, Coordinator, HealthProber, ReplicaTransport};
 use gs_scale::core::rng::Rng64;
 use gs_scale::scene::{SceneConfig, SceneDataset};
-use gs_scale::serve::{CachePolicyKind, RenderServer, SceneRegistry, SchedulerPolicy, ServeConfig};
+use gs_scale::serve::{RenderServer, SceneRegistry, ServeConfig};
 use gs_scale::serve::{ServeStats, WireRequest};
 
 const CLIENTS: usize = 6;
@@ -53,8 +50,6 @@ fn replica() -> Arc<RenderServer> {
             cache_bytes: 0,
             pose_quant: 0.05,
             shard_bytes: 0,
-            scheduler: SchedulerPolicy::batch_aware(),
-            cache_policy: CachePolicyKind::Lru,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),
@@ -68,7 +63,6 @@ fn main() {
     let cluster = Arc::new(Coordinator::new(ClusterConfig {
         cache_bytes: 32 << 20,
         pose_quant: 0.05,
-        cache_policy: CachePolicyKind::TinyLfu,
         ..ClusterConfig::default()
     }));
     for (i, server) in replicas.iter().enumerate() {
@@ -137,7 +131,6 @@ fn main() {
         stats.cache.hit_rate() > 0.0,
         "repeat-heavy traffic must produce coordinator-cache hits: {stats}"
     );
-    assert_eq!(stats.cache_policy, "tinylfu");
 
     prober.stop();
     drop(cluster);
@@ -155,13 +148,10 @@ fn main() {
     );
     for (i, s) in replica_stats.iter().enumerate() {
         println!(
-            "replica-{i}: {} completed, mean batch {:.2}, {} reorders ({} scheduler)",
+            "replica-{i}: {} completed, mean batch {:.2}",
             s.completed,
             s.mean_batch_size(),
-            s.sched_reorders,
-            s.scheduler,
         );
-        assert_eq!(s.scheduler, "batch-aware");
     }
     assert!(
         rendered < answered as u64,

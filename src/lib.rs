@@ -14,17 +14,15 @@
 //! * [`train`] (`gs-train`) — the GPU-only, baseline-offloading and GS-Scale
 //!   trainers.
 //! * [`serve`] (`gs-serve`) — the concurrent multi-scene rendering service
-//!   (pluggable scheduling policies with batch-aware cross-scene
-//!   reordering, a policy-driven frame cache with LRU or TinyLFU
-//!   admission, memory-aware admission control, scene sharding with
+//!   (a bounded FIFO queue with same-scene batching, an LRU frame cache,
+//!   memory-aware admission control, scene sharding with
 //!   depth-ordered layer compositing, per-request deadlines and
 //!   cancellation) plus its std-only HTTP/1.1 front-end for external load
 //!   generators.
 //! * [`trace`] (`gs-trace`) — workload capture (the `GSTR` binary trace
 //!   format and the recorder the serving front-ends feed), seeded synthetic
 //!   workload generators (Zipf popularity, diurnal curves, flash crowds,
-//!   camera tours) and SimPoint-style phase clustering for representative
-//!   replay.
+//!   camera tours).
 //! * [`obs`] (`gs-obs`) — observability primitives: request span trees
 //!   with cross-node stitching, a bounded span ring sink, Chrome
 //!   trace-event / text-waterfall exports, and a metrics registry with

@@ -1,12 +1,11 @@
 //! Integration tests for the multi-replica serving tier: cross-node sharded
-//! rendering equivalence (bit-identical relay composites, characterized
-//! fan-out error), budget-aware placement, health-checked failover under
-//! replica death, drain/rejoin, and cluster-wide stats fan-in — all through
-//! the public facade.
+//! rendering equivalence (bit-identical relay composites), budget-aware
+//! placement, health-checked failover under replica death, drain/rejoin,
+//! and cluster-wide stats fan-in — all through the public facade.
 
 use std::sync::Arc;
 
-use gs_scale::cluster::{ClusterConfig, CompositeMode, Coordinator, Health, ReplicaTransport};
+use gs_scale::cluster::{ClusterConfig, Coordinator, Health, ReplicaTransport};
 use gs_scale::render::pipeline::render_image;
 use gs_scale::scene::tour::{TourConfig, TourScene};
 use gs_scale::serve::{
@@ -41,11 +40,8 @@ fn replica_server(budget: u64) -> Arc<RenderServer> {
     ))
 }
 
-fn in_process_cluster(replicas: usize, budget: u64, mode: CompositeMode) -> Coordinator {
-    let cluster = Coordinator::new(ClusterConfig {
-        composite: mode,
-        ..ClusterConfig::default()
-    });
+fn in_process_cluster(replicas: usize, budget: u64) -> Coordinator {
+    let cluster = Coordinator::new(ClusterConfig::default());
     for i in 0..replicas {
         cluster
             .add_replica(
@@ -78,7 +74,7 @@ fn relayed_cross_node_shards_are_bit_identical_to_single_node() {
     // render on these corridor presets).
     let scene = tour(900, 60.0, 31);
     for (replicas, shards) in [(2usize, 2usize), (2, 4), (3, 5)] {
-        let cluster = in_process_cluster(replicas, 1 << 30, CompositeMode::Relay);
+        let cluster = in_process_cluster(replicas, 1 << 30);
         let placed = cluster
             .load_scene_sharded(
                 "tour",
@@ -210,51 +206,11 @@ fn http_replicas_compose_bit_identically_over_the_wire() {
 }
 
 #[test]
-fn fanout_composite_error_is_characterized() {
-    // Fan-out mode re-associates the per-pixel blend products, so it is
-    // *not* bit-identical. This test pins down the error magnitude:
-    // ulp-level for depth-disjoint corridor shards, and a bounded boundary
-    // error for deliberately depth-overlapping shards (a compact scene
-    // viewed along a diagonal, where axis-median slabs interleave in depth).
-    let corridor = tour(800, 60.0, 36);
+fn relay_replays_the_single_node_shard_sequence_for_overlapping_shards() {
     let shards = 4usize;
-    let cluster = in_process_cluster(2, 1 << 30, CompositeMode::Fanout);
-    cluster
-        .load_scene_sharded(
-            "corridor",
-            Arc::new(corridor.gt_params.clone()),
-            corridor.background,
-            shards,
-        )
-        .unwrap();
-    let req = wire_request(&corridor, "corridor", 0);
-    let frame = cluster.render(&req).unwrap();
-    let reference = render_image(
-        &corridor.gt_params,
-        &req.to_render_request().camera,
-        3,
-        corridor.background,
-    );
-    let disjoint_err = frame
-        .image
-        .data()
-        .iter()
-        .zip(reference.data())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    // Two effects bound this: reassociated blend products (ulps) and
-    // far-shard pixels the threaded pass would have early-terminated below
-    // TRANSMITTANCE_MIN (1e-4) but an independent layer still renders —
-    // so the error scales with TRANSMITTANCE_MIN, not machine epsilon.
-    assert!(
-        disjoint_err <= 5e-4,
-        "depth-disjoint fan-out must be within the early-termination bound, got {disjoint_err}"
-    );
-
-    // Depth-overlapping: a compact cube viewed down its diagonal. The
-    // relayed mode must still match the single-node *sharded* render
-    // bit-for-bit (same operation sequence), while fan-out differs from it
-    // by a small, bounded boundary error.
+    // Depth-overlapping: a compact cube viewed down its diagonal, where
+    // axis-median slabs interleave in depth. The relay must still match the
+    // single-node *sharded* render bit-for-bit (same operation sequence).
     let cube = TourScene::generate(TourConfig {
         name: "cube".to_string(),
         num_gaussians: 600,
@@ -279,7 +235,7 @@ fn fanout_composite_error_is_characterized() {
         .unwrap();
     let single_sharded = single.render_blocking(req.to_render_request()).unwrap();
 
-    let relay = in_process_cluster(2, 1 << 30, CompositeMode::Relay);
+    let relay = in_process_cluster(2, 1 << 30);
     relay
         .load_scene_sharded(
             "cube",
@@ -294,29 +250,6 @@ fn fanout_composite_error_is_characterized() {
         single_sharded.image.data(),
         "relay mode replays the single-node shard sequence even for overlapping shards"
     );
-
-    let fanout = in_process_cluster(2, 1 << 30, CompositeMode::Fanout);
-    fanout
-        .load_scene_sharded(
-            "cube",
-            Arc::new(cube.gt_params.clone()),
-            cube.background,
-            shards,
-        )
-        .unwrap();
-    let fanned = fanout.render(&req).unwrap();
-    let boundary_err = fanned
-        .image
-        .data()
-        .iter()
-        .zip(single_sharded.image.data())
-        .map(|(a, b)| (a - b).abs())
-        .fold(0.0f32, f32::max);
-    println!("measured fan-out boundary error (overlapping shards): {boundary_err:.3e}");
-    assert!(
-        boundary_err < 2e-3,
-        "fan-out boundary error must stay small, got {boundary_err}"
-    );
 }
 
 #[test]
@@ -326,7 +259,7 @@ fn placement_spreads_a_scene_no_single_replica_could_hold() {
     // Each replica holds half the scene: unsharded placement is
     // impossible, while 4 shards of a quarter each bin-pack two per
     // replica across the fleet.
-    let cluster = in_process_cluster(3, total / 2, CompositeMode::Relay);
+    let cluster = in_process_cluster(3, total / 2);
     let err = cluster
         .load_scene("giant", Arc::new(scene.gt_params.clone()), scene.background)
         .unwrap_err();
@@ -484,7 +417,7 @@ fn killing_a_replica_mid_traffic_loses_zero_submissions() {
 #[test]
 fn drain_moves_traffic_and_rejoin_restores_it() {
     let scene = tour(400, 40.0, 38);
-    let cluster = in_process_cluster(2, 1 << 30, CompositeMode::Relay);
+    let cluster = in_process_cluster(2, 1 << 30);
     cluster
         .load_scene("tour", Arc::new(scene.gt_params.clone()), scene.background)
         .unwrap();
@@ -519,7 +452,7 @@ fn cluster_http_front_end_serves_and_aggregates() {
     use std::net::TcpStream;
 
     let scene = tour(500, 45.0, 39);
-    let cluster = Arc::new(in_process_cluster(2, 1 << 30, CompositeMode::Relay));
+    let cluster = Arc::new(in_process_cluster(2, 1 << 30));
     let front = gs_scale::cluster::bind_http(HttpConfig::default(), Arc::clone(&cluster)).unwrap();
     let mut stream = TcpStream::connect(front.local_addr()).unwrap();
 

@@ -9,7 +9,7 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Instant;
 
-use gs_scale::cluster::{bind_http, ClusterConfig, CompositeMode, Coordinator, ReplicaTransport};
+use gs_scale::cluster::{bind_http, ClusterConfig, Coordinator, ReplicaTransport};
 use gs_scale::obs::{lint_prometheus, SpanRecord, TraceId};
 use gs_scale::scene::tour::{TourConfig, TourScene};
 use gs_scale::serve::http::client;
@@ -76,7 +76,6 @@ fn http_sharded_render_stitches_one_span_tree() {
 
     let mut backends = Vec::new();
     let cluster = Arc::new(Coordinator::new(ClusterConfig {
-        composite: CompositeMode::Relay,
         node: "coordinator".to_string(),
         ..ClusterConfig::default()
     }));
@@ -396,7 +395,6 @@ fn flash_crowd_replica_kill_yields_incident_heat_slo_and_exemplar() {
     let survivor_budget = hot_bytes + hot_bytes / 8;
 
     let cluster = Arc::new(Coordinator::new(ClusterConfig {
-        composite: CompositeMode::Relay,
         node: "coordinator".to_string(),
         obs: tuning.clone(),
         ..ClusterConfig::default()

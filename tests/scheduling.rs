@@ -1,8 +1,7 @@
-//! Property tests for the pluggable scheduling layer: the batch-aware
-//! scheduler must (1) leave every per-request frame byte-identical to the
-//! FIFO execution, (2) actually form larger same-scene batches under mixed
-//! traffic, and (3) never starve a request past its deadline/age fairness
-//! cap. Driven through the public facade with seeded-loop "properties".
+//! Property tests for the serving queue: same-scene batching must (1) leave
+//! every per-request frame byte-identical to a solo render and (2) never
+//! starve a request past its deadline. Driven through the public facade
+//! with seeded-loop "properties".
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -10,9 +9,7 @@ use std::time::Duration;
 use gs_scale::core::rng::Rng64;
 use gs_scale::render::pipeline::render_image;
 use gs_scale::scene::{SceneConfig, SceneDataset};
-use gs_scale::serve::{
-    CachePolicyKind, RenderRequest, RenderServer, SceneRegistry, SchedulerPolicy, ServeConfig,
-};
+use gs_scale::serve::{RenderRequest, RenderServer, SceneRegistry, ServeConfig};
 
 fn tiny_scene(seed: u64, num_gaussians: usize) -> SceneDataset {
     SceneDataset::generate(SceneConfig {
@@ -30,7 +27,7 @@ fn tiny_scene(seed: u64, num_gaussians: usize) -> SceneDataset {
     })
 }
 
-fn server_with(scheduler: SchedulerPolicy, scenes: &[SceneDataset]) -> Arc<RenderServer> {
+fn server_with(scenes: &[SceneDataset]) -> Arc<RenderServer> {
     let server = Arc::new(RenderServer::new(
         ServeConfig {
             workers: 1,
@@ -39,8 +36,6 @@ fn server_with(scheduler: SchedulerPolicy, scenes: &[SceneDataset]) -> Arc<Rende
             cache_bytes: 0, // no quantization contract: every frame is exact
             pose_quant: 0.05,
             shard_bytes: 0,
-            scheduler,
-            cache_policy: CachePolicyKind::Lru,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 30),
@@ -83,11 +78,10 @@ fn run_sequence(
 }
 
 #[test]
-fn batch_aware_frames_are_byte_identical_to_fifo_and_to_solo_renders() {
+fn batched_frames_are_byte_identical_to_solo_renders() {
     // Property (seeded loops): for random mixed-scene request sequences,
-    // the batch-aware scheduler returns exactly the bytes FIFO returns for
-    // every request — and both match the direct solo render. Reordering
-    // changes *when* a request renders, never *what* it renders.
+    // every frame the server returns matches the direct solo render.
+    // Batching changes *when* a request renders, never *what* it renders.
     let scenes: Vec<SceneDataset> = (0..3).map(|i| tiny_scene(200 + i, 500)).collect();
     for seed in [1u64, 2, 3] {
         let mut rng = Rng64::seed_from_u64(seed);
@@ -100,163 +94,34 @@ fn batch_aware_frames_are_byte_identical_to_fifo_and_to_solo_renders() {
             })
             .collect();
 
-        let fifo = server_with(SchedulerPolicy::Fifo, &scenes);
-        let fifo_frames = run_sequence(&fifo, &scenes, &sequence);
-        let fifo_stats = Arc::into_inner(fifo).unwrap().shutdown();
-
-        let batch_aware = server_with(SchedulerPolicy::batch_aware(), &scenes);
-        let ba_frames = run_sequence(&batch_aware, &scenes, &sequence);
-        let ba_stats = Arc::into_inner(batch_aware).unwrap().shutdown();
+        let server = server_with(&scenes);
+        let frames = run_sequence(&server, &scenes, &sequence);
+        let stats = Arc::into_inner(server).unwrap().shutdown();
 
         for (i, &(s, v)) in sequence.iter().enumerate() {
-            assert_eq!(
-                fifo_frames[i], ba_frames[i],
-                "seed {seed}: request {i} (scene {s} view {v}) must be byte-identical \
-                 under both schedulers"
-            );
             let cam = &scenes[s].train_cameras[v % scenes[s].train_cameras.len()];
             let solo = render_image(&scenes[s].gt_params, cam, 3, scenes[s].background);
             assert_eq!(
-                ba_frames[i],
+                frames[i],
                 solo.data(),
-                "seed {seed}: request {i} vs solo"
+                "seed {seed}: request {i} (scene {s} view {v}) vs solo"
             );
         }
         // Nothing starved: every submission completed inside its deadline.
-        for stats in [&fifo_stats, &ba_stats] {
-            assert_eq!(stats.completed, sequence.len() as u64);
-            assert_eq!(stats.expired, 0, "zero deadline violations");
-            assert_eq!(stats.errors, 0);
-        }
-        assert_eq!(ba_stats.scheduler, "batch-aware");
-        assert_eq!(fifo_stats.scheduler, "fifo");
+        assert_eq!(stats.completed, sequence.len() as u64);
+        assert_eq!(stats.expired, 0, "zero deadline violations");
+        assert_eq!(stats.errors, 0);
     }
-}
-
-#[test]
-fn batch_aware_accumulates_paced_mixed_arrivals_into_larger_batches() {
-    // The dynamic-batching regime: mixed-scene requests arriving on a
-    // clock slower than one worker's render time. FIFO dispatches eagerly,
-    // so almost every batch is the lone queued request; the batch-aware
-    // scheduler accumulates under its fairness cap and regroups arrivals
-    // into same-scene batches. (A pre-queued burst would not discriminate:
-    // both policies batch a static queue equally well.)
-    let scenes: Vec<SceneDataset> = (0..2).map(|i| tiny_scene(210 + i, 700)).collect();
-
-    // Calibrate the arrival interval to ~60% of one worker's capacity.
-    let calibration = server_with(SchedulerPolicy::Fifo, &scenes);
-    let started = std::time::Instant::now();
-    for v in 0..4 {
-        let cam = scenes[0].train_cameras[v].clone();
-        calibration
-            .render_blocking(RenderRequest::full("scene-0", cam))
-            .unwrap();
-    }
-    // Cap the interval well inside the batch-aware accumulation grace so a
-    // slow machine cannot pace arrivals past it (at worst the run tilts
-    // toward overload, where both policies batch).
-    let interval = started
-        .elapsed()
-        .mul_f64(1.0 / 4.0 / 0.6)
-        .min(Duration::from_millis(20));
-    drop(calibration);
-
-    let paced = |scheduler: SchedulerPolicy| {
-        let server = server_with(scheduler, &scenes);
-        let mut rng = Rng64::seed_from_u64(7);
-        let mut tickets = Vec::new();
-        for _ in 0..40 {
-            let s = rng.gen_range(0usize..scenes.len());
-            let v = rng.gen_range(0usize..6);
-            let cam = scenes[s].train_cameras[v].clone();
-            tickets.push(
-                server
-                    .submit(
-                        RenderRequest::full(format!("scene-{s}"), cam)
-                            .deadline_in(Duration::from_secs(30)),
-                    )
-                    .unwrap(),
-            );
-            std::thread::sleep(interval);
-        }
-        for t in tickets {
-            t.wait().unwrap();
-        }
-        Arc::into_inner(server).unwrap().shutdown()
-    };
-    // Wall-clock pacing under parallel test contention can defeat
-    // accumulation in any single attempt (a sleep overshooting the grace
-    // makes every dispatch eager); the property is that paced runs
-    // *reliably can* form larger batches, so allow a few attempts.
-    let mut best = (0.0f64, 0.0f64, Vec::new(), Vec::new());
-    // A generous fairness cap stretches the accumulation allowance, giving
-    // slow machines headroom without changing the property under test.
-    let batch_aware = SchedulerPolicy::BatchAware {
-        window: 32,
-        age_cap: Duration::from_millis(240),
-    };
-    for _attempt in 0..3 {
-        let fifo_stats = paced(SchedulerPolicy::Fifo);
-        let ba_stats = paced(batch_aware);
-        assert_eq!(fifo_stats.sched_reorders, 0, "FIFO never reorders");
-        for stats in [&fifo_stats, &ba_stats] {
-            assert_eq!(
-                stats.expired, 0,
-                "accumulation must respect the fairness cap"
-            );
-            assert_eq!(stats.completed, 40);
-        }
-        best = (
-            ba_stats.mean_batch_size(),
-            fifo_stats.mean_batch_size(),
-            ba_stats.batch_histogram.clone(),
-            fifo_stats.batch_histogram.clone(),
-        );
-        if best.0 > best.1 {
-            return;
-        }
-    }
-    panic!(
-        "batch-aware must beat FIFO's mean batch size on paced mixed traffic: {} vs {} \
-         (histograms {:?} vs {:?})",
-        best.0, best.1, best.2, best.3,
-    );
 }
 
 #[test]
 fn a_rare_scene_is_not_starved_by_popular_traffic() {
     // One request for a rare scene buried in a flood of popular-scene
-    // requests, tiny age cap: the fairness cap guarantees the rare request
-    // is scheduled once it reaches the head and ages past the cap, so it
-    // completes well inside a generous deadline instead of being starved
-    // behind ever-denser popular batches.
+    // requests: under FIFO a job only waits for the jobs queued ahead of
+    // it, so the rare request completes well inside a generous deadline
+    // instead of being starved behind ever-denser popular batches.
     let scenes: Vec<SceneDataset> = (0..2).map(|i| tiny_scene(220 + i, 500)).collect();
-    let server = Arc::new(RenderServer::new(
-        ServeConfig {
-            workers: 1,
-            queue_depth: 128,
-            max_batch: 8,
-            cache_bytes: 0,
-            pose_quant: 0.05,
-            shard_bytes: 0,
-            scheduler: SchedulerPolicy::BatchAware {
-                window: 64,
-                age_cap: Duration::from_millis(10),
-            },
-            cache_policy: CachePolicyKind::Lru,
-            ..ServeConfig::default()
-        },
-        SceneRegistry::with_budget(1 << 30),
-    ));
-    for (i, scene) in scenes.iter().enumerate() {
-        server
-            .load_scene(
-                format!("scene-{i}"),
-                Arc::new(scene.gt_params.clone()),
-                scene.background,
-            )
-            .unwrap();
-    }
+    let server = server_with(&scenes);
     let mut tickets = Vec::new();
     for burst in 0..4 {
         // Popular burst...
@@ -292,37 +157,4 @@ fn a_rare_scene_is_not_starved_by_popular_traffic() {
         "the rare request must not starve past its deadline"
     );
     assert_eq!(stats.errors, 0);
-}
-
-#[test]
-fn tinylfu_policy_is_selectable_end_to_end() {
-    let scenes: Vec<SceneDataset> = (0..1).map(|i| tiny_scene(230 + i, 400)).collect();
-    let server = RenderServer::new(
-        ServeConfig {
-            workers: 1,
-            cache_bytes: 8 << 20,
-            cache_policy: CachePolicyKind::TinyLfu,
-            ..ServeConfig::default()
-        },
-        SceneRegistry::with_budget(1 << 30),
-    );
-    server
-        .load_scene(
-            "city",
-            Arc::new(scenes[0].gt_params.clone()),
-            scenes[0].background,
-        )
-        .unwrap();
-    let cam = scenes[0].train_cameras[0].clone();
-    let first = server
-        .render_blocking(RenderRequest::full("city", cam.clone()))
-        .unwrap();
-    let again = server
-        .render_blocking(RenderRequest::full("city", cam))
-        .unwrap();
-    assert!(!first.cache_hit);
-    assert!(again.cache_hit);
-    let stats = server.shutdown();
-    assert_eq!(stats.cache_policy, "tinylfu");
-    assert_eq!(stats.cache.hits, 1);
 }
