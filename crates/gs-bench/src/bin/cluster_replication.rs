@@ -14,16 +14,16 @@
 //! crowd passes.
 //!
 //! Usage: `cargo run --release -p gs-bench --bin cluster_replication
-//! [--full] [--out BENCH_cluster_replication.json]`
+//! [--full]`
 
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use gs_bench::{print_table, BenchArgs, BenchReport, BenchScenario};
+use gs_bench::{print_table, BenchArgs};
 use gs_cluster::{ClusterConfig, Coordinator, ReplicaTransport, ReplicationConfig};
 use gs_render::pipeline::render_image;
 use gs_scene::tour::{TourConfig, TourScene};
-use gs_serve::{ObsTuning, RenderServer, SceneRegistry, ServeConfig, WireRequest};
+use gs_serve::{percentile, ObsTuning, RenderServer, SceneRegistry, ServeConfig, WireRequest};
 
 struct Workload {
     scene: Arc<TourScene>,
@@ -117,14 +117,6 @@ struct CrowdResult {
     p50_ms: f64,
     p99_ms: f64,
     copies: usize,
-}
-
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() as f64 - 1.0) * q).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
 }
 
 /// Drives the flash crowd against one cluster configuration and measures
@@ -234,21 +226,10 @@ fn main() {
         total
     );
 
-    let mut report = BenchReport::new("cluster_replication");
     let mut rows = Vec::new();
     let mut results = Vec::new();
     for (label, max_copies) in [("crowd_baseline", 1usize), ("crowd_replicated", 2)] {
         let result = run_crowd(&workload, max_copies);
-        report.push(BenchScenario {
-            scenario: label.to_string(),
-            throughput_rps: result.throughput_rps,
-            p50_ms: result.p50_ms,
-            p90_ms: 0.0,
-            p99_ms: result.p99_ms,
-            hit_rate: 0.0,
-            mean_batch: 0.0,
-            slo_p99_ms: ObsTuning::default().slo_p99_ms,
-        });
         rows.push(vec![
             label.to_string(),
             result.copies.to_string(),
@@ -279,9 +260,5 @@ fn main() {
         );
     } else {
         println!("(ratio assertion skipped: only {parallel} hardware threads)");
-    }
-
-    if let Some(path) = &args.out {
-        report.write(path).expect("perf report path is writable");
     }
 }

@@ -15,15 +15,13 @@
 //! mode's best-throughput run, so scheduler noise hits every mode alike.
 //! The bench **asserts** that the sampled mode costs < 2% throughput
 //! against off — the invariant that makes leaving sampling on in
-//! production defensible — and records all three modes (plus the measured
-//! sampled overhead) in the perf report for CI's trajectory.
+//! production defensible — and prints all three modes.
 //!
-//! Usage: `cargo run --release -p gs-bench --bin obs_overhead
-//! [--full] [--out BENCH_obs.json]`
+//! Usage: `cargo run --release -p gs-bench --bin obs_overhead [--full]`
 
 use std::sync::Arc;
 
-use gs_bench::{print_table, BenchArgs, BenchReport, BenchScenario};
+use gs_bench::{print_table, BenchArgs};
 use gs_core::rng::Rng64;
 use gs_scene::{SceneConfig, SceneDataset};
 use gs_serve::{RenderRequest, RenderServer, SceneRegistry, ServeConfig, ServeStats};
@@ -192,10 +190,8 @@ fn main() {
     let best: Vec<ServeStats> = best.into_iter().map(Option::unwrap).collect();
 
     let off_rps = best[0].throughput_rps();
-    let mut report = BenchReport::new("obs_overhead");
     let mut rows = Vec::new();
     for (mode, stats) in MODES.iter().zip(&best) {
-        report.push(BenchScenario::from_serve_stats(mode.label, stats));
         let overhead = 1.0 - stats.throughput_rps() / off_rps;
         rows.push(vec![
             mode.label.to_string(),
@@ -226,21 +222,6 @@ fn main() {
         sampled_overhead * 100.0,
         full_overhead * 100.0
     );
-    // The pseudo-scenario pins the measured number into the report so the
-    // CI trajectory tracks the overhead itself, not just the raw modes.
-    report.push(BenchScenario {
-        scenario: "sampled-overhead-pct".to_string(),
-        throughput_rps: sampled_overhead * 100.0,
-        p50_ms: 0.0,
-        p90_ms: 0.0,
-        p99_ms: 0.0,
-        hit_rate: 0.0,
-        mean_batch: 0.0,
-        slo_p99_ms: 0.0,
-    });
-    if let Some(path) = &args.out {
-        report.write(path).expect("perf report path is writable");
-    }
 
     // The contract this bench exists to hold: sampled observability is
     // cheap enough to leave on in production.

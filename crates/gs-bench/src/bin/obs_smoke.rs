@@ -29,7 +29,6 @@ use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
-use gs_bench::BenchArgs;
 use gs_cluster::{bind_http, ClusterConfig, Coordinator, ReplicaTransport};
 use gs_obs::lint_prometheus;
 use gs_scene::tour::{TourConfig, TourScene};
@@ -69,11 +68,11 @@ fn replica_server(name: &str) -> Arc<RenderServer> {
     ))
 }
 
-/// `--incidents <path>`: obs_smoke-specific flag (BenchArgs ignores it).
-fn incidents_out() -> Option<std::path::PathBuf> {
+/// The path after `flag` (`--out` or `--incidents`) on the command line.
+fn path_arg(flag: &str) -> Option<std::path::PathBuf> {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
-        if arg == "--incidents" {
+        if arg == flag {
             return args.next().map(Into::into);
         }
     }
@@ -91,7 +90,6 @@ fn write_artifact(path: &std::path::Path, body: &str) {
 }
 
 fn main() {
-    let args = BenchArgs::parse();
     let scene = TourScene::generate(TourConfig {
         name: "smoke".to_string(),
         num_gaussians: 600,
@@ -281,8 +279,8 @@ fn main() {
     assert_eq!(missing.status, 404);
     println!("cluster  /trace?id={trace_hex}: filtered export + 404 on unknown ids");
 
-    if let Some(path) = &args.out {
-        write_artifact(path, &json);
+    if let Some(path) = path_arg("--out") {
+        write_artifact(&path, &json);
     }
 
     // Kill replica 1 mid-run and keep rendering: the coordinator marks it
@@ -328,7 +326,7 @@ fn main() {
         "cluster  /incidents: replica kill captured ({} bytes)",
         incidents_body.len()
     );
-    if let Some(path) = incidents_out() {
+    if let Some(path) = path_arg("--incidents") {
         write_artifact(&path, &incidents_body);
     }
 

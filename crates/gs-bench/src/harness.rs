@@ -72,9 +72,6 @@ impl ExperimentScale {
 ///
 /// * `--full` — run the larger workload instead of the CI-sized one.
 /// * `--seed <n>` — override the deterministic seed.
-/// * `--out <path>` — write the machine-readable perf report
-///   ([`crate::perf::BenchReport`]) to `<path>` (by convention
-///   `BENCH_<name>.json`).
 ///
 /// Unknown arguments are ignored so binaries can keep private flags.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -83,8 +80,6 @@ pub struct BenchArgs {
     pub full: bool,
     /// The `--seed` override, if any.
     pub seed: Option<u64>,
-    /// The `--out` report path, if any.
-    pub out: Option<std::path::PathBuf>,
 }
 
 impl BenchArgs {
@@ -104,7 +99,6 @@ impl BenchArgs {
             match arg.as_str() {
                 "--full" => parsed.full = true,
                 "--seed" => parsed.seed = args.next().and_then(|v| v.parse().ok()),
-                "--out" => parsed.out = args.next().map(Into::into),
                 _ => {}
             }
         }
@@ -224,11 +218,6 @@ pub fn fmt_gb(bytes: u64) -> String {
     format!("{:.2}", bytes as f64 / 1.0e9)
 }
 
-/// Formats a ratio with two decimals and a trailing `x`.
-pub fn fmt_ratio(r: f64) -> String {
-    format!("{r:.2}x")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -263,26 +252,20 @@ mod tests {
     #[test]
     fn formatting_helpers_are_stable() {
         assert_eq!(fmt_gb(2_000_000_000), "2.00");
-        assert_eq!(fmt_ratio(3.456), "3.46x");
     }
 
     #[test]
     fn bench_args_parse_the_shared_flags() {
         let args = |list: &[&str]| BenchArgs::parse_from(list.iter().map(|s| s.to_string()));
         assert_eq!(args(&[]), BenchArgs::default());
-        let parsed = args(&[
-            "--full",
-            "--seed",
-            "42",
-            "--out",
-            "BENCH_x.json",
-            "--mystery",
-        ]);
-        assert!(parsed.full);
-        assert_eq!(parsed.seed, Some(42));
+        // Unknown flags (and their values) are left to the binary.
+        let parsed = args(&["--full", "--seed", "42", "--out", "trace.json", "--mystery"]);
         assert_eq!(
-            parsed.out.as_deref(),
-            Some(std::path::Path::new("BENCH_x.json"))
+            parsed,
+            BenchArgs {
+                full: true,
+                seed: Some(42),
+            }
         );
         // A missing or malformed value degrades to None, not a panic.
         assert_eq!(args(&["--seed"]).seed, None);

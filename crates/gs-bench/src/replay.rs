@@ -24,7 +24,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use gs_cluster::{outcome_for_cluster_error, Coordinator};
-use gs_serve::{outcome_for_error, RenderServer, WireRequest};
+use gs_serve::{outcome_for_error, percentile, RenderServer, WireRequest};
 use gs_trace::{Outcome, Trace, TraceEvent};
 
 /// FNV-1a over a byte slice: the workspace's standard cheap stable hash.
@@ -234,17 +234,13 @@ impl ReplayReport {
 
     /// The `q`-quantile of the observed latencies, in milliseconds.
     pub fn latency_ms(&self, q: f64) -> f64 {
-        if self.requests.is_empty() {
-            return 0.0;
-        }
         let mut sorted: Vec<f64> = self
             .requests
             .iter()
             .map(|r| r.latency.as_secs_f64() * 1e3)
             .collect();
         sorted.sort_by(f64::total_cmp);
-        let rank = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        sorted[rank]
+        percentile(&sorted, q.clamp(0.0, 1.0))
     }
 
     /// Replayed requests per wall-clock second.
@@ -399,5 +395,24 @@ mod tests {
         let mut reordered = report.clone();
         reordered.requests.swap(0, 3);
         assert_ne!(report.fingerprint(), reordered.fingerprint());
+    }
+
+    #[test]
+    fn latency_quantiles_interpolate_between_ranks() {
+        let report = ReplayReport {
+            requests: [4, 1, 3, 2]
+                .map(|ms| ReplayedRequest {
+                    outcome: Outcome::Completed,
+                    frame_hash: 1,
+                    latency: Duration::from_millis(ms),
+                })
+                .to_vec(),
+            wall: Duration::from_secs(1),
+        };
+        // Rank 1.5 sits halfway between 2 and 3 ms; nearest-rank said 3.
+        assert!((report.latency_ms(0.5) - 2.5).abs() < 1e-9);
+        assert!((report.latency_ms(-1.0) - 1.0).abs() < 1e-9);
+        assert!((report.latency_ms(2.0) - 4.0).abs() < 1e-9);
+        assert_eq!(ReplayReport::default().latency_ms(0.5), 0.0);
     }
 }

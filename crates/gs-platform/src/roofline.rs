@@ -64,9 +64,8 @@ impl Work {
 /// paired with its measured wall-clock time, reduced to achieved FLOP/s,
 /// achieved bandwidth, and operational intensity. Where [`kernel_time`]
 /// predicts a duration from work, a `RooflinePoint` goes the other way —
-/// it situates a real measurement against a device's roofline, which is how
-/// the serving benchmarks report how close each render phase runs to the
-/// machine's ceiling.
+/// it reduces a real measurement to roofline coordinates, which is how the
+/// serving layer's phase gauges report sampled render phases.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct RooflinePoint {
     /// Estimated floating-point operations performed by the phase.
@@ -112,17 +111,6 @@ impl RooflinePoint {
         } else {
             0.0
         }
-    }
-
-    /// Fraction of `device`'s roofline ceiling the phase achieved: the
-    /// modelled best-case [`kernel_time`] over the measured time (1.0 = at
-    /// the roof; below 1 = overhead- or latency-bound). Streaming access is
-    /// assumed.
-    pub fn efficiency(&self, device: &DeviceSpec, is_gpu: bool) -> f64 {
-        if self.seconds <= 0.0 {
-            return 0.0;
-        }
-        kernel_time(&Work::new(self.flops, self.bytes), device, is_gpu) / self.seconds
     }
 }
 

@@ -99,5 +99,5 @@ pub use server::{RenderServer, ServeConfig, Ticket};
 pub use shard::{
     depth_order, partition_ids, shard_scene, shard_visible, visible_shards, Aabb, ShardSource,
 };
-pub use stats::{ConnectionStats, LatencySummary, ServeStats, StatsCollector};
+pub use stats::{percentile, ConnectionStats, LatencySummary, ServeStats, StatsCollector};
 pub use wire::{Priority, SceneSpec, StatsReport, WireError, WireFormat, WireRequest};

@@ -31,24 +31,31 @@ pub struct LatencySummary {
     pub max: f64,
 }
 
+/// The `p`-quantile (`p` in `[0, 1]`) of an ascending sample, 0 when the
+/// sample is empty.
+///
+/// Linear interpolation between adjacent ranks. Nearest-rank rounding
+/// collapses p99 onto the max for small samples and biases p50/p90 toward
+/// whichever neighbor the rounding lands on.
+pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+    if sorted.is_empty() {
+        return 0.0;
+    }
+    let rank = (sorted.len() as f64 - 1.0) * p;
+    let lo = rank.floor() as usize;
+    let hi = rank.ceil() as usize;
+    sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
+}
+
 impl LatencySummary {
     fn from_sorted(sorted: &[f64]) -> Self {
         if sorted.is_empty() {
             return Self::default();
         }
-        // Linear interpolation between adjacent ranks. Nearest-rank rounding
-        // collapses p99 onto the max for small samples and biases p50/p90
-        // toward whichever neighbor the rounding lands on.
-        let pct = |p: f64| {
-            let rank = (sorted.len() as f64 - 1.0) * p;
-            let lo = rank.floor() as usize;
-            let hi = rank.ceil() as usize;
-            sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
-        };
         Self {
-            p50: pct(0.50),
-            p90: pct(0.90),
-            p99: pct(0.99),
+            p50: percentile(sorted, 0.50),
+            p90: percentile(sorted, 0.90),
+            p99: percentile(sorted, 0.99),
             mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
             max: *sorted.last().unwrap(),
         }

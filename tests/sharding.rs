@@ -11,9 +11,8 @@ use gs_scale::serve::{
     shard_scene, RenderRequest, RenderServer, SceneRegistry, ServeConfig, ServeError,
 };
 
-/// The benchmark presets of the `serve_shard_scaling` sweep, test-sized:
-/// corridor scenes whose axis-median shards are depth-disjoint slabs for
-/// every tour camera.
+/// Test-sized corridor scenes whose axis-median shards are depth-disjoint
+/// slabs for every tour camera.
 fn bench_presets() -> Vec<TourScene> {
     [(900, 60.0, 31u64), (1600, 90.0, 32u64)]
         .into_iter()
