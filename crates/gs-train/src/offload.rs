@@ -615,12 +615,12 @@ mod tests {
         for _ in 0..20 {
             reference.step(&cam, &target).unwrap();
         }
-        assert_eq!(param_fingerprint(reference.params()), 0xfe61_8781_abde_2bf7);
+        assert_eq!(param_fingerprint(reference.params()), 0x3d43_32be_4816_da2d);
 
         for (options, expected) in [
-            (OffloadOptions::baseline(), 0xfe61_8781_abde_2bf7_u64),
-            (OffloadOptions::without_deferred(), 0x2916_df32_a34f_1680),
-            (OffloadOptions::full(), 0x2916_df32_a34f_1680),
+            (OffloadOptions::baseline(), 0x3d43_32be_4816_da2d_u64),
+            (OffloadOptions::without_deferred(), 0xb377_e57e_e2f5_7daa),
+            (OffloadOptions::full(), 0xb377_e57e_e2f5_7daa),
         ] {
             let mut trainer =
                 OffloadTrainer::new(cfg.clone(), options, platform.clone(), init.clone(), 10.0)
