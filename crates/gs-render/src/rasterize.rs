@@ -8,7 +8,7 @@
 //! mean, conic, color and opacity. Both training passes fan their tiles out
 //! over every core and are bit-identical at any thread count.
 //!
-//! Both fast kernels ([`blend_row`] forward, `backward_row` backward) work
+//! Both fast kernels (`blend_row` forward, `backward_row` backward) work
 //! one tile pixel row at a time: up to [`TILE_SIZE`] pixel lanes held in
 //! `[f32; TILE_SIZE]` arrays, per-lane conditions as `u32` masks and state
 //! updates as branch-free bit selects, and `exp_neg` (adds, multiplies,
@@ -330,9 +330,10 @@ pub fn rasterize_forward(
     )
 }
 
-/// The seed scalar forward pass (pixel-outer [`blend_pixel`] walk), kept
-/// verbatim as the bit-identity oracle for the lane-batched and
-/// tile-parallel paths and as the "before" baseline in kernel benchmarks.
+/// The seed scalar forward pass (pixel-outer [`blend_pixel`] walk, alphas
+/// through the same `exp_neg` as the lane kernels), kept as the
+/// bit-identity oracle for the lane-batched and tile-parallel paths and as
+/// the "before" baseline in kernel benchmarks.
 pub fn rasterize_forward_reference(
     splats: &[Splat],
     grid: &TileGrid,
@@ -627,9 +628,9 @@ fn blend_band(
     }
 }
 
-/// The seed scalar layer pass (pixel-outer [`blend_pixel`] walk), kept
-/// verbatim as the bit-identity oracle for the lane-batched and
-/// tile-parallel layer paths.
+/// The seed scalar layer pass (pixel-outer [`blend_pixel`] walk, alphas
+/// through the same `exp_neg` as the lane kernels), kept as the
+/// bit-identity oracle for the lane-batched and tile-parallel layer paths.
 ///
 /// # Panics
 ///

@@ -4,7 +4,7 @@
 //! The render crate has one blend path (a band worker behind
 //! `rasterize_layer`, which the forward pass runs on a fresh layer before
 //! compositing the background) and keeps the seed's scalar blend loops
-//! verbatim as `*_reference` oracles. These tests drive the forward pass,
+//! (with the lane kernels' `exp`) as `*_reference` oracles. These tests drive the forward pass,
 //! the layer pass at several thread counts, the `render` ==
 //! `render_layer` + `finish` seam (full frames and offset sub-viewports)
 //! and the sharded [`FrameLayer`] relay composite against those oracles
