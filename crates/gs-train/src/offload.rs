@@ -589,15 +589,90 @@ mod tests {
         worst
     }
 
+    /// FNV-1a over a byte stream.
+    fn fnv1a(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
+            (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
     /// FNV-1a over every parameter's bit pattern.
     fn param_fingerprint(p: &GaussianParams) -> u64 {
-        ParamGroup::ALL
-            .iter()
-            .flat_map(|&g| p.group(g))
-            .flat_map(|v| v.to_bits().to_le_bytes())
-            .fold(0xcbf2_9ce4_8422_2325, |hash, byte| {
-                (hash ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3)
-            })
+        fnv1a(
+            ParamGroup::ALL
+                .iter()
+                .flat_map(|&g| p.group(g))
+                .flat_map(|v| v.to_bits().to_le_bytes()),
+        )
+    }
+
+    /// FNV-1a over every field of a run's per-step statistics: loss and
+    /// modelled time bits, each phase label and its time bits, and the
+    /// counters.
+    fn stats_fingerprint(steps: &[IterationStats]) -> u64 {
+        let mut bytes = Vec::new();
+        for s in steps {
+            bytes.extend(s.loss.to_bits().to_le_bytes());
+            bytes.extend(s.sim_time_s.to_bits().to_le_bytes());
+            for (label, secs) in &s.phase_breakdown {
+                bytes.extend(label.bytes());
+                bytes.extend(secs.to_bits().to_le_bytes());
+            }
+            for count in [s.active_gaussians, s.total_gaussians, s.optimizer_updates] {
+                bytes.extend((count as u64).to_le_bytes());
+            }
+            bytes.push(u8::from(s.image_split));
+        }
+        fnv1a(bytes)
+    }
+
+    /// GPU-only's modelled outputs, pinned: 20 steps on `tiny_scene` with
+    /// one densification pass (at iteration 10). Every step's statistics,
+    /// the phase labels (no transfer or host-optimizer phases) and the peak
+    /// GPU memory and its breakdown must not move.
+    #[test]
+    fn gpu_only_iteration_stats_and_peak_memory_match_golden() {
+        let (init, cam, target) = tiny_scene();
+        let mut cfg = TrainConfig::fast_test(20);
+        cfg.densify = crate::densify::DensifyConfig {
+            start_iteration: 10,
+            stop_iteration: 11,
+            interval: 10,
+            grad_threshold: 0.0,
+            split_scale_fraction: 0.5,
+            prune_opacity: 0.0,
+            max_gaussians: 0,
+        };
+        let mut trainer =
+            GpuOnlyTrainer::new(cfg, PlatformSpec::laptop_rtx4070m(), init, 10.0).unwrap();
+        let mut steps = Vec::new();
+        let mut densified = Vec::new();
+        for _ in 0..20 {
+            steps.push(trainer.step(&cam, &target).unwrap());
+            densified.push(trainer.densify_if_due().unwrap());
+        }
+        assert_eq!(densified.iter().filter(|&&d| d != (0, 0)).count(), 1);
+        assert!(trainer.num_gaussians() > 4);
+        for s in &steps {
+            let labels: Vec<&str> = s.phase_breakdown.keys().map(String::as_str).collect();
+            assert_eq!(labels, ["frustum_cull", "gpu_fwd_bwd", "optimizer"]);
+        }
+        assert_eq!(stats_fingerprint(&steps), 0x61c4_3000_b782_ff6c);
+        // Seven Gaussians after densifying: 7 × 59 × 4 bytes of parameters
+        // and of gradients, twice that of Adam state, plus the activations
+        // of a 48 × 36 view over six active Gaussians.
+        assert_eq!(trainer.peak_gpu_memory(), 1_907_696);
+        assert_eq!(
+            trainer.peak_gpu_breakdown(),
+            [
+                (MemoryCategory::Parameters, 1652),
+                (MemoryCategory::GeometricParameters, 0),
+                (MemoryCategory::Gradients, 1652),
+                (MemoryCategory::OptimizerState, 3304),
+                (MemoryCategory::Activations, 1_901_088),
+                (MemoryCategory::Other, 0),
+            ]
+        );
     }
 
     /// Golden fingerprints of every trainer's parameters after 20 steps:
