@@ -5,7 +5,7 @@
 use gs_bench::{build_scene, initial_params, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{GpuOnlyTrainer, OffloadOptions, OffloadTrainer, SystemKind, TrainConfig, Trainer};
+use gs_train::{OffloadTrainer, SystemKind, TrainConfig, Trainer};
 
 fn print_iteration(kind: SystemKind, stats: &gs_train::IterationStats) {
     println!("\n--- {} ---", kind.name());
@@ -39,25 +39,10 @@ fn main() {
     println!("Figure 9: execution timeline of one training iteration (Rubble, laptop platform)");
 
     for kind in SystemKind::ALL {
-        let stats = match kind {
-            SystemKind::GpuOnly => {
-                let mut t =
-                    GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), extent)
-                        .expect("fits at runnable scale");
-                t.step(&cam, &target).expect("step")
-            }
-            other => {
-                let mut t = OffloadTrainer::new(
-                    cfg.clone(),
-                    OffloadOptions::for_system(other),
-                    platform.clone(),
-                    init.clone(),
-                    extent,
-                )
+        let mut trainer =
+            OffloadTrainer::for_system(kind, cfg.clone(), platform.clone(), init.clone(), extent)
                 .expect("fits at runnable scale");
-                t.step(&cam, &target).expect("step")
-            }
-        };
+        let stats = trainer.step(&cam, &target).expect("step");
         print_iteration(kind, &stats);
     }
 

@@ -6,10 +6,7 @@ use gs_core::scene::init_gaussians_from_point_cloud;
 use gs_metrics::QualityReport;
 use gs_platform::PlatformSpec;
 use gs_scene::{SceneDataset, ScenePreset};
-use gs_train::{
-    train, GpuOnlyTrainer, OffloadOptions, OffloadTrainer, RunStats, SystemKind, TrainConfig,
-    Trainer,
-};
+use gs_train::{train, OffloadTrainer, RunStats, SystemKind, TrainConfig, Trainer};
 
 /// How large the runnable (functional) version of each experiment is.
 ///
@@ -116,15 +113,6 @@ pub fn initial_params(scene: &SceneDataset) -> GaussianParams {
     init_gaussians_from_point_cloud(&scene.init_cloud, 0.3)
 }
 
-/// Maps a [`SystemKind`] to offloading options (GPU-only is handled
-/// separately).
-pub fn build_offload_options(kind: SystemKind) -> Option<OffloadOptions> {
-    match kind {
-        SystemKind::GpuOnly => None,
-        other => Some(OffloadOptions::for_system(other)),
-    }
-}
-
 /// Trains `kind` on `scene` for the configured number of iterations and
 /// returns the run statistics.
 ///
@@ -140,18 +128,9 @@ pub fn measure_run(
 ) -> Result<RunStats> {
     let init = initial_params(scene);
     let extent = scene.scene_extent();
-    let outcome = match build_offload_options(kind) {
-        None => {
-            let mut trainer = GpuOnlyTrainer::new(config.clone(), platform.clone(), init, extent)?;
-            train(&mut trainer, scene, scale.iterations, false)?
-        }
-        Some(options) => {
-            let mut trainer =
-                OffloadTrainer::new(config.clone(), options, platform.clone(), init, extent)?;
-            train(&mut trainer, scene, scale.iterations, false)?
-        }
-    };
-    Ok(outcome.run)
+    let mut trainer =
+        OffloadTrainer::for_system(kind, config.clone(), platform.clone(), init, extent)?;
+    Ok(train(&mut trainer, scene, scale.iterations, false)?.run)
 }
 
 /// Trains `kind` on `scene` and evaluates rendering quality on the test
@@ -169,20 +148,13 @@ pub fn quality_after_training(
 ) -> Result<(QualityReport, usize)> {
     let init = initial_params(scene);
     let extent = scene.scene_extent();
-    let (outcome, final_n) = match build_offload_options(kind) {
-        None => {
-            let mut trainer = GpuOnlyTrainer::new(config.clone(), platform.clone(), init, extent)?;
-            let o = train(&mut trainer, scene, iterations, true)?;
-            (o, trainer.num_gaussians())
-        }
-        Some(options) => {
-            let mut trainer =
-                OffloadTrainer::new(config.clone(), options, platform.clone(), init, extent)?;
-            let o = train(&mut trainer, scene, iterations, true)?;
-            (o, trainer.num_gaussians())
-        }
-    };
-    Ok((outcome.quality.expect("evaluation requested"), final_n))
+    let mut trainer =
+        OffloadTrainer::for_system(kind, config.clone(), platform.clone(), init, extent)?;
+    let outcome = train(&mut trainer, scene, iterations, true)?;
+    Ok((
+        outcome.quality.expect("evaluation requested"),
+        trainer.num_gaussians(),
+    ))
 }
 
 /// Prints a fixed-width table with a title, header row and data rows.

@@ -20,8 +20,8 @@ pub mod harness;
 pub mod replay;
 
 pub use harness::{
-    build_offload_options, build_scene, fmt_gb, initial_params, measure_run, print_table,
-    quality_after_training, BenchArgs, ExperimentScale,
+    build_scene, fmt_gb, initial_params, measure_run, print_table, quality_after_training,
+    BenchArgs, ExperimentScale,
 };
 pub use replay::{
     fnv1a, hash_image, replay, replay_events, ReplayConfig, ReplayMode, ReplayReport, ReplayTarget,

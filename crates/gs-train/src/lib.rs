@@ -3,11 +3,13 @@
 //! optimizations (selective offloading, parameter forwarding, deferred
 //! optimizer updates) plus balance-aware image splitting.
 //!
-//! Every trainer runs the *same functional pipeline* (the `gs-render`
-//! renderer and `gs-optim` optimizers), so trained parameters are directly
-//! comparable across systems — the property behind Table 3 of the paper.
-//! What differs between systems is *where* data lives and *when* work runs,
-//! which the trainers express through:
+//! All four systems run *one training step* ([`OffloadTrainer`], built for a
+//! system by [`OffloadTrainer::for_system`]) over the same functional
+//! pipeline (the `gs-render` renderer and `gs-optim` optimizers), so trained
+//! parameters are directly comparable across systems — the property behind
+//! Table 3 of the paper. What differs between systems is *where* data lives
+//! and *when* work runs: a placement derived from the system, which the step
+//! expresses through:
 //!
 //! * per-device [`gs_platform::MemoryPool`]s (peak GPU memory, OOM behaviour),
 //! * a per-iteration [`gs_platform::TimelineSim`] built from roofline kernel
@@ -21,9 +23,12 @@
 //! * [`splitting`] — balance-aware image splitting (Section 4.4).
 //! * [`memory_model`] — closed-form GPU memory estimates at paper scale.
 //! * [`stats`] — per-iteration and per-run statistics.
-//! * [`gpu_only`] — the GPU-only reference system.
-//! * [`offload`] — the host-offloading systems (baseline GS-Scale and
-//!   GS-Scale with any subset of the optimizations).
+//! * [`offload`] — the training step of every system: the host-offloading
+//!   systems (baseline GS-Scale and GS-Scale with any subset of the
+//!   optimizations) and GPU-only, and which of their mechanisms are
+//!   bit-exact.
+//! * [`gpu_only`] — the GPU-only reference system's constructor, kept under
+//!   its published name.
 //! * [`driver`] — the training loop, evaluation, and epoch timing.
 
 #![deny(missing_docs)]

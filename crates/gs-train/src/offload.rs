@@ -1,9 +1,15 @@
-//! Host-offloading trainers: the baseline offloading system and GS-Scale
-//! with any subset of the paper's optimizations.
+//! The one training step behind all four systems of the paper's evaluation:
+//! the baseline offloading system, GS-Scale with any subset of the paper's
+//! optimizations, and GPU-only.
 //!
-//! All Gaussian parameters and optimizer states live in host memory; only
-//! the subset needed by the current view is staged on the GPU. The
-//! [`OffloadOptions`] flags select the paper's optimizations:
+//! Under offloading, all Gaussian parameters and optimizer states live in
+//! host memory; only the subset needed by the current view is staged on the
+//! GPU. GPU-only is the same step with the baseline options and every buffer
+//! resident on the GPU ([`OffloadTrainer::for_system`]). Where the buffers
+//! live is a private placement derived from the system; it decides what the
+//! step charges to GPU memory and which timeline events it schedules, never
+//! the arithmetic. The [`OffloadOptions`] flags select the paper's
+//! optimizations:
 //!
 //! * **selective offloading** — geometric attributes (and their optimizer
 //!   state) stay resident on the GPU, so frustum culling and the
@@ -17,9 +23,28 @@
 //!   rendered as two balanced sub-viewports whose gradients are aggregated
 //!   before the optimizer step.
 //!
-//! Functionally every configuration follows the exact same parameter
-//! trajectory as the GPU-only system (up to the deferred update's ε
-//! approximation), which the integration tests verify.
+//! # What is exact
+//!
+//! Bit-exact, with the test that pins each:
+//!
+//! * the GPU-only and baseline placements, selective offloading and
+//!   parameter forwarding: the same loss and parameter bits after every
+//!   step, with and without densification
+//!   (`placements_and_schedules_train_bit_identically_in_lockstep`, and the
+//!   fingerprints in `trained_parameters_match_golden_fingerprints`);
+//! * sparse vs dense Adam: reading the packed gradients in place equals
+//!   expanding them first (`gs-optim`'s
+//!   `sparse_entry_is_bit_identical_to_the_densified_call`, and
+//!   `offload_step_is_bit_identical_to_the_densified_reference_step` in
+//!   `tests/end_to_end.rs`).
+//!
+//! Not yet exact:
+//!
+//! * image splitting: within 1e-4 of the unsplit run
+//!   (`image_splitting_preserves_training_results`); the split path rounds
+//!   the loss gradient twice and sums the halves in a different order;
+//! * the deferred update: within its ε approximation of dense Adam
+//!   (`all_offload_variants_match_gpu_only_training`).
 //!
 //! # Host-side cost of one step
 //!
@@ -111,50 +136,115 @@ impl OffloadOptions {
         }
     }
 
-    /// The options corresponding to a [`SystemKind`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if called with [`SystemKind::GpuOnly`], which is not an
-    /// offloading system.
+    /// The options corresponding to a [`SystemKind`]. GPU-only runs none of
+    /// the optimizations: it differs from the baseline only in placement.
     pub fn for_system(kind: SystemKind) -> Self {
         match kind {
-            SystemKind::BaselineOffload => Self::baseline(),
+            SystemKind::GpuOnly | SystemKind::BaselineOffload => Self::baseline(),
             SystemKind::GsScaleNoDeferred => Self::without_deferred(),
             SystemKind::GsScale => Self::full(),
-            SystemKind::GpuOnly => panic!("GPU-only is not an offloading system"),
         }
     }
 
     /// Display name matching the paper's legend.
     pub fn system_name(&self) -> &'static str {
-        if self.deferred_update {
-            "GS-Scale (all optimizations)"
+        let system = if self.deferred_update {
+            SystemKind::GsScale
         } else if self.selective_offloading || self.parameter_forwarding {
-            "GS-Scale (w/o Deferred Adam)"
+            SystemKind::GsScaleNoDeferred
         } else {
-            "Baseline GS-Scale"
-        }
+            SystemKind::BaselineOffload
+        };
+        system.name()
     }
 }
 
-/// Host-offloading trainer (see module docs).
+/// Where a system keeps its training state: what the step charges to GPU
+/// memory and which timeline events it schedules. Derived from the system,
+/// never set on its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Placement {
+    /// Everything on the host: each pass stages its Gaussians' full rows
+    /// and copies their gradients back; culling and both optimizers run on
+    /// the CPU (baseline offloading).
+    Host,
+    /// Selective offloading: the geometric columns and their Adam state stay
+    /// on the GPU, where culling and their update run; each pass stages the
+    /// non-geometric columns.
+    GeometricResident,
+    /// GPU-only: everything, gradients included, stays on the GPU; nothing
+    /// transfers and one GPU optimizer updates all 59 columns.
+    AllResident,
+}
+
+impl Placement {
+    /// The host placement the options ask for.
+    fn offloaded(options: &OffloadOptions) -> Self {
+        if options.selective_offloading {
+            Placement::GeometricResident
+        } else {
+            Placement::Host
+        }
+    }
+
+    /// What the GPU holds between steps for `n` Gaussians.
+    fn persistent_gpu(self, n: usize) -> [(MemoryCategory, u64); 4] {
+        let all = column_bytes(n, GaussianParams::PARAMS_PER_GAUSSIAN);
+        let geometric = column_bytes(n, GaussianParams::GEOMETRIC_PARAMS);
+        let (params, geometric, grads, state) = match self {
+            Placement::Host => (0, 0, 0, 0),
+            Placement::GeometricResident => (0, geometric, 0, 2 * geometric),
+            Placement::AllResident => (all, 0, all, 2 * all),
+        };
+        [
+            (MemoryCategory::Parameters, params),
+            (MemoryCategory::GeometricParameters, geometric),
+            (MemoryCategory::Gradients, grads),
+            (MemoryCategory::OptimizerState, state),
+        ]
+    }
+
+    /// What one forward/backward pass over `active` Gaussians and `pixels`
+    /// pixels adds: the staged columns (the bytes copied host-to-device),
+    /// their gradients (copied back) and the activations.
+    fn transient_gpu(self, active: usize, pixels: usize) -> [(MemoryCategory, u64); 3] {
+        let all = GaussianParams::PARAMS_PER_GAUSSIAN;
+        let (staged, grads) = match self {
+            Placement::Host => (all, all),
+            Placement::GeometricResident => (GaussianParams::NON_GEOMETRIC_PARAMS, all),
+            Placement::AllResident => (0, 0),
+        };
+        let activations = memory_model::ACTIVATION_BYTES_PER_PIXEL * pixels as u64
+            + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * active as u64;
+        [
+            (MemoryCategory::Parameters, column_bytes(active, staged)),
+            (MemoryCategory::Gradients, column_bytes(active, grads)),
+            (MemoryCategory::Activations, activations),
+        ]
+    }
+}
+
+/// Bytes of `columns` f32 columns over `n` Gaussians.
+fn column_bytes(n: usize, columns: usize) -> u64 {
+    n as u64 * columns as u64 * 4
+}
+
+/// The trainer behind every system (see module docs).
 #[derive(Debug)]
 pub struct OffloadTrainer {
     config: TrainConfig,
     options: OffloadOptions,
+    placement: Placement,
     platform: PlatformSpec,
     /// Host-authoritative parameters. Non-geometric values of deferred
     /// Gaussians are intentionally stale between commits.
     params: GaussianParams,
-    /// Dense Adam for the geometric groups (runs on the GPU under selective
-    /// offloading, on the CPU otherwise).
-    geom_optimizer: DenseAdam,
-    /// Dense Adam for the non-geometric groups (used when the deferred
-    /// update is disabled).
-    cpu_dense: Option<DenseAdam>,
+    /// Dense Adam: the geometric groups always (on the GPU unless the
+    /// placement is `Host`), the non-geometric groups unless the deferred
+    /// update is on.
+    dense: DenseAdam,
     /// Deferred Adam for the non-geometric groups.
-    cpu_deferred: Option<DeferredAdam>,
+    deferred: Option<DeferredAdam>,
     gpu_pool: MemoryPool,
     host_pool: MemoryPool,
     transfer: TransferModel,
@@ -175,27 +265,62 @@ impl OffloadTrainer {
         config: TrainConfig,
         options: OffloadOptions,
         platform: PlatformSpec,
-        init_params: GaussianParams,
+        init: GaussianParams,
+        extent: f32,
+    ) -> Result<Self> {
+        let placement = Placement::offloaded(&options);
+        Self::placed(config, options, placement, platform, init, extent)
+    }
+
+    /// Creates the trainer for one of the four systems of the paper's
+    /// evaluation: [`OffloadOptions::for_system`], placed as the system
+    /// places its buffers. GPU-only is the baseline options with every
+    /// buffer, gradients included, resident on the GPU.
+    ///
+    /// # Errors
+    ///
+    /// Returns an out-of-memory error if the system's resident state does
+    /// not fit the platform's memories.
+    pub fn for_system(
+        kind: SystemKind,
+        config: TrainConfig,
+        platform: PlatformSpec,
+        init: GaussianParams,
+        extent: f32,
+    ) -> Result<Self> {
+        let options = OffloadOptions::for_system(kind);
+        let placement = if kind.is_gpu_only() {
+            Placement::AllResident
+        } else {
+            Placement::offloaded(&options)
+        };
+        Self::placed(config, options, placement, platform, init, extent)
+    }
+
+    fn placed(
+        config: TrainConfig,
+        options: OffloadOptions,
+        placement: Placement,
+        platform: PlatformSpec,
+        init: GaussianParams,
         scene_extent: f32,
     ) -> Result<Self> {
-        let n = init_params.len();
+        let n = init.len();
         let gpu_pool = MemoryPool::new("gpu", platform.gpu.mem_capacity);
         let host_pool = MemoryPool::new("host", platform.cpu.mem_capacity);
         let transfer = TransferModel::new(platform.pcie_bandwidth);
-        let geom_optimizer = DenseAdam::new(config.adam, n);
-        let (cpu_dense, cpu_deferred) = if options.deferred_update {
-            (None, Some(DeferredAdam::new(config.adam, n)))
-        } else {
-            (Some(DenseAdam::new(config.adam, n)), None)
-        };
+        let dense = DenseAdam::new(config.adam, n);
+        let deferred = options
+            .deferred_update
+            .then(|| DeferredAdam::new(config.adam, n));
         let mut trainer = Self {
             config,
             options,
+            placement,
             platform,
-            params: init_params,
-            geom_optimizer,
-            cpu_dense,
-            cpu_deferred,
+            params: init,
+            dense,
+            deferred,
             gpu_pool,
             host_pool,
             transfer,
@@ -228,29 +353,19 @@ impl OffloadTrainer {
     }
 
     fn update_persistent_memory(&mut self) -> Result<()> {
-        let n = self.params.len() as u64;
-        let param_bytes = n * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4;
-        let geom_bytes = n * GaussianParams::GEOMETRIC_PARAMS as u64 * 4;
-
-        // Host always holds the full parameters and optimizer state (plus one
-        // defer counter byte per Gaussian when the deferred update is on).
-        self.host_pool
-            .set(MemoryCategory::Parameters, param_bytes)?;
-        let counter_bytes = if self.options.deferred_update { n } else { 0 };
-        self.host_pool.set(
-            MemoryCategory::OptimizerState,
-            2 * param_bytes + counter_bytes,
-        )?;
-
-        if self.options.selective_offloading {
-            // Geometric attributes and their optimizer state stay on the GPU.
-            self.gpu_pool
-                .set(MemoryCategory::GeometricParameters, geom_bytes)?;
-            self.gpu_pool
-                .set(MemoryCategory::OptimizerState, 2 * geom_bytes)?;
-        } else {
-            self.gpu_pool.set(MemoryCategory::GeometricParameters, 0)?;
-            self.gpu_pool.set(MemoryCategory::OptimizerState, 0)?;
+        let n = self.params.len();
+        if self.placement != Placement::AllResident {
+            // The host holds the full parameters and optimizer state (plus
+            // one defer counter byte per Gaussian when the deferred update
+            // is on).
+            let params = column_bytes(n, GaussianParams::PARAMS_PER_GAUSSIAN);
+            let counters = if self.deferred.is_some() { n as u64 } else { 0 };
+            let host = &mut self.host_pool;
+            host.set(MemoryCategory::Parameters, params)?;
+            host.set(MemoryCategory::OptimizerState, 2 * params + counters)?;
+        }
+        for (category, bytes) in self.placement.persistent_gpu(n) {
+            self.gpu_pool.set(category, bytes)?;
         }
         Ok(())
     }
@@ -258,32 +373,14 @@ impl OffloadTrainer {
     /// Stages the parameters of the listed Gaussians for the GPU forward
     /// pass, restoring deferred values where necessary.
     fn stage_params(&self, ids: &[u32]) -> GaussianParams {
-        match &self.cpu_deferred {
+        match &self.deferred {
             Some(deferred) => deferred.peek_restored(&self.params, ids, &ParamGroup::NON_GEOMETRIC),
             None => self.params.gather(ids),
         }
     }
 
-    /// Bytes shipped host-to-device per staged Gaussian.
-    fn staged_bytes_per_gaussian(&self) -> u64 {
-        if self.options.selective_offloading {
-            (GaussianParams::NON_GEOMETRIC_PARAMS * 4) as u64
-        } else {
-            (GaussianParams::PARAMS_PER_GAUSSIAN * 4) as u64
-        }
-    }
-}
-
-impl Trainer for OffloadTrainer {
-    fn name(&self) -> &str {
-        self.options.system_name()
-    }
-
-    fn params(&self) -> &GaussianParams {
-        &self.params
-    }
-
-    fn step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
+    /// One training step; [`Trainer::step`] checks the GPU pool after it.
+    fn train_step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
         self.iteration += 1;
         let total = self.params.len();
         let full_vp = Viewport::full(cam);
@@ -296,26 +393,19 @@ impl Trainer for OffloadTrainer {
         // ---- 1. Frustum culling over all Gaussians --------------------------
         let cull = frustum_cull(&self.params, cam, &full_vp);
         let active = cull.num_active();
-        let cull_event = if self.options.selective_offloading {
-            // Fused culling kernel over the GPU-resident geometric attributes.
-            let cull_work = work_from_estimate(&render_cost::cull_cost(total, active));
-            sim.schedule(
-                Stream::GpuCompute,
-                "frustum_cull",
-                kernel_time(&cull_work, &gpu, true),
-                &[],
-            )
-        } else {
+        let (cull_stream, cull_label, cull_time) = if self.placement == Placement::Host {
             // Eager-mode tensor ops on the CPU: each projection intermediate
             // materializes, so the traffic is many passes over the tensors.
-            let cull_work = work_from_estimate(&render_cost::cull_cost_cpu_eager(total, active));
-            sim.schedule(
-                Stream::CpuCompute,
-                "cpu_frustum_cull",
-                kernel_time(&cull_work, &cpu, false),
-                &[],
-            )
+            let work = work_from_estimate(&render_cost::cull_cost_cpu_eager(total, active));
+            let time = kernel_time(&work, &cpu, false);
+            (Stream::CpuCompute, "cpu_frustum_cull", time)
+        } else {
+            // Fused culling kernel over the GPU-resident geometric attributes.
+            let work = work_from_estimate(&render_cost::cull_cost(total, active));
+            let time = kernel_time(&work, &gpu, true);
+            (Stream::GpuCompute, "frustum_cull", time)
         };
+        let cull_event = sim.schedule(cull_stream, cull_label, cull_time, &[]);
 
         // ---- 2. Image-splitting decision ------------------------------------
         let active_ratio = if total == 0 {
@@ -337,6 +427,7 @@ impl Trainer for OffloadTrainer {
         let mut total_loss = 0.0f32;
         let mut last_gpu_event = cull_event;
         let mut last_d2h_event = cull_event;
+        let transfers = self.placement != Placement::AllResident;
         for vp in &viewports {
             let sub_cull;
             let ids: &[u32] = if split {
@@ -347,19 +438,10 @@ impl Trainer for OffloadTrainer {
             };
             let staged = self.stage_params(ids);
 
-            // Transient GPU memory for this pass.
-            let staged_param_bytes = ids.len() as u64 * self.staged_bytes_per_gaussian();
-            let grad_bytes = ids.len() as u64 * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4;
-            let activation_bytes = memory_model::ACTIVATION_BYTES_PER_PIXEL
-                * vp.num_pixels() as u64
-                + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * ids.len() as u64;
-            let transient = [
-                (MemoryCategory::Parameters, staged_param_bytes),
-                (MemoryCategory::Gradients, grad_bytes),
-                (MemoryCategory::Activations, activation_bytes),
-            ];
-            // All or nothing: a view that does not fit must leave no charge
-            // behind for the steps after it.
+            // Transient GPU memory for this pass. All or nothing: a view that
+            // does not fit must leave no charge behind for the steps after it.
+            let transient = self.placement.transient_gpu(ids.len(), vp.num_pixels());
+            let [(_, staged_param_bytes), (_, grad_bytes), _] = transient;
             self.gpu_pool.alloc_all(&transient)?;
 
             // Functional forward + loss + backward on the staged subset. The
@@ -391,30 +473,31 @@ impl Trainer for OffloadTrainer {
             merged.merge(&to_sparse_grads(ids, grads));
 
             // Timeline: H2D staging (chunked), forward/backward, D2H grads.
-            let h2d_time: f64 = self
-                .transfer
-                .chunks(staged_param_bytes)
-                .iter()
-                .map(|&c| self.transfer.transfer_time(c))
-                .sum();
-            let fwd_work = work_from_estimate(&output.stats.forward_work());
-            let bwd_work = work_from_estimate(&output.stats.backward_work());
-            let d2h_time = self.transfer.transfer_time(grad_bytes);
-
             // Under parameter forwarding the H2D copy does not wait for the
             // (lazy) CPU optimizer; in the baseline it must wait for the full
             // CPU update, which is modelled by the optimizer event being
             // scheduled before the next iteration starts (serial CPU stream).
-            let h2d = sim.schedule(Stream::HostToDevice, "h2d_params", h2d_time, &[cull_event]);
+            // With everything resident nothing transfers, and the pass waits
+            // only for the cull.
+            let staged_event = if transfers {
+                let h2d_time = self.transfer.chunked_transfer_time(staged_param_bytes);
+                sim.schedule(Stream::HostToDevice, "h2d_params", h2d_time, &[cull_event])
+            } else {
+                cull_event
+            };
+            let fwd_work = work_from_estimate(&output.stats.forward_work());
+            let bwd_work = work_from_estimate(&output.stats.backward_work());
             let fwd = sim.schedule(
                 Stream::GpuCompute,
                 "gpu_fwd_bwd",
                 kernel_time(&fwd_work, &gpu, true) + kernel_time(&bwd_work, &gpu, true),
-                &[h2d, last_gpu_event],
+                &[staged_event, last_gpu_event],
             );
-            let d2h = sim.schedule(Stream::DeviceToHost, "d2h_grads", d2h_time, &[fwd]);
+            if transfers {
+                let d2h_time = self.transfer.transfer_time(grad_bytes);
+                last_d2h_event = sim.schedule(Stream::DeviceToHost, "d2h_grads", d2h_time, &[fwd]);
+            }
             last_gpu_event = fwd;
-            last_d2h_event = d2h;
 
             for (category, bytes) in transient {
                 self.gpu_pool.free(category, bytes);
@@ -422,73 +505,67 @@ impl Trainer for OffloadTrainer {
         }
 
         // ---- 4. Densification statistics ------------------------------------
-        // Statistics are recorded over the full index space (identically to
-        // the GPU-only trainer) so every system makes the same densification
-        // decisions and the trained models stay comparable. The gradients
-        // stay sparse: Gaussians outside the view add a zero norm.
+        // Statistics are recorded over the full index space so every system
+        // makes the same densification decisions and the trained models stay
+        // comparable. The gradients stay sparse: Gaussians outside the view
+        // add a zero norm.
         self.accum.record_sparse(&merged);
 
         // ---- 5. Optimizer updates -------------------------------------------
         // Geometric groups: dense Adam over every Gaussian, reading the
         // sparse gradients in place.
-        let t = self.geom_optimizer.advance();
-        let geom_stats = self.geom_optimizer.apply_groups_sparse(
-            &mut self.params,
-            &merged,
-            &ParamGroup::GEOMETRIC,
-            t,
-        );
-        let geom_event = if self.options.selective_offloading {
-            // Geometric state lives on the GPU: its update follows the
-            // backward pass directly.
-            sim.schedule(
-                Stream::GpuCompute,
-                "msq_optimizer",
-                kernel_time(&work_from_step(&geom_stats, false), &gpu, true),
-                &[last_gpu_event],
-            )
-        } else {
-            // Geometric state lives on the host: the CPU can only update it
-            // after the gradients have been copied back.
-            sim.schedule(
-                Stream::CpuCompute,
-                "cpu_optimizer",
-                kernel_time(&work_from_step(&geom_stats, false), &cpu, false),
-                &[last_d2h_event],
-            )
-        };
-        let _ = geom_event;
+        let t = self.dense.advance();
+        let params = &mut self.params;
+        let geom_stats = self
+            .dense
+            .apply_groups_sparse(params, &merged, &ParamGroup::GEOMETRIC, t);
 
-        // Non-geometric groups on the CPU: dense or deferred.
-        let (cpu_stats, random_access) = if let Some(deferred) = self.cpu_deferred.as_mut() {
-            (
-                deferred.step_groups(&mut self.params, &merged, &ParamGroup::NON_GEOMETRIC),
+        // Non-geometric groups: deferred, or the same dense Adam at the same
+        // step.
+        let (cpu_stats, random_access) = match self.deferred.as_mut() {
+            Some(deferred) => (
+                deferred.step_groups(params, &merged, &ParamGroup::NON_GEOMETRIC),
                 true,
-            )
-        } else {
-            let dense = self.cpu_dense.as_mut().expect("dense optimizer present");
-            let t = dense.advance();
-            (
-                dense.apply_groups_sparse(&mut self.params, &merged, &ParamGroup::NON_GEOMETRIC, t),
+            ),
+            None => (
+                self.dense
+                    .apply_groups_sparse(params, &merged, &ParamGroup::NON_GEOMETRIC, t),
                 false,
-            )
+            ),
         };
-        let cpu_opt_time = kernel_time(&work_from_step(&cpu_stats, random_access), &cpu, false);
-        if self.options.parameter_forwarding {
-            // Pipelined: the CPU update runs concurrently with the GPU work of
-            // this iteration (steady-state model of Figure 9c/9d). Only a
-            // small "forwarding" slice — updating the staged subset — must
-            // precede the H2D copy, which is already charged inside the H2D
-            // latency, so the lazy update has no GPU-side dependents.
-            sim.schedule(Stream::CpuCompute, "cpu_optimizer", cpu_opt_time, &[]);
+        // Geometric state on the host can only be updated after the gradients
+        // have been copied back; on the GPU its update follows the backward
+        // pass directly. With everything resident, one GPU optimizer updates
+        // all 59 columns.
+        let (label, after, geom_stats) = match self.placement {
+            Placement::Host => ("cpu_optimizer", last_d2h_event, geom_stats),
+            Placement::GeometricResident => ("msq_optimizer", last_gpu_event, geom_stats),
+            Placement::AllResident => ("optimizer", last_gpu_event, geom_stats.combine(&cpu_stats)),
+        };
+        let geom_work = work_from_step(&geom_stats, false);
+        if self.placement == Placement::Host {
+            let time = kernel_time(&geom_work, &cpu, false);
+            sim.schedule(Stream::CpuCompute, label, time, &[after]);
         } else {
-            // Serial: the CPU update follows the backward pass and the
-            // gradient transfer back to host memory.
+            let time = kernel_time(&geom_work, &gpu, true);
+            sim.schedule(Stream::GpuCompute, label, time, &[after]);
+        }
+        if transfers {
+            let cpu_opt_time = kernel_time(&work_from_step(&cpu_stats, random_access), &cpu, false);
+            // Pipelined under parameter forwarding: the CPU update runs
+            // concurrently with the GPU work of this iteration (steady-state
+            // model of Figure 9c/9d). Only a small "forwarding" slice —
+            // updating the staged subset — must precede the H2D copy, which
+            // is already charged inside the H2D latency, so the lazy update
+            // has no GPU-side dependents. Serial otherwise: the CPU update
+            // follows the backward pass and the gradient transfer back to
+            // host memory.
+            let deps = (!self.options.parameter_forwarding).then_some(last_d2h_event);
             sim.schedule(
                 Stream::CpuCompute,
                 "cpu_optimizer",
                 cpu_opt_time,
-                &[last_d2h_event],
+                deps.as_slice(),
             );
         }
 
@@ -505,9 +582,37 @@ impl Trainer for OffloadTrainer {
             optimizer_updates: cpu_stats.updated_gaussians,
         })
     }
+}
+
+impl Trainer for OffloadTrainer {
+    fn name(&self) -> &str {
+        if self.placement == Placement::AllResident {
+            SystemKind::GpuOnly.name()
+        } else {
+            self.options.system_name()
+        }
+    }
+
+    fn params(&self) -> &GaussianParams {
+        &self.params
+    }
+
+    fn step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
+        let stats = self.train_step(cam, target);
+        // Whether the step succeeded or ran out of memory, it released every
+        // transient charge: the GPU holds exactly what the placement keeps.
+        let persistent = self.placement.persistent_gpu(self.params.len());
+        debug_assert_eq!(
+            self.gpu_pool.used_total(),
+            persistent.iter().map(|&(_, bytes)| bytes).sum::<u64>(),
+            "GPU memory left charged after step {}",
+            self.iteration
+        );
+        stats
+    }
 
     fn flush(&mut self) {
-        if let Some(deferred) = self.cpu_deferred.as_mut() {
+        if let Some(deferred) = self.deferred.as_mut() {
             deferred.flush_groups(&mut self.params, &ParamGroup::NON_GEOMETRIC);
         }
     }
@@ -525,13 +630,9 @@ impl Trainer for OffloadTrainer {
             &self.config.densify,
             self.scene_extent,
         );
-        self.geom_optimizer.retain_mask(&report.keep_mask);
-        self.geom_optimizer.append_zeros(report.appended);
-        if let Some(dense) = self.cpu_dense.as_mut() {
-            dense.retain_mask(&report.keep_mask);
-            dense.append_zeros(report.appended);
-        }
-        if let Some(deferred) = self.cpu_deferred.as_mut() {
+        self.dense.retain_mask(&report.keep_mask);
+        self.dense.append_zeros(report.appended);
+        if let Some(deferred) = self.deferred.as_mut() {
             deferred.retain_mask(&report.keep_mask);
             deferred.append_zeros(report.appended);
         }
@@ -552,9 +653,132 @@ impl Trainer for OffloadTrainer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::densify::DensifyConfig;
     use crate::gpu_only::GpuOnlyTrainer;
     use gs_core::math::Vec3;
+    use gs_core::scene::init_gaussians_from_point_cloud;
     use gs_render::pipeline::render_image;
+    use gs_scene::{SceneConfig, SceneDataset};
+
+    /// Steps `a` and `b` together over `views`, densifying each when due,
+    /// and reports where they first differ: the iteration, then the loss, the
+    /// Gaussian count, or the first Gaussian and parameter group/column whose
+    /// bits differ. `None` when both agree bit for bit after every step.
+    fn first_divergence(
+        a: &mut dyn Trainer,
+        b: &mut dyn Trainer,
+        views: &[(Camera, Image)],
+        steps: usize,
+    ) -> Option<String> {
+        for iteration in 1..=steps {
+            let (cam, target) = &views[(iteration - 1) % views.len()];
+            let loss_a = a.step(cam, target).unwrap().loss;
+            let loss_b = b.step(cam, target).unwrap().loss;
+            if loss_a.to_bits() != loss_b.to_bits() {
+                return Some(format!("iteration {iteration}: loss {loss_a} vs {loss_b}"));
+            }
+            a.densify_if_due().unwrap();
+            b.densify_if_due().unwrap();
+            let (pa, pb) = (a.params(), b.params());
+            if pa.len() != pb.len() {
+                let (na, nb) = (pa.len(), pb.len());
+                return Some(format!("iteration {iteration}: {na} vs {nb} Gaussians"));
+            }
+            for i in 0..pa.len() {
+                for g in ParamGroup::ALL {
+                    let dim = g.dim();
+                    for column in 0..dim {
+                        let (x, y) = (pa.group(g)[i * dim + column], pb.group(g)[i * dim + column]);
+                        if x.to_bits() != y.to_bits() {
+                            return Some(format!(
+                                "iteration {iteration}: Gaussian {i}, {g:?} column {column}: {x} vs {y}"
+                            ));
+                        }
+                    }
+                }
+            }
+        }
+        None
+    }
+
+    /// GPU-only against the baseline, and against selective offloading with
+    /// parameter forwarding (no splitting, no deferral): the same loss and
+    /// parameter bits after every step, over seeds × active ratio ×
+    /// densification on/off. Four seeds in debug builds, sixteen in release.
+    #[test]
+    fn placements_and_schedules_train_bit_identically_in_lockstep() {
+        const STEPS: usize = 12;
+        let seeds = if cfg!(debug_assertions) { 4 } else { 16 };
+        let platform = PlatformSpec::laptop_rtx4070m();
+        let resident_pipelined = OffloadOptions {
+            selective_offloading: true,
+            parameter_forwarding: true,
+            ..OffloadOptions::baseline()
+        };
+        for seed in 0..seeds {
+            for active_ratio in [0.15, 0.55, 0.9] {
+                let scene = SceneDataset::generate(SceneConfig {
+                    name: "lockstep".to_string(),
+                    num_gaussians: 450,
+                    init_points: 150,
+                    width: 48,
+                    height: 36,
+                    num_train_views: 8,
+                    num_test_views: 1,
+                    target_active_ratio: active_ratio,
+                    extent: 60.0,
+                    far_view_fraction: 0.1,
+                    seed: 40 + seed,
+                });
+                let init = init_gaussians_from_point_cloud(&scene.init_cloud, 0.3);
+                let extent = scene.scene_extent();
+                let views: Vec<(Camera, Image)> = scene
+                    .train_cameras
+                    .iter()
+                    .map(|cam| (cam.clone(), scene.ground_truth(cam)))
+                    .collect();
+                for densifying in [false, true] {
+                    let mut config = TrainConfig::fast_test(STEPS);
+                    if densifying {
+                        config.densify = DensifyConfig {
+                            start_iteration: 5,
+                            stop_iteration: 11,
+                            interval: 5,
+                            grad_threshold: 1.0e-7,
+                            split_scale_fraction: 0.02,
+                            prune_opacity: 0.005,
+                            max_gaussians: 0,
+                        };
+                    }
+                    for options in [OffloadOptions::baseline(), resident_pipelined] {
+                        let mut gpu_only = GpuOnlyTrainer::new(
+                            config.clone(),
+                            platform.clone(),
+                            init.clone(),
+                            extent,
+                        )
+                        .unwrap();
+                        let mut other = OffloadTrainer::new(
+                            config.clone(),
+                            options,
+                            platform.clone(),
+                            init.clone(),
+                            extent,
+                        )
+                        .unwrap();
+                        let case = format!(
+                            "{options:?}, seed {seed}, active ratio {active_ratio}, densify {densifying}"
+                        );
+                        if let Some(at) = first_divergence(&mut gpu_only, &mut other, &views, STEPS)
+                        {
+                            panic!("{case}: left GPU-only at {at}");
+                        }
+                        assert_eq!(gpu_only.num_gaussians() != init.len(), densifying, "{case}");
+                    }
+                }
+            }
+        }
+    }
 
     fn tiny_scene() -> (GaussianParams, Camera, Image) {
         let mut gt = GaussianParams::new();
@@ -874,7 +1098,7 @@ mod tests {
             TrainConfig::fast_test(5),
             OffloadOptions::full(),
             platform,
-            init,
+            init.clone(),
             10.0,
         )
         .unwrap();
@@ -882,6 +1106,18 @@ mod tests {
         for _ in 0..2 {
             assert!(trainer.step(&cam, &target).unwrap_err().is_oom());
             assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
+        }
+
+        // All resident (GPU-only): room for every Gaussian's parameters,
+        // gradients and Adam state, but not for the view's activations.
+        let all_resident = init.len() as u64 * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4 * 4;
+        let platform = PlatformSpec::laptop_rtx4070m().with_gpu_memory(all_resident + 100);
+        let mut gpu_only =
+            GpuOnlyTrainer::new(TrainConfig::fast_test(5), platform, init, 10.0).unwrap();
+        assert_eq!(gpu_only.gpu_pool.used_total(), all_resident);
+        for _ in 0..2 {
+            assert!(gpu_only.step(&cam, &target).unwrap_err().is_oom());
+            assert_eq!(gpu_only.gpu_pool.used_total(), all_resident);
         }
     }
 

@@ -4,8 +4,14 @@
 //! demanding training view. When the active-to-total Gaussian ratio of a
 //! view exceeds `mem_limit`, the image is split into two vertical sub-regions
 //! that are rendered (and back-propagated) independently; their gradients
-//! are aggregated on the CPU before the optimizer step, which keeps the
-//! result mathematically identical to rendering the whole image at once.
+//! are aggregated on the CPU before the optimizer step.
+//!
+//! The result is close to rendering the whole image at once, not bit-exact:
+//! each half's loss gradient is rounded twice (normalised per sub-image,
+//! then rescaled to the full image), each half builds its own tile grid, and
+//! the halves' gradients are summed half by half rather than in full-image
+//! tile order. `image_splitting_preserves_training_results` bounds the
+//! difference at 1e-4 after ten steps.
 //!
 //! Splitting at the image midpoint is usually unbalanced because Gaussian
 //! density varies across the view, so the split column is found once per

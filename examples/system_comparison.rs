@@ -15,9 +15,7 @@
 use gs_scale::core::scene::init_gaussians_from_point_cloud;
 use gs_scale::platform::PlatformSpec;
 use gs_scale::scene::{SceneConfig, SceneDataset};
-use gs_scale::train::{
-    train, GpuOnlyTrainer, OffloadOptions, OffloadTrainer, SystemKind, TrainConfig,
-};
+use gs_scale::train::{train, OffloadTrainer, SystemKind, TrainConfig};
 
 fn main() {
     let scene = SceneDataset::generate(SceneConfig {
@@ -47,29 +45,15 @@ fn main() {
     let mut baseline_throughput = None;
     for kind in SystemKind::ALL {
         let config = TrainConfig::reference(iterations, scene.scene_extent());
-        let outcome = match kind {
-            SystemKind::GpuOnly => {
-                let mut t = GpuOnlyTrainer::new(
-                    config,
-                    platform.clone(),
-                    init.clone(),
-                    scene.scene_extent(),
-                )
-                .expect("fits at this scale");
-                train(&mut t, &scene, iterations, true).expect("training succeeds")
-            }
-            other => {
-                let mut t = OffloadTrainer::new(
-                    config,
-                    OffloadOptions::for_system(other),
-                    platform.clone(),
-                    init.clone(),
-                    scene.scene_extent(),
-                )
-                .expect("fits at this scale");
-                train(&mut t, &scene, iterations, true).expect("training succeeds")
-            }
-        };
+        let mut trainer = OffloadTrainer::for_system(
+            kind,
+            config,
+            platform.clone(),
+            init.clone(),
+            scene.scene_extent(),
+        )
+        .expect("fits at this scale");
+        let outcome = train(&mut trainer, &scene, iterations, true).expect("training succeeds");
 
         let throughput = outcome.run.throughput_images_per_s();
         if kind == SystemKind::BaselineOffload {

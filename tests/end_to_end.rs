@@ -65,26 +65,11 @@ fn run_system(
 ) -> (gs_scale::train::RunStats, QualityReport) {
     let init = init_gaussians_from_point_cloud(&scene.init_cloud, 0.3);
     let cfg = TrainConfig::fast_test(iterations);
-    match kind {
-        SystemKind::GpuOnly => {
-            let mut t =
-                GpuOnlyTrainer::new(cfg, platform.clone(), init, scene.scene_extent()).unwrap();
-            let o = train(&mut t, scene, iterations, true).unwrap();
-            (o.run, o.quality.unwrap())
-        }
-        other => {
-            let mut t = OffloadTrainer::new(
-                cfg,
-                OffloadOptions::for_system(other),
-                platform.clone(),
-                init,
-                scene.scene_extent(),
-            )
+    let mut trainer =
+        OffloadTrainer::for_system(kind, cfg, platform.clone(), init, scene.scene_extent())
             .unwrap();
-            let o = train(&mut t, scene, iterations, true).unwrap();
-            (o.run, o.quality.unwrap())
-        }
-    }
+    let o = train(&mut trainer, scene, iterations, true).unwrap();
+    (o.run, o.quality.unwrap())
 }
 
 #[test]
