@@ -414,36 +414,128 @@ fn killing_a_replica_mid_traffic_loses_zero_submissions() {
     }
 }
 
+/// Loads `scene` as `"tour"` — whole, or split into `shards` — and returns
+/// the frame `req` must produce: the unsharded render, or the single-node
+/// sharded render the relay reproduces bit for bit.
+fn load_tour(
+    cluster: &Coordinator,
+    scene: &TourScene,
+    shards: Option<usize>,
+    req: &WireRequest,
+) -> Vec<f32> {
+    let params = Arc::new(scene.gt_params.clone());
+    match shards {
+        None => {
+            cluster
+                .load_scene("tour", params, scene.background)
+                .unwrap();
+            render_image(
+                &scene.gt_params,
+                &req.to_render_request().camera,
+                3,
+                scene.background,
+            )
+            .data()
+            .to_vec()
+        }
+        Some(n) => {
+            cluster
+                .load_scene_sharded("tour", Arc::clone(&params), scene.background, n)
+                .unwrap();
+            let single = replica_server(1 << 30);
+            single
+                .load_scene_sharded("tour", params, scene.background, n)
+                .unwrap();
+            let frame = single.render_blocking(req.to_render_request()).unwrap();
+            frame.image.data().to_vec()
+        }
+    }
+}
+
 #[test]
 fn drain_moves_traffic_and_rejoin_restores_it() {
+    // Both placement shapes: a whole scene, and a two-shard scene whose
+    // drained shard moves while the relayed frame stays exact.
     let scene = tour(400, 40.0, 38);
-    let cluster = in_process_cluster(2, 1 << 30);
-    cluster
-        .load_scene("tour", Arc::new(scene.gt_params.clone()), scene.background)
-        .unwrap();
-    let home = cluster.scenes()[0].replicas[0];
+    for shards in [None, Some(2usize)] {
+        let cluster = in_process_cluster(2, 1 << 30);
+        let req = wire_request(&scene, "tour", 0);
+        let reference = load_tour(&cluster, &scene, shards, &req);
+        // The whole scene's replica, or the last shard's (view 0 looks
+        // down the corridor and renders every shard).
+        let site = shards.map_or(0, |n| n - 1);
+        let home = cluster.scenes()[0].replicas[site];
 
-    assert!(cluster.drain(home));
-    assert_eq!(cluster.replica_status()[home].health, Health::Draining);
-    // The next render migrates the scene off the draining replica and
-    // still answers correctly.
-    let req = wire_request(&scene, "tour", 0);
-    let frame = cluster.render(&req).unwrap();
-    let reference = render_image(
-        &scene.gt_params,
-        &req.to_render_request().camera,
-        3,
-        scene.background,
-    );
-    assert_eq!(frame.image.data(), reference.data());
-    let moved = cluster.scenes()[0].replicas[0];
-    assert_ne!(moved, home, "the placement must leave the draining replica");
-    assert!(cluster.stats().replacements >= 1);
+        assert!(cluster.drain(home));
+        assert_eq!(cluster.replica_status()[home].health, Health::Draining);
+        // The next render migrates the placement off the draining replica
+        // and still answers correctly.
+        let frame = cluster.render(&req).unwrap();
+        assert_eq!(frame.image.data(), reference.as_slice(), "{shards:?}");
+        assert_eq!(frame.shards_culled, 0);
+        let moved = cluster.scenes()[0].replicas[site];
+        assert_ne!(moved, home, "the placement must leave the draining replica");
+        assert!(cluster.stats().replacements >= 1);
 
-    // Rejoin brings it back for new placements.
-    assert!(cluster.rejoin(home));
-    assert_eq!(cluster.replica_status()[home].health, Health::Up);
-    assert!(!cluster.drain(99), "unknown replica ids are rejected");
+        // Rejoin brings it back for new placements.
+        assert!(cluster.rejoin(home));
+        assert_eq!(cluster.replica_status()[home].health, Health::Up);
+        assert!(!cluster.drain(99), "unknown replica ids are rejected");
+    }
+}
+
+#[test]
+fn a_replica_that_loses_a_copy_gets_it_reloaded_in_place() {
+    // A replica can drop a copy behind the coordinator's back (restart,
+    // eviction by traffic outside the cluster) while staying alive. The
+    // next render must reload that copy from the host-side hold onto the
+    // same replica instead of declaring the replica dead.
+    let scene = tour(400, 40.0, 46);
+    for shards in [None, Some(2usize)] {
+        let servers: Vec<_> = (0..2).map(|_| replica_server(1 << 30)).collect();
+        let cluster = Coordinator::new(ClusterConfig::default());
+        for (i, server) in servers.iter().enumerate() {
+            cluster
+                .add_replica(
+                    format!("replica-{i}"),
+                    ReplicaTransport::InProcess(Arc::clone(server)),
+                )
+                .unwrap();
+        }
+        let req = wire_request(&scene, "tour", 0);
+        let reference = load_tour(&cluster, &scene, shards, &req);
+        let before = cluster.render(&req).unwrap();
+        assert_eq!(before.image.data(), reference.as_slice());
+        assert_eq!(before.shards_culled, 0, "the view must render every shard");
+
+        // Lose the whole scene, or shard `k` (on-replica id `tour@k`).
+        let (site, lost_id) = match shards {
+            None => (0, "tour".to_string()),
+            Some(n) => (n - 1, format!("tour@{}", n - 1)),
+        };
+        let home = cluster.scenes()[0].replicas[site];
+        assert!(
+            servers[home].unload_scene(&lost_id),
+            "{lost_id} was resident"
+        );
+        let counts = cluster.stats();
+
+        let after = cluster.render(&req).unwrap();
+        assert_eq!(
+            after.image.data(),
+            before.image.data(),
+            "{shards:?}: the reloaded copy must render the same frame"
+        );
+        let stats = cluster.stats();
+        assert_eq!(stats.replacements, counts.replacements + 1, "{stats}");
+        assert_eq!(stats.failovers, counts.failovers + 1, "{stats}");
+        assert_eq!(cluster.replica_status()[home].health, Health::Up);
+        assert_eq!(
+            cluster.scenes()[0].replicas[site],
+            home,
+            "reloaded in place"
+        );
+    }
 }
 
 #[test]
