@@ -4,22 +4,27 @@
 //! routes renders by scene id, and turns replica failures into failovers
 //! instead of errors: every scene's parameters are held host-side, so when
 //! a replica stops answering the coordinator marks it down, re-loads the
-//! affected scene (or shard) onto a healthy replica and retries — the
-//! client never sees the death as long as capacity remains.
+//! affected placement onto a healthy replica and retries — the client
+//! never sees the death as long as capacity remains.
 //!
-//! Placement also reacts to **popularity**, not just death: every
-//! placement is a replica *set* (primary plus replication copies), and
+//! The unit of placement is a **site**: a whole scene, or one shard of a
+//! sharded scene, together with the replica *set* serving it (primary plus
+//! replication copies). Routing, failover, lost-copy repair, moves and
+//! replication each have one body that works on a site; the scene's shape
+//! only matters where behaviour differs — a whole scene renders its image
+//! on one replica, a sharded one relays a layer through its visible
+//! shards, and only whole scenes are rebalanced.
+//!
+//! Placement also reacts to **popularity**, not just death:
 //! [`Coordinator::replication_tick`] — driven periodically by
-//! [`crate::replication::ReplicationManager`] — replicates hot
-//! scenes/shards onto extra replicas from the host-side holds, routes
-//! reads across the copies with power-of-two-choices over per-replica
-//! in-flight counts, de-replicates as scenes cool, and rebalances
-//! single-copy scenes onto drained-then-rejoined replicas. Under overload
-//! (a deep in-flight backlog or sustained SLO burn) the coordinator sheds
-//! [`gs_serve::wire::Priority::Speculative`] requests first and serves
-//! interactive requests as reduced-SH brown-out frames instead of failing
-//! them (see [`ClusterConfig::shed_inflight`] and
-//! [`ClusterConfig::brownout_sh_degree`]).
+//! [`crate::replication::ReplicationManager`] — replicates hot sites onto
+//! extra replicas from the host-side holds, routes reads across the copies
+//! with power-of-two-choices over per-replica in-flight counts,
+//! de-replicates as scenes cool, and rebalances single-copy scenes onto
+//! drained-then-rejoined replicas. Under sustained SLO burn the
+//! coordinator sheds [`gs_serve::wire::Priority::Speculative`] requests and
+//! serves interactive requests as reduced-SH brown-out frames instead of
+//! failing them (see [`ClusterConfig::brownout_sh_degree`]).
 //!
 //! Cross-node sharded rendering is a **relay**: the coordinator walks the
 //! visible shards front-to-back, shipping the running layer state to each
@@ -45,21 +50,20 @@ use gs_serve::{
 use gs_trace::{Outcome, TraceRecorder};
 
 use crate::placement::{
-    pick_read_copy, pick_replica, Hold, PlacementCandidate, ReadCandidate, SceneHold,
-    ScenePlacement, ShardHold,
+    pick_read_copy, pick_replica, site_id, Hold, PlacementCandidate, ReadCandidate, SceneHold,
+    ScenePlacement, ShardHold, Site,
 };
 use crate::replica::{Health, Replica, ReplicaError, ReplicaId, ReplicaTransport};
 use crate::replication::ReplicationConfig;
 use crate::stats::{merge_latency, ClusterStats, ReplicaReport};
 
+/// How many times one request (or one placement) may fail over to another
+/// replica before the coordinator gives up.
+const MAX_FAILOVERS: usize = 2;
+
 /// Configuration of a [`Coordinator`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct ClusterConfig {
-    /// Skip shards whose AABB misses the view frustum before fan-out.
-    pub cull_shards: bool,
-    /// How many times one request may fail over to another replica before
-    /// the coordinator gives up.
-    pub max_failovers: usize,
     /// Auto-sharding threshold in bytes for scenes arriving through the
     /// cluster HTTP front-end (0 disables; explicit shard counts override).
     pub shard_bytes: u64,
@@ -88,12 +92,6 @@ pub struct ClusterConfig {
     /// de-replicate rate thresholds, cool-down hysteresis, rebalancing) —
     /// consumed by [`Coordinator::replication_tick`].
     pub replication: ReplicationConfig,
-    /// Priority-aware load shedding: once more than this many renders are
-    /// in flight at the coordinator, speculative requests are shed with
-    /// [`ClusterError::Overloaded`]; past twice the threshold interactive
-    /// requests shed too (`0` disables in-flight shedding — SLO-burn
-    /// shedding still applies).
-    pub shed_inflight: usize,
     /// Graceful brown-out: under overload, interactive requests render at
     /// this SH degree instead of the requested one — a cheaper,
     /// lower-fidelity frame instead of a 503 (`None` disables; frames at
@@ -106,8 +104,6 @@ pub struct ClusterConfig {
 impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
-            cull_shards: true,
-            max_failovers: 2,
             shard_bytes: 32 << 20,
             cache_bytes: 0,
             pose_quant: 0.05,
@@ -117,7 +113,6 @@ impl Default for ClusterConfig {
             span_ring: 256,
             obs: ObsTuning::default(),
             replication: ReplicationConfig::default(),
-            shed_inflight: 0,
             brownout_sh_degree: None,
         }
     }
@@ -146,9 +141,8 @@ pub enum ClusterError {
         /// Attempts performed (1 + failovers).
         attempts: usize,
     },
-    /// The request was shed by priority-aware overload protection (deep
-    /// in-flight backlog or sustained SLO burn); speculative work sheds
-    /// first.
+    /// The request was shed by priority-aware overload protection: under
+    /// sustained SLO burn, speculative work sheds.
     Overloaded {
         /// The scene the shed request named.
         scene: SceneId,
@@ -236,6 +230,27 @@ struct State {
     loading: std::collections::HashSet<SceneId>,
 }
 
+impl State {
+    /// Site `shard` of scene `id` with the scene's background; `None` when
+    /// the scene is not loaded or has no such site (a concurrent
+    /// replacement changed its shape under a routed request).
+    fn site(&self, id: &SceneId, shard: Option<usize>) -> Option<(&Site, [f32; 3])> {
+        let hold = self.scenes.get(id)?;
+        Some((hold.site(shard)?, hold.background))
+    }
+
+    fn site_mut(&mut self, id: &SceneId, shard: Option<usize>) -> Option<&mut Site> {
+        self.scenes.get_mut(id)?.site_mut(shard)
+    }
+
+    /// Routes one hop to replica `rid`, entering its in-flight count.
+    fn routed(&self, rid: ReplicaId) -> Routed {
+        let slot = &self.replicas[rid];
+        let guard = InflightGuard::enter(&slot.inflight);
+        (rid, Arc::clone(&slot.replica), guard)
+    }
+}
+
 #[derive(Default)]
 struct Counters {
     failovers: AtomicU64,
@@ -249,9 +264,8 @@ struct Counters {
     brownouts: AtomicU64,
 }
 
-/// Decrements a shared in-flight count on drop; created when a render is
-/// routed to a replica (and, via [`Coordinator::render_traced`], once per
-/// coordinator-level request).
+/// Decrements a replica's in-flight count on drop; created when a render
+/// is routed to that replica.
 struct InflightGuard(Arc<AtomicU64>);
 
 impl InflightGuard {
@@ -277,41 +291,24 @@ enum Admission {
     Shed,
 }
 
-/// A planned replication copy (phase output of
+/// A planned change to one site's replica set (phase output of
 /// [`Coordinator::replication_tick`], executed outside the state lock).
-struct AddCopy {
+struct SitePlan {
     scene: SceneId,
     shard: Option<usize>,
-    site: SceneId,
+    /// The replica set at planning time.
+    set: Vec<ReplicaId>,
     params: Arc<GaussianParams>,
     background: [f32; 3],
     bytes: u64,
-    /// The replica set at planning time; the add commits only if the set
-    /// is unchanged, and the new copy must land elsewhere.
-    exclude: Vec<ReplicaId>,
 }
-
-/// A planned copy retirement (cooled scene, or a dead copy to prune).
-struct RetireCopy {
-    scene: SceneId,
-    shard: Option<usize>,
-    site: SceneId,
-    rid: ReplicaId,
-    bytes: u64,
-}
-
-/// One placement site of a scene while planning replication:
-/// (shard index, on-replica scene id, replica set, params, bytes).
-type PlacementSite<'a> = (
-    Option<usize>,
-    SceneId,
-    &'a Vec<ReplicaId>,
-    &'a Arc<GaussianParams>,
-    u64,
-);
 
 /// A rebalance candidate: (scene id, params, background, bytes, heat rate).
 type RebalanceCandidate = (SceneId, Arc<GaussianParams>, [f32; 3], u64, f64);
+
+/// A site's replica set resolved for one hop: the chosen replica, its
+/// transport and the guard holding its in-flight count.
+type Routed = (ReplicaId, Arc<Replica>, InflightGuard);
 
 /// What one [`Coordinator::replication_tick`] did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -370,14 +367,9 @@ pub struct Coordinator {
     /// Background watcher driving SLO evaluation and incident capture;
     /// `None` when [`ObsTuning::watcher_interval_ms`] is zero. Joined on
     /// drop.
-    watcher: Option<Watcher>,
-    /// Renders currently in flight at the coordinator (cache hits
-    /// included for their brief residency) — the backlog signal
-    /// [`ClusterConfig::shed_inflight`] compares against.
-    inflight_total: Arc<AtomicU64>,
+    _watcher: Option<Watcher>,
     /// Latched by [`Coordinator::overload_tick`]: whether any SLO is
-    /// burning, which switches shedding/brown-out on independent of the
-    /// in-flight backlog.
+    /// burning, which switches shedding/brown-out on.
     slo_burning: AtomicBool,
     /// Advances once per routed read; feeds the deterministic probe-pair
     /// selection of [`pick_read_copy`].
@@ -385,8 +377,9 @@ pub struct Coordinator {
     /// Consecutive replication ticks each scene has spent below the
     /// de-replication rate (the cool-down hysteresis).
     cool: Mutex<HashMap<SceneId, u32>>,
-    /// `gs_shed_total{priority="speculative"|"interactive"}` handles.
-    shed_metrics: [Counter; 2],
+    /// `gs_shed_total{priority="speculative"}` handle (interactive
+    /// requests brown out or serve, never shed).
+    shed_metric: Counter,
     /// `gs_brownout_frames_total` handle.
     brownout_metric: Counter,
 }
@@ -404,11 +397,6 @@ struct CoordCache {
     cache: FrameCache,
     epochs: std::collections::HashMap<SceneId, u64>,
     clock: u64,
-}
-
-/// The on-replica scene id of shard `k` of cluster scene `id`.
-fn shard_scene_id(id: &SceneId, k: usize) -> SceneId {
-    format!("{id}@{k}")
 }
 
 /// Whether a replica failure warrants marking it down and retrying
@@ -474,6 +462,7 @@ impl Coordinator {
         let watcher = (config.obs.watcher_interval_ms > 0).then(|| {
             let obs = Arc::clone(&obs);
             Watcher::spawn(
+                "gs-obs-watcher",
                 Duration::from_millis(config.obs.watcher_interval_ms),
                 move || {
                     obs.watch_tick();
@@ -483,10 +472,9 @@ impl Coordinator {
         // Register the overload series up front so `/metrics` exposes them
         // at zero before the first shed/brown-out.
         let shed_help = "Requests shed by priority-aware overload protection.";
-        let shed_metrics = [
-            metrics.counter("gs_shed_total", &[("priority", "speculative")], shed_help),
-            metrics.counter("gs_shed_total", &[("priority", "interactive")], shed_help),
-        ];
+        let shed_metric =
+            metrics.counter("gs_shed_total", &[("priority", "speculative")], shed_help);
+        metrics.counter("gs_shed_total", &[("priority", "interactive")], shed_help);
         let brownout_metric = metrics.counter(
             "gs_brownout_frames_total",
             &[],
@@ -504,12 +492,11 @@ impl Coordinator {
             cache,
             recorder: Mutex::new(None),
             obs,
-            watcher,
-            inflight_total: Arc::new(AtomicU64::new(0)),
+            _watcher: watcher,
             slo_burning: AtomicBool::new(false),
             route_salt: AtomicU64::new(0),
             cool: Mutex::new(HashMap::new()),
-            shed_metrics,
+            shed_metric,
             brownout_metric,
         }
     }
@@ -518,11 +505,6 @@ impl Coordinator {
     /// ring, metrics registry, SLO engine, heat tables, flight recorder).
     pub fn obs(&self) -> &ServeObs {
         &self.obs
-    }
-
-    /// Whether the background SLO/incident watcher thread is running.
-    pub fn watcher_running(&self) -> bool {
-        self.watcher.is_some()
     }
 
     /// Prometheus text exposition of the coordinator's metrics registry.
@@ -762,7 +744,7 @@ impl Coordinator {
         bytes: u64,
         exclude: &[ReplicaId],
     ) -> Result<ReplicaId, ClusterError> {
-        for _ in 0..=self.config.max_failovers {
+        for _ in 0..=MAX_FAILOVERS {
             let (rid, replica) = self.reserve(bytes, exclude)?;
             match replica.load_scene(on_replica_id, params, background) {
                 Ok(()) => return Ok(rid),
@@ -798,23 +780,9 @@ impl Coordinator {
         params: Arc<GaussianParams>,
         background: [f32; 3],
     ) -> Result<(), ClusterError> {
-        let id = id.into();
         let bytes = params.total_bytes() as u64;
-        let rid = self.place(&id, &params, background, bytes, &[])?;
-        let hold = SceneHold {
-            background,
-            hold: Hold::Single {
-                replicas: vec![rid],
-                params,
-                bytes,
-            },
-        };
-        let stale = self.commit_scene(id.clone(), hold);
-        // After the commit: in-flight renders of the replaced parameters
-        // captured the pre-bump epoch and cannot re-insert stale frames.
-        self.invalidate_cached_scene(&id);
-        self.unload_holds(stale);
-        Ok(())
+        let hold = Hold::Single(Site::unplaced(params, bytes));
+        self.install(id.into(), background, hold).map(|_| ())
     }
 
     /// Loads (or replaces) a scene partitioned into `shards` spatial shards
@@ -838,87 +806,95 @@ impl Coordinator {
         background: [f32; 3],
         shards: usize,
     ) -> Result<usize, ClusterError> {
-        let id = id.into();
-        let sources = shard_scene(&params, shards);
-        let mut placed: Vec<ShardHold> = Vec::with_capacity(sources.len());
-        for (k, source) in sources.into_iter().enumerate() {
-            let result = self.place(
-                &shard_scene_id(&id, k),
-                &source.params,
-                background,
-                source.bytes,
-                &[],
-            );
-            match result {
-                Ok(rid) => placed.push(ShardHold {
-                    replicas: vec![rid],
-                    params: source.params,
-                    aabb: source.aabb,
-                    max_scale: source.max_scale,
-                    bytes: source.bytes,
-                }),
+        let shards = shard_scene(&params, shards)
+            .into_iter()
+            .map(|source| ShardHold {
+                site: Site::unplaced(source.params, source.bytes),
+                aabb: source.aabb,
+                max_scale: source.max_scale,
+            })
+            .collect();
+        self.install(id.into(), background, Hold::Sharded(shards))
+    }
+
+    /// Places every site of a new hold, then commits the hold in place of
+    /// whatever `id` held before. Returns how many sites were placed.
+    fn install(
+        &self,
+        id: SceneId,
+        background: [f32; 3],
+        hold: Hold,
+    ) -> Result<usize, ClusterError> {
+        let mut hold = SceneHold { background, hold };
+        let mut failure = None;
+        for (shard, site) in hold.sites_mut() {
+            let on_replica = site_id(&id, shard);
+            match self.place(&on_replica, &site.params, background, site.bytes, &[]) {
+                Ok(rid) => site.replicas.push(rid),
                 Err(e) => {
-                    // Roll back what was already placed. A site the *still
-                    // committed* old hold also occupies was replaced in
-                    // place by this failed attempt — restore the old
-                    // shard's data there instead of unloading it, so a
-                    // failed replacement leaves the existing scene
-                    // serving.
-                    for (j, hold) in placed.into_iter().enumerate() {
-                        let rid = hold.replicas[0];
-                        self.release(rid, hold.bytes);
-                        let site = shard_scene_id(&id, j);
-                        let (replica, restore) = {
-                            let state = self.state.lock().unwrap();
-                            let restore = state.scenes.get(&id).and_then(|old| match &old.hold {
-                                Hold::Sharded { shards } => shards
-                                    .get(j)
-                                    .filter(|s| s.replicas.contains(&rid))
-                                    .map(|s| (Arc::clone(&s.params), old.background)),
-                                Hold::Single { .. } => None,
-                            });
-                            (Arc::clone(&state.replicas[rid].replica), restore)
-                        };
-                        match restore {
-                            Some((old_params, old_background)) => {
-                                let _ = replica.load_scene(&site, &old_params, old_background);
-                            }
-                            None => {
-                                let _ = replica.unload_scene(&site);
-                            }
-                        }
-                    }
-                    return Err(e);
+                    failure = Some(e);
+                    break;
                 }
             }
         }
-        let count = placed.len();
-        let hold = SceneHold {
-            background,
-            hold: Hold::Sharded { shards: placed },
-        };
+        if let Some(e) = failure {
+            self.roll_back(&id, &hold);
+            return Err(e);
+        }
+        let count = hold.sites().len();
         let stale = self.commit_scene(id.clone(), hold);
+        // After the commit: in-flight renders of the replaced parameters
+        // captured the pre-bump epoch and cannot re-insert stale frames.
         self.invalidate_cached_scene(&id);
         self.unload_holds(stale);
         Ok(count)
     }
 
-    /// The `(replica, on-replica id)` pairs a hold occupies — one per
-    /// copy, so a replicated placement lists every replica in its set.
-    fn hold_sites(id: &SceneId, hold: &SceneHold) -> Vec<(ReplicaId, SceneId)> {
-        match &hold.hold {
-            Hold::Single { replicas, .. } => replicas.iter().map(|&r| (r, id.clone())).collect(),
-            Hold::Sharded { shards } => shards
-                .iter()
-                .enumerate()
-                .flat_map(|(k, s)| {
-                    s.replicas
-                        .iter()
-                        .map(move |&r| (r, shard_scene_id(id, k)))
-                        .collect::<Vec<_>>()
-                })
-                .collect(),
+    /// Undoes the sites a failed [`Coordinator::install`] already placed.
+    /// A site the *still committed* old hold also occupies was replaced in
+    /// place by the failed attempt — the old site's data is restored there
+    /// instead of unloaded, so a failed replacement leaves the existing
+    /// scene serving.
+    fn roll_back(&self, id: &SceneId, attempt: &SceneHold) {
+        for (shard, site) in attempt.sites() {
+            let Some(&rid) = site.replicas.first() else {
+                continue;
+            };
+            self.release(rid, site.bytes);
+            let on_replica = site_id(id, shard);
+            let (replica, restore) = {
+                let state = self.state.lock().unwrap();
+                let restore = state.scenes.get(id).and_then(|old| {
+                    old.site(shard)
+                        .filter(|s| s.replicas.contains(&rid))
+                        .map(|s| (Arc::clone(&s.params), old.background))
+                });
+                (Arc::clone(&state.replicas[rid].replica), restore)
+            };
+            match restore {
+                Some((params, background)) => {
+                    let _ = replica.load_scene(&on_replica, &params, background);
+                }
+                None => {
+                    let _ = replica.unload_scene(&on_replica);
+                }
+            }
         }
+    }
+
+    /// Every copy of every site of a hold: `(replica, on-replica id,
+    /// bytes)`, so a replicated site lists every replica in its set.
+    fn copies(id: &SceneId, hold: &SceneHold) -> Vec<(ReplicaId, SceneId, u64)> {
+        let mut copies = Vec::new();
+        for (shard, site) in hold.sites() {
+            let on_replica = site_id(id, shard);
+            copies.extend(
+                site.replicas
+                    .iter()
+                    .map(|&r| (r, on_replica.clone(), site.bytes)),
+            );
+        }
+        copies
     }
 
     /// Installs a scene hold, returning the unload work for whatever it
@@ -927,7 +903,7 @@ impl Coordinator {
     /// unloaded — the on-replica load already replaced the data in place,
     /// and unloading would delete the copy that was just installed.
     fn commit_scene(&self, id: SceneId, hold: SceneHold) -> Vec<(Arc<Replica>, SceneId)> {
-        let kept = Self::hold_sites(&id, &hold);
+        let kept = Self::copies(&id, &hold);
         let mut state = self.state.lock().unwrap();
         let old = state.scenes.insert(id.clone(), hold);
         match old {
@@ -937,36 +913,20 @@ impl Coordinator {
     }
 
     /// Releases an old hold's budget reservations and lists the on-replica
-    /// unloads to perform. Sites named in `kept` release their budget but
+    /// unloads to perform. Copies named in `kept` release their budget but
     /// are not unloaded (the new hold lives there).
     fn unplace_locked(
         state: &mut State,
         id: &SceneId,
         hold: &SceneHold,
-        kept: &[(ReplicaId, SceneId)],
+        kept: &[(ReplicaId, SceneId, u64)],
     ) -> Vec<(Arc<Replica>, SceneId)> {
         let mut work = Vec::new();
-        let mut release = |state: &mut State, rid: ReplicaId, bytes: u64, scene: SceneId| {
+        for (rid, on_replica, bytes) in Self::copies(id, hold) {
             if let Some(slot) = state.replicas.get_mut(rid) {
                 slot.placed = slot.placed.saturating_sub(bytes);
-                if !kept.iter().any(|(kr, ks)| *kr == rid && *ks == scene) {
-                    work.push((Arc::clone(&slot.replica), scene));
-                }
-            }
-        };
-        match &hold.hold {
-            Hold::Single {
-                replicas, bytes, ..
-            } => {
-                for &rid in replicas {
-                    release(state, rid, *bytes, id.clone());
-                }
-            }
-            Hold::Sharded { shards } => {
-                for (k, shard) in shards.iter().enumerate() {
-                    for &rid in &shard.replicas {
-                        release(state, rid, shard.bytes, shard_scene_id(id, k));
-                    }
+                if !kept.iter().any(|(r, s, _)| *r == rid && *s == on_replica) {
+                    work.push((Arc::clone(&slot.replica), on_replica));
                 }
             }
         }
@@ -1028,28 +988,18 @@ impl Coordinator {
         state
             .scenes
             .iter()
-            .map(|(id, hold)| match &hold.hold {
-                Hold::Single {
-                    replicas,
-                    params,
-                    bytes,
-                } => ScenePlacement {
+            .map(|(id, hold)| {
+                let sites = hold.sites();
+                ScenePlacement {
                     id: id.clone(),
-                    shards: 1,
-                    replicas: replicas.clone(),
-                    gaussians: params.len(),
-                    bytes: *bytes,
-                },
-                Hold::Sharded { shards } => ScenePlacement {
-                    id: id.clone(),
-                    shards: shards.len(),
-                    replicas: shards
+                    shards: sites.len(),
+                    replicas: sites
                         .iter()
-                        .flat_map(|s| s.replicas.iter().copied())
+                        .flat_map(|(_, s)| s.replicas.iter().copied())
                         .collect(),
-                    gaussians: shards.iter().map(|s| s.params.len()).sum(),
-                    bytes: shards.iter().map(|s| s.bytes).sum(),
-                },
+                    gaussians: sites.iter().map(|(_, s)| s.params.len()).sum(),
+                    bytes: sites.iter().map(|(_, s)| s.bytes).sum(),
+                }
             })
             .collect()
     }
@@ -1062,25 +1012,10 @@ impl Coordinator {
     pub fn placement_bytes_by_replica(&self) -> Vec<u64> {
         let state = self.state.lock().unwrap();
         let mut totals = vec![0u64; state.replicas.len()];
-        for hold in state.scenes.values() {
-            match &hold.hold {
-                Hold::Single {
-                    replicas, bytes, ..
-                } => {
-                    for &rid in replicas {
-                        if let Some(t) = totals.get_mut(rid) {
-                            *t += *bytes;
-                        }
-                    }
-                }
-                Hold::Sharded { shards } => {
-                    for shard in shards {
-                        for &rid in &shard.replicas {
-                            if let Some(t) = totals.get_mut(rid) {
-                                *t += shard.bytes;
-                            }
-                        }
-                    }
+        for (id, hold) in &state.scenes {
+            for (rid, _, bytes) in Self::copies(id, hold) {
+                if let Some(t) = totals.get_mut(rid) {
+                    *t += bytes;
                 }
             }
         }
@@ -1135,7 +1070,6 @@ impl Coordinator {
         trace: Option<&TraceContext>,
     ) -> Result<ClusterFrame, ClusterError> {
         let started = Instant::now();
-        let _inflight = InflightGuard::enter(&self.inflight_total);
         let recorder = self.recorder.lock().unwrap().clone();
         let arrival_us = recorder.as_deref().map_or(0, TraceRecorder::now_us);
         let record = |outcome: Outcome| {
@@ -1208,11 +1142,7 @@ impl Coordinator {
             }
             Admission::Shed => {
                 self.counters.shed.fetch_add(1, Ordering::Relaxed);
-                let which = match request.priority {
-                    Priority::Speculative => 0,
-                    Priority::Interactive => 1,
-                };
-                self.shed_metrics[which].inc();
+                self.shed_metric.inc();
                 Err(ClusterError::Overloaded {
                     scene: request.scene.clone(),
                 })
@@ -1259,25 +1189,19 @@ impl Coordinator {
         result
     }
 
-    /// The overload decision for one cache-missing request: speculative
-    /// work sheds as soon as the coordinator is overloaded (in-flight
-    /// backlog past [`ClusterConfig::shed_inflight`], or sustained SLO
-    /// burn); interactive work browns out to a reduced-SH frame when
-    /// configured, and only sheds past twice the backlog threshold.
+    /// The overload decision for one cache-missing request: while an SLO
+    /// is burning, speculative work sheds and interactive work browns out
+    /// to a reduced-SH frame when configured.
     fn admit(&self, request: &WireRequest) -> Admission {
-        let threshold = self.config.shed_inflight as u64;
-        let inflight = self.inflight_total.load(Ordering::Relaxed);
-        let backlogged = threshold > 0 && inflight > threshold;
-        let hard_backlogged = threshold > 0 && inflight > threshold.saturating_mul(2);
-        let overloaded = backlogged || self.slo_burning.load(Ordering::Relaxed);
+        if !self.slo_burning.load(Ordering::Relaxed) {
+            return Admission::Serve;
+        }
         match request.priority {
-            Priority::Speculative if overloaded => Admission::Shed,
-            Priority::Interactive if hard_backlogged => Admission::Shed,
-            Priority::Interactive if overloaded => match self.config.brownout_sh_degree {
+            Priority::Speculative => Admission::Shed,
+            Priority::Interactive => match self.config.brownout_sh_degree {
                 Some(floor) if floor < request.sh_degree => Admission::Brownout(floor),
                 _ => Admission::Serve,
             },
-            _ => Admission::Serve,
         }
     }
 
@@ -1309,6 +1233,9 @@ impl Coordinator {
         burning
     }
 
+    /// Render dispatch, the one place the render path reads the scene's
+    /// shape: a whole scene renders its image on one replica, a sharded
+    /// scene relays a layer through its visible shards.
     fn render_inner(
         &self,
         request: &WireRequest,
@@ -1321,139 +1248,111 @@ impl Coordinator {
                 .scenes
                 .get(&request.scene)
                 .ok_or_else(|| ClusterError::UnknownScene(request.scene.clone()))?;
-            matches!(hold.hold, Hold::Sharded { .. })
+            matches!(hold.hold, Hold::Sharded(_))
         };
         if is_sharded {
-            self.render_sharded(request, started, trace)
-        } else {
-            self.render_single(request, started, trace)
+            return self.render_sharded(request, started, trace);
         }
+        let ((image, shards), replica) = self.call_site(
+            &request.scene,
+            None,
+            trace,
+            |replica| format!("call:{}", replica.name()),
+            |replica, ctx| replica.render(request, ctx),
+        )?;
+        Ok(ClusterFrame {
+            image: Arc::new(image),
+            scene: request.scene.clone(),
+            shards_rendered: shards,
+            shards_culled: 0,
+            replica: Some(replica.name().to_string()),
+            cache_hit: false,
+            latency: started.elapsed(),
+        })
     }
 
-    /// Routes a single-scene render to its replica, re-placing the scene
-    /// from the host-side hold when the replica is dead or draining.
-    fn render_single(
+    /// Runs `call` against a replica serving site `shard` of scene `id`,
+    /// with failover. A replica that is unreachable or shedding is marked
+    /// down and the site routed again (re-placed from the host-side hold
+    /// when no copy is up); a replica that answers `UnknownScene` is alive
+    /// but lost its copy, which is reloaded in place. Each attempt records
+    /// one hop span named by `hop`, so a failover leaves the failed
+    /// attempt's span in the tree next to the retry's. Returns the call's
+    /// value and the replica that answered.
+    fn call_site<T>(
         &self,
-        request: &WireRequest,
-        started: Instant,
+        id: &SceneId,
+        shard: Option<usize>,
         trace: Option<&TraceContext>,
-    ) -> Result<ClusterFrame, ClusterError> {
+        hop: impl Fn(&Replica) -> String,
+        call: impl Fn(&Replica, Option<&TraceContext>) -> Result<T, ReplicaError>,
+    ) -> Result<(T, Arc<Replica>), ClusterError> {
         let mut attempts = 0usize;
         loop {
             attempts += 1;
-            let (rid, replica, _inflight) = self.route_single(&request.scene)?;
-            // One hop span per attempt: a failover leaves the failed
-            // attempt's span in the tree next to the retry's.
-            let hop = trace.map(|ctx| ctx.child(format!("call:{}", replica.name())));
-            let hop_ctx = match (&hop, trace) {
+            let (rid, replica, _inflight) = self.route(id, shard)?;
+            let span = trace.map(|ctx| ctx.child(hop(&replica)));
+            let hop_ctx = match (&span, trace) {
                 (Some(span), Some(ctx)) => Some(ctx.at(span.id())),
                 _ => None,
             };
-            match replica.render(request, hop_ctx.as_ref()) {
-                Ok((image, shards)) => {
-                    return Ok(ClusterFrame {
-                        image: Arc::new(image),
-                        scene: request.scene.clone(),
-                        shards_rendered: shards,
-                        shards_culled: 0,
-                        replica: Some(replica.name().to_string()),
-                        cache_hit: false,
-                        latency: started.elapsed(),
-                    });
-                }
+            let lost_copy = match call(&replica, hop_ctx.as_ref()) {
+                Ok(value) => return Ok((value, replica)),
                 Err(e) if failover_worthy(&e) => {
                     self.mark_down(rid);
-                    self.counters.failovers.fetch_add(1, Ordering::Relaxed);
                     self.obs.recorder().record(
                         Event::new(
                             EventLevel::Warn,
                             "coordinator",
                             "render failover: replica unreachable or shedding",
                         )
-                        .scene(request.scene.clone())
+                        .scene(id.clone())
                         .replica(replica.name().to_string())
                         .field("attempt", attempts.to_string()),
                     );
-                    if attempts > self.config.max_failovers {
-                        return Err(ClusterError::Exhausted {
-                            scene: request.scene.clone(),
-                            attempts,
-                        });
-                    }
+                    false
                 }
-                Err(ReplicaError::Serve(ServeError::UnknownScene(_))) => {
-                    // The replica is alive but lost its copy: reload it in
-                    // place (the bytes are still accounted there) and retry,
-                    // instead of declaring a healthy replica dead.
-                    self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    if attempts > self.config.max_failovers {
-                        return Err(ClusterError::Exhausted {
-                            scene: request.scene.clone(),
-                            attempts,
-                        });
-                    }
-                    match self.repair_placement(&request.scene, None, rid) {
-                        Repair::Repaired => {}
-                        Repair::Gone => {
-                            return Err(ClusterError::UnknownScene(request.scene.clone()))
-                        }
-                        Repair::Failed => self.mark_down(rid),
-                    }
-                }
+                Err(ReplicaError::Serve(ServeError::UnknownScene(_))) => true,
                 Err(ReplicaError::Serve(e)) => return Err(ClusterError::Serve(e)),
                 Err(ReplicaError::Transport(_)) => unreachable!("covered by failover_worthy"),
+            };
+            self.counters.failovers.fetch_add(1, Ordering::Relaxed);
+            if attempts > MAX_FAILOVERS {
+                return Err(ClusterError::Exhausted {
+                    scene: id.clone(),
+                    attempts,
+                });
+            }
+            // A lost copy is reloaded in place (its bytes are still
+            // accounted there) instead of declaring a healthy replica dead.
+            if lost_copy {
+                match self.repair_placement(id, shard, rid) {
+                    Repair::Repaired => {}
+                    Repair::Gone => return Err(ClusterError::UnknownScene(id.clone())),
+                    Repair::Failed => self.mark_down(rid),
+                }
             }
         }
     }
 
-    /// Reloads a placement copy the replica `rid` reported lost (see
-    /// [`Repair`]). The copy's bytes stay accounted to its replica, so no
-    /// budget moves. When `rid` is no longer in the placement's replica
-    /// set (the copy moved or was de-replicated concurrently) there is
-    /// nothing to repair — the retry re-routes to the current set.
+    /// Reloads the copy of site `shard` the replica `rid` reported lost
+    /// (see [`Repair`]). The copy's bytes stay accounted to its replica, so
+    /// no budget moves. When `rid` is no longer in the site's replica set
+    /// (the copy moved or was de-replicated concurrently) there is nothing
+    /// to repair — the retry re-routes to the current set.
     fn repair_placement(&self, id: &SceneId, shard: Option<usize>, rid: ReplicaId) -> Repair {
-        let (replica, on_replica_id, params, background) = {
+        let (replica, params, background) = {
             let state = self.state.lock().unwrap();
-            let Some(hold) = state.scenes.get(id) else {
+            let Some((site, background)) = state.site(id, shard) else {
                 return Repair::Gone;
             };
-            match (&hold.hold, shard) {
-                (
-                    Hold::Single {
-                        replicas, params, ..
-                    },
-                    None,
-                ) => {
-                    if !replicas.contains(&rid) {
-                        return Repair::Repaired;
-                    }
-                    (
-                        Arc::clone(&state.replicas[rid].replica),
-                        id.clone(),
-                        Arc::clone(params),
-                        hold.background,
-                    )
-                }
-                (Hold::Sharded { shards }, Some(k)) => {
-                    let Some(shard) = shards.get(k) else {
-                        return Repair::Gone;
-                    };
-                    if !shard.replicas.contains(&rid) {
-                        return Repair::Repaired;
-                    }
-                    (
-                        Arc::clone(&state.replicas[rid].replica),
-                        shard_scene_id(id, k),
-                        Arc::clone(&shard.params),
-                        hold.background,
-                    )
-                }
-                // The hold changed shape concurrently; the routed request
-                // is stale.
-                _ => return Repair::Gone,
+            if !site.replicas.contains(&rid) {
+                return Repair::Repaired;
             }
+            let replica = Arc::clone(&state.replicas[rid].replica);
+            (replica, Arc::clone(&site.params), background)
         };
-        match replica.load_scene(&on_replica_id, &params, background) {
+        match replica.load_scene(&site_id(id, shard), &params, background) {
             Ok(()) => {
                 self.counters.replacements.fetch_add(1, Ordering::Relaxed);
                 self.obs.recorder().record(
@@ -1490,48 +1389,26 @@ impl Coordinator {
         pick_read_copy(&copies, salt)
     }
 
-    /// The serving replica for a single scene: a load-balanced pick over
-    /// the up copies of its replica set, or — when no copy is up — a
-    /// re-placement that collapses the set onto one healthy replica. The
-    /// returned guard holds the chosen replica's in-flight count for the
-    /// duration of the hop.
-    fn route_single(
-        &self,
-        id: &SceneId,
-    ) -> Result<(ReplicaId, Arc<Replica>, InflightGuard), ClusterError> {
+    /// The serving replica for site `shard` of scene `id`: a load-balanced
+    /// pick over the up copies of its replica set, or — when no copy is up
+    /// — a re-placement that collapses the set onto one healthy replica.
+    fn route(&self, id: &SceneId, shard: Option<usize>) -> Result<Routed, ClusterError> {
         let (copies, params, background, bytes) = {
             let state = self.state.lock().unwrap();
-            let hold = state
-                .scenes
-                .get(id)
+            let (site, background) = state
+                .site(id, shard)
                 .ok_or_else(|| ClusterError::UnknownScene(id.clone()))?;
-            // A concurrent replacement can change the hold's shape under a
-            // routed request; the stale request is answered as unknown.
-            let Hold::Single {
-                replicas,
-                params,
-                bytes,
-            } = &hold.hold
-            else {
-                return Err(ClusterError::UnknownScene(id.clone()));
-            };
-            if let Some(rid) = self.pick_up_copy(&state, replicas) {
-                let slot = &state.replicas[rid];
-                let guard = InflightGuard::enter(&slot.inflight);
-                return Ok((rid, Arc::clone(&slot.replica), guard));
+            if let Some(rid) = self.pick_up_copy(&state, &site.replicas) {
+                return Ok(state.routed(rid));
             }
-            (
-                replicas.clone(),
-                Arc::clone(params),
-                hold.background,
-                *bytes,
-            )
+            let params = Arc::clone(&site.params);
+            (site.replicas.clone(), params, background, site.bytes)
         };
-        // No copy is up (down or draining): move the placement.
-        let new_rid = self.place(id, &params, background, bytes, &copies)?;
+        // No copy is up (down or draining): move the site.
+        let new_rid = self.place(&site_id(id, shard), &params, background, bytes, &copies)?;
         self.commit_move(
             id,
-            None,
+            shard,
             &copies,
             new_rid,
             bytes,
@@ -1539,55 +1416,12 @@ impl Coordinator {
         )
     }
 
-    /// The serving replica for shard `k` (see [`Coordinator::route_single`]
-    /// — same copy-set balancing and collapse-on-failure semantics).
-    fn route_shard(
-        &self,
-        id: &SceneId,
-        k: usize,
-    ) -> Result<(ReplicaId, Arc<Replica>, InflightGuard), ClusterError> {
-        let (copies, params, background, bytes) = {
-            let state = self.state.lock().unwrap();
-            let hold = state
-                .scenes
-                .get(id)
-                .ok_or_else(|| ClusterError::UnknownScene(id.clone()))?;
-            let Hold::Sharded { shards } = &hold.hold else {
-                return Err(ClusterError::UnknownScene(id.clone()));
-            };
-            // `k` may be stale if the scene was concurrently re-sharded.
-            let Some(shard) = shards.get(k) else {
-                return Err(ClusterError::UnknownScene(id.clone()));
-            };
-            if let Some(rid) = self.pick_up_copy(&state, &shard.replicas) {
-                let slot = &state.replicas[rid];
-                let guard = InflightGuard::enter(&slot.inflight);
-                return Ok((rid, Arc::clone(&slot.replica), guard));
-            }
-            (
-                shard.replicas.clone(),
-                Arc::clone(&shard.params),
-                hold.background,
-                shard.bytes,
-            )
-        };
-        let new_rid = self.place(&shard_scene_id(id, k), &params, background, bytes, &copies)?;
-        self.commit_move(
-            id,
-            Some(k),
-            &copies,
-            new_rid,
-            bytes,
-            "placement moved off unhealthy replica",
-        )
-    }
-
-    /// Commits a placement move after the new replica already holds the
-    /// data: if the table's replica set still equals `old`, the move wins —
-    /// the set collapses to the new replica, every old copy's bytes are
-    /// released and live old copies are unloaded. If a concurrent mover won
-    /// or the scene vanished/changed shape, this move's reservation is
-    /// released and its redundant on-replica copy unloaded.
+    /// Commits a move of site `shard` after the new replica already holds
+    /// the data: if the site's replica set still equals `old`, the move
+    /// wins — the set collapses to the new replica, every old copy's bytes
+    /// are released and live old copies are unloaded. If a concurrent
+    /// mover won or the site vanished, this move's reservation is released
+    /// and its redundant on-replica copy unloaded.
     fn commit_move(
         &self,
         id: &SceneId,
@@ -1596,28 +1430,13 @@ impl Coordinator {
         new_rid: ReplicaId,
         bytes: u64,
         reason: &'static str,
-    ) -> Result<(ReplicaId, Arc<Replica>, InflightGuard), ClusterError> {
-        let on_replica_id = match shard {
-            Some(k) => shard_scene_id(id, k),
-            None => id.clone(),
-        };
+    ) -> Result<Routed, ClusterError> {
         // `cleanup` unloads redundant copies outside the lock.
         let mut cleanup: Vec<Arc<Replica>> = Vec::new();
         let result = {
             let mut state = self.state.lock().unwrap();
             let replica = Arc::clone(&state.replicas[new_rid].replica);
-            let assigned =
-                state
-                    .scenes
-                    .get_mut(id)
-                    .and_then(|hold| match (&mut hold.hold, shard) {
-                        (Hold::Single { replicas, .. }, None) => Some(replicas),
-                        (Hold::Sharded { shards }, Some(k)) => {
-                            shards.get_mut(k).map(|s| &mut s.replicas)
-                        }
-                        _ => None,
-                    });
-            match assigned {
+            match state.site_mut(id, shard).map(|s| &mut s.replicas) {
                 Some(set) if *set == old => {
                     *set = vec![new_rid];
                     // Each old copy's bytes are released; if the move
@@ -1642,8 +1461,7 @@ impl Coordinator {
                             .scene(id.clone())
                             .replica(replica.name().to_string()),
                     );
-                    let guard = InflightGuard::enter(&state.replicas[new_rid].inflight);
-                    Ok((new_rid, replica, guard))
+                    Ok(state.routed(new_rid))
                 }
                 Some(set) => {
                     // A concurrent mover won. Release our reservation; our
@@ -1651,29 +1469,22 @@ impl Coordinator {
                     // names our replica, in which case "our" copy is a
                     // live copy. Route to an up member of the winning set
                     // (or its head — the render retry handles a dead one).
-                    let set_snapshot = set.clone();
+                    let winners = set.clone();
                     if let Some(mine) = state.replicas.get_mut(new_rid) {
                         mine.placed = mine.placed.saturating_sub(bytes);
                     }
-                    if !set_snapshot.contains(&new_rid) {
+                    if !winners.contains(&new_rid) {
                         cleanup.push(replica);
                     }
-                    match set_snapshot.first() {
-                        Some(&head) => {
-                            let winner = set_snapshot
-                                .iter()
-                                .copied()
-                                .find(|&r| {
-                                    state
-                                        .replicas
-                                        .get(r)
-                                        .is_some_and(|s| s.health == Health::Up)
-                                })
-                                .unwrap_or(head);
-                            let winner_replica = Arc::clone(&state.replicas[winner].replica);
-                            let guard = InflightGuard::enter(&state.replicas[winner].inflight);
-                            Ok((winner, winner_replica, guard))
-                        }
+                    let up = |r: ReplicaId| {
+                        state
+                            .replicas
+                            .get(r)
+                            .is_some_and(|s| s.health == Health::Up)
+                    };
+                    let head = winners.first().copied();
+                    match winners.into_iter().find(|&r| up(r)).or(head) {
+                        Some(winner) => Ok(state.routed(winner)),
                         None => Err(ClusterError::UnknownScene(id.clone())),
                     }
                 }
@@ -1687,8 +1498,9 @@ impl Coordinator {
                 }
             }
         };
+        let on_replica = site_id(id, shard);
         for replica in cleanup {
-            let _ = replica.unload_scene(&on_replica_id);
+            let _ = replica.unload_scene(&on_replica);
         }
         // A committed move changed where the scene's frames come from;
         // drop anything cached under the old placement (frames are
@@ -1700,65 +1512,6 @@ impl Coordinator {
         result
     }
 
-    /// Renders shard `k`'s layer with failover, optionally continuing
-    /// `into` (the previous shard's relayed layer).
-    fn render_shard_layer(
-        &self,
-        request: &WireRequest,
-        id: &SceneId,
-        k: usize,
-        into: Option<&FrameLayer>,
-        trace: Option<&TraceContext>,
-    ) -> Result<FrameLayer, ClusterError> {
-        // On its replica, shard `k` lives as the single scene `id@k`.
-        let mut shard_request = request.clone();
-        shard_request.scene = shard_scene_id(id, k);
-        shard_request.shard = None;
-        let mut attempts = 0usize;
-        loop {
-            attempts += 1;
-            let (rid, replica, _inflight) = self.route_shard(id, k)?;
-            // One hop span per attempt (see render_single), named after
-            // the shard's on-replica scene id.
-            let hop = trace.map(|ctx| ctx.child(format!("relay:{id}@{k}")));
-            let hop_ctx = match (&hop, trace) {
-                (Some(span), Some(ctx)) => Some(ctx.at(span.id())),
-                _ => None,
-            };
-            match replica.render_layer(&shard_request, into, hop_ctx.as_ref()) {
-                Ok(layer) => return Ok(layer),
-                Err(e) if failover_worthy(&e) => {
-                    self.mark_down(rid);
-                    self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    if attempts > self.config.max_failovers {
-                        return Err(ClusterError::Exhausted {
-                            scene: id.clone(),
-                            attempts,
-                        });
-                    }
-                }
-                Err(ReplicaError::Serve(ServeError::UnknownScene(_))) => {
-                    // The replica lost the shard while staying alive:
-                    // reload it in place and retry (see render_single).
-                    self.counters.failovers.fetch_add(1, Ordering::Relaxed);
-                    if attempts > self.config.max_failovers {
-                        return Err(ClusterError::Exhausted {
-                            scene: id.clone(),
-                            attempts,
-                        });
-                    }
-                    match self.repair_placement(id, Some(k), rid) {
-                        Repair::Repaired => {}
-                        Repair::Gone => return Err(ClusterError::UnknownScene(id.clone())),
-                        Repair::Failed => self.mark_down(rid),
-                    }
-                }
-                Err(ReplicaError::Serve(e)) => return Err(ClusterError::Serve(e)),
-                Err(ReplicaError::Transport(_)) => unreachable!("covered by failover_worthy"),
-            }
-        }
-    }
-
     /// The cross-node sharded render: cull, depth-order, then relay the
     /// running layer through each visible shard's replica.
     fn render_sharded(
@@ -1767,36 +1520,31 @@ impl Coordinator {
         started: Instant,
         trace: Option<&TraceContext>,
     ) -> Result<ClusterFrame, ClusterError> {
-        let (background, shard_meta) = {
+        let (background, aabbs, max_scales) = {
             let state = self.state.lock().unwrap();
             let hold = state
                 .scenes
                 .get(&request.scene)
                 .ok_or_else(|| ClusterError::UnknownScene(request.scene.clone()))?;
-            let Hold::Sharded { shards } = &hold.hold else {
+            let Hold::Sharded(shards) = &hold.hold else {
                 // Concurrently replaced by a single-scene hold.
                 return Err(ClusterError::UnknownScene(request.scene.clone()));
             };
-            let meta: Vec<(Aabb, f32)> = shards.iter().map(|s| (s.aabb, s.max_scale)).collect();
-            (hold.background, meta)
+            let aabbs: Vec<Aabb> = shards.iter().map(|s| s.aabb).collect();
+            let max_scales: Vec<f32> = shards.iter().map(|s| s.max_scale).collect();
+            (hold.background, aabbs, max_scales)
         };
         // The exact shard selection and ordering the single-node composite
         // uses (shared helper), so the relay renders the same shard
         // sequence.
         let render_request = request.to_render_request();
-        let aabbs: Vec<Aabb> = shard_meta.iter().map(|(aabb, _)| *aabb).collect();
-        let visible: Vec<usize> = if self.config.cull_shards {
-            let max_scales: Vec<f32> = shard_meta.iter().map(|(_, s)| *s).collect();
-            visible_shards(
-                &aabbs,
-                &max_scales,
-                &render_request.camera,
-                &render_request.viewport,
-            )
-        } else {
-            gs_serve::depth_order(&aabbs, &render_request.camera)
-        };
-        let culled = shard_meta.len() - visible.len();
+        let visible = visible_shards(
+            &aabbs,
+            &max_scales,
+            &render_request.camera,
+            &render_request.viewport,
+        );
+        let culled = aabbs.len() - visible.len();
         self.counters
             .shards_culled
             .fetch_add(culled as u64, Ordering::Relaxed);
@@ -1804,8 +1552,20 @@ impl Coordinator {
         let (width, height) = request.frame_size();
         let mut layer: Option<FrameLayer> = None;
         for &k in &visible {
-            layer =
-                Some(self.render_shard_layer(request, &request.scene, k, layer.as_ref(), trace)?);
+            // On its replica, shard `k` lives as the single scene `id@k`;
+            // its hop spans are named after that id.
+            let mut shard_request = request.clone();
+            shard_request.scene = site_id(&request.scene, Some(k));
+            shard_request.shard = None;
+            let hop = format!("relay:{}", shard_request.scene);
+            let (next, _) = self.call_site(
+                &request.scene,
+                Some(k),
+                trace,
+                |_| hop.clone(),
+                |replica, ctx| replica.render_layer(&shard_request, layer.as_ref(), ctx),
+            )?;
+            layer = Some(next);
             self.counters.shard_relays.fetch_add(1, Ordering::Relaxed);
         }
         let layer = layer.unwrap_or_else(|| FrameLayer::new(width, height));
@@ -1935,58 +1695,39 @@ impl Coordinator {
     /// releasing the dead replica's budget accounting. Returns how many
     /// copies were dropped.
     fn prune_dead_copies(&self) -> usize {
-        let mut pruned = 0usize;
         let mut touched: Vec<SceneId> = Vec::new();
-        {
+        let pruned = {
             let mut state = self.state.lock().unwrap();
             let State {
                 replicas, scenes, ..
             } = &mut *state;
+            let down = |r: ReplicaId| replicas.get(r).is_none_or(|s| s.health == Health::Down);
+            let mut released: Vec<(ReplicaId, u64)> = Vec::new();
             for (id, hold) in scenes.iter_mut() {
-                let placements: Vec<(&mut Vec<ReplicaId>, u64)> = match &mut hold.hold {
-                    Hold::Single {
-                        replicas: set,
-                        bytes,
-                        ..
-                    } => vec![(set, *bytes)],
-                    Hold::Sharded { shards } => shards
-                        .iter_mut()
-                        .map(|s| (&mut s.replicas, s.bytes))
-                        .collect(),
-                };
-                let mut scene_pruned = false;
-                for (set, bytes) in placements {
-                    if set.len() <= 1 {
+                let before = released.len();
+                for (_, site) in hold.sites_mut() {
+                    let (dead, live): (Vec<ReplicaId>, Vec<ReplicaId>) =
+                        site.replicas.iter().copied().partition(|&r| down(r));
+                    // A set whose every copy is dead is left for the
+                    // on-demand re-placement in routing.
+                    if dead.is_empty() || live.is_empty() {
                         continue;
                     }
-                    let any_live = set
-                        .iter()
-                        .any(|&r| replicas.get(r).is_some_and(|s| s.health != Health::Down));
-                    if !any_live {
-                        // Every copy is dead; leave the set for the
-                        // on-demand re-placement in routing.
-                        continue;
-                    }
-                    let before = set.len();
-                    set.retain(|&r| {
-                        let dead = replicas.get(r).is_none_or(|s| s.health == Health::Down);
-                        if dead {
-                            if let Some(slot) = replicas.get_mut(r) {
-                                slot.placed = slot.placed.saturating_sub(bytes);
-                            }
-                        }
-                        !dead
-                    });
-                    if set.len() < before {
-                        pruned += before - set.len();
-                        scene_pruned = true;
-                    }
+                    site.replicas = live;
+                    released.extend(dead.into_iter().map(|r| (r, site.bytes)));
                 }
-                if scene_pruned {
+                if released.len() > before {
                     touched.push(id.clone());
                 }
             }
-        }
+            let pruned = released.len();
+            for (r, bytes) in released {
+                if let Some(slot) = replicas.get_mut(r) {
+                    slot.placed = slot.placed.saturating_sub(bytes);
+                }
+            }
+            pruned
+        };
         for id in touched {
             self.counters.dereplications.fetch_add(1, Ordering::Relaxed);
             self.invalidate_cached_scene(&id);
@@ -2003,8 +1744,10 @@ impl Coordinator {
     }
 
     /// Plans this tick's copy additions and retirements from the heat
-    /// snapshot (one lock pass, no replica I/O).
-    fn plan_replication(&self, rows: &[HeatRow]) -> (Vec<AddCopy>, Vec<RetireCopy>) {
+    /// snapshot (one lock pass, no replica I/O): every site of a hot scene
+    /// below [`ReplicationConfig::max_copies`] gains a copy, and every
+    /// replicated site of a scene that stayed cool long enough loses one.
+    fn plan_replication(&self, rows: &[HeatRow]) -> (Vec<SitePlan>, Vec<SitePlan>) {
         let cfg = &self.config.replication;
         let rate_of = |key: &str| {
             rows.iter()
@@ -2017,60 +1760,26 @@ impl Coordinator {
         let state = self.state.lock().unwrap();
         for (id, hold) in &state.scenes {
             let rate = rate_of(id);
-            let placements: Vec<PlacementSite<'_>> = match &hold.hold {
-                Hold::Single {
-                    replicas,
-                    params,
-                    bytes,
-                } => vec![(None, id.clone(), replicas, params, *bytes)],
-                Hold::Sharded { shards } => shards
-                    .iter()
-                    .enumerate()
-                    .map(|(k, s)| {
-                        (
-                            Some(k),
-                            shard_scene_id(id, k),
-                            &s.replicas,
-                            &s.params,
-                            s.bytes,
-                        )
-                    })
-                    .collect(),
+            let sites = hold.sites();
+            let plan = |&(shard, site): &(Option<usize>, &Site)| SitePlan {
+                scene: id.clone(),
+                shard,
+                set: site.replicas.clone(),
+                params: Arc::clone(&site.params),
+                background: hold.background,
+                bytes: site.bytes,
             };
-            let has_extra = placements.iter().any(|(_, _, set, _, _)| set.len() > 1);
+            let copies = |(_, site): &&(Option<usize>, &Site)| site.replicas.len();
             if cfg.max_copies > 1 && rate >= cfg.replicate_rate_per_s {
                 cool.remove(id);
-                for (shard, site, set, params, bytes) in placements {
-                    if set.len() < cfg.max_copies {
-                        adds.push(AddCopy {
-                            scene: id.clone(),
-                            shard,
-                            site,
-                            params: Arc::clone(params),
-                            background: hold.background,
-                            bytes,
-                            exclude: set.clone(),
-                        });
-                    }
-                }
-            } else if has_extra && rate < cfg.dereplicate_rate_per_s {
+                let below_max = sites.iter().filter(|s| copies(s) < cfg.max_copies);
+                adds.extend(below_max.map(plan));
+            } else if sites.iter().any(|s| copies(&s) > 1) && rate < cfg.dereplicate_rate_per_s {
                 let ticks = cool.entry(id.clone()).or_insert(0);
                 *ticks += 1;
                 if *ticks >= cfg.cool_ticks.max(1) {
                     cool.remove(id);
-                    for (shard, site, set, _, bytes) in placements {
-                        if set.len() > 1 {
-                            retires.push(RetireCopy {
-                                scene: id.clone(),
-                                shard,
-                                site,
-                                // The newest copy retires; the primary
-                                // (set head) stays.
-                                rid: *set.last().expect("non-empty set"),
-                                bytes,
-                            });
-                        }
-                    }
+                    retires.extend(sites.iter().filter(|s| copies(s) > 1).map(plan));
                 }
             } else {
                 cool.remove(id);
@@ -2081,122 +1790,97 @@ impl Coordinator {
     }
 
     /// Loads one planned replication copy onto a fresh replica and commits
-    /// it into the placement's replica set (unless the set changed since
+    /// it into the site's replica set (unless the set changed since
     /// planning, in which case the copy is rolled back).
-    fn execute_add(&self, add: AddCopy) -> bool {
+    fn execute_add(&self, add: SitePlan) -> bool {
+        let on_replica = site_id(&add.scene, add.shard);
         let Ok(new_rid) = self.place(
-            &add.site,
+            &on_replica,
             &add.params,
             add.background,
             add.bytes,
-            &add.exclude,
+            &add.set,
         ) else {
             return false;
         };
-        let mut rollback: Option<Arc<Replica>> = None;
-        let committed = {
+        let rollback = {
             let mut state = self.state.lock().unwrap();
-            let replica = Arc::clone(&state.replicas[new_rid].replica);
-            let set = state.scenes.get_mut(&add.scene).and_then(|hold| {
-                match (&mut hold.hold, add.shard) {
-                    (Hold::Single { replicas, .. }, None) => Some(replicas),
-                    (Hold::Sharded { shards }, Some(k)) => {
-                        shards.get_mut(k).map(|s| &mut s.replicas)
-                    }
-                    _ => None,
-                }
-            });
-            match set {
-                Some(set) if *set == add.exclude && !set.contains(&new_rid) => {
-                    set.push(new_rid);
+            let added = match state.site_mut(&add.scene, add.shard) {
+                Some(site) if site.replicas == add.set && !add.set.contains(&new_rid) => {
+                    site.replicas.push(new_rid);
                     true
                 }
-                _ => {
-                    if let Some(slot) = state.replicas.get_mut(new_rid) {
-                        slot.placed = slot.placed.saturating_sub(add.bytes);
-                    }
-                    rollback = Some(replica);
-                    false
-                }
+                _ => false,
+            };
+            let slot = &mut state.replicas[new_rid];
+            if !added {
+                slot.placed = slot.placed.saturating_sub(add.bytes);
             }
+            (!added).then(|| Arc::clone(&slot.replica))
         };
         if let Some(replica) = rollback {
-            let _ = replica.unload_scene(&add.site);
+            let _ = replica.unload_scene(&on_replica);
             return false;
         }
-        if committed {
-            self.counters.replications.fetch_add(1, Ordering::Relaxed);
-            self.invalidate_cached_scene(&add.scene);
-            self.obs.recorder().record(
-                Event::new(
-                    EventLevel::Info,
-                    "coordinator",
-                    "hot scene replicated onto an extra replica",
-                )
-                .scene(add.scene)
-                .field("copies", (add.exclude.len() + 1).to_string()),
-            );
-        }
-        committed
+        self.counters.replications.fetch_add(1, Ordering::Relaxed);
+        self.invalidate_cached_scene(&add.scene);
+        self.obs.recorder().record(
+            Event::new(
+                EventLevel::Info,
+                "coordinator",
+                "hot scene replicated onto an extra replica",
+            )
+            .scene(add.scene)
+            .field("copies", (add.set.len() + 1).to_string()),
+        );
+        true
     }
 
-    /// Retires one planned copy: removes it from the set, releases its
-    /// budget and unloads it from its (live) replica.
-    fn execute_retire(&self, retire: RetireCopy) -> bool {
-        let mut unload: Option<Arc<Replica>> = None;
-        let committed = {
+    /// Retires one planned copy — the site's newest; the primary (set
+    /// head) stays: removes it from the set, releases its budget and
+    /// unloads it from its (live) replica.
+    fn execute_retire(&self, retire: SitePlan) -> bool {
+        let Some(&rid) = retire.set.last() else {
+            return false;
+        };
+        let unload = {
             let mut state = self.state.lock().unwrap();
-            let State {
-                replicas, scenes, ..
-            } = &mut *state;
-            let set = scenes.get_mut(&retire.scene).and_then(|hold| {
-                match (&mut hold.hold, retire.shard) {
-                    (Hold::Single { replicas, .. }, None) => Some(replicas),
-                    (Hold::Sharded { shards }, Some(k)) => {
-                        shards.get_mut(k).map(|s| &mut s.replicas)
-                    }
-                    _ => None,
+            let removed = match state.site_mut(&retire.scene, retire.shard) {
+                Some(site) if site.replicas.len() > 1 => {
+                    let before = site.replicas.len();
+                    site.replicas.retain(|&r| r != rid);
+                    site.replicas.len() < before
                 }
-            });
-            match set {
-                Some(set) if set.len() > 1 => match set.iter().position(|&r| r == retire.rid) {
-                    Some(pos) => {
-                        set.remove(pos);
-                        if let Some(slot) = replicas.get_mut(retire.rid) {
-                            slot.placed = slot.placed.saturating_sub(retire.bytes);
-                            if slot.health != Health::Down {
-                                unload = Some(Arc::clone(&slot.replica));
-                            }
-                        }
-                        true
-                    }
-                    None => false,
-                },
                 _ => false,
+            };
+            if !removed {
+                return false;
             }
+            let slot = &mut state.replicas[rid];
+            slot.placed = slot.placed.saturating_sub(retire.bytes);
+            (slot.health != Health::Down).then(|| Arc::clone(&slot.replica))
         };
         if let Some(replica) = unload {
-            let _ = replica.unload_scene(&retire.site);
+            let _ = replica.unload_scene(&site_id(&retire.scene, retire.shard));
         }
-        if committed {
-            self.counters.dereplications.fetch_add(1, Ordering::Relaxed);
-            self.invalidate_cached_scene(&retire.scene);
-            self.obs.recorder().record(
-                Event::new(
-                    EventLevel::Info,
-                    "coordinator",
-                    "cooled scene de-replicated; budget returned to the pool",
-                )
-                .scene(retire.scene),
-            );
-        }
-        committed
+        self.counters.dereplications.fetch_add(1, Ordering::Relaxed);
+        self.invalidate_cached_scene(&retire.scene);
+        self.obs.recorder().record(
+            Event::new(
+                EventLevel::Info,
+                "coordinator",
+                "cooled scene de-replicated; budget returned to the pool",
+            )
+            .scene(retire.scene),
+        );
+        true
     }
 
-    /// Moves at most one single-copy scene from the most-loaded up replica
-    /// onto the least-loaded one (a drained-then-rejoined replica sits at
-    /// zero placed bytes) when the move strictly narrows the imbalance.
-    /// The coolest eligible scene moves first, so hot placements stay put.
+    /// Moves at most one single-copy whole scene from the most-loaded up
+    /// replica onto the least-loaded one (a drained-then-rejoined replica
+    /// sits at zero placed bytes) when the move strictly narrows the
+    /// imbalance. The coolest eligible scene moves first, so hot
+    /// placements stay put.
     fn rebalance_once(&self, rows: &[HeatRow]) -> usize {
         let rate_of = |key: &str| {
             rows.iter()
@@ -2225,15 +1909,12 @@ impl Coordinator {
                 .scenes
                 .iter()
                 .filter_map(|(id, hold)| match &hold.hold {
-                    Hold::Single {
-                        replicas,
-                        params,
-                        bytes,
-                    } if *replicas == [busy] => Some((
+                    // Only whole scenes rebalance; shards stay put.
+                    Hold::Single(site) if site.replicas == [busy] => Some((
                         id.clone(),
-                        Arc::clone(params),
+                        Arc::clone(&site.params),
                         hold.background,
-                        *bytes,
+                        site.bytes,
                         rate_of(id),
                     )),
                     _ => None,
@@ -2277,7 +1958,7 @@ impl Coordinator {
     }
 
     /// Updates the `gs_replication_copies{scene}` gauge for every loaded
-    /// scene (max copies across its shards).
+    /// scene (max copies across its sites).
     fn refresh_copy_gauges(&self) {
         let copies: Vec<(SceneId, usize)> = {
             let state = self.state.lock().unwrap();
@@ -2285,13 +1966,9 @@ impl Coordinator {
                 .scenes
                 .iter()
                 .map(|(id, hold)| {
-                    let copies = match &hold.hold {
-                        Hold::Single { replicas, .. } => replicas.len(),
-                        Hold::Sharded { shards } => {
-                            shards.iter().map(|s| s.replicas.len()).max().unwrap_or(0)
-                        }
-                    };
-                    (id.clone(), copies)
+                    let sites = hold.sites();
+                    let copies = sites.iter().map(|(_, s)| s.replicas.len()).max();
+                    (id.clone(), copies.unwrap_or(0))
                 })
                 .collect()
         };

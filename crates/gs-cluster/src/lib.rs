@@ -10,30 +10,34 @@
 //!   either by direct calls ([`ReplicaTransport::InProcess`]) or over the
 //!   existing HTTP front-end ([`ReplicaTransport::Http`]), with `/healthz`
 //!   probes and pooled keep-alive connections.
-//! * [`placement`] — the placement table: which replica holds which scene
-//!   (or which **shard** of one), chosen against each replica's reported
-//!   memory budget; most-free-budget placement with spill.
+//! * [`placement`] — the placement table: which replica set holds each
+//!   placement *site* (a whole scene, or one **shard** of one), chosen
+//!   against each replica's reported memory budget; most-free-budget
+//!   placement with spill.
 //! * [`coordinator`] — the [`Coordinator`]: routes `POST /render` traffic
 //!   by scene id, fails requests over to healthy replicas (re-placing the
-//!   scene from its host-side hold) when a replica dies mid-flight,
-//!   supports drain/rejoin, and implements **cross-node sharded
-//!   rendering**: shards of one scene live on different replicas, each
-//!   renders a partial-frame [`FrameLayer`](gs_render::rasterize::FrameLayer)
-//!   shipped over the lossless layer wire encoding, and the coordinator
-//!   relays the running layer through them front-to-back — bit-identically
-//!   to the single-node sharded render.
-//! * [`prober`] — a background [`HealthProber`] thread running
-//!   [`Coordinator::probe_all`] on an interval, so downed replicas rejoin
-//!   (and silently-dead ones leave) the rotation without an operator call.
+//!   site from its host-side hold) when a replica dies mid-flight, reloads
+//!   copies a live replica lost, supports drain/rejoin, and implements
+//!   **cross-node sharded rendering**: shards of one scene live on
+//!   different replicas, each renders a partial-frame
+//!   [`FrameLayer`](gs_render::rasterize::FrameLayer) shipped over the
+//!   lossless layer wire encoding, and the coordinator relays the running
+//!   layer through them front-to-back — bit-identically to the single-node
+//!   sharded render. Whole scenes and shards share one routing, failover
+//!   and replication path.
+//! * [`prober`] — a background [`HealthProber`] thread (a
+//!   [`gs_obs::Watcher`]) running [`Coordinator::probe_all`] on an
+//!   interval, so downed replicas rejoin (and silently-dead ones leave)
+//!   the rotation without an operator call.
 //! * [`replication`] — heat-driven hot-scene replication: a
-//!   [`ReplicationManager`] thread runs
+//!   [`ReplicationManager`] thread (also a [`gs_obs::Watcher`]) runs
 //!   [`Coordinator::replication_tick`] on an interval, replicating hot
 //!   scenes onto extra replicas from the host-side holds, balancing reads
 //!   across the copies (power-of-two-choices over in-flight counts),
 //!   de-replicating as scenes cool, and rebalancing onto
-//!   drained-then-rejoined replicas. Paired with priority-aware load
-//!   shedding and reduced-SH brown-out at the coordinator so the extra
-//!   throughput stays usable under overload.
+//!   drained-then-rejoined replicas. Paired with SLO-burn load shedding
+//!   of speculative requests and reduced-SH brown-out at the coordinator
+//!   so the extra throughput stays usable under overload.
 //! * [`stats`] — cluster-wide aggregation: per-replica
 //!   [`StatsReport`](gs_serve::StatsReport)s fanned in, latency reservoirs
 //!   **merged by weighted samples** (not quantile averaging), plus the

@@ -1,14 +1,14 @@
 //! Scene and shard placement against per-replica memory budgets.
 //!
-//! The coordinator owns placement: every scene (or every shard of a sharded
-//! scene) is assigned to a **replica set** — one primary copy, plus extra
-//! read copies the [`crate::replication`] layer adds while the scene is
-//! hot. The placement chooser is most-free-budget-first, which balances
-//! bytes across the fleet and naturally spills the shards of one large
-//! scene over several replicas — the layout cross-node sharded rendering
-//! serves from. Reads over a multi-copy set are load-balanced with
-//! power-of-two-choices over per-replica in-flight counts
-//! ([`pick_read_copy`]).
+//! The coordinator owns placement: every placement **site** — a whole
+//! scene, or one shard of a sharded scene — is assigned to a **replica
+//! set**: one primary copy, plus extra read copies the
+//! [`crate::replication`] layer adds while the scene is hot. The placement
+//! chooser is most-free-budget-first, which balances bytes across the
+//! fleet and naturally spills the shards of one large scene over several
+//! replicas — the layout cross-node sharded rendering serves from. Reads
+//! over a multi-copy set are load-balanced with power-of-two-choices over
+//! per-replica in-flight counts ([`pick_read_copy`]).
 //!
 //! The coordinator also keeps each scene's parameters host-side (the
 //! serving analogue of GS-Scale's host-offloaded training state): when a
@@ -99,60 +99,114 @@ pub fn pick_read_copy(copies: &[ReadCandidate], salt: u64) -> Option<ReplicaId> 
     }
 }
 
-/// Where one shard of a sharded scene lives, plus everything the
-/// coordinator needs to route, cull and re-place it.
+/// A placement site: one unit of data the coordinator places — a whole
+/// scene, or one shard of a sharded scene — plus the replica set serving
+/// it. Routing, failover, repair, moves and replication all work on sites.
 #[derive(Debug, Clone)]
-pub struct ShardHold {
-    /// The replicas currently serving this shard; the first entry is the
+pub(crate) struct Site {
+    /// The replicas currently serving the site; the first entry is the
     /// primary, the rest are replication copies.
     pub replicas: Vec<ReplicaId>,
-    /// The shard's gathered parameters, kept host-side for re-placement.
+    /// Host-side parameter hold the site is (re-)placed from.
     pub params: Arc<GaussianParams>,
+    /// Bytes the site occupies on **each** replica that holds a copy.
+    pub bytes: u64,
+}
+
+impl Site {
+    /// A site not yet placed on any replica.
+    pub fn unplaced(params: Arc<GaussianParams>, bytes: u64) -> Self {
+        Self {
+            replicas: Vec::new(),
+            params,
+            bytes,
+        }
+    }
+}
+
+/// One shard of a sharded scene: its site plus the bounds the coordinator
+/// culls and depth-orders it by.
+#[derive(Debug, Clone)]
+pub(crate) struct ShardHold {
+    /// Where the shard lives.
+    pub site: Site,
     /// Center bounding box (depth ordering + view culling).
     pub aabb: Aabb,
     /// Largest per-Gaussian scale (view-culling inflation radius).
     pub max_scale: f32,
-    /// Bytes the shard occupies on **each** replica that holds a copy.
-    pub bytes: u64,
 }
 
-/// How a scene is held by the coordinator.
+/// How a scene is split into sites.
 #[derive(Debug, Clone)]
-pub enum Hold {
-    /// The whole scene, on one or more replicas.
-    Single {
-        /// The replicas serving the scene; the first entry is the primary,
-        /// the rest are replication copies.
-        replicas: Vec<ReplicaId>,
-        /// Host-side parameter hold for re-placement.
-        params: Arc<GaussianParams>,
-        /// Scene size in bytes, charged once per copy.
-        bytes: u64,
-    },
-    /// The scene's shards spread over (possibly many) replicas.
-    Sharded {
-        /// Per-shard placement, in partition order.
-        shards: Vec<ShardHold>,
-    },
+pub(crate) enum Hold {
+    /// The whole scene is one site.
+    Single(Site),
+    /// One site per shard, in partition order.
+    Sharded(Vec<ShardHold>),
 }
 
-/// A placed scene: background plus its placement.
+/// A placed scene: background plus its sites. A site is addressed by
+/// `shard`: `None` for a whole scene, `Some(k)` for shard `k`; addressing
+/// a site the scene does not have (wrong shape, or a shard index past a
+/// concurrent re-shard) finds nothing.
 #[derive(Debug, Clone)]
-pub struct SceneHold {
+pub(crate) struct SceneHold {
     /// Background color composited behind the splats.
     pub background: [f32; 3],
-    /// Where the scene's data lives.
+    /// The scene's sites.
     pub hold: Hold,
 }
 
 impl SceneHold {
-    /// Bytes of one copy of the scene (summed over shards); replication
-    /// copies charge this much again on their own replicas.
-    pub fn bytes(&self) -> u64 {
-        match &self.hold {
-            Hold::Single { bytes, .. } => *bytes,
-            Hold::Sharded { shards } => shards.iter().map(|s| s.bytes).sum(),
+    /// The site `shard` addresses.
+    pub fn site(&self, shard: Option<usize>) -> Option<&Site> {
+        match (&self.hold, shard) {
+            (Hold::Single(site), None) => Some(site),
+            (Hold::Sharded(shards), Some(k)) => shards.get(k).map(|s| &s.site),
+            _ => None,
         }
+    }
+
+    /// The site `shard` addresses, mutably.
+    pub fn site_mut(&mut self, shard: Option<usize>) -> Option<&mut Site> {
+        match (&mut self.hold, shard) {
+            (Hold::Single(site), None) => Some(site),
+            (Hold::Sharded(shards), Some(k)) => shards.get_mut(k).map(|s| &mut s.site),
+            _ => None,
+        }
+    }
+
+    /// Every site with its address, in partition order.
+    pub fn sites(&self) -> Vec<(Option<usize>, &Site)> {
+        match &self.hold {
+            Hold::Single(site) => vec![(None, site)],
+            Hold::Sharded(shards) => shards
+                .iter()
+                .enumerate()
+                .map(|(k, s)| (Some(k), &s.site))
+                .collect(),
+        }
+    }
+
+    /// Every site with its address, mutably.
+    pub fn sites_mut(&mut self) -> Vec<(Option<usize>, &mut Site)> {
+        match &mut self.hold {
+            Hold::Single(site) => vec![(None, site)],
+            Hold::Sharded(shards) => shards
+                .iter_mut()
+                .enumerate()
+                .map(|(k, s)| (Some(k), &mut s.site))
+                .collect(),
+        }
+    }
+}
+
+/// The id a site is loaded under on its replicas: the scene id for a whole
+/// scene, `"<id>@<k>"` for shard `k`.
+pub(crate) fn site_id(id: &SceneId, shard: Option<usize>) -> SceneId {
+    match shard {
+        None => id.clone(),
+        Some(k) => format!("{id}@{k}"),
     }
 }
 

@@ -8,22 +8,20 @@
 //! loop, and a silently-dead replica is taken out of it before the next
 //! unlucky request discovers the corpse.
 //!
-//! Stopping is prompt: the prober waits on a condvar, so dropping (or
-//! explicitly stopping) the handle interrupts the current sleep instead of
-//! waiting out the interval.
+//! Stopping is prompt: the prober is a [`gs_obs::Watcher`], whose thread
+//! waits on a condvar, so dropping (or explicitly stopping) the handle
+//! interrupts the current sleep instead of waiting out the interval.
 
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
+
+use gs_obs::Watcher;
 
 use crate::coordinator::Coordinator;
 
 /// Handle to the background probe thread; the thread stops (promptly) when
 /// the handle is dropped or [`HealthProber::stop`] is called.
-pub struct HealthProber {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
+pub struct HealthProber(Watcher);
 
 impl HealthProber {
     /// Spawns a thread that calls [`Coordinator::probe_all`] every
@@ -32,57 +30,14 @@ impl HealthProber {
     /// draining replicas are left alone — exactly `probe_all`'s semantics,
     /// on a clock.
     pub fn start(coordinator: Arc<Coordinator>, interval: Duration) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("gs-cluster-prober".to_string())
-            .spawn(move || {
-                let (lock, condvar) = &*thread_stop;
-                loop {
-                    let mut stopped = lock.lock().unwrap();
-                    let deadline = std::time::Instant::now() + interval;
-                    // Re-arm against spurious wakeups until the interval
-                    // elapses or a stop arrives.
-                    while !*stopped {
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = condvar.wait_timeout(stopped, deadline - now).unwrap();
-                        stopped = guard;
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    coordinator.probe_all();
-                }
-            })
-            .expect("spawn health prober");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+        Self(Watcher::spawn("gs-cluster-prober", interval, move || {
+            coordinator.probe_all();
+        }))
     }
 
     /// Stops the probe thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        let (lock, condvar) = &*self.stop;
-        *lock.lock().unwrap() = true;
-        condvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for HealthProber {
-    fn drop(&mut self) {
-        self.stop_inner();
+    pub fn stop(self) {
+        drop(self.0);
     }
 }
 

@@ -25,13 +25,14 @@
 //! bench), and sweep these values against the recorded trace rather than
 //! hand-tuning them in production.
 //!
-//! Stopping is prompt: the manager waits on a condvar, so dropping (or
-//! explicitly stopping) the handle interrupts the current sleep instead of
-//! waiting out the interval.
+//! Stopping is prompt: the manager is a [`gs_obs::Watcher`], whose thread
+//! waits on a condvar, so dropping (or explicitly stopping) the handle
+//! interrupts the current sleep instead of waiting out the interval.
 
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 use std::time::Duration;
+
+use gs_obs::Watcher;
 
 use crate::coordinator::Coordinator;
 
@@ -71,66 +72,24 @@ impl Default for ReplicationConfig {
 /// Handle to the background replication thread; the thread stops
 /// (promptly) when the handle is dropped or [`ReplicationManager::stop`]
 /// is called.
-pub struct ReplicationManager {
-    stop: Arc<(Mutex<bool>, Condvar)>,
-    handle: Option<JoinHandle<()>>,
-}
+pub struct ReplicationManager(Watcher);
 
 impl ReplicationManager {
     /// Spawns a thread that calls [`Coordinator::replication_tick`] every
     /// `interval` (first tick after one interval).
     pub fn start(coordinator: Arc<Coordinator>, interval: Duration) -> Self {
-        let stop = Arc::new((Mutex::new(false), Condvar::new()));
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::Builder::new()
-            .name("gs-cluster-replication".to_string())
-            .spawn(move || {
-                let (lock, condvar) = &*thread_stop;
-                loop {
-                    let mut stopped = lock.lock().unwrap();
-                    let deadline = std::time::Instant::now() + interval;
-                    // Re-arm against spurious wakeups until the interval
-                    // elapses or a stop arrives.
-                    while !*stopped {
-                        let now = std::time::Instant::now();
-                        if now >= deadline {
-                            break;
-                        }
-                        let (guard, _) = condvar.wait_timeout(stopped, deadline - now).unwrap();
-                        stopped = guard;
-                    }
-                    if *stopped {
-                        return;
-                    }
-                    drop(stopped);
-                    coordinator.replication_tick();
-                }
-            })
-            .expect("spawn replication manager");
-        Self {
-            stop,
-            handle: Some(handle),
-        }
+        Self(Watcher::spawn(
+            "gs-cluster-replication",
+            interval,
+            move || {
+                coordinator.replication_tick();
+            },
+        ))
     }
 
     /// Stops the replication thread and waits for it to exit.
-    pub fn stop(mut self) {
-        self.stop_inner();
-    }
-
-    fn stop_inner(&mut self) {
-        let (lock, condvar) = &*self.stop;
-        *lock.lock().unwrap() = true;
-        condvar.notify_all();
-        if let Some(handle) = self.handle.take() {
-            let _ = handle.join();
-        }
-    }
-}
-
-impl Drop for ReplicationManager {
-    fn drop(&mut self) {
-        self.stop_inner();
+    pub fn stop(self) {
+        drop(self.0);
     }
 }
 

@@ -15,8 +15,8 @@
 //! incident log as JSON.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
 use crate::clock::SpanClock;
@@ -406,33 +406,34 @@ pub fn incidents_json(incidents: &[Incident]) -> String {
     out
 }
 
-/// A background thread running a closure at a fixed interval until
-/// dropped (stop is polled every ≤25 ms, so drop is prompt).
+/// A named background thread running a closure at a fixed interval until
+/// dropped. The thread waits on a condvar, so a drop interrupts the
+/// current wait instead of sitting out the interval.
 #[derive(Debug)]
 pub struct Watcher {
-    stop: Arc<AtomicBool>,
+    stop: Arc<(Mutex<bool>, Condvar)>,
     handle: Option<std::thread::JoinHandle<()>>,
 }
 
 impl Watcher {
-    /// Spawns the watcher; `tick` runs once per `interval`.
-    pub fn spawn(interval: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
-        let stop = Arc::new(AtomicBool::new(false));
-        let stop_flag = Arc::clone(&stop);
+    /// Spawns the thread `name`; `tick` runs once per `interval`, first
+    /// after one interval.
+    pub fn spawn(name: &str, interval: Duration, mut tick: impl FnMut() + Send + 'static) -> Self {
+        let stop = Arc::new((Mutex::new(false), Condvar::new()));
+        let thread_stop = Arc::clone(&stop);
         let handle = std::thread::Builder::new()
-            .name("gs-obs-watcher".to_string())
+            .name(name.to_string())
             .spawn(move || {
-                while !stop_flag.load(Ordering::Relaxed) {
-                    // Chunked sleep so a drop never waits a full interval.
-                    let mut left = interval;
-                    while !left.is_zero() && !stop_flag.load(Ordering::Relaxed) {
-                        let step = left.min(Duration::from_millis(25));
-                        std::thread::sleep(step);
-                        left = left.saturating_sub(step);
+                let (lock, condvar) = &*thread_stop;
+                loop {
+                    let stopped = lock.lock().unwrap();
+                    let (stopped, _) = condvar
+                        .wait_timeout_while(stopped, interval, |stopped| !*stopped)
+                        .unwrap();
+                    if *stopped {
+                        return;
                     }
-                    if stop_flag.load(Ordering::Relaxed) {
-                        break;
-                    }
+                    drop(stopped);
                     tick();
                 }
             })
@@ -446,7 +447,9 @@ impl Watcher {
 
 impl Drop for Watcher {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        let (lock, condvar) = &*self.stop;
+        *lock.lock().unwrap() = true;
+        condvar.notify_all();
         if let Some(handle) = self.handle.take() {
             let _ = handle.join();
         }
@@ -558,7 +561,7 @@ mod tests {
     fn watcher_ticks_and_stops_on_drop() {
         let count = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&count);
-        let watcher = Watcher::spawn(Duration::from_millis(5), move || {
+        let watcher = Watcher::spawn("test-watcher", Duration::from_millis(5), move || {
             counter.fetch_add(1, Ordering::Relaxed);
         });
         let deadline = std::time::Instant::now() + Duration::from_secs(2);

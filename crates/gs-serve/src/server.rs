@@ -242,6 +242,7 @@ impl RenderServer {
             let mut last_completed = 0u64;
             let mut stalled_ticks = 0u32;
             gs_obs::Watcher::spawn(
+                "gs-obs-watcher",
                 std::time::Duration::from_millis(shared.config.obs.watcher_interval_ms),
                 move || {
                     let completed = shared.stats.completed_count();

@@ -414,6 +414,135 @@ fn killing_a_replica_mid_traffic_loses_zero_submissions() {
     }
 }
 
+#[test]
+fn killing_a_shard_replica_mid_traffic_fails_the_relay_over() {
+    // The relay path shares the single-scene failover loop: the HTTP
+    // replica holding one shard dies mid-traffic, every render is still
+    // answered with the exact single-node sharded frame, the shard is
+    // placed again on the survivor, and the failover is on record.
+    let scene = Arc::new(tour(600, 50.0, 47));
+    let shards = 2usize;
+    let victim_server = replica_server(1 << 30);
+    let victim_http = HttpServer::bind(
+        HttpConfig {
+            // Shard uploads and relayed layers both exceed the default.
+            max_body_bytes: 4 << 20,
+            ..HttpConfig::default()
+        },
+        Arc::clone(&victim_server),
+    )
+    .unwrap();
+    let cluster = Arc::new(Coordinator::new(ClusterConfig::default()));
+    cluster
+        .add_replica(
+            "victim",
+            ReplicaTransport::Http(victim_http.local_addr().to_string()),
+        )
+        .unwrap();
+    cluster
+        .add_replica(
+            "survivor",
+            ReplicaTransport::InProcess(replica_server(1 << 30)),
+        )
+        .unwrap();
+    cluster
+        .load_scene_sharded(
+            "tour",
+            Arc::new(scene.gt_params.clone()),
+            scene.background,
+            shards,
+        )
+        .unwrap();
+    // Shard 0 (the near half, which views 0 and 1 render) lands on the
+    // victim: most free budget, ties to the lower id.
+    assert_eq!(cluster.scenes()[0].replicas, vec![0, 1]);
+
+    let single = replica_server(1 << 30);
+    single
+        .load_scene_sharded(
+            "tour",
+            Arc::new(scene.gt_params.clone()),
+            scene.background,
+            shards,
+        )
+        .unwrap();
+    let expected: Vec<Vec<f32>> = (0..2)
+        .map(|view| {
+            let req = wire_request(&scene, "tour", view);
+            let frame = single.render_blocking(req.to_render_request()).unwrap();
+            frame.image.data().to_vec()
+        })
+        .collect();
+
+    let clients = 4usize;
+    let per_client = 8usize;
+    let kill_after = 6usize;
+    let done = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+    let killed = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|c| {
+                let (cluster, scene, expected) = (&cluster, &scene, &expected);
+                let (done, killed) = (Arc::clone(&done), Arc::clone(&killed));
+                scope.spawn(move || {
+                    for r in 0..per_client {
+                        // Tail traffic waits for the kill (see
+                        // killing_a_replica_mid_traffic_loses_zero_submissions).
+                        if r == 2 {
+                            while !killed.load(std::sync::atomic::Ordering::SeqCst) {
+                                std::thread::yield_now();
+                            }
+                        }
+                        let view = (c + r) % 2;
+                        let req = wire_request(scene, "tour", view);
+                        let frame = cluster
+                            .render(&req)
+                            .expect("every submission must be answered");
+                        assert_eq!(
+                            frame.image.data(),
+                            expected[view].as_slice(),
+                            "client {c} render {r}: the relay must stay exact across the kill"
+                        );
+                        done.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                    }
+                })
+            })
+            .collect();
+        while done.load(std::sync::atomic::Ordering::SeqCst) < kill_after {
+            std::thread::yield_now();
+        }
+        victim_http.shutdown();
+        drop(victim_server);
+        killed.store(true, std::sync::atomic::Ordering::SeqCst);
+        for handle in handles {
+            handle.join().unwrap();
+        }
+    });
+    assert_eq!(
+        done.load(std::sync::atomic::Ordering::SeqCst),
+        clients * per_client
+    );
+
+    let stats = cluster.stats();
+    assert!(
+        stats.failovers > 0,
+        "the kill must cause failovers: {stats}"
+    );
+    assert!(stats.replacements > 0, "shard 0 must be re-placed: {stats}");
+    assert_eq!(stats.errors, 0);
+    assert_eq!(cluster.replica_status()[0].health, Health::Down);
+    assert_eq!(cluster.scenes()[0].replicas, vec![1, 1]);
+    let events = cluster.obs().recorder().events();
+    assert!(
+        events
+            .iter()
+            .any(|e| e.message.starts_with("render failover")
+                && e.replica.as_deref() == Some("victim")
+                && e.scene.as_deref() == Some("tour")),
+        "the relay's failover must be recorded: {events:?}"
+    );
+}
+
 /// Loads `scene` as `"tour"` — whole, or split into `shards` — and returns
 /// the frame `req` must produce: the unsharded render, or the single-node
 /// sharded render the relay reproduces bit for bit.
