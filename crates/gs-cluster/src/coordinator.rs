@@ -1769,17 +1769,19 @@ impl Coordinator {
                 background: hold.background,
                 bytes: site.bytes,
             };
-            let copies = |(_, site): &&(Option<usize>, &Site)| site.replicas.len();
+            let replicated = |(_, site): &&(Option<usize>, &Site)| site.replicas.len() > 1;
             if cfg.max_copies > 1 && rate >= cfg.replicate_rate_per_s {
                 cool.remove(id);
-                let below_max = sites.iter().filter(|s| copies(s) < cfg.max_copies);
+                let below_max = sites
+                    .iter()
+                    .filter(|(_, s)| s.replicas.len() < cfg.max_copies);
                 adds.extend(below_max.map(plan));
-            } else if sites.iter().any(|s| copies(&s) > 1) && rate < cfg.dereplicate_rate_per_s {
+            } else if sites.iter().any(|s| replicated(&s)) && rate < cfg.dereplicate_rate_per_s {
                 let ticks = cool.entry(id.clone()).or_insert(0);
                 *ticks += 1;
                 if *ticks >= cfg.cool_ticks.max(1) {
                     cool.remove(id);
-                    retires.extend(sites.iter().filter(|s| copies(s) > 1).map(plan));
+                    retires.extend(sites.iter().filter(replicated).map(plan));
                 }
             } else {
                 cool.remove(id);
