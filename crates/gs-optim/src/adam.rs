@@ -90,9 +90,10 @@ impl MomentState {
 }
 
 /// The constants of one Adam step over one parameter group, and the update
-/// of a single element that every dense entry point shares.
+/// of a single element: the crate's one Adam rule, which every optimizer in
+/// it applies (the deferred one replays it over skipped steps).
 #[derive(Debug, Clone, Copy)]
-struct ElementUpdate {
+pub(crate) struct ElementUpdate {
     b1: f32,
     b2: f32,
     eps: f32,
@@ -102,7 +103,7 @@ struct ElementUpdate {
 }
 
 impl ElementUpdate {
-    fn new(config: &AdamConfig, group: ParamGroup, t: u64) -> Self {
+    pub(crate) fn new(config: &AdamConfig, group: ParamGroup, t: u64) -> Self {
         Self {
             b1: config.beta1,
             b2: config.beta2,
@@ -114,7 +115,7 @@ impl ElementUpdate {
     }
 
     #[inline(always)]
-    fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, grad: f32) {
+    pub(crate) fn apply(&self, p: &mut f32, m: &mut f32, v: &mut f32, grad: f32) {
         let m_new = self.b1 * *m + (1.0 - self.b1) * grad;
         let v_new = self.b2 * *v + (1.0 - self.b2) * grad * grad;
         *m = m_new;
@@ -336,30 +337,19 @@ impl SparseAdam {
         let t = self.inner.step;
         let n_total = params.len();
         assert_eq!(n_total, self.inner.state.len(), "state length mismatch");
-        let b1 = self.inner.config.beta1;
-        let b2 = self.inner.config.beta2;
-        let eps = self.inner.config.eps;
-        let bc1 = 1.0 - b1.powi(t as i32);
-        let bc2 = 1.0 - b2.powi(t as i32);
-
+        let updates = ParamGroup::ALL.map(|g| (g, ElementUpdate::new(&self.inner.config, g, t)));
         for (k, &id) in sparse.ids.iter().enumerate() {
             let i = id as usize;
             assert!(i < n_total, "gaussian id out of range");
-            for g in ParamGroup::ALL {
+            for &(g, update) in &updates {
                 let dim = g.dim();
-                let lr = self.inner.config.lr_at(g, t);
                 let p = params.group_mut(g);
                 let gr = sparse.grads.group(g);
                 let m = self.inner.state.m.group_mut(g);
                 let v = self.inner.state.v.group_mut(g);
                 for d in 0..dim {
-                    let grad = gr[k * dim + d];
                     let idx = i * dim + d;
-                    let m_new = b1 * m[idx] + (1.0 - b1) * grad;
-                    let v_new = b2 * v[idx] + (1.0 - b2) * grad * grad;
-                    m[idx] = m_new;
-                    v[idx] = v_new;
-                    p[idx] -= lr * (m_new / bc1) / ((v_new / bc2).sqrt() + eps);
+                    update.apply(&mut p[idx], &mut m[idx], &mut v[idx], gr[k * dim + d]);
                 }
             }
         }

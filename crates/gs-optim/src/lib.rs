@@ -12,10 +12,10 @@
 //! * [`sgd`] — SGD with momentum, demonstrating that the deferred-update
 //!   idea applies to any momentum-based optimizer.
 //! * [`deferred`] — the paper's deferred Adam (Section 4.3): zero-gradient
-//!   Gaussians are skipped and a 4-bit counter plus precomputed scaling
-//!   lookup tables reconstructs their momentum, variance and weights exactly
-//!   (up to an ε-factoring approximation) when they next receive a gradient
-//!   or when the counter saturates.
+//!   Gaussians are skipped, and a 4-bit counter says how many steps to
+//!   replay when they next receive a gradient or when the counter
+//!   saturates. The replay runs dense Adam's own element update, so the
+//!   restored weights, momentum and variance are bit-identical to it.
 //! * [`stats`] — per-step memory-traffic accounting consumed by the platform
 //!   timing model (the deferred update's benefit is precisely this traffic
 //!   reduction).

@@ -32,6 +32,13 @@
 //!   step, with and without densification
 //!   (`placements_and_schedules_train_bit_identically_in_lockstep`, and the
 //!   fingerprints in `trained_parameters_match_golden_fingerprints`);
+//! * the deferred update: the same loss bits after every step and the same
+//!   parameter bits after every densification and flush, against GPU-only
+//!   and against GS-Scale without it, on runs that defer most Gaussians
+//!   (the same lockstep test); deferred Adam equals dense Adam in
+//!   parameters and both moments (`gs-optim`'s
+//!   `deferred_is_bit_identical_to_dense_adam_under_random_activity`, and
+//!   `deferred_adam_tracks_dense_adam` in `tests/property_invariants.rs`);
 //! * sparse vs dense Adam: reading the packed gradients in place equals
 //!   expanding them first (`gs-optim`'s
 //!   `sparse_entry_is_bit_identical_to_the_densified_call`, and
@@ -42,9 +49,7 @@
 //!
 //! * image splitting: within 1e-4 of the unsplit run
 //!   (`image_splitting_preserves_training_results`); the split path rounds
-//!   the loss gradient twice and sums the halves in a different order;
-//! * the deferred update: within its ε approximation of dense Adam
-//!   (`all_offload_variants_match_gpu_only_training`).
+//!   the loss gradient twice and sums the halves in a different order.
 //!
 //! # Host-side cost of one step
 //!
@@ -661,50 +666,72 @@ mod tests {
     use gs_scene::{SceneConfig, SceneDataset};
 
     /// Steps `a` and `b` together over `views`, densifying each when due,
-    /// and reports where they first differ: the iteration, then the loss, the
+    /// and returns `b`'s per-step statistics if both agree bit for bit, or
+    /// else where they first differ: the iteration, then the loss, the
     /// Gaussian count, or the first Gaussian and parameter group/column whose
-    /// bits differ. `None` when both agree bit for bit after every step.
-    fn first_divergence(
+    /// bits differ. The loss is compared after every step, the parameters
+    /// after each step where `compare_params(iteration)` holds and after a
+    /// final flush. A deferring trainer's stored values are stale between
+    /// flushes, so its parameters can only be compared after one.
+    fn lockstep(
         a: &mut dyn Trainer,
         b: &mut dyn Trainer,
         views: &[(Camera, Image)],
         steps: usize,
-    ) -> Option<String> {
+        compare_params: impl Fn(usize) -> bool,
+    ) -> std::result::Result<Vec<IterationStats>, String> {
+        let mut stats = Vec::with_capacity(steps);
         for iteration in 1..=steps {
             let (cam, target) = &views[(iteration - 1) % views.len()];
             let loss_a = a.step(cam, target).unwrap().loss;
-            let loss_b = b.step(cam, target).unwrap().loss;
-            if loss_a.to_bits() != loss_b.to_bits() {
-                return Some(format!("iteration {iteration}: loss {loss_a} vs {loss_b}"));
+            let step_b = b.step(cam, target).unwrap();
+            if loss_a.to_bits() != step_b.loss.to_bits() {
+                let loss_b = step_b.loss;
+                return Err(format!("iteration {iteration}: loss {loss_a} vs {loss_b}"));
             }
+            stats.push(step_b);
             a.densify_if_due().unwrap();
             b.densify_if_due().unwrap();
-            let (pa, pb) = (a.params(), b.params());
-            if pa.len() != pb.len() {
-                let (na, nb) = (pa.len(), pb.len());
-                return Some(format!("iteration {iteration}: {na} vs {nb} Gaussians"));
+            if compare_params(iteration) {
+                same_params(a.params(), b.params())
+                    .map_err(|at| format!("iteration {iteration}: {at}"))?;
             }
-            for i in 0..pa.len() {
-                for g in ParamGroup::ALL {
-                    let dim = g.dim();
-                    for column in 0..dim {
-                        let (x, y) = (pa.group(g)[i * dim + column], pb.group(g)[i * dim + column]);
-                        if x.to_bits() != y.to_bits() {
-                            return Some(format!(
-                                "iteration {iteration}: Gaussian {i}, {g:?} column {column}: {x} vs {y}"
-                            ));
-                        }
+        }
+        a.flush();
+        b.flush();
+        same_params(a.params(), b.params()).map_err(|at| format!("after the final flush: {at}"))?;
+        Ok(stats)
+    }
+
+    /// Where two parameter sets first differ: the Gaussian count, or the
+    /// first Gaussian and parameter group/column whose bits differ.
+    fn same_params(a: &GaussianParams, b: &GaussianParams) -> std::result::Result<(), String> {
+        if a.len() != b.len() {
+            return Err(format!("{} vs {} Gaussians", a.len(), b.len()));
+        }
+        for i in 0..a.len() {
+            for g in ParamGroup::ALL {
+                let dim = g.dim();
+                for column in 0..dim {
+                    let (x, y) = (a.group(g)[i * dim + column], b.group(g)[i * dim + column]);
+                    if x.to_bits() != y.to_bits() {
+                        return Err(format!("Gaussian {i}, {g:?} column {column}: {x} vs {y}"));
                     }
                 }
             }
         }
-        None
+        Ok(())
     }
 
-    /// GPU-only against the baseline, and against selective offloading with
-    /// parameter forwarding (no splitting, no deferral): the same loss and
-    /// parameter bits after every step, over seeds × active ratio ×
-    /// densification on/off. Four seeds in debug builds, sixteen in release.
+    /// GPU-only against the baseline, against selective offloading with
+    /// parameter forwarding, and against that plus the deferred update (no
+    /// splitting in any of them); and GS-Scale without the deferred update
+    /// against GS-Scale with it (both splitting). The same loss bits after
+    /// every step, and the same parameter bits after every step — or, when
+    /// one side defers, after every densification and after a final flush —
+    /// over seeds × active ratio × densification on/off. Four seeds in debug
+    /// builds, sixteen in release. The deferring runs must really defer: on
+    /// some step the host optimizer updates at most half the Gaussians.
     #[test]
     fn placements_and_schedules_train_bit_identically_in_lockstep() {
         const STEPS: usize = 12;
@@ -714,6 +741,10 @@ mod tests {
             selective_offloading: true,
             parameter_forwarding: true,
             ..OffloadOptions::baseline()
+        };
+        let deferring = OffloadOptions {
+            deferred_update: true,
+            ..resident_pipelined
         };
         for seed in 0..seeds {
             for active_ratio in [0.15, 0.55, 0.9] {
@@ -750,30 +781,50 @@ mod tests {
                             max_gaussians: 0,
                         };
                     }
-                    for options in [OffloadOptions::baseline(), resident_pipelined] {
-                        let mut gpu_only = GpuOnlyTrainer::new(
-                            config.clone(),
-                            platform.clone(),
-                            init.clone(),
-                            extent,
-                        )
-                        .unwrap();
-                        let mut other = OffloadTrainer::new(
-                            config.clone(),
-                            options,
-                            platform.clone(),
-                            init.clone(),
-                            extent,
-                        )
-                        .unwrap();
+                    let gpu_only = || {
+                        let (config, init) = (config.clone(), init.clone());
+                        GpuOnlyTrainer::new(config, platform.clone(), init, extent).unwrap()
+                    };
+                    let offloaded = |options| {
+                        let (config, init) = (config.clone(), init.clone());
+                        OffloadTrainer::new(config, options, platform.clone(), init, extent)
+                            .unwrap()
+                    };
+                    let pairs: [(Box<dyn Trainer>, _); 4] = [
+                        (Box::new(gpu_only()), OffloadOptions::baseline()),
+                        (Box::new(gpu_only()), resident_pipelined),
+                        (Box::new(gpu_only()), deferring),
+                        (
+                            Box::new(offloaded(OffloadOptions::without_deferred())),
+                            OffloadOptions::full(),
+                        ),
+                    ];
+                    for (mut reference, options) in pairs {
+                        let mut other = offloaded(options);
                         let case = format!(
-                            "{options:?}, seed {seed}, active ratio {active_ratio}, densify {densifying}"
+                            "{} vs {options:?}, seed {seed}, active ratio {active_ratio}, \
+                             densify {densifying}",
+                            reference.name()
                         );
-                        if let Some(at) = first_divergence(&mut gpu_only, &mut other, &views, STEPS)
-                        {
-                            panic!("{case}: left GPU-only at {at}");
+                        let compare_params = |iteration| {
+                            !options.deferred_update || config.densify.is_due(iteration)
+                        };
+                        let stats =
+                            lockstep(&mut *reference, &mut other, &views, STEPS, compare_params)
+                                .unwrap_or_else(|at| panic!("{case}: diverged at {at}"));
+                        assert_eq!(
+                            reference.num_gaussians() != init.len(),
+                            densifying,
+                            "{case}"
+                        );
+                        if options.deferred_update {
+                            let defers =
+                                |s: &IterationStats| s.optimizer_updates <= s.total_gaussians / 2;
+                            assert!(
+                                stats.iter().any(defers),
+                                "{case}: never deferred half the rows"
+                            );
                         }
-                        assert_eq!(gpu_only.num_gaussians() != init.len(), densifying, "{case}");
                     }
                 }
             }

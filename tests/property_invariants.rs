@@ -128,8 +128,9 @@ fn split_viewports_compose_to_full_image() {
     }
 }
 
-/// The deferred optimizer follows dense Adam for arbitrary sparse gradient
-/// schedules (after a flush), which is the paper's core correctness claim.
+/// The deferred optimizer follows dense Adam bit for bit — parameters and
+/// both moments, after a flush — for arbitrary sparse gradient schedules,
+/// which is the paper's core correctness claim.
 #[test]
 fn deferred_adam_tracks_dense_adam() {
     for seed in 0..CASES {
@@ -166,9 +167,16 @@ fn deferred_adam_tracks_dense_adam() {
             deferred.step(&mut p_def, &sparse);
         }
         deferred.flush(&mut p_def);
+        let (a, b) = (dense.state(), deferred.state());
+        let bits = |values: &[f32]| values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         for g in ParamGroup::ALL {
-            for (a, b) in p_dense.group(g).iter().zip(p_def.group(g)) {
-                assert!((a - b).abs() < 5e-4, "seed {seed}, group {g:?}: {a} vs {b}");
+            let pairs = [
+                ("params", p_dense.group(g), p_def.group(g)),
+                ("m", a.m.group(g), b.m.group(g)),
+                ("v", a.v.group(g), b.v.group(g)),
+            ];
+            for (what, x, y) in pairs {
+                assert_eq!(bits(x), bits(y), "seed {seed}, {what} of {g:?}");
             }
         }
     }
