@@ -64,7 +64,7 @@
 //! listener via [`HttpHandler`] and [`HttpServer::bind_with`].
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -426,11 +426,9 @@ impl Conn<'_> {
     ///
     /// Blocks at most one short poll interval (the stream's read timeout).
     pub fn client_disconnected(&mut self) -> bool {
-        let mut chunk = [0u8; 1024];
-        match self.stream.read(&mut chunk) {
+        match read_into(self.stream, self.buf) {
             Ok(0) => true,
-            Ok(n) => {
-                self.buf.extend_from_slice(&chunk[..n]);
+            Ok(_) => {
                 // A client flooding bytes while its render is queued would
                 // otherwise grow the buffer without bound (head/body limits
                 // are only enforced when the next request is parsed).
@@ -543,15 +541,15 @@ fn read_request(
     stop: &AtomicBool,
 ) -> ReadOutcome {
     let deadline = Instant::now() + idle_timeout;
-    let mut chunk = [0u8; 4096];
+    let mut scanned = 0;
     let head_end = loop {
-        if let Some(pos) = find_head_end(buf) {
+        if let Some(pos) = find_head_end(buf, &mut scanned) {
             break pos;
         }
         if buf.len() > MAX_HEAD_BYTES {
             return ReadOutcome::Bad(HttpResponse::text(413, "request head too large\n"));
         }
-        match read_more(stream, buf, &mut chunk, deadline, stop) {
+        match read_more(stream, deadline, stop, |stream| read_into(stream, buf)) {
             Ok(0) => {
                 return if buf.is_empty() {
                     ReadOutcome::Closed
@@ -624,16 +622,25 @@ fn read_request(
     {
         return ReadOutcome::Closed;
     }
-    let total = head_end + 4 + body_len;
-    while buf.len() < total {
-        match read_more(stream, buf, &mut chunk, deadline, stop) {
+    // The body is read in place: the bytes after the head become its
+    // buffer, and the rest of it is read straight onto their end. The
+    // buffer grows only as bytes arrive. Bytes past the body (a pipelined
+    // next request) go back to the connection buffer.
+    let mut body = buf.split_off(head_end + 4);
+    buf.clear();
+    while body.len() < body_len {
+        let read = read_more(stream, deadline, stop, |stream| {
+            let want = (body_len - body.len()) as u64;
+            stream.take(want).read_to_end(&mut body)
+        });
+        match read {
             Ok(0) => return ReadOutcome::Bad(HttpResponse::text(400, "truncated request body\n")),
             Ok(_) => {}
             Err(_) => return ReadOutcome::Closed,
         }
     }
-    let body = buf[head_end + 4..total].to_vec();
-    buf.drain(..total);
+    buf.extend_from_slice(&body[body_len..]);
+    body.truncate(body_len);
     ReadOutcome::Request(HttpRequest {
         method,
         path,
@@ -643,26 +650,49 @@ fn read_request(
     })
 }
 
-/// Position of the `\r\n\r\n` head terminator, if present.
-fn find_head_end(buf: &[u8]) -> Option<usize> {
-    buf.windows(4).position(|w| w == b"\r\n\r\n")
+/// Position of the `\r\n\r\n` head terminator in `buf`, if present. The
+/// scan starts at `*from`; on a miss it leaves `*from` three bytes short of
+/// the end (the terminator may straddle two reads), where the next scan
+/// resumes. A head dribbled in byte by byte is thus scanned once, not
+/// once per read.
+fn find_head_end(buf: &[u8], from: &mut usize) -> Option<usize> {
+    let found = buf[*from..]
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map(|p| *from + p);
+    if found.is_none() {
+        *from = buf.len().saturating_sub(3);
+    }
+    found
 }
 
-/// Reads one chunk, retrying through timeouts until `stop` is set or
-/// `deadline` passes (then reports the connection as closed via `Err`).
+/// Largest single read onto the end of a buffer: while looking for a head,
+/// and in a disconnect probe. Bodies are read by their remaining length.
+const READ_CHUNK: usize = 4096;
+
+/// One read from `stream` straight onto the end of `buf` (at most
+/// [`READ_CHUNK`] bytes); returns the byte count like [`Read::read`].
+fn read_into(stream: &mut TcpStream, buf: &mut Vec<u8>) -> io::Result<usize> {
+    let len = buf.len();
+    buf.resize(len + READ_CHUNK, 0);
+    let read = stream.read(&mut buf[len..]);
+    buf.truncate(len + read.as_ref().map_or(0, |&n| n));
+    read
+}
+
+/// Runs `read` (one read, or one `read_to_end` of a bounded `take`) until
+/// it returns, retrying through the socket's read timeouts until `stop` is
+/// set or `deadline` passes (then reports the connection as closed via
+/// `Err`). Bytes a timed-out `read_to_end` already appended stay appended.
 fn read_more(
     stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    chunk: &mut [u8],
     deadline: Instant,
     stop: &AtomicBool,
+    mut read: impl FnMut(&mut TcpStream) -> io::Result<usize>,
 ) -> Result<usize, ()> {
     loop {
-        match stream.read(chunk) {
-            Ok(n) => {
-                buf.extend_from_slice(&chunk[..n]);
-                return Ok(n);
-            }
+        match read(stream) {
+            Ok(n) => return Ok(n),
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
@@ -737,11 +767,28 @@ fn write_response(
         head.push_str("\r\n");
     }
     head.push_str("\r\n");
-    // One write for head + body: two small writes would trip the
-    // Nagle/delayed-ACK interaction and stall small responses by ~40ms.
-    let mut message = head.into_bytes();
-    message.extend_from_slice(&response.body);
-    stream.write_all(&message)?;
+    write_message(stream, head.as_bytes(), &response.body)
+}
+
+/// Writes one HTTP message: `head` then `body`, as one vectored write.
+/// Neither is copied next to the other, and a small message still leaves
+/// in one syscall — two small writes would trip the Nagle/delayed-ACK
+/// interaction and stall it by ~40ms. A partial write resumes where the
+/// socket stopped.
+fn write_message(stream: &mut impl Write, head: &[u8], body: &[u8]) -> io::Result<()> {
+    let mut slices = [IoSlice::new(head), IoSlice::new(body)];
+    let mut pending = &mut slices[..];
+    // Drops leading empty slices: an empty message writes nothing instead
+    // of reading a zero-byte write as a failure.
+    IoSlice::advance_slices(&mut pending, 0);
+    while !pending.is_empty() {
+        match stream.write_vectored(pending) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
     stream.flush()
 }
 
@@ -1252,7 +1299,7 @@ fn render_layer_route(server: &RenderServer, req: &HttpRequest) -> HttpResponse 
 /// A minimal blocking HTTP/1.1 client, just enough to drive [`HttpServer`]
 /// from load generators, benches and tests over a keep-alive connection.
 pub mod client {
-    use std::io::{self, Read, Write};
+    use std::io::{self, Read};
     use std::net::TcpStream;
 
     /// A response read off the wire.
@@ -1307,21 +1354,7 @@ pub mod client {
         headers: &[(&str, &str)],
         body: &[u8],
     ) -> io::Result<ClientResponse> {
-        let mut head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: gs-serve\r\nContent-Length: {}\r\n",
-            body.len()
-        );
-        for (name, value) in headers {
-            head.push_str(name);
-            head.push_str(": ");
-            head.push_str(value);
-            head.push_str("\r\n");
-        }
-        head.push_str("\r\n");
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        stream.write_all(&message)?;
-        stream.flush()?;
+        send(stream, method, path, headers, body)?;
         read_response(stream)
     }
 
@@ -1336,16 +1369,30 @@ pub mod client {
         path: &str,
         body: &[u8],
     ) -> io::Result<()> {
-        let head = format!(
-            "{method} {path} HTTP/1.1\r\nHost: gs-serve\r\nContent-Length: {}\r\n\r\n",
+        send(stream, method, path, &[], body)
+    }
+
+    /// Writes one request: its head, then `body` in the same vectored write
+    /// (see [`super::write_message`]).
+    fn send(
+        stream: &mut TcpStream,
+        method: &str,
+        path: &str,
+        headers: &[(&str, &str)],
+        body: &[u8],
+    ) -> io::Result<()> {
+        let mut head = format!(
+            "{method} {path} HTTP/1.1\r\nHost: gs-serve\r\nContent-Length: {}\r\n",
             body.len()
         );
-        // One write for head + body: two small writes would trip the
-        // Nagle/delayed-ACK interaction and stall small requests by ~40ms.
-        let mut message = head.into_bytes();
-        message.extend_from_slice(body);
-        stream.write_all(&message)?;
-        stream.flush()
+        for (name, value) in headers {
+            head.push_str(name);
+            head.push_str(": ");
+            head.push_str(value);
+            head.push_str("\r\n");
+        }
+        head.push_str("\r\n");
+        super::write_message(stream, head.as_bytes(), body)
     }
 
     fn bad(msg: &str) -> io::Error {
@@ -1360,17 +1407,19 @@ pub mod client {
     /// [`io::ErrorKind::InvalidData`].
     pub fn read_response(stream: &mut TcpStream) -> io::Result<ClientResponse> {
         let mut buf = Vec::new();
-        let mut chunk = [0u8; 4096];
+        let mut scanned = 0;
         let head_end = loop {
-            if let Some(pos) = super::find_head_end(&buf) {
+            if let Some(pos) = super::find_head_end(&buf, &mut scanned) {
                 break pos;
             }
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
+            if super::read_into(stream, &mut buf)? == 0 {
                 return Err(bad("connection closed mid-response"));
             }
-            buf.extend_from_slice(&chunk[..n]);
         };
+        // The bytes after the head start the body, which is read in place
+        // onto their end and grows only as bytes arrive: an untrusted
+        // `Content-Length` never sizes an allocation.
+        let mut body = buf.split_off(head_end + 4);
         let head =
             std::str::from_utf8(&buf[..head_end]).map_err(|_| bad("response head is not UTF-8"))?;
         let mut lines = head.split("\r\n");
@@ -1391,19 +1440,66 @@ pub mod client {
             .find(|(n, _)| n == "content-length")
             .and_then(|(_, v)| v.parse::<usize>().ok())
             .ok_or_else(|| bad("missing Content-Length"))?;
-        let total = head_end + 4 + content_length;
-        while buf.len() < total {
-            let n = stream.read(&mut chunk)?;
-            if n == 0 {
+        while body.len() < content_length {
+            let want = (content_length - body.len()) as u64;
+            if (&mut *stream).take(want).read_to_end(&mut body)? == 0 {
                 return Err(bad("connection closed mid-body"));
             }
-            buf.extend_from_slice(&chunk[..n]);
         }
-        let body = buf[head_end + 4..total].to_vec();
+        body.truncate(content_length);
         Ok(ClientResponse {
             status,
             headers,
             body,
         })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn head_end_is_found_when_dribbled_byte_by_byte() {
+        let message = b"GET /healthz HTTP/1.1\r\nHost: h\r\n\r\nbody";
+        let end = message.windows(4).position(|w| w == b"\r\n\r\n").unwrap();
+        let mut buf = Vec::new();
+        let mut scanned = 0;
+        for (k, &byte) in message.iter().enumerate() {
+            buf.push(byte);
+            let found = find_head_end(&buf, &mut scanned);
+            if k + 1 < end + 4 {
+                assert_eq!(found, None, "after {} bytes", k + 1);
+                assert!(scanned + 3 >= buf.len(), "the scan resumes near the end");
+            } else {
+                assert_eq!(found, Some(end), "after {} bytes", k + 1);
+                break;
+            }
+        }
+    }
+
+    #[test]
+    fn write_message_resumes_partial_writes() {
+        /// Accepts at most 3 bytes per call, from the first slice only.
+        struct Trickle(Vec<u8>);
+        impl Write for Trickle {
+            fn write(&mut self, data: &[u8]) -> io::Result<usize> {
+                let n = data.len().min(3);
+                self.0.extend_from_slice(&data[..n]);
+                Ok(n)
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for (head, body) in [
+            (&b"HTTP/1.1 200 OK\r\n\r\n"[..], &b"0123456789"[..]),
+            (b"", b"body only"),
+            (b"head only", b""),
+        ] {
+            let mut sink = Trickle(Vec::new());
+            write_message(&mut sink, head, body).unwrap();
+            assert_eq!(sink.0, [head, body].concat());
+        }
     }
 }

@@ -29,6 +29,13 @@
 //!   exactly the floats the renderer produced.
 //! * [`WireFormat::Ppm`] — a binary `P6` PPM with 8-bit channels (values
 //!   clamped to `[0, 1]` and scaled), viewable in any image tool.
+//!
+//! The binary framings of the cluster tier — frame layers, layer requests
+//! and scene uploads — carry their payloads as little-endian `f32`s too.
+//! One private codec pair serves every framing: `put_f32s` appends a slice
+//! in one sized bulk fill, and `get_f32s` decodes into a slice the caller
+//! owns (a frame buffer, a layer plane, a parameter group), so no framing
+//! converts one float at a time or stages a temporary `Vec`.
 
 use std::time::{Duration, Instant};
 
@@ -702,10 +709,8 @@ fn parse_floats<const N: usize>(
 
 /// Encodes an image as row-major RGB `f32` little-endian bytes.
 pub fn encode_raw_f32(image: &Image) -> Vec<u8> {
-    let mut out = Vec::with_capacity(image.data().len() * 4);
-    for v in image.data() {
-        out.extend_from_slice(&v.to_le_bytes());
-    }
+    let mut out = Vec::with_capacity(4 * image.data().len());
+    put_f32s(&mut out, image.data());
     out
 }
 
@@ -722,10 +727,8 @@ pub fn decode_raw_f32(width: usize, height: usize, bytes: &[u8]) -> Result<Image
             bytes.len()
         )));
     }
-    let data = bytes
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let mut data = vec![0.0; 3 * width * height];
+    get_f32s(bytes, &mut data);
     Ok(Image::from_raw(width, height, data))
 }
 
@@ -769,17 +772,25 @@ fn read_u32(bytes: &[u8], at: usize, what: &str) -> Result<u32, WireError> {
     ]))
 }
 
-fn push_f32s(out: &mut Vec<u8>, values: &[f32]) {
-    for v in values {
-        out.extend_from_slice(&v.to_le_bytes());
+/// Appends `values` as little-endian bytes: the one `f32` encoder behind
+/// every framing. The output is sized once and filled four bytes at a
+/// time, which the compiler turns into a bulk copy.
+fn put_f32s(out: &mut Vec<u8>, values: &[f32]) {
+    let start = out.len();
+    out.resize(start + 4 * values.len(), 0);
+    for (dst, v) in out[start..].chunks_exact_mut(4).zip(values) {
+        dst.copy_from_slice(&v.to_le_bytes());
     }
 }
 
-fn read_f32s(bytes: &[u8], n: usize) -> Vec<f32> {
-    bytes[..4 * n]
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect()
+/// Fills `dst` from the little-endian bytes [`put_f32s`] wrote: the one
+/// `f32` decoder. Callers check the framing's lengths first, so `bytes`
+/// holds exactly `4 * dst.len()` bytes.
+fn get_f32s(bytes: &[u8], dst: &mut [f32]) {
+    assert_eq!(bytes.len(), 4 * dst.len(), "f32 run length");
+    for (v, src) in dst.iter_mut().zip(bytes.chunks_exact(4)) {
+        *v = f32::from_le_bytes([src[0], src[1], src[2], src[3]]);
+    }
 }
 
 /// Encodes a [`FrameLayer`] losslessly: `GSL1`, `u32` width and height
@@ -788,14 +799,23 @@ fn read_f32s(bytes: &[u8], n: usize) -> Vec<f32> {
 /// `decode_layer(encode_layer(l))` reproduces `l` bit for bit — the
 /// property that keeps cross-node shard composites exact.
 pub fn encode_layer(layer: &FrameLayer) -> Vec<u8> {
-    let (w, h) = (layer.width(), layer.height());
-    let mut out = Vec::with_capacity(12 + 16 * w * h);
-    out.extend_from_slice(LAYER_MAGIC);
-    push_u32(&mut out, w as u32);
-    push_u32(&mut out, h as u32);
-    push_f32s(&mut out, layer.color().data());
-    push_f32s(&mut out, layer.transmittance());
+    let mut out = Vec::with_capacity(layer_len(layer));
+    put_layer(&mut out, layer);
     out
+}
+
+/// Encoded size of `layer` in bytes.
+fn layer_len(layer: &FrameLayer) -> usize {
+    12 + 16 * layer.width() * layer.height()
+}
+
+/// Appends the [`encode_layer`] bytes of `layer` to `out`.
+fn put_layer(out: &mut Vec<u8>, layer: &FrameLayer) {
+    out.extend_from_slice(LAYER_MAGIC);
+    push_u32(out, layer.width() as u32);
+    push_u32(out, layer.height() as u32);
+    put_f32s(out, layer.color().data());
+    put_f32s(out, layer.transmittance());
 }
 
 /// Decodes [`encode_layer`] bytes.
@@ -820,9 +840,15 @@ pub fn decode_layer(bytes: &[u8]) -> Result<FrameLayer, WireError> {
             bytes.len()
         )));
     }
-    let color = Image::from_raw(w, h, read_f32s(&bytes[12..], 3 * w * h));
-    let transmittance = read_f32s(&bytes[12 + 12 * w * h..], w * h);
-    Ok(FrameLayer::from_parts(color, transmittance))
+    let (color_bytes, t_bytes) = bytes[12..].split_at(12 * w * h);
+    let mut color = vec![0.0; 3 * w * h];
+    get_f32s(color_bytes, &mut color);
+    let mut transmittance = vec![0.0; w * h];
+    get_f32s(t_bytes, &mut transmittance);
+    Ok(FrameLayer::from_parts(
+        Image::from_raw(w, h, color),
+        transmittance,
+    ))
 }
 
 /// Encodes a `POST /render_layer` body: `GSLQ`, a `u32` length-prefixed
@@ -847,18 +873,20 @@ pub fn encode_layer_request_traced(
     layer: Option<&FrameLayer>,
 ) -> Vec<u8> {
     let text = request.to_body();
-    let mut out = Vec::with_capacity(8 + text.len());
+    let block = trace.map(|(trace, parent)| format!("{trace}:{parent}"));
+    let mut out = Vec::with_capacity(
+        8 + text.len() + block.as_ref().map_or(0, |b| 8 + b.len()) + layer.map_or(0, layer_len),
+    );
     out.extend_from_slice(LAYER_REQUEST_MAGIC);
     push_u32(&mut out, text.len() as u32);
     out.extend_from_slice(text.as_bytes());
-    if let Some((trace, parent)) = trace {
-        let block = format!("{trace}:{parent}");
+    if let Some(block) = block {
         out.extend_from_slice(TRACE_BLOCK_MAGIC);
         push_u32(&mut out, block.len() as u32);
         out.extend_from_slice(block.as_bytes());
     }
     if let Some(layer) = layer {
-        out.extend_from_slice(&encode_layer(layer));
+        put_layer(&mut out, layer);
     }
     out
 }
@@ -952,12 +980,10 @@ pub fn encode_scene(params: &GaussianParams, background: [f32; 3]) -> Vec<u8> {
     let mut out = Vec::with_capacity(20 + 4 * n * GaussianParams::PARAMS_PER_GAUSSIAN);
     out.extend_from_slice(SCENE_MAGIC);
     push_u32(&mut out, n as u32);
-    push_f32s(&mut out, &background);
-    push_f32s(&mut out, &params.means);
-    push_f32s(&mut out, &params.log_scales);
-    push_f32s(&mut out, &params.quats);
-    push_f32s(&mut out, &params.opacities);
-    push_f32s(&mut out, &params.sh);
+    put_f32s(&mut out, &background);
+    for group in gs_core::gaussian::ParamGroup::ALL {
+        put_f32s(&mut out, params.group(group));
+    }
     out
 }
 
@@ -990,17 +1016,17 @@ pub fn decode_scene(bytes: &[u8]) -> Result<(GaussianParams, [f32; 3]), WireErro
             bytes.len()
         )));
     }
-    let bg = read_f32s(&bytes[8..], 3);
+    let mut background = [0.0; 3];
+    get_f32s(&bytes[8..20], &mut background);
     let mut params = GaussianParams::zeros(n);
     let mut at = 20;
     for group in gs_core::gaussian::ParamGroup::ALL {
-        let len = n * group.dim();
-        params
-            .group_mut(group)
-            .copy_from_slice(&read_f32s(&bytes[at..], len));
-        at += 4 * len;
+        let dst = params.group_mut(group);
+        let end = at + 4 * dst.len();
+        get_f32s(&bytes[at..end], dst);
+        at = end;
     }
-    Ok((params, [bg[0], bg[1], bg[2]]))
+    Ok((params, background))
 }
 
 // ---- parsable stats report (cluster stats fan-in) ----
@@ -1626,6 +1652,146 @@ mod tests {
         assert_eq!(WireRequest::parse(&req.to_body()).unwrap(), req);
         assert!(req.to_body().contains("shard 3"));
         assert_eq!(demo().shard, None);
+    }
+
+    /// `n` floats cycling through the values a lossy or value-based codec
+    /// would disturb (signed zeros, NaN payloads of both kinds, subnormals,
+    /// infinities), interleaved with seeded random bit patterns.
+    fn awkward_floats(n: usize, seed: u64) -> Vec<f32> {
+        let specials = [
+            -0.0,
+            0.0,
+            f32::from_bits(0x7fc0_0001),
+            f32::from_bits(0xffc1_2345),
+            f32::from_bits(0x7f80_0001),
+            f32::from_bits(0x0000_0001),
+            -f32::from_bits(0x007f_ffff),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+        ];
+        let mut rng = Rng64::seed_from_u64(seed);
+        (0..n)
+            .map(|i| match i % 2 {
+                0 => specials[(i / 2) % specials.len()],
+                _ => f32::from_bits(rng.next_u64() as u32),
+            })
+            .collect()
+    }
+
+    /// The reference encoding: one element at a time.
+    fn reference_f32s(out: &mut Vec<u8>, values: &[f32]) {
+        for v in values {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn reference_layer(out: &mut Vec<u8>, layer: &FrameLayer) {
+        out.extend_from_slice(LAYER_MAGIC);
+        out.extend_from_slice(&(layer.width() as u32).to_le_bytes());
+        out.extend_from_slice(&(layer.height() as u32).to_le_bytes());
+        reference_f32s(out, layer.color().data());
+        reference_f32s(out, layer.transmittance());
+    }
+
+    fn assert_same_layer(decoded: &FrameLayer, layer: &FrameLayer) {
+        assert_eq!(bits(decoded.color().data()), bits(layer.color().data()));
+        assert_eq!(bits(decoded.transmittance()), bits(layer.transmittance()));
+    }
+
+    #[test]
+    fn every_framing_pins_reference_bytes_and_decodes_the_same_bits() {
+        // Raw frames.
+        let image = Image::from_raw(5, 3, awkward_floats(45, 1));
+        let mut expected = Vec::new();
+        reference_f32s(&mut expected, image.data());
+        let encoded = encode_raw_f32(&image);
+        assert_eq!(encoded, expected, "raw f32 bytes");
+        let decoded = decode_raw_f32(5, 3, &encoded).unwrap();
+        assert_eq!(bits(decoded.data()), bits(image.data()));
+
+        // Layers.
+        let layer = FrameLayer::from_parts(
+            Image::from_raw(6, 4, awkward_floats(72, 2)),
+            awkward_floats(24, 3),
+        );
+        let mut expected = Vec::new();
+        reference_layer(&mut expected, &layer);
+        let encoded = encode_layer(&layer);
+        assert_eq!(encoded, expected, "layer bytes");
+        assert_same_layer(&decode_layer(&encoded).unwrap(), &layer);
+
+        // Layer requests: with and without a layer, with and without a
+        // trace block.
+        let mut req = demo();
+        req.width = 6;
+        req.height = 4;
+        req.shard = Some(1);
+        let trace = gs_obs::TraceId::parse("00000000deadbeef").unwrap();
+        for traced in [None, Some((trace, 9))] {
+            for attached in [None, Some(&layer)] {
+                let text = req.to_body();
+                let mut expected = Vec::new();
+                expected.extend_from_slice(LAYER_REQUEST_MAGIC);
+                expected.extend_from_slice(&(text.len() as u32).to_le_bytes());
+                expected.extend_from_slice(text.as_bytes());
+                if let Some((id, parent)) = traced {
+                    let block = format!("{id}:{parent}");
+                    expected.extend_from_slice(TRACE_BLOCK_MAGIC);
+                    expected.extend_from_slice(&(block.len() as u32).to_le_bytes());
+                    expected.extend_from_slice(block.as_bytes());
+                }
+                if let Some(l) = attached {
+                    reference_layer(&mut expected, l);
+                }
+                let encoded = encode_layer_request_traced(&req, traced, attached);
+                assert_eq!(
+                    encoded,
+                    expected,
+                    "layer request bytes (trace {}, layer {})",
+                    traced.is_some(),
+                    attached.is_some()
+                );
+                let (parsed, ctx, relayed) = decode_layer_request_traced(&encoded).unwrap();
+                assert_eq!(parsed, req);
+                assert_eq!(ctx, traced);
+                assert_eq!(relayed.is_some(), attached.is_some());
+                if let (Some(relayed), Some(l)) = (&relayed, attached) {
+                    assert_same_layer(relayed, l);
+                }
+            }
+        }
+
+        // Scene uploads.
+        let n = 7;
+        let mut params = GaussianParams::zeros(n);
+        for (k, group) in gs_core::gaussian::ParamGroup::ALL.into_iter().enumerate() {
+            let dst = params.group_mut(group);
+            let len = dst.len();
+            dst.copy_from_slice(&awkward_floats(len, 10 + k as u64));
+        }
+        let background = [f32::from_bits(0x7fc0_0abc), -0.0, f32::NEG_INFINITY];
+        let mut expected = Vec::new();
+        expected.extend_from_slice(SCENE_MAGIC);
+        expected.extend_from_slice(&(n as u32).to_le_bytes());
+        reference_f32s(&mut expected, &background);
+        for group in gs_core::gaussian::ParamGroup::ALL {
+            reference_f32s(&mut expected, params.group(group));
+        }
+        let encoded = encode_scene(&params, background);
+        assert_eq!(encoded, expected, "scene bytes");
+        let (decoded, bg) = decode_scene(&encoded).unwrap();
+        assert_eq!(bits(&bg), bits(&background));
+        for group in gs_core::gaussian::ParamGroup::ALL {
+            assert_eq!(
+                bits(decoded.group(group)),
+                bits(params.group(group)),
+                "{group:?}"
+            );
+        }
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //! real loopback TCP, keep-alive connections, and protocol error handling,
 //! all driven through the public facade.
 
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use gs_scale::scene::{SceneConfig, SceneDataset};
 use gs_scale::serve::http::client;
@@ -657,4 +658,151 @@ fn render_requests_are_captured_with_resolved_client_ids() {
     assert!(trace.events[0].at_us <= trace.events[1].at_us);
     assert!(trace.events[1].at_us <= trace.events[2].at_us);
     assert!(trace.events.iter().all(|e| e.latency_us > 0));
+}
+
+/// Reads `n` `Content-Length`-framed replies as `(status, body)`, keeping the
+/// bytes that arrive past one reply for the next: pipelined replies may
+/// share a read.
+fn read_replies(stream: &mut TcpStream, n: usize) -> Vec<(u16, Vec<u8>)> {
+    let mut bytes = Vec::new();
+    let mut replies = Vec::new();
+    let mut chunk = [0u8; 8192];
+    while replies.len() < n {
+        if let Some(head_end) = bytes.windows(4).position(|w| w == b"\r\n\r\n") {
+            let head = std::str::from_utf8(&bytes[..head_end]).unwrap();
+            let status = head.split_whitespace().nth(1).unwrap().parse().unwrap();
+            let len: usize = head
+                .lines()
+                .find_map(|line| {
+                    let (name, value) = line.split_once(':')?;
+                    name.eq_ignore_ascii_case("content-length")
+                        .then(|| value.trim().parse().unwrap())
+                })
+                .expect("a Content-Length header");
+            let end = head_end + 4 + len;
+            if bytes.len() >= end {
+                replies.push((status, bytes[head_end + 4..end].to_vec()));
+                bytes.drain(..end);
+                continue;
+            }
+        }
+        let read = stream.read(&mut chunk).unwrap();
+        assert!(
+            read > 0,
+            "connection closed after {} replies",
+            replies.len()
+        );
+        bytes.extend_from_slice(&chunk[..read]);
+    }
+    replies
+}
+
+/// The bytes `render_blocking` produces for `req`, raw-f32 encoded.
+fn in_process_bytes(server: &RenderServer, req: &WireRequest) -> Vec<u8> {
+    let frame = server.render_blocking(req.to_render_request()).unwrap();
+    wire::encode_raw_f32(&frame.image)
+}
+
+#[test]
+fn pipelined_requests_come_back_in_order_and_byte_identical() {
+    let scene = tiny_scene(300, 500);
+    let (http, server) = front_end(&scene);
+    let first = demo_request(&scene);
+    let mut second = demo_request(&scene);
+    second.position[0] += 3.0;
+    second.target[0] += 3.0;
+
+    // Both requests in one write: the server reads the second one's bytes
+    // together with the first and must keep them past the first body.
+    let mut message = Vec::new();
+    for req in [&first, &second] {
+        let body = req.to_body();
+        message.extend_from_slice(
+            format!(
+                "POST /render HTTP/1.1\r\nHost: gs-serve\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        );
+        message.extend_from_slice(body.as_bytes());
+    }
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream.write_all(&message).unwrap();
+    let replies = read_replies(&mut stream, 2);
+
+    let expected = [
+        in_process_bytes(&server, &first),
+        in_process_bytes(&server, &second),
+    ];
+    assert_ne!(expected[0], expected[1], "the two poses must differ");
+    for (k, ((status, body), want)) in replies.iter().zip(&expected).enumerate() {
+        assert_eq!(*status, 200, "reply {k}: {}", String::from_utf8_lossy(body));
+        assert!(body == want, "reply {k} must be request {k}'s frame");
+    }
+    // The connection is still in step for the next request.
+    let health = client::request(&mut stream, "GET", "/healthz", b"").unwrap();
+    assert_eq!(health.status, 200);
+    http.shutdown();
+}
+
+#[test]
+fn a_request_dribbled_one_byte_per_write_still_parses() {
+    let scene = tiny_scene(310, 400);
+    let (http, server) = front_end(&scene);
+    let req = demo_request(&scene);
+    let body = req.to_body();
+    // A padded head, so finding its end over thousands of one-byte reads
+    // is part of what is exercised.
+    let message = format!(
+        "POST /render HTTP/1.1\r\nHost: gs-serve\r\nX-Padding: {}\r\n\
+         Content-Length: {}\r\n\r\n{body}",
+        "p".repeat(6_000),
+        body.len()
+    );
+    let mut stream = TcpStream::connect(http.local_addr()).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    for byte in message.as_bytes() {
+        stream.write_all(std::slice::from_ref(byte)).unwrap();
+    }
+    let response = client::read_response(&mut stream).unwrap();
+    assert_eq!(
+        response.status,
+        200,
+        "{}",
+        String::from_utf8_lossy(&response.body)
+    );
+    assert!(response.body == in_process_bytes(&server, &req));
+    http.shutdown();
+}
+
+#[test]
+fn client_read_errors_promptly_on_an_unbacked_content_length() {
+    // A peer that announces a terabyte body, sends 10 bytes of it and
+    // closes. The reader must grow its buffer only as bytes arrive and
+    // report the truncation, not try to allocate the announced length.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let peer = std::thread::spawn(move || {
+        let (mut socket, _) = listener.accept().unwrap();
+        socket
+            .write_all(b"HTTP/1.1 200 OK\r\nContent-Length: 1099511627776\r\n\r\n0123456789")
+            .unwrap();
+    });
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    let started = Instant::now();
+    let result = client::read_response(&mut stream);
+    let elapsed = started.elapsed();
+    peer.join().unwrap();
+    let err = result.expect_err("a truncated body must be an error");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+    assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
 }
