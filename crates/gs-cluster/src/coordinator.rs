@@ -1581,7 +1581,7 @@ impl Coordinator {
     }
 
     /// A cluster-wide statistics snapshot: coordinator counters plus every
-    /// replica's report fanned in, with latency reservoirs merged.
+    /// replica's report fanned in, with latency histograms merged.
     pub fn stats(&self) -> ClusterStats {
         let slots: Vec<(String, Health, u64, Arc<Replica>)> = {
             let state = self.state.lock().unwrap();

@@ -39,8 +39,8 @@
 //!   of speculative requests and reduced-SH brown-out at the coordinator
 //!   so the extra throughput stays usable under overload.
 //! * [`stats`] — cluster-wide aggregation: per-replica
-//!   [`StatsReport`](gs_serve::StatsReport)s fanned in, latency reservoirs
-//!   **merged by weighted samples** (not quantile averaging), plus the
+//!   [`StatsReport`](gs_serve::StatsReport)s fanned in, latency histograms
+//!   **merged exactly by adding buckets** (not quantile averaging), plus the
 //!   coordinator's own routing/failover counters and the coordinator-side
 //!   frame cache's hit rate (`ClusterConfig::cache_bytes`).
 //! * [`http`] — the cluster's own HTTP front-end, built on the listener

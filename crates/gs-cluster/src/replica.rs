@@ -313,7 +313,6 @@ impl Replica {
         match &self.transport {
             ReplicaTransport::InProcess(server) => Ok(StatsReport::new(
                 &server.stats(),
-                server.latency_samples(wire::STATS_SAMPLES),
                 server.budget_bytes(),
                 server.used_bytes(),
             )),

@@ -1,15 +1,15 @@
 //! Cluster-wide statistics: per-replica reports fanned in, latency
-//! reservoirs merged, plus the coordinator's own routing counters.
+//! histograms merged, plus the coordinator's own routing counters.
 //!
 //! Percentiles of the *cluster* cannot be computed by averaging per-replica
 //! percentiles (a slow replica's tail would be diluted by a fast one's
-//! median). Each replica therefore ships a uniform sample of its latency
-//! reservoir (`GET /stats/wire`), and [`merge_latency`] combines them as a
-//! **weighted sample union**: every sample carries the weight
-//! `completed / samples` of its replica, so a replica that served twice the
-//! traffic contributes twice the probability mass at every quantile.
+//! median). Each replica therefore ships its render-path latency histogram
+//! (`GET /stats/wire`), and [`merge_latency`] adds them up: the buckets have
+//! the same fixed edges on every node, so the merge is exact and
+//! order-free — the cluster summary is bit-for-bit the one a single node
+//! would report had it served every replica's traffic.
 
-use gs_obs::HeatRow;
+use gs_obs::{HeatRow, HistogramSnapshot};
 use gs_serve::{CacheStats, LatencySummary, StatsReport};
 
 use crate::replica::Health;
@@ -63,7 +63,7 @@ pub struct ClusterStats {
     /// Coordinator-side end-to-end latency (submit to frame, including
     /// wire hops).
     pub latency: LatencySummary,
-    /// Cluster-wide request latency merged from the replicas' reservoirs.
+    /// Cluster-wide request latency merged from the replicas' histograms.
     pub merged_replica_latency: LatencySummary,
     /// Per-replica reports, in replica-id order.
     pub replicas: Vec<ReplicaReport>,
@@ -112,18 +112,10 @@ impl std::fmt::Display for ClusterStats {
              {} browned-out",
             self.replications, self.dereplications, self.rebalances, self.shed, self.brownouts
         )?;
+        writeln!(f, "  latency:    {}", self.latency)?;
         writeln!(
             f,
-            "  latency:    p50 {:.2}ms  p90 {:.2}ms  p99 {:.2}ms  mean {:.2}ms  max {:.2}ms",
-            self.latency.p50 * 1e3,
-            self.latency.p90 * 1e3,
-            self.latency.p99 * 1e3,
-            self.latency.mean * 1e3,
-            self.latency.max * 1e3,
-        )?;
-        writeln!(
-            f,
-            "  replicas:   p50 {:.2}ms  p99 {:.2}ms (merged reservoirs, {} completed)",
+            "  replicas:   p50 {:.2}ms  p99 {:.2}ms (merged histograms, {} completed)",
             self.merged_replica_latency.p50 * 1e3,
             self.merged_replica_latency.p99 * 1e3,
             self.replica_completed(),
@@ -156,105 +148,103 @@ impl std::fmt::Display for ClusterStats {
     }
 }
 
-/// Merges per-replica latency reservoirs into one cluster-wide summary of
-/// **render-path** latency (queue wait + render; replicas exclude their
-/// pre-enqueue cache fast hits from the reservoir and report them as
-/// `fast_hits`).
-///
-/// Every sample of replica `i` carries weight `rendered_i / samples_i`
-/// (where `rendered = completed - fast_hits`), so the merged distribution
-/// weights each replica by the render traffic it actually served.
-/// Percentiles are weighted quantiles over the sample union; the mean is
-/// the exact rendered-weighted mean of replica means; the max is the max of
-/// replica maxima (both exact because replicas track them exactly).
+/// Merges per-replica latency histograms into one cluster-wide summary of
+/// **render-path** latency (queue wait + render; replicas keep their
+/// pre-enqueue cache fast hits out of this record and report them as
+/// `fast_hits`). Each replica counts in proportion to the requests it
+/// rendered because its histogram holds one count per request.
 pub fn merge_latency(reports: &[&StatsReport]) -> LatencySummary {
-    let mut weighted: Vec<(f64, f64)> = Vec::new();
-    let mut total_rendered = 0u64;
-    let mut mean_acc = 0.0f64;
-    let mut max = 0.0f64;
+    let mut merged = HistogramSnapshot::default();
     for report in reports {
-        let rendered = report.completed.saturating_sub(report.fast_hits);
-        total_rendered += rendered;
-        mean_acc += report.latency[3] * rendered as f64;
-        max = max.max(report.latency[4]);
-        if !report.latency_samples.is_empty() && rendered > 0 {
-            let w = rendered as f64 / report.latency_samples.len() as f64;
-            weighted.extend(report.latency_samples.iter().map(|&s| (s, w)));
-        }
+        merged.merge(&report.latency);
     }
-    if total_rendered == 0 || weighted.is_empty() {
-        return LatencySummary::default();
-    }
-    weighted.sort_by(|a, b| a.0.total_cmp(&b.0));
-    let total_weight: f64 = weighted.iter().map(|&(_, w)| w).sum();
-    let quantile = |p: f64| -> f64 {
-        let target = p * total_weight;
-        let mut cumulative = 0.0;
-        for &(value, weight) in &weighted {
-            cumulative += weight;
-            if cumulative >= target {
-                return value;
-            }
-        }
-        weighted.last().unwrap().0
-    };
-    LatencySummary {
-        p50: quantile(0.50),
-        p90: quantile(0.90),
-        p99: quantile(0.99),
-        mean: mean_acc / total_rendered as f64,
-        max,
-    }
+    LatencySummary::from(&merged)
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
+    use gs_serve::StatsCollector;
+
     use super::*;
 
-    fn report(completed: u64, samples: Vec<f64>, mean: f64, max: f64) -> StatsReport {
-        StatsReport {
-            completed,
-            latency: [0.0, 0.0, 0.0, mean, max],
-            latency_samples: samples,
-            ..StatsReport::default()
+    /// A replica's stats after it rendered `latencies` (in milliseconds).
+    fn served(latencies: &[f64]) -> gs_serve::ServeStats {
+        let collector = StatsCollector::new(1);
+        for &ms in latencies {
+            collector.record_completed(0, Duration::from_secs_f64(ms / 1e3));
         }
+        collector.snapshot(CacheStats::default())
+    }
+
+    fn report(latencies: &[f64]) -> StatsReport {
+        StatsReport::new(&served(latencies), 0, 0)
+    }
+
+    fn bits(s: LatencySummary) -> [u64; 5] {
+        [s.p50, s.p90, s.p99, s.mean, s.max].map(f64::to_bits)
     }
 
     #[test]
     fn merged_percentiles_weight_replicas_by_traffic() {
-        // A fast replica that served 900 requests around 1ms and a slow one
+        // A fast replica that served 900 requests at 1ms and a slow one
         // that served 100 around 100ms: the merged p50 must stay at the
         // fast replica's latency while the p99 surfaces the slow tail —
         // exactly what averaging per-replica percentiles would destroy.
-        let fast = report(900, vec![0.001; 90], 0.001, 0.002);
-        let slow = report(100, vec![0.1; 10], 0.1, 0.12);
+        let fast = report(&[1.0; 900]);
+        let mut slow_ms = vec![100.0; 99];
+        slow_ms.push(120.0);
+        let slow = report(&slow_ms);
         let merged = merge_latency(&[&fast, &slow]);
         assert!((merged.p50 - 0.001).abs() < 1e-9, "{}", merged.p50);
         assert!((merged.p99 - 0.1).abs() < 1e-9, "{}", merged.p99);
-        let expected_mean = (900.0 * 0.001 + 100.0 * 0.1) / 1000.0;
+        let expected_mean = (900.0 * 0.001 + 99.0 * 0.1 + 0.12) / 1000.0;
         assert!((merged.mean - expected_mean).abs() < 1e-12);
         assert!((merged.max - 0.12).abs() < 1e-12);
     }
 
     #[test]
     fn sample_count_does_not_skew_the_merge() {
-        // Same traffic split, but the slow replica shipped far more samples:
-        // per-sample weights must normalize it away.
-        let fast = report(500, vec![0.001; 10], 0.001, 0.001);
-        let slow = report(500, vec![0.1; 200], 0.1, 0.1);
+        // Nearly the same traffic split, but the slow replica's latencies
+        // spread over 200 buckets while the fast one's share one: only the
+        // request counts weigh, so just over half fast keeps p50 fast.
+        let fast = report(&[1.0; 501]);
+        let slow_ms: Vec<f64> = (0..499).map(|i| 100.0 + f64::from(i % 200)).collect();
+        let slow = report(&slow_ms);
         let merged = merge_latency(&[&fast, &slow]);
         assert!(
             (merged.p50 - 0.001).abs() < 1e-9,
             "half the traffic is fast, so p50 must be fast: {}",
             merged.p50
         );
-        assert!((merged.p90 - 0.1).abs() < 1e-9);
+        assert!(merged.p90 >= 0.1, "{}", merged.p90);
     }
 
     #[test]
     fn degenerate_merges_are_zero() {
         assert_eq!(merge_latency(&[]), LatencySummary::default());
-        let idle = report(0, Vec::new(), 0.0, 0.0);
+        let idle = report(&[]);
         assert_eq!(merge_latency(&[&idle]), LatencySummary::default());
+        assert_eq!(
+            merge_latency(&[&StatsReport::default()]),
+            LatencySummary::default()
+        );
+    }
+
+    #[test]
+    fn merging_replicas_equals_one_node_that_served_both_streams() {
+        // Two replicas with different traffic shapes; one collector that
+        // recorded both streams is the ground truth, in bits.
+        let a_ms: Vec<f64> = (0..7000).map(|i| 0.05 + f64::from(i % 97) * 0.37).collect();
+        let b_ms: Vec<f64> = (0..3000).map(|i| 2.0 + f64::from(i % 13) * 41.3).collect();
+        let one_node = served(&[a_ms.clone(), b_ms.clone()].concat());
+        let (a, b) = (report(&a_ms), report(&b_ms));
+        assert_eq!(bits(merge_latency(&[&a, &b])), bits(one_node.latency));
+        assert_eq!(bits(merge_latency(&[&b, &a])), bits(one_node.latency));
+        // And the merged record itself is the single node's record.
+        let mut merged = b.latency.clone();
+        merged.merge(&a.latency);
+        assert_eq!(merged, one_node.latency_record);
     }
 }

@@ -17,8 +17,9 @@
 //!   drop counter, cheap enough to leave on in production.
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`
 //!   / Perfetto) and a per-request text waterfall for slow-request logs.
-//! * [`metrics`] — [`Registry`]: counters, gauges and fixed-bucket
-//!   histograms (with per-bucket trace-id **exemplars**), Prometheus text
+//! * [`metrics`] — [`Registry`]: counters, gauges and mergeable
+//!   fixed-edge latency histograms ([`HistogramSnapshot`], the one latency
+//!   record of each tier, with per-bucket trace-id **exemplars**), Prometheus text
 //!   exposition ([`Registry::render`]) and a tiny exposition-format
 //!   linter ([`lint_prometheus`]) used by CI.
 //!
@@ -60,7 +61,10 @@ pub use events::{
 };
 pub use export::{chrome_trace_json, waterfall};
 pub use heat::{heat_json, HeatRow, HeatTable};
-pub use metrics::{lint_prometheus, Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS};
+pub use metrics::{
+    lint_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS,
+    LATENCY_BUCKETS,
+};
 pub use sink::{FinishedTrace, SpanSink};
 pub use slo::{default_slos, slo_json, SloEngine, SloKind, SloSpec, SloStatus};
 pub use span::{

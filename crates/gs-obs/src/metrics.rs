@@ -1,4 +1,4 @@
-//! The metrics registry: counters, gauges, fixed-bucket histograms, and
+//! The metrics registry: counters, gauges, latency histograms, and
 //! Prometheus text exposition.
 //!
 //! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-wrapped
@@ -6,21 +6,88 @@
 //! lock and no map — it bumps an atomic it already holds. The registry's
 //! mutex guards only registration and exposition.
 //!
+//! A [`Histogram`] is the one latency record of a serving tier. It counts
+//! integer nanoseconds into [`HISTOGRAM_BUCKETS`] fixed buckets — one at or
+//! below 100 ns, 360 per decade from 100 ns to 100 s (one every 2.5 % of the
+//! decade's base), one overflow — and keeps the exact sum and max. Because
+//! the edges are fixed, [`HistogramSnapshot`]s of different histograms,
+//! threads or nodes merge exactly by addition, and a quantile read from one
+//! is never below the exact interpolated percentile of the recorded sample
+//! and at most 2.5 % above it (within 100 ns – 100 s).
+//!
 //! [`Registry::render`] emits the [Prometheus text exposition
 //! format](https://prometheus.io/docs/instrumenting/exposition_formats/)
 //! (`# HELP`/`# TYPE` headers, cumulative `_bucket{le=...}` histogram
-//! series), and [`lint_prometheus`] is the tiny validity checker CI runs
-//! against both tiers' `GET /metrics` output.
+//! series over [`LATENCY_BUCKETS`], each an exact sum of fine buckets), and
+//! [`lint_prometheus`] is the tiny validity checker CI runs against both
+//! tiers' `GET /metrics` output.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// The default latency bucket bounds in seconds (upper-inclusive), spaced
-/// for millisecond-scale render serving; `+Inf` is implicit.
+/// The `le` bounds in seconds (upper-inclusive) of every histogram's
+/// `/metrics` exposition, spaced for millisecond-scale render serving;
+/// `+Inf` is implicit. Each bound is a fine-bucket edge.
 pub const LATENCY_BUCKETS: [f64; 11] = [
     0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
 ];
+
+/// Upper edge of the lowest bucket, in nanoseconds.
+const FLOOR_NS: u64 = 100;
+/// Decades between [`FLOOR_NS`] and the overflow bucket (100 ns – 100 s).
+const DECADES: usize = 9;
+/// Buckets per decade: one every `base / 40`, i.e. 2.5 % of its base.
+const STEPS_PER_DECADE: usize = 360;
+
+/// Number of fine buckets of every [`Histogram`]: one at or below 100 ns,
+/// 360 per decade up to 100 s, and one overflow bucket above 100 s.
+pub const HISTOGRAM_BUCKETS: usize = 1 + DECADES * STEPS_PER_DECADE + 1;
+
+/// The fine bucket an observation of `ns` nanoseconds lands in (buckets
+/// are upper-inclusive).
+fn bucket_of(ns: u64) -> usize {
+    if ns <= FLOOR_NS {
+        return 0;
+    }
+    let mut base = FLOOR_NS;
+    for decade in 0..DECADES {
+        if ns <= 10 * base {
+            let step = ((ns - base) * 40).div_ceil(base) as usize;
+            return decade * STEPS_PER_DECADE + step;
+        }
+        base *= 10;
+    }
+    HISTOGRAM_BUCKETS - 1
+}
+
+/// The upper edge of fine bucket `i` in nanoseconds (`+inf` for the
+/// overflow bucket). Exact: edges are multiples of 2.5 ns.
+fn upper_edge_ns(i: usize) -> f64 {
+    if i == HISTOGRAM_BUCKETS - 1 {
+        return f64::INFINITY;
+    }
+    if i == 0 {
+        return FLOOR_NS as f64;
+    }
+    let (decade, step) = ((i - 1) / STEPS_PER_DECADE, (i - 1) % STEPS_PER_DECADE + 1);
+    let base = FLOOR_NS * 10u64.pow(decade as u32);
+    (base * (40 + step as u64)) as f64 / 40.0
+}
+
+/// The fine bucket holding [`LATENCY_BUCKETS`]`[j]` as its upper edge.
+fn le_bucket(j: usize) -> usize {
+    bucket_of((LATENCY_BUCKETS[j] * 1e9).round() as u64)
+}
+
+/// Seconds to whole nanoseconds (negative and non-finite clamp to 0).
+fn to_ns(secs: f64) -> u64 {
+    if secs.is_finite() && secs > 0.0 {
+        (secs * 1e9).round() as u64
+    } else {
+        0
+    }
+}
 
 /// A monotonically increasing integer counter.
 #[derive(Debug, Clone)]
@@ -71,57 +138,148 @@ struct Exemplar {
 
 #[derive(Debug)]
 struct HistogramCore {
-    /// Upper bounds, strictly increasing; the final `+Inf` bucket is
-    /// `buckets[bounds.len()]`.
-    bounds: Vec<f64>,
-    /// Non-cumulative per-bucket counts (`bounds.len() + 1` entries).
-    buckets: Vec<AtomicU64>,
-    /// Sum of observed values in nanounits (1e-9), so float sums
-    /// accumulate without a CAS loop.
-    sum_nano: AtomicU64,
-    count: AtomicU64,
-    /// Latest exemplar per bucket (`bounds.len() + 1` entries); only the
-    /// exemplar-carrying observe path takes this lock.
+    /// Non-cumulative per-bucket counts ([`HISTOGRAM_BUCKETS`] entries);
+    /// their sum is the observation count.
+    buckets: Box<[AtomicU64]>,
+    /// Sum of observations in nanoseconds.
+    sum_ns: AtomicU64,
+    /// Largest observation in nanoseconds.
+    max_ns: AtomicU64,
+    /// Latest exemplar per exposition bucket (`LATENCY_BUCKETS.len() + 1`
+    /// entries); only the exemplar-carrying observe path takes this lock.
     exemplars: Mutex<Vec<Option<Exemplar>>>,
 }
 
-/// A fixed-bucket histogram of non-negative observations.
+/// A latency histogram over fixed fine buckets (see the module docs):
+/// recording is one bucket `fetch_add`, one sum `fetch_add` and one
+/// `fetch_max`, with no lock.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramCore>);
 
 impl Histogram {
-    /// Records one observation (negative values clamp to 0).
-    pub fn observe(&self, v: f64) {
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        let idx = self.0.bounds.partition_point(|&b| b < v);
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0
-            .sum_nano
-            .fetch_add((v * 1e9).round() as u64, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
+    /// Records one observation in seconds (negative values clamp to 0).
+    pub fn observe(&self, secs: f64) {
+        let ns = to_ns(secs);
+        self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
+        self.0.sum_ns.fetch_add(ns, Ordering::Relaxed);
+        self.0.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
-    /// Records one observation and pins it as the bucket's exemplar,
-    /// labelled with `trace_id` (rendered as an OpenMetrics-style
-    /// exemplar suffix on the matching `_bucket` line).
-    pub fn observe_exemplar(&self, v: f64, trace_id: &str) {
-        self.observe(v);
-        let v = if v.is_finite() && v > 0.0 { v } else { 0.0 };
-        let idx = self.0.bounds.partition_point(|&b| b < v);
-        self.0.exemplars.lock().unwrap()[idx] = Some(Exemplar {
+    /// Records one observation and pins it as the exemplar of the
+    /// exposition bucket it landed in, labelled with `trace_id` (rendered
+    /// as an OpenMetrics-style exemplar suffix on the matching `_bucket`
+    /// line).
+    pub fn observe_exemplar(&self, secs: f64, trace_id: &str) {
+        self.observe(secs);
+        let ns = to_ns(secs);
+        let slot = (0..LATENCY_BUCKETS.len())
+            .position(|j| bucket_of(ns) <= le_bucket(j))
+            .unwrap_or(LATENCY_BUCKETS.len());
+        self.0.exemplars.lock().unwrap()[slot] = Some(Exemplar {
             trace_id: trace_id.to_string(),
-            value: v,
+            value: ns as f64 / 1e9,
         });
     }
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.snapshot().count()
     }
 
-    /// Sum of observations.
+    /// Sum of observations in seconds.
     pub fn sum(&self) -> f64 {
-        self.0.sum_nano.load(Ordering::Relaxed) as f64 / 1e9
+        self.0.sum_ns.load(Ordering::Relaxed) as f64 / 1e9
+    }
+
+    /// A plain copy of the counts, sum and max.
+    pub fn snapshot(&self) -> HistogramSnapshot {
+        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
+        HistogramSnapshot {
+            counts: self.0.buckets.iter().map(load).collect(),
+            sum_ns: load(&self.0.sum_ns),
+            max_ns: load(&self.0.max_ns),
+        }
+    }
+}
+
+/// A plain copy of a [`Histogram`]: what `/stats` summarizes, what a
+/// replica ships to a cluster coordinator, and what the coordinator
+/// merges. Merging is addition, so it is exact and order-free.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HistogramSnapshot {
+    /// Per-bucket counts, always [`HISTOGRAM_BUCKETS`] entries.
+    counts: Vec<u64>,
+    /// Sum of observations in nanoseconds.
+    pub sum_ns: u64,
+    /// Largest observation in nanoseconds.
+    pub max_ns: u64,
+}
+
+impl Default for HistogramSnapshot {
+    fn default() -> Self {
+        Self {
+            counts: vec![0; HISTOGRAM_BUCKETS],
+            sum_ns: 0,
+            max_ns: 0,
+        }
+    }
+}
+
+impl HistogramSnapshot {
+    /// Per-bucket counts ([`HISTOGRAM_BUCKETS`] entries).
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
+    }
+
+    /// Per-bucket counts, writable in place.
+    pub fn counts_mut(&mut self) -> &mut [u64] {
+        &mut self.counts
+    }
+
+    /// Number of observations (saturating).
+    pub fn count(&self) -> u64 {
+        self.counts.iter().fold(0u64, |n, &c| n.saturating_add(c))
+    }
+
+    /// Adds `other` in (saturating, never wrapping).
+    pub fn merge(&mut self, other: &HistogramSnapshot) {
+        for (mine, &theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine = mine.saturating_add(theirs);
+        }
+        self.sum_ns = self.sum_ns.saturating_add(other.sum_ns);
+        self.max_ns = self.max_ns.max(other.max_ns);
+    }
+
+    /// The `p`-quantile (`p` in `[0, 1]`) in seconds, 0 when empty: linear
+    /// interpolation between ranks, where the value at a rank is its
+    /// bucket's upper edge clamped to the exact max. Never below the exact
+    /// interpolated percentile of the recorded sample, and at most 2.5 %
+    /// above it within 100 ns – 100 s.
+    pub fn quantile(&self, p: f64) -> f64 {
+        let n = self.count();
+        if n == 0 {
+            return 0.0;
+        }
+        let rank = (n - 1) as f64 * p;
+        let (lo, hi) = (
+            self.value_at(rank.floor() as u64),
+            self.value_at(rank.ceil() as u64),
+        );
+        lo + (hi - lo) * (rank - rank.floor())
+    }
+
+    /// The value in seconds of the observation at 0-based `rank`.
+    fn value_at(&self, rank: u64) -> f64 {
+        let mut seen = 0u64;
+        let bucket = self
+            .counts
+            .iter()
+            .position(|&c| {
+                seen = seen.saturating_add(c);
+                seen > rank
+            })
+            .unwrap_or(HISTOGRAM_BUCKETS - 1);
+        upper_edge_ns(bucket).min(self.max_ns as f64) / 1e9
     }
 }
 
@@ -145,7 +303,7 @@ impl Kind {
 #[derive(Debug, Clone)]
 enum Series {
     Value(Arc<AtomicU64>, Kind),
-    Hist(Arc<HistogramCore>),
+    Hist(Histogram),
 }
 
 #[derive(Debug)]
@@ -254,29 +412,17 @@ impl Registry {
         }
     }
 
-    /// Registers (or fetches) a histogram over `bounds` (strictly
-    /// increasing upper bounds; `+Inf` is added automatically).
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        help: &str,
-        bounds: &[f64],
-    ) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
+    /// Registers (or fetches) a latency histogram.
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Histogram {
         match self.series(name, labels, help, Kind::Histogram, || {
-            Series::Hist(Arc::new(HistogramCore {
-                bounds: bounds.to_vec(),
-                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-                sum_nano: AtomicU64::new(0),
-                count: AtomicU64::new(0),
-                exemplars: Mutex::new(vec![None; bounds.len() + 1]),
-            }))
+            Series::Hist(Histogram(Arc::new(HistogramCore {
+                buckets: (0..HISTOGRAM_BUCKETS).map(|_| AtomicU64::new(0)).collect(),
+                sum_ns: AtomicU64::new(0),
+                max_ns: AtomicU64::new(0),
+                exemplars: Mutex::new(vec![None; LATENCY_BUCKETS.len() + 1]),
+            })))
         }) {
-            Series::Hist(h) => Histogram(h),
+            Series::Hist(h) => h,
             Series::Value(..) => unreachable!("kind checked above"),
         }
     }
@@ -310,7 +456,7 @@ impl Registry {
                                 format!("{{{inner},{extra}}}")
                             }
                         };
-                        let exemplars = h.exemplars.lock().unwrap().clone();
+                        let exemplars = h.0.exemplars.lock().unwrap().clone();
                         let suffix = |i: usize| match &exemplars[i] {
                             Some(ex) => format!(
                                 " # {{trace_id=\"{}\"}} {}",
@@ -319,27 +465,29 @@ impl Registry {
                             ),
                             None => String::new(),
                         };
-                        let mut cum = 0u64;
-                        for (i, bound) in h.bounds.iter().enumerate() {
-                            cum += h.buckets[i].load(Ordering::Relaxed);
+                        // One read per bucket: `+Inf` and `_count` are the
+                        // same sum, and the cumulative series cannot dip.
+                        let snap = h.snapshot();
+                        let (mut cum, mut next) = (0u64, 0usize);
+                        for (j, bound) in LATENCY_BUCKETS.iter().enumerate() {
+                            let upto = le_bucket(j);
+                            cum += snap.counts[next..=upto].iter().sum::<u64>();
+                            next = upto + 1;
                             out.push_str(&format!(
                                 "{name}_bucket{} {cum}{}\n",
                                 with(&format!("le=\"{}\"", fmt_value(*bound))),
-                                suffix(i)
+                                suffix(j)
                             ));
                         }
-                        cum += h.buckets[h.bounds.len()].load(Ordering::Relaxed);
+                        cum += snap.counts[next..].iter().sum::<u64>();
                         out.push_str(&format!(
                             "{name}_bucket{} {cum}{}\n",
                             with("le=\"+Inf\""),
-                            suffix(h.bounds.len())
+                            suffix(LATENCY_BUCKETS.len())
                         ));
-                        let sum = h.sum_nano.load(Ordering::Relaxed) as f64 / 1e9;
+                        let sum = snap.sum_ns as f64 / 1e9;
                         out.push_str(&format!("{name}_sum{labels} {}\n", fmt_value(sum)));
-                        out.push_str(&format!(
-                            "{name}_count{labels} {}\n",
-                            h.count.load(Ordering::Relaxed)
-                        ));
+                        out.push_str(&format!("{name}_count{labels} {cum}\n"));
                     }
                 }
             }
@@ -363,8 +511,9 @@ fn fmt_value(v: f64) -> String {
 ///
 /// Checks: comment/`HELP`/`TYPE` syntax with known types, metric-name and
 /// label charset, parseable values, `TYPE` declared before its samples,
-/// no duplicate series, and histogram families exposing `_bucket` (with
-/// `le`), `_sum` and `_count`.
+/// no duplicate series, histogram families exposing `_bucket` (with
+/// `le`), `_sum` and `_count`, and per histogram label set, cumulative
+/// buckets that never decrease and a `+Inf` bucket equal to `_count`.
 ///
 /// # Errors
 ///
@@ -373,6 +522,9 @@ pub fn lint_prometheus(text: &str) -> Result<usize, String> {
     let mut types: BTreeMap<String, String> = BTreeMap::new();
     let mut seen: std::collections::HashSet<String> = std::collections::HashSet::new();
     let mut samples = 0usize;
+    // Per histogram label set (without `le`): the last bucket value, the
+    // `+Inf` bucket and `_count`.
+    let mut hist: BTreeMap<String, (f64, Option<f64>, Option<f64>)> = BTreeMap::new();
     for (i, line) in text.lines().enumerate() {
         let lineno = i + 1;
         let line = line.trim_end();
@@ -412,9 +564,11 @@ pub fn lint_prometheus(text: &str) -> Result<usize, String> {
         if !valid_name(name) {
             return Err(format!("line {lineno}: bad metric name {name:?}"));
         }
-        if name_end < series.len() {
-            lint_labels(&series[name_end..], lineno)?;
-        }
+        let labels = if name_end < series.len() {
+            label_pairs(&series[name_end..], lineno)?
+        } else {
+            Vec::new()
+        };
         let value_token = value.split_whitespace().next().unwrap_or("");
         if !valid_value_token(value_token) {
             return Err(format!("line {lineno}: bad sample value {value_token:?}"));
@@ -439,7 +593,36 @@ pub fn lint_prometheus(text: &str) -> Result<usize, String> {
         if !seen.insert(series.to_string()) {
             return Err(format!("line {lineno}: duplicate series {series}"));
         }
+        if family != name && !name.ends_with("_sum") {
+            let key: Vec<String> = labels
+                .iter()
+                .filter(|(k, _)| *k != "le")
+                .map(|(k, v)| format!("{k}={v}"))
+                .collect();
+            let key = format!("{family}{{{}}}", key.join(","));
+            let (last, inf, count) = hist.entry(key).or_insert((f64::MIN, None, None));
+            let value = value_token.parse().unwrap_or(f64::NAN);
+            if name.ends_with("_count") {
+                *count = Some(value);
+            } else if value < *last {
+                return Err(format!(
+                    "line {lineno}: cumulative buckets of {family} decrease"
+                ));
+            } else {
+                *last = value;
+                if labels.contains(&("le", "\"+Inf\"")) {
+                    *inf = Some(value);
+                }
+            }
+        }
         samples += 1;
+    }
+    for (key, (_, inf, count)) in &hist {
+        if inf.is_some() && inf != count {
+            return Err(format!(
+                "histogram {key}: le=\"+Inf\" bucket {inf:?} differs from _count {count:?}"
+            ));
+        }
     }
     // Histogram families must be complete.
     for (name, kind) in &types {
@@ -499,7 +682,7 @@ fn lint_sample_tail(tail: &str, lineno: usize) -> Result<(), String> {
     let block_len = label_block_len(ex).ok_or(format!(
         "line {lineno}: exemplar without a label set {ex:?}"
     ))?;
-    lint_labels(&ex[..block_len], lineno)?;
+    label_pairs(&ex[..block_len], lineno)?;
     let mut rest = ex[block_len..].split_whitespace();
     let ex_value = rest
         .next()
@@ -518,52 +701,44 @@ fn lint_sample_tail(tail: &str, lineno: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The bytes of `s` outside quoted label values, with their offsets
+/// (backslash escapes inside quotes honored; the quotes themselves are
+/// skipped).
+fn unquoted(s: &str) -> impl Iterator<Item = (usize, u8)> + '_ {
+    let (mut in_quotes, mut escaped) = (false, false);
+    s.bytes().enumerate().filter(move |&(_, b)| {
+        let outside = !in_quotes && b != b'"';
+        if escaped {
+            escaped = false;
+        } else if b == b'\\' && in_quotes {
+            escaped = true;
+        } else if b == b'"' {
+            in_quotes = !in_quotes;
+        }
+        outside
+    })
+}
+
 /// The byte length of a `{...}` label block at the start of `s`,
 /// honoring quoted values; `None` when `s` doesn't start with one.
 fn label_block_len(s: &str) -> Option<usize> {
     if !s.starts_with('{') {
         return None;
     }
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, b) in s.bytes().enumerate() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_quotes => escaped = true,
-            b'"' => in_quotes = !in_quotes,
-            b'}' if !in_quotes => return Some(i + 1),
-            _ => {}
-        }
-    }
-    None
+    unquoted(s).find(|&(_, b)| b == b'}').map(|(i, _)| i + 1)
 }
 
 /// Splits a sample line into (series, value-and-rest), honoring quoted
 /// label values that may contain spaces or `}`.
 fn split_sample(line: &str) -> Option<(&str, &str)> {
-    let bytes = line.as_bytes();
-    let mut in_quotes = false;
-    let mut escaped = false;
     let mut brace_depth = 0u32;
-    for (i, &b) in bytes.iter().enumerate() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
+    for (i, b) in unquoted(line) {
         match b {
-            b'\\' if in_quotes => escaped = true,
-            b'"' => in_quotes = !in_quotes,
-            b'{' if !in_quotes => brace_depth += 1,
-            b'}' if !in_quotes => brace_depth = brace_depth.checked_sub(1)?,
-            b' ' | b'\t' if !in_quotes && brace_depth == 0 => {
+            b'{' => brace_depth += 1,
+            b'}' => brace_depth = brace_depth.checked_sub(1)?,
+            b' ' | b'\t' if brace_depth == 0 => {
                 let value = line[i..].trim();
-                if value.is_empty() {
-                    return None;
-                }
-                return Some((&line[..i], value));
+                return (!value.is_empty()).then_some((&line[..i], value));
             }
             _ => {}
         }
@@ -571,47 +746,38 @@ fn split_sample(line: &str) -> Option<(&str, &str)> {
     None
 }
 
-fn lint_labels(block: &str, lineno: usize) -> Result<(), String> {
+/// Validates a `{k="v",...}` label block and returns its `(name, quoted
+/// value)` pairs.
+fn label_pairs(block: &str, lineno: usize) -> Result<Vec<(&str, &str)>, String> {
     let inner = block
         .strip_prefix('{')
         .and_then(|b| b.strip_suffix('}'))
         .ok_or(format!("line {lineno}: unbalanced label braces {block:?}"))?;
     if inner.is_empty() {
-        return Ok(());
+        return Ok(Vec::new());
     }
     // Split on commas outside quotes.
-    let mut pairs = Vec::new();
     let mut start = 0;
-    let mut in_quotes = false;
-    let mut escaped = false;
-    for (i, b) in inner.bytes().enumerate() {
-        if escaped {
-            escaped = false;
-            continue;
-        }
-        match b {
-            b'\\' if in_quotes => escaped = true,
-            b'"' => in_quotes = !in_quotes,
-            b',' if !in_quotes => {
-                pairs.push(&inner[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
-    }
+    let mut pairs: Vec<&str> = unquoted(inner)
+        .filter(|&(_, b)| b == b',')
+        .map(|(i, _)| &inner[std::mem::replace(&mut start, i + 1)..i])
+        .collect();
     pairs.push(&inner[start..]);
-    for pair in pairs {
-        let (k, v) = pair
-            .split_once('=')
-            .ok_or(format!("line {lineno}: label without '=' in {pair:?}"))?;
-        if !valid_name(k) {
-            return Err(format!("line {lineno}: bad label name {k:?}"));
-        }
-        if !(v.len() >= 2 && v.starts_with('"') && v.ends_with('"')) {
-            return Err(format!("line {lineno}: unquoted label value {v:?}"));
-        }
-    }
-    Ok(())
+    pairs
+        .into_iter()
+        .map(|pair| {
+            let (k, v) = pair
+                .split_once('=')
+                .ok_or(format!("line {lineno}: label without '=' in {pair:?}"))?;
+            if !valid_name(k) {
+                return Err(format!("line {lineno}: bad label name {k:?}"));
+            }
+            if !(v.len() >= 2 && v.starts_with('"') && v.ends_with('"')) {
+                return Err(format!("line {lineno}: unquoted label value {v:?}"));
+            }
+            Ok((k, v))
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -650,7 +816,7 @@ mod tests {
     #[test]
     fn histogram_buckets_are_cumulative_and_sum_tracks() {
         let reg = Registry::new();
-        let h = reg.histogram("gs_lat_seconds", &[], "latency", &[0.01, 0.1, 1.0]);
+        let h = reg.histogram("gs_lat_seconds", &[], "latency");
         for v in [0.005, 0.05, 0.05, 0.5, 5.0] {
             h.observe(v);
         }
@@ -673,7 +839,7 @@ mod tests {
             .inc();
         reg.gauge("gs_kernel_gflops", &[("phase", "raster")], "achieved")
             .set(1.25);
-        let h = reg.histogram("gs_request_seconds", &[], "latency", &LATENCY_BUCKETS);
+        let h = reg.histogram("gs_request_seconds", &[], "latency");
         h.observe(0.003);
         let text = reg.render();
         let samples = lint_prometheus(&text).unwrap();
@@ -762,13 +928,13 @@ mod tests {
     #[test]
     fn exemplars_render_on_the_landed_bucket_and_lint_clean() {
         let reg = Registry::new();
-        let h = reg.histogram("gs_request_seconds", &[], "latency", &[0.01, 0.1, 1.0]);
+        let h = reg.histogram("gs_request_seconds", &[], "latency");
         h.observe(0.005);
         h.observe_exemplar(0.05, "00f1e2d3c4b5a697");
         h.observe_exemplar(5.0, "ffffffffffffffff");
         let text = reg.render();
         assert!(text.contains(
-            "gs_request_seconds_bucket{le=\"0.1\"} 2 # {trace_id=\"00f1e2d3c4b5a697\"} 0.05"
+            "gs_request_seconds_bucket{le=\"0.05\"} 2 # {trace_id=\"00f1e2d3c4b5a697\"} 0.05"
         ));
         assert!(text.contains(
             "gs_request_seconds_bucket{le=\"+Inf\"} 3 # {trace_id=\"ffffffffffffffff\"} 5"
@@ -824,7 +990,7 @@ mod tests {
             writers.push(std::thread::spawn(move || {
                 let tname = format!("w{t}");
                 let c = reg.counter("gs_requests_total", &[("w", &tname)], "req");
-                let h = reg.histogram("gs_request_seconds", &[], "lat", &LATENCY_BUCKETS);
+                let h = reg.histogram("gs_request_seconds", &[], "lat");
                 let mut i = 0u64;
                 while !stop.load(Ordering::Relaxed) {
                     c.inc();
@@ -850,5 +1016,145 @@ mod tests {
         }
         let text = reg.render();
         assert!(lint_prometheus(&text).unwrap() > 10);
+    }
+
+    #[test]
+    fn fine_edges_cover_the_exposition_bounds_and_whole_milliseconds() {
+        assert_eq!(HISTOGRAM_BUCKETS, 3242);
+        let is_edge = |ns: u64| upper_edge_ns(bucket_of(ns)) == ns as f64;
+        for bound in LATENCY_BUCKETS {
+            assert!(is_edge((bound * 1e9).round() as u64), "{bound}");
+        }
+        for ms in 1..=100u64 {
+            assert!(is_edge(ms * 1_000_000), "{ms} ms");
+        }
+        // Upper-inclusive: an edge lands in its own bucket, one past it in
+        // the next, and the edges strictly increase.
+        for i in 0..HISTOGRAM_BUCKETS - 1 {
+            let edge = upper_edge_ns(i);
+            assert_eq!(bucket_of(edge.floor() as u64), i, "bucket {i}");
+            assert_eq!(bucket_of(edge.floor() as u64 + 1), i + 1, "bucket {i}");
+            assert!(i == 0 || upper_edge_ns(i - 1) < edge);
+        }
+        assert_eq!(bucket_of(0), 0);
+        assert_eq!(bucket_of(100_000_000_001), HISTOGRAM_BUCKETS - 1);
+        assert_eq!(bucket_of(u64::MAX), HISTOGRAM_BUCKETS - 1);
+    }
+
+    #[test]
+    fn every_edge_is_within_two_and_a_half_percent_of_what_it_holds() {
+        let mut rng = gs_core::rng::Rng64::seed_from_u64(0xed9e);
+        for _ in 0..100_000 {
+            let ns = (100.0 * 10f64.powf(9.0 * rng.gen_f64())).round() as u64;
+            let edge = upper_edge_ns(bucket_of(ns));
+            assert!(
+                ns as f64 <= edge && edge <= 1.025 * ns as f64,
+                "{ns} ns -> edge {edge}"
+            );
+        }
+    }
+
+    #[test]
+    fn snapshots_merge_exactly_and_saturate() {
+        let reg = Registry::new();
+        let (a, b, both) = (
+            reg.histogram("gs_a_seconds", &[], "a"),
+            reg.histogram("gs_b_seconds", &[], "b"),
+            reg.histogram("gs_ab_seconds", &[], "ab"),
+        );
+        for i in 0..1000u32 {
+            let secs = f64::from(i) * 1.7e-4;
+            if i % 3 == 0 { &a } else { &b }.observe(secs);
+            both.observe(secs);
+        }
+        let mut merged = a.snapshot();
+        merged.merge(&b.snapshot());
+        assert_eq!(merged, both.snapshot());
+        assert_eq!(merged.count(), 1000);
+        assert_eq!(merged.max_ns, (999.0 * 1.7e-4 * 1e9f64).round() as u64);
+
+        let mut full = HistogramSnapshot {
+            sum_ns: u64::MAX - 1,
+            max_ns: 7,
+            ..HistogramSnapshot::default()
+        };
+        full.counts[5] = u64::MAX;
+        full.counts[6] = 2;
+        let mut one = HistogramSnapshot {
+            sum_ns: 9,
+            max_ns: 3,
+            ..HistogramSnapshot::default()
+        };
+        one.counts_mut().fill(3);
+        full.merge(&one);
+        assert_eq!(full.counts[5], u64::MAX, "a count saturates");
+        assert_eq!(full.counts[6], 5);
+        assert_eq!(full.sum_ns, u64::MAX, "the sum saturates");
+        assert_eq!(full.max_ns, 7);
+        assert_eq!(full.count(), u64::MAX);
+        assert!(full.quantile(0.99).is_finite());
+    }
+
+    #[test]
+    fn empty_snapshots_read_as_zero() {
+        let empty = HistogramSnapshot::default();
+        assert_eq!(empty.count(), 0);
+        assert_eq!(empty.quantile(0.5), 0.0);
+    }
+
+    #[test]
+    fn linter_rejects_inconsistent_histogram_series() {
+        let head = "# TYPE gs_h histogram\n";
+        let ok = format!(
+            "{head}gs_h_bucket{{k=\"a\",le=\"1\"}} 1\ngs_h_bucket{{k=\"a\",le=\"+Inf\"}} 2\n\
+             gs_h_sum{{k=\"a\"}} 3\ngs_h_count{{k=\"a\"}} 2\n"
+        );
+        assert_eq!(lint_prometheus(&ok).unwrap(), 4);
+        let dips = format!(
+            "{head}gs_h_bucket{{le=\"1\"}} 3\ngs_h_bucket{{le=\"+Inf\"}} 2\n\
+             gs_h_sum 3\ngs_h_count 2\n"
+        );
+        let err = lint_prometheus(&dips).unwrap_err();
+        assert!(err.contains("decrease"), "{err}");
+        let short = format!(
+            "{head}gs_h_bucket{{le=\"1\"}} 1\ngs_h_bucket{{le=\"+Inf\"}} 2\n\
+             gs_h_sum 3\ngs_h_count 3\n"
+        );
+        let err = lint_prometheus(&short).unwrap_err();
+        assert!(err.contains("differs from _count"), "{err}");
+    }
+
+    #[test]
+    fn concurrent_observations_never_break_histogram_consistency() {
+        use std::sync::atomic::AtomicBool;
+        let reg = Arc::new(Registry::new());
+        let stop = Arc::new(AtomicBool::new(false));
+        let writers: Vec<_> = (0..4u64)
+            .map(|t| {
+                let h = reg.histogram("gs_request_seconds", &[], "lat");
+                let stop = Arc::clone(&stop);
+                std::thread::spawn(move || {
+                    let mut i = t;
+                    while !stop.load(Ordering::Relaxed) {
+                        let secs = (i % 4000) as f64 * 1e-3;
+                        if i.is_multiple_of(2) {
+                            h.observe(secs);
+                        } else {
+                            h.observe_exemplar(secs, "cafecafecafecafe");
+                        }
+                        i += 4;
+                    }
+                })
+            })
+            .collect();
+        for _ in 0..1000 {
+            let text = reg.render();
+            lint_prometheus(&text).unwrap_or_else(|e| panic!("lint failed: {e}\n{text}"));
+        }
+        stop.store(true, Ordering::Relaxed);
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert!(reg.histogram("gs_request_seconds", &[], "lat").count() > 0);
     }
 }

@@ -878,12 +878,7 @@ impl HttpHandler for ServeHandler {
             }
             ("GET", "/stats/wire") => {
                 let stats = server.stats();
-                let report = StatsReport::new(
-                    &stats,
-                    server.latency_samples(wire::STATS_SAMPLES),
-                    server.budget_bytes(),
-                    server.used_bytes(),
-                );
+                let report = StatsReport::new(&stats, server.budget_bytes(), server.used_bytes());
                 HttpResponse::text(200, report.to_body())
             }
             ("GET", "/scenes") => {

@@ -438,7 +438,7 @@ impl RenderServer {
     ///
     /// Fast-path hits are counted separately in the service stats
     /// ([`ServeStats::fast_hits`] / [`ServeStats::hit_latency`]) so the
-    /// request-latency reservoir keeps measuring the queue-wait + render
+    /// request-latency histogram keeps measuring the queue-wait + render
     /// path instead of being diluted by sub-microsecond cache answers.
     ///
     /// The in-process API trusts its caller: request fields outside their
@@ -769,12 +769,6 @@ impl RenderServer {
     /// Bytes currently charged to resident scenes and shards.
     pub fn used_bytes(&self) -> u64 {
         self.shared.registry.lock().unwrap().used_bytes()
-    }
-
-    /// A bounded uniform sample of request latencies in seconds (see
-    /// [`StatsCollector::latency_samples`]).
-    pub fn latency_samples(&self, max: usize) -> Vec<f64> {
-        self.shared.stats.latency_samples(max)
     }
 
     /// The observability layer: trace sampling, the finished-span ring and

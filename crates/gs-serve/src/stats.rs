@@ -1,18 +1,19 @@
 //! Service-level statistics: latency percentiles, throughput, cache hit
 //! rate, batch-size histogram and per-worker counters.
 //!
-//! Since the observability PR the collector is a *view* over a
-//! [`gs_obs::Registry`]: every monotone counter lives in the registry (so
-//! `GET /metrics` exposes it in Prometheus text form), while the
-//! percentile reservoirs and the batch-size histogram — aggregates the
-//! text exposition cannot represent losslessly — stay in a mutex. The
-//! [`ServeStats`] snapshot and its wire form are unchanged.
+//! The collector is a *view* over a [`gs_obs::Registry`]: every monotone
+//! counter and every latency record lives there, so `GET /metrics` exposes
+//! it in Prometheus text form. Each latency path (render, fast hit, shard
+//! layer) has one lock-free [`gs_obs::Histogram`]; `/stats` percentiles,
+//! the [`crate::StatsReport`] a replica ships and a cluster coordinator's
+//! merge all read that one record. Only the batch-size histogram, recorded
+//! per batch rather than per request, stays behind a mutex.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use gs_obs::{Counter, Histogram, Registry, TraceId, LATENCY_BUCKETS};
+use gs_obs::{Counter, Histogram, HistogramSnapshot, Registry, TraceId};
 
 use crate::cache::CacheStats;
 
@@ -47,17 +48,31 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[lo] + (sorted[hi] - sorted[lo]) * (rank - lo as f64)
 }
 
-impl LatencySummary {
-    fn from_sorted(sorted: &[f64]) -> Self {
-        if sorted.is_empty() {
-            return Self::default();
-        }
+impl std::fmt::Display for LatencySummary {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "p50 {:.2}ms  p90 {:.2}ms  p99 {:.2}ms  mean {:.2}ms  max {:.2}ms",
+            self.p50 * 1e3,
+            self.p90 * 1e3,
+            self.p99 * 1e3,
+            self.mean * 1e3,
+            self.max * 1e3,
+        )
+    }
+}
+
+impl From<&HistogramSnapshot> for LatencySummary {
+    /// Percentiles follow [`percentile`]'s rule over the histogram's
+    /// counts (never below the exact value, at most 2.5 % above it within
+    /// 100 ns – 100 s); mean and max are exact.
+    fn from(record: &HistogramSnapshot) -> Self {
         Self {
-            p50: percentile(sorted, 0.50),
-            p90: percentile(sorted, 0.90),
-            p99: percentile(sorted, 0.99),
-            mean: sorted.iter().sum::<f64>() / sorted.len() as f64,
-            max: *sorted.last().unwrap(),
+            p50: record.quantile(0.50),
+            p90: record.quantile(0.90),
+            p99: record.quantile(0.99),
+            mean: record.sum_ns as f64 / record.count().max(1) as f64 / 1e9,
+            max: record.max_ns as f64 / 1e9,
         }
     }
 }
@@ -99,6 +114,9 @@ pub struct ServeStats {
     /// near-zero latencies in here used to drag p50 down under repeat-heavy
     /// traffic; they are summarized in `hit_latency` instead.
     pub latency: LatencySummary,
+    /// The render-path latency record `latency` summarizes — what a
+    /// [`crate::StatsReport`] ships and a cluster coordinator merges.
+    pub latency_record: HistogramSnapshot,
     /// Latency distribution of fast-path cache hits (submit to response).
     pub hit_latency: LatencySummary,
     /// Frame-cache counters.
@@ -179,15 +197,7 @@ impl std::fmt::Display for ServeStats {
             self.cancelled,
             self.throughput_rps()
         )?;
-        writeln!(
-            f,
-            "  latency:    p50 {:.2}ms  p90 {:.2}ms  p99 {:.2}ms  mean {:.2}ms  max {:.2}ms",
-            self.latency.p50 * 1e3,
-            self.latency.p90 * 1e3,
-            self.latency.p99 * 1e3,
-            self.latency.mean * 1e3,
-            self.latency.max * 1e3,
-        )?;
+        writeln!(f, "  latency:    {}", self.latency)?;
         writeln!(
             f,
             "  cache:      {:.1}% hit rate ({} hits / {} misses, {} evictions)",
@@ -245,73 +255,11 @@ impl std::fmt::Display for ServeStats {
     }
 }
 
-/// Number of latency samples kept for percentile estimation. Mean and max
-/// are exact (tracked as running aggregates); percentiles come from a
-/// uniform reservoir sample so a long-running service's memory stays
-/// bounded no matter how many requests it serves.
-const LATENCY_RESERVOIR: usize = 65_536;
-
-/// A bounded-memory latency accumulator: exact running mean and max plus a
-/// uniform reservoir sample (Algorithm R) for percentile estimation.
-struct LatencyAccum {
-    reservoir: Vec<f64>,
-    count: u64,
-    sum: f64,
-    max: f64,
-    rng: gs_core::rng::Rng64,
-}
-
-impl LatencyAccum {
-    fn new(seed: u64) -> Self {
-        Self {
-            reservoir: Vec::new(),
-            count: 0,
-            sum: 0.0,
-            max: 0.0,
-            rng: gs_core::rng::Rng64::seed_from_u64(seed),
-        }
-    }
-
-    fn record(&mut self, secs: f64) {
-        self.count += 1;
-        self.sum += secs;
-        self.max = self.max.max(secs);
-        // Algorithm R: every observed latency ends up in the reservoir with
-        // equal probability.
-        if self.reservoir.len() < LATENCY_RESERVOIR {
-            self.reservoir.push(secs);
-        } else {
-            let j = self.rng.gen_range(0u64..self.count) as usize;
-            if j < LATENCY_RESERVOIR {
-                self.reservoir[j] = secs;
-            }
-        }
-    }
-
-    fn summary(&self) -> LatencySummary {
-        let mut sorted = self.reservoir.clone();
-        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
-        let mut summary = LatencySummary::from_sorted(&sorted);
-        // Percentiles are sampled; mean and max are exact.
-        if self.count > 0 {
-            summary.mean = self.sum / self.count as f64;
-            summary.max = self.max;
-        }
-        summary
-    }
-}
-
-struct CollectorInner {
-    latency: LatencyAccum,
-    hit_latency: LatencyAccum,
-    shard_layer: LatencyAccum,
-    batches: BTreeMap<usize, u64>,
-}
-
 /// Thread-safe accumulator the workers report into.
 ///
-/// Monotone counters live in a shared [`gs_obs::Registry`] (exposed at
-/// `GET /metrics`); the reservoirs and batch-size histogram stay local.
+/// Monotone counters and latency histograms live in a shared
+/// [`gs_obs::Registry`] (exposed at `GET /metrics`); only the batch-size
+/// histogram stays local.
 pub struct StatsCollector {
     started: Instant,
     registry: Arc<Registry>,
@@ -331,7 +279,8 @@ pub struct StatsCollector {
     request_seconds: Histogram,
     fast_hit_seconds: Histogram,
     shard_layer_seconds: Histogram,
-    inner: Mutex<CollectorInner>,
+    /// `(batch size → batches)`, recorded once per batch.
+    batches: Mutex<BTreeMap<usize, u64>>,
 }
 
 impl StatsCollector {
@@ -352,8 +301,7 @@ impl StatsCollector {
                 "Requests answered, by outcome",
             )
         };
-        let latency_hist =
-            |name: &str, help: &str| registry.histogram(name, &[], help, &LATENCY_BUCKETS);
+        let latency_hist = |name: &str, help: &str| registry.histogram(name, &[], help);
         Self {
             started: Instant::now(),
             completed: outcome("completed"),
@@ -418,12 +366,7 @@ impl StatsCollector {
                 "Latency of individual shard-layer renders",
             ),
             registry: Arc::clone(&registry),
-            inner: Mutex::new(CollectorInner {
-                latency: LatencyAccum::new(0x5eed),
-                hit_latency: LatencyAccum::new(0xfa57),
-                shard_layer: LatencyAccum::new(0x51a6d),
-                batches: BTreeMap::new(),
-            }),
+            batches: Mutex::new(BTreeMap::new()),
         }
     }
 
@@ -434,13 +377,7 @@ impl StatsCollector {
 
     /// Records one completed request.
     pub fn record_completed(&self, worker: usize, latency: Duration) {
-        let secs = latency.as_secs_f64();
-        self.completed.inc();
-        self.request_seconds.observe(secs);
-        if let Some(counter) = self.per_worker.get(worker) {
-            counter.inc();
-        }
-        self.inner.lock().unwrap().latency.record(secs);
+        self.record_completed_traced(worker, latency, None);
     }
 
     /// [`StatsCollector::record_completed`], additionally pinning the
@@ -454,16 +391,15 @@ impl StatsCollector {
         latency: Duration,
         trace: Option<TraceId>,
     ) {
-        let Some(id) = trace else {
-            return self.record_completed(worker, latency);
-        };
         let secs = latency.as_secs_f64();
         self.completed.inc();
-        self.request_seconds.observe_exemplar(secs, &id.to_string());
+        match trace {
+            Some(id) => self.request_seconds.observe_exemplar(secs, &id.to_string()),
+            None => self.request_seconds.observe(secs),
+        }
         if let Some(counter) = self.per_worker.get(worker) {
             counter.inc();
         }
-        self.inner.lock().unwrap().latency.record(secs);
     }
 
     /// Completed requests so far (fast hits included) — the watcher's
@@ -474,14 +410,12 @@ impl StatsCollector {
 
     /// Records one request answered from the cache *before* it enqueued
     /// (the submit fast path). Counted as completed, but its latency lands
-    /// in the hit reservoir so the request-latency percentiles keep
+    /// in the hit histogram so the request-latency percentiles keep
     /// measuring the queue-wait + render path.
     pub fn record_fast_hit(&self, latency: Duration) {
-        let secs = latency.as_secs_f64();
         self.completed.inc();
         self.fast_hits.inc();
-        self.fast_hit_seconds.observe(secs);
-        self.inner.lock().unwrap().hit_latency.record(secs);
+        self.fast_hit_seconds.observe(latency.as_secs_f64());
     }
 
     /// Records one request answered with an error.
@@ -522,27 +456,10 @@ impl StatsCollector {
         self.tile_renders.add(n);
     }
 
-    /// A uniform sample of observed request latencies in seconds (at most
-    /// `max` values, deterministically strided out of the reservoir). The
-    /// raw material a cluster coordinator merges across replicas so
-    /// cluster-wide percentiles reflect every replica's distribution instead
-    /// of averaging pre-computed quantiles.
-    pub fn latency_samples(&self, max: usize) -> Vec<f64> {
-        let inner = self.inner.lock().unwrap();
-        let reservoir = &inner.latency.reservoir;
-        if max == 0 || reservoir.is_empty() {
-            return Vec::new();
-        }
-        let stride = reservoir.len().div_ceil(max);
-        reservoir.iter().step_by(stride).copied().collect()
-    }
-
     /// Records one rendered shard layer and how long it took.
     pub fn record_shard_layer(&self, elapsed: Duration) {
-        let secs = elapsed.as_secs_f64();
         self.shards_rendered.inc();
-        self.shard_layer_seconds.observe(secs);
-        self.inner.lock().unwrap().shard_layer.record(secs);
+        self.shard_layer_seconds.observe(elapsed.as_secs_f64());
     }
 
     /// Records one formed batch and its gather-sharing counts.
@@ -550,12 +467,12 @@ impl StatsCollector {
         self.batches_total.inc();
         self.union_active.add(union_active as u64);
         self.summed_active.add(summed_active as u64);
-        *self.inner.lock().unwrap().batches.entry(size).or_insert(0) += 1;
+        *self.batches.lock().unwrap().entry(size).or_insert(0) += 1;
     }
 
     /// Snapshots everything into a [`ServeStats`] report.
     pub fn snapshot(&self, cache: CacheStats) -> ServeStats {
-        let inner = self.inner.lock().unwrap();
+        let latency_record = self.request_seconds.snapshot();
         ServeStats {
             completed: self.completed.get(),
             errors: self.errors.get(),
@@ -563,10 +480,17 @@ impl StatsCollector {
             cancelled: self.cancelled.get(),
             fast_hits: self.fast_hits.get(),
             elapsed: self.started.elapsed(),
-            latency: inner.latency.summary(),
-            hit_latency: inner.hit_latency.summary(),
+            latency: LatencySummary::from(&latency_record),
+            latency_record,
+            hit_latency: LatencySummary::from(&self.fast_hit_seconds.snapshot()),
             cache,
-            batch_histogram: inner.batches.iter().map(|(&s, &c)| (s, c)).collect(),
+            batch_histogram: self
+                .batches
+                .lock()
+                .unwrap()
+                .iter()
+                .map(|(&s, &c)| (s, c))
+                .collect(),
             per_worker: self.per_worker.iter().map(Counter::get).collect(),
             union_active: self.union_active.get(),
             summed_active: self.summed_active.get(),
@@ -574,7 +498,7 @@ impl StatsCollector {
             shards_culled: self.shards_culled.get(),
             layers_served: self.layers_served.get(),
             tile_renders: self.tile_renders.get(),
-            shard_layer: inner.shard_layer.summary(),
+            shard_layer: LatencySummary::from(&self.shard_layer_seconds.snapshot()),
             connections: ConnectionStats::default(),
         }
     }
@@ -647,9 +571,9 @@ mod tests {
     #[test]
     fn fast_hits_stay_out_of_the_queue_wait_reservoir() {
         // Regression: folding near-zero cache-hit latencies into the
-        // request reservoir dragged p50 toward zero under repeat-heavy
+        // request record dragged p50 toward zero under repeat-heavy
         // traffic. Fast hits are counted as completed but summarized in
-        // their own reservoir.
+        // their own histogram.
         let collector = StatsCollector::new(1);
         for _ in 0..90 {
             collector.record_fast_hit(Duration::from_micros(3));
@@ -689,9 +613,10 @@ mod tests {
     #[test]
     fn latency_memory_stays_bounded_past_the_reservoir() {
         let collector = StatsCollector::new(1);
-        // Far more samples than the reservoir holds: aggregates stay exact
-        // and the percentile estimate stays inside the observed range.
-        let n = LATENCY_RESERVOIR as u64 + 10_000;
+        // Tens of thousands of samples in a fixed-size record: aggregates
+        // stay exact and the percentile estimate stays inside the observed
+        // range.
+        let n = 75_536u64;
         for i in 0..n {
             collector.record_completed(0, Duration::from_micros(1 + i % 1000));
         }
@@ -736,23 +661,6 @@ mod tests {
         assert!(text.contains("2 cancelled"), "{text}");
         assert!(text.contains("5 culled"), "{text}");
         assert!(text.contains("1 served as layers"), "{text}");
-    }
-
-    #[test]
-    fn latency_samples_are_bounded_and_within_range() {
-        let collector = StatsCollector::new(1);
-        for ms in 1..=1000u64 {
-            collector.record_completed(0, Duration::from_millis(ms));
-        }
-        let samples = collector.latency_samples(64);
-        assert!(
-            !samples.is_empty() && samples.len() <= 64,
-            "{}",
-            samples.len()
-        );
-        assert!(samples.iter().all(|&s| (0.001..=1.0).contains(&s)));
-        assert!(collector.latency_samples(0).is_empty());
-        assert!(StatsCollector::new(1).latency_samples(16).is_empty());
     }
 
     #[test]

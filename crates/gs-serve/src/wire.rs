@@ -44,6 +44,7 @@ use gs_core::gaussian::GaussianParams;
 use gs_core::image::Image;
 use gs_core::math::Vec3;
 use gs_core::rng::Rng64;
+use gs_obs::{HistogramSnapshot, HISTOGRAM_BUCKETS};
 use gs_render::rasterize::FrameLayer;
 
 use crate::request::RenderRequest;
@@ -56,11 +57,6 @@ pub const MAX_WIRE_DIM: usize = 4096;
 /// build (bounds both build time and the host-side shard stores). Larger
 /// specs are answered with `413`.
 pub const MAX_SPEC_GAUSSIANS: usize = 500_000;
-
-/// How many latency reservoir samples `GET /stats/wire` ships in a
-/// [`StatsReport`] — enough for stable merged percentiles, small enough to
-/// keep the report a few KiB.
-pub const STATS_SAMPLES: usize = 256;
 
 /// Whether `id` survives the `to_body()`/`parse()` round trip: non-empty,
 /// no whitespace and none of the JSON-ish punctuation the parser strips.
@@ -1032,12 +1028,13 @@ pub fn decode_scene(bytes: &[u8]) -> Result<(GaussianParams, [f32; 3]), WireErro
 // ---- parsable stats report (cluster stats fan-in) ----
 
 /// A replica's statistics as they travel to a cluster coordinator: the
-/// headline [`crate::stats::ServeStats`] counters, the latency summary, a
-/// bounded uniform sample of the latency reservoir (so cluster-wide
-/// percentiles can be computed over *merged distributions* instead of
-/// averaging quantiles), and the replica's memory budget. Serialized in the
-/// same tolerant `key value` line format as every other text body
-/// (`GET /stats/wire`).
+/// headline [`crate::stats::ServeStats`] counters, the render-path latency
+/// histogram (so cluster-wide percentiles come from one exactly merged
+/// record instead of averaged quantiles), and the replica's memory budget.
+/// Serialized in the same `key value` line format as every other text body
+/// (`GET /stats/wire`); the histogram travels as one
+/// `latency <sum_ns> <max_ns> <bucket>:<count>…` line of its non-zero
+/// buckets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct StatsReport {
     /// Completed requests.
@@ -1049,8 +1046,8 @@ pub struct StatsReport {
     /// Requests cancelled in queue.
     pub cancelled: u64,
     /// Requests answered by the pre-enqueue cache fast path (included in
-    /// `completed`; `latency` and `latency_samples` cover only the
-    /// remaining `completed - fast_hits` render-path requests).
+    /// `completed`; `latency` covers only the remaining
+    /// `completed - fast_hits` render-path requests).
     pub fast_hits: u64,
     /// Frame-cache hits.
     pub cache_hits: u64,
@@ -1064,10 +1061,8 @@ pub struct StatsReport {
     pub layers_served: u64,
     /// Wall-clock seconds the collector has been running.
     pub elapsed_secs: f64,
-    /// Request latency summary in seconds: `[p50, p90, p99, mean, max]`.
-    pub latency: [f64; 5],
-    /// Uniform sample of request latencies in seconds (possibly empty).
-    pub latency_samples: Vec<f64>,
+    /// Render-path request latency record.
+    pub latency: HistogramSnapshot,
     /// Device admission budget in bytes.
     pub budget_bytes: u64,
     /// Bytes charged to resident scenes/shards.
@@ -1076,12 +1071,7 @@ pub struct StatsReport {
 
 impl StatsReport {
     /// Assembles a report from a stats snapshot plus the registry numbers.
-    pub fn new(
-        stats: &crate::stats::ServeStats,
-        latency_samples: Vec<f64>,
-        budget_bytes: u64,
-        used_bytes: u64,
-    ) -> Self {
+    pub fn new(stats: &crate::stats::ServeStats, budget_bytes: u64, used_bytes: u64) -> Self {
         Self {
             completed: stats.completed,
             errors: stats.errors,
@@ -1094,21 +1084,15 @@ impl StatsReport {
             shards_culled: stats.shards_culled,
             layers_served: stats.layers_served,
             elapsed_secs: stats.elapsed.as_secs_f64(),
-            latency: [
-                stats.latency.p50,
-                stats.latency.p90,
-                stats.latency.p99,
-                stats.latency.mean,
-                stats.latency.max,
-            ],
-            latency_samples,
+            latency: stats.latency_record.clone(),
             budget_bytes,
             used_bytes,
         }
     }
 
     /// Serializes the report (`parse(to_body())` round-trips the counters
-    /// exactly and the floats via shortest-roundtrip formatting).
+    /// and the histogram exactly and `elapsed` via shortest-roundtrip
+    /// formatting).
     pub fn to_body(&self) -> String {
         let mut body = String::new();
         body.push_str(&format!(
@@ -1125,19 +1109,19 @@ impl StatsReport {
             self.layers_served
         ));
         body.push_str(&format!("elapsed {}\n", self.elapsed_secs));
-        let [p50, p90, p99, mean, max] = self.latency;
-        body.push_str(&format!("latency {p50} {p90} {p99} {mean} {max}\n"));
         body.push_str(&format!(
-            "budget {}\nused {}\n",
+            "latency {} {}",
+            self.latency.sum_ns, self.latency.max_ns
+        ));
+        for (i, &count) in self.latency.counts().iter().enumerate() {
+            if count > 0 {
+                body.push_str(&format!(" {i}:{count}"));
+            }
+        }
+        body.push_str(&format!(
+            "\nbudget {}\nused {}\n",
             self.budget_bytes, self.used_bytes
         ));
-        if !self.latency_samples.is_empty() {
-            body.push_str("samples");
-            for s in &self.latency_samples {
-                body.push_str(&format!(" {s}"));
-            }
-            body.push('\n');
-        }
         body
     }
 
@@ -1145,7 +1129,10 @@ impl StatsReport {
     ///
     /// # Errors
     ///
-    /// [`WireError`] naming the offending key.
+    /// [`WireError`] naming the offending key — including a `latency` line
+    /// without its sum or max, with a bucket index out of range, repeated
+    /// or counted zero, with more pairs than buckets, or with counts whose
+    /// total overflows `u64`.
     pub fn parse(body: &str) -> Result<Self, WireError> {
         let mut report = StatsReport::default();
         for line in body.lines() {
@@ -1186,34 +1173,47 @@ impl StatsReport {
                 }
                 "budget" => report.budget_bytes = u64s(1, key)?[0],
                 "used" => report.used_bytes = u64s(1, key)?[0],
-                "elapsed" | "latency" | "samples" => {
-                    let mut floats = Vec::new();
-                    for tok in tokens.by_ref() {
-                        floats.push(
-                            tok.parse::<f64>().map_err(|_| {
-                                err(format!("key {key:?}: {tok:?} is not a number"))
-                            })?,
-                        );
-                    }
-                    match key {
-                        "elapsed" => {
-                            report.elapsed_secs =
-                                *floats.first().ok_or_else(|| err("elapsed missing value"))?;
-                        }
-                        "latency" => {
-                            if floats.len() != 5 {
-                                return Err(err("latency expects 5 values"));
-                            }
-                            report.latency.copy_from_slice(&floats);
-                        }
-                        _ => report.latency_samples = floats,
-                    }
+                "elapsed" => {
+                    let tok = tokens.next().ok_or_else(|| err("elapsed missing value"))?;
+                    report.elapsed_secs = tok
+                        .parse::<f64>()
+                        .map_err(|_| err(format!("key {key:?}: {tok:?} is not a number")))?;
+                }
+                "latency" => {
+                    let v = u64s(2, key)?;
+                    report.latency = parse_histogram(v[0], v[1], tokens)?;
                 }
                 unknown => return Err(err(format!("unknown stats key {unknown:?}"))),
             }
         }
         Ok(report)
     }
+}
+
+/// The `<bucket>:<count>` pairs of a report's `latency` line.
+fn parse_histogram(
+    sum_ns: u64,
+    max_ns: u64,
+    pairs: std::str::SplitWhitespace<'_>,
+) -> Result<HistogramSnapshot, WireError> {
+    let mut record = HistogramSnapshot::default();
+    (record.sum_ns, record.max_ns) = (sum_ns, max_ns);
+    let mut total = 0u64;
+    for (n, pair) in pairs.enumerate() {
+        if n == HISTOGRAM_BUCKETS {
+            return Err(err("latency has more pairs than buckets"));
+        }
+        let (i, count) = pair
+            .split_once(':')
+            .and_then(|(i, c)| Some((i.parse::<usize>().ok()?, c.parse::<u64>().ok()?)))
+            .filter(|&(i, c)| i < HISTOGRAM_BUCKETS && c > 0 && record.counts()[i] == 0)
+            .ok_or_else(|| err(format!("latency: bad, empty or repeated bucket {pair:?}")))?;
+        total = total
+            .checked_add(count)
+            .ok_or_else(|| err("latency counts overflow"))?;
+        record.counts_mut()[i] = count;
+    }
+    Ok(record)
 }
 
 #[cfg(test)]
@@ -1577,6 +1577,11 @@ mod tests {
 
     #[test]
     fn stats_report_roundtrips() {
+        let mut latency = HistogramSnapshot::default();
+        (latency.sum_ns, latency.max_ns) = (1_234_567, 10_000_000);
+        latency.counts_mut()[0] = 1;
+        latency.counts_mut()[1500] = 95;
+        latency.counts_mut()[HISTOGRAM_BUCKETS - 1] = 4;
         let report = StatsReport {
             completed: 120,
             errors: 3,
@@ -1589,19 +1594,163 @@ mod tests {
             shards_culled: 16,
             layers_served: 8,
             elapsed_secs: 12.5,
-            latency: [0.001, 0.002, 0.004, 0.0015, 0.01],
-            latency_samples: vec![0.001, 0.0012, 0.009],
+            latency,
             budget_bytes: 1 << 30,
             used_bytes: 123456,
         };
         let parsed = StatsReport::parse(&report.to_body()).unwrap();
         assert_eq!(parsed, report);
-        // Sample-free reports round-trip too, and junk is rejected.
+        // Reports with an empty histogram round-trip too, and junk is
+        // rejected.
         let mut bare = report.clone();
-        bare.latency_samples.clear();
+        bare.latency = HistogramSnapshot::default();
+        assert!(bare.to_body().contains("latency 0 0\n"));
         assert_eq!(StatsReport::parse(&bare.to_body()).unwrap(), bare);
         assert!(StatsReport::parse("bogus 4\n").is_err());
-        assert!(StatsReport::parse("latency 1 2\n").is_err());
+        assert!(StatsReport::parse("latency 1\n").is_err());
+    }
+
+    #[test]
+    fn stats_report_rejects_hostile_latency_lines() {
+        let too_many: String = (0..=HISTOGRAM_BUCKETS)
+            .map(|i| format!(" {}:1", i % HISTOGRAM_BUCKETS))
+            .collect();
+        let too_many = format!("latency 1 1{too_many}\n");
+        for (body, why) in [
+            ("latency\n", "missing sum"),
+            ("latency 5\n", "missing max"),
+            ("latency 5 x\n", "max not a count"),
+            ("latency 5 3 3242:1\n", "index past the last bucket"),
+            ("latency 5 3 18446744073709551616:1\n", "index overflows"),
+            ("latency 5 3 7:1 7:2\n", "repeated index"),
+            ("latency 5 3 7:0\n", "zero count"),
+            ("latency 5 3 7\n", "not a pair"),
+            ("latency 5 3 7:-1\n", "negative count"),
+            (
+                "latency 5 3 1:18446744073709551615 2:1\n",
+                "counts overflow",
+            ),
+            (too_many.as_str(), "more pairs than buckets"),
+        ] {
+            assert!(StatsReport::parse(body).is_err(), "must reject: {why}");
+        }
+        let err = StatsReport::parse(&too_many).unwrap_err();
+        assert!(err.to_string().contains("more pairs"), "{err}");
+        // The largest total that fits is accepted.
+        let ok = StatsReport::parse("latency 5 3 1:18446744073709551614 2:1\n").unwrap();
+        assert_eq!(ok.latency.count(), u64::MAX);
+    }
+
+    fn random_count(rng: &mut Rng64) -> u64 {
+        match rng.gen_range(0u32..4) {
+            0 => 0,
+            1 => rng.gen_range(0u64..1000),
+            2 => rng.next_u64() >> 8,
+            _ => u64::MAX - rng.gen_range(0u64..4),
+        }
+    }
+
+    fn random_report(rng: &mut Rng64) -> StatsReport {
+        let mut report = StatsReport {
+            completed: random_count(rng),
+            errors: random_count(rng),
+            expired: random_count(rng),
+            cancelled: random_count(rng),
+            fast_hits: random_count(rng),
+            cache_hits: random_count(rng),
+            cache_misses: random_count(rng),
+            shards_rendered: random_count(rng),
+            shards_culled: random_count(rng),
+            layers_served: random_count(rng),
+            elapsed_secs: rng.gen_f64() * 1e4,
+            latency: HistogramSnapshot::default(),
+            budget_bytes: random_count(rng),
+            used_bytes: random_count(rng),
+        };
+        report.latency.sum_ns = rng.next_u64();
+        report.latency.max_ns = rng.next_u64();
+        for _ in 0..rng.gen_range(0usize..40) {
+            let i = rng.gen_range(0..HISTOGRAM_BUCKETS);
+            // At most 40 buckets of < 2^56 each: the total fits in u64.
+            report.latency.counts_mut()[i] = 1 + (rng.next_u64() >> (8 + rng.gen_range(0u32..56)));
+        }
+        report
+    }
+
+    /// One to four random byte- or token-level edits of `body`.
+    fn mutate(body: &str, rng: &mut Rng64) -> String {
+        const BYTES: &[u8] = b"0123456789: \n-+.xe";
+        const TOKENS: &[&str] = &[
+            "0",
+            "1",
+            "-1",
+            ":",
+            "1:",
+            ":1",
+            "0:0",
+            "3241:1",
+            "3242:1",
+            "18446744073709551615",
+            "18446744073709551616",
+            "1:18446744073709551615",
+            "NaN",
+            "inf",
+            "1e400",
+            "latency",
+            "elapsed",
+            "cache",
+        ];
+        let mut bytes = body.as_bytes().to_vec();
+        for _ in 0..rng.gen_range(1u32..5) {
+            let at = rng.gen_range(0..bytes.len().max(1));
+            match rng.gen_range(0u32..7) {
+                0 if !bytes.is_empty() => {
+                    bytes[at] = BYTES[rng.gen_range(0..BYTES.len())];
+                }
+                1 if !bytes.is_empty() => {
+                    bytes.remove(at);
+                }
+                2 => bytes.insert(at.min(bytes.len()), BYTES[rng.gen_range(0..BYTES.len())]),
+                _ => {
+                    // Token edits: replace, delete, duplicate or swap.
+                    let text = String::from_utf8(bytes.clone()).unwrap();
+                    let mut tokens: Vec<String> = text.split(' ').map(str::to_string).collect();
+                    let i = rng.gen_range(0..tokens.len());
+                    let j = rng.gen_range(0..tokens.len());
+                    match rng.gen_range(0u32..4) {
+                        0 => tokens[i] = TOKENS[rng.gen_range(0..TOKENS.len())].to_string(),
+                        1 if tokens.len() > 1 => {
+                            tokens.remove(i);
+                        }
+                        2 => {
+                            let dup = tokens[i].clone();
+                            tokens.insert(j, dup);
+                        }
+                        _ => tokens.swap(i, j),
+                    }
+                    bytes = tokens.join(" ").into_bytes();
+                }
+            }
+        }
+        String::from_utf8(bytes).unwrap()
+    }
+
+    #[test]
+    fn stats_report_parse_survives_mutated_bodies() {
+        // Seeded mutational fuzzing: every generated report round-trips
+        // exactly, and no mutation of one panics the parser.
+        let mut rng = Rng64::seed_from_u64(0xf022_57a7);
+        let mut inputs = 0usize;
+        while inputs < 100_000 {
+            let report = random_report(&mut rng);
+            let body = report.to_body();
+            assert_eq!(StatsReport::parse(&body).unwrap(), report, "{body}");
+            inputs += 1;
+            for _ in 0..49 {
+                let _ = StatsReport::parse(&mutate(&body, &mut rng));
+                inputs += 1;
+            }
+        }
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! shot mid-run. Every request must still be answered (failover re-places
 //! the dead replica's scenes from the coordinator's host-side holds), and
 //! the run ends with the cluster-wide stats fan-in, including latency
-//! merged from the replicas' reservoirs.
+//! merged exactly from the replicas' histograms.
 //!
 //! Run with `cargo run --release --example cluster_traffic`.
 

@@ -743,13 +743,13 @@ fn cluster_http_front_end_serves_and_aggregates() {
     let text = String::from_utf8(response.body).unwrap();
     assert!(text.contains("cluster stats (2 replicas)"), "{text}");
     assert!(text.contains("replica-0 up"), "{text}");
-    assert!(text.contains("merged reservoirs"), "{text}");
+    assert!(text.contains("merged histograms"), "{text}");
     let stats = cluster.stats();
     assert!(stats.completed >= 2);
     assert!(stats.replica_completed() >= 2);
     assert!(
         stats.merged_replica_latency.p50 > 0.0,
-        "merged latency must reflect replica reservoirs: {stats}"
+        "merged latency must reflect replica histograms: {stats}"
     );
 
     // Placement and replica listings.

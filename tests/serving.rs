@@ -442,7 +442,7 @@ fn panicked_batch_records_one_error_per_dropped_job() {
 #[test]
 fn fast_path_hits_bypass_the_queue_and_its_latency_reservoir() {
     // Regression (hit-rate accounting): cache hits served before enqueue
-    // must not land in the request-latency reservoir — under repeat-heavy
+    // must not land in the request-latency histogram — under repeat-heavy
     // traffic they used to drag p50 toward zero. They are counted as
     // completed + fast_hits, with their own hit-latency summary, and the
     // cache counters still reconcile (one counted lookup per request).
@@ -488,7 +488,7 @@ fn fast_path_hits_bypass_the_queue_and_its_latency_reservoir() {
         stats.cache.misses, 1,
         "exactly one counted lookup per request"
     );
-    // The queue-wait reservoir holds only the single rendered request, so
+    // The queue-wait histogram holds only the single rendered request, so
     // its p50 is the render latency — not the near-zero hit latency.
     assert!(
         stats.latency.p50 >= stats.hit_latency.p50,
