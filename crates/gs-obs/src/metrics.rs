@@ -159,7 +159,10 @@ pub struct Histogram(Arc<HistogramCore>);
 impl Histogram {
     /// Records one observation in seconds (negative values clamp to 0).
     pub fn observe(&self, secs: f64) {
-        let ns = to_ns(secs);
+        self.record_ns(to_ns(secs));
+    }
+
+    fn record_ns(&self, ns: u64) {
         self.0.buckets[bucket_of(ns)].fetch_add(1, Ordering::Relaxed);
         self.0.sum_ns.fetch_add(ns, Ordering::Relaxed);
         self.0.max_ns.fetch_max(ns, Ordering::Relaxed);
@@ -170,11 +173,11 @@ impl Histogram {
     /// as an OpenMetrics-style exemplar suffix on the matching `_bucket`
     /// line).
     pub fn observe_exemplar(&self, secs: f64, trace_id: &str) {
-        self.observe(secs);
         let ns = to_ns(secs);
-        let slot = (0..LATENCY_BUCKETS.len())
-            .position(|j| bucket_of(ns) <= le_bucket(j))
-            .unwrap_or(LATENCY_BUCKETS.len());
+        self.record_ns(ns);
+        // Each bound is a fine edge and buckets are upper-inclusive, so
+        // comparing nanoseconds picks the same slot as the fine bucket.
+        let slot = LATENCY_BUCKETS.partition_point(|&b| to_ns(b) < ns);
         self.0.exemplars.lock().unwrap()[slot] = Some(Exemplar {
             trace_id: trace_id.to_string(),
             value: ns as f64 / 1e9,
@@ -183,7 +186,11 @@ impl Histogram {
 
     /// Number of observations.
     pub fn count(&self) -> u64 {
-        self.snapshot().count()
+        self.0
+            .buckets
+            .iter()
+            .map(|a| a.load(Ordering::Relaxed))
+            .sum()
     }
 
     /// Sum of observations in seconds.
