@@ -61,7 +61,7 @@ fn main() {
     );
     println!(
         "\nExpected shape (paper): the balance-aware search brings the split ratio close to\n\
-         0.55:0.45 or better while adding only ~0.08% to total training time (the search runs\n\
-         once per camera before training)."
+         0.55:0.45 or better while adding only ~0.08% to total training time (the trainer\n\
+         searches on every split step, over the view's cull)."
     );
 }

@@ -14,7 +14,7 @@ use gs_core::gaussian::{GaussianGrads, GaussianParams, SparseGrads};
 use gs_core::image::Image;
 
 use crate::cost::{self, WorkEstimate};
-use crate::projection::{project_splats, projection_backward, Splat};
+use crate::projection::{project_splats, projection_backward, reaches_viewport, Splat};
 use crate::rasterize::{
     rasterize_backward, rasterize_forward, rasterize_layer, FrameLayer, RasterAux,
 };
@@ -81,6 +81,23 @@ pub struct RenderOutput {
     pub stats: RenderStats,
     /// Per-phase wall-clock timings.
     pub timings: RenderTimings,
+}
+
+impl RenderOutput {
+    /// The [`RenderStats`] of [`render`] over `vp` (inside this one's) for
+    /// this render's input rows `k` with `input(k)`, named rather than
+    /// counted because a cull may drop a Gaussian whose splat reaches: its
+    /// splats are this render's of those rows that reach `vp`.
+    pub fn stats_within(&self, vp: &Viewport, input: impl Fn(usize) -> bool) -> RenderStats {
+        let kept = |s: &&Splat| input(s.idx as usize) && reaches_viewport(vp, s.mean2d, s.radius);
+        let splats: Vec<Splat> = self.splats.iter().filter(kept).copied().collect();
+        RenderStats {
+            num_input: (0..self.stats.num_input).filter(|&k| input(k)).count(),
+            num_splats: splats.len(),
+            num_pairs: TileGrid::build(&splats, *vp).total_pairs(),
+            num_pixels: vp.num_pixels(),
+        }
+    }
 }
 
 /// Projection and tile binning — the front half every render shares — with
@@ -177,8 +194,7 @@ pub fn render_image(
     sh_degree: usize,
     background: [f32; 3],
 ) -> Image {
-    let vp = Viewport::full(cam);
-    render(params, cam, sh_degree, &vp, background).image
+    render(params, cam, sh_degree, &Viewport::full(cam), background).image
 }
 
 /// Backpropagates a gradient image through a previously computed
@@ -218,8 +234,10 @@ pub fn to_sparse_grads(gathered_ids: &[u32], grads: GaussianGrads) -> SparseGrad
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::culling::frustum_cull;
     use crate::loss::{loss_and_grad, LossKind};
-    use gs_core::math::Vec3;
+    use gs_core::math::{Quat, Vec3};
+    use gs_core::rng::Rng64;
 
     fn cam() -> Camera {
         Camera::look_at(
@@ -411,6 +429,63 @@ mod tests {
         let (stats, _) = render_layer(&p, &c, 3, &vp, &mut layer, 1);
         assert_eq!(layer.finish(bg).data(), reference.image.data());
         assert_eq!(stats, reference.stats);
+    }
+
+    /// `n` random anisotropic Gaussians in a box around the origin, wider
+    /// than the test cameras' views.
+    fn random_scene(seed: u64, n: usize) -> GaussianParams {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut p = GaussianParams::new();
+        for _ in 0..n {
+            let mut uniform = |lo: f32, hi: f32| rng.gen_range(lo..hi);
+            let mean = Vec3::new(uniform(-7.0, 7.0), uniform(-5.0, 5.0), uniform(-3.0, 3.0));
+            let log_scale = Vec3::new(uniform(-3.5, 0.0), uniform(-3.5, 0.0), uniform(-3.5, 0.0));
+            let quat = Quat::new(
+                uniform(0.2, 1.0),
+                uniform(-1.0, 1.0),
+                uniform(-1.0, 1.0),
+                uniform(-1.0, 1.0),
+            );
+            let opacity_logit = uniform(-2.0, 3.0);
+            let sh: Vec<f32> = (0..48).map(|_| uniform(-0.5, 0.5)).collect();
+            p.push_raw(mean, log_scale, quat, opacity_logit, &sh);
+        }
+        p
+    }
+
+    #[test]
+    fn stats_within_a_sub_viewport_match_rendering_its_cull() {
+        let bg = [0.1, 0.2, 0.3];
+        let oblique = Camera::look_at(
+            61,
+            37,
+            1.2,
+            Vec3::new(3.0, 1.5, -6.0),
+            Vec3::new(0.5, 0.0, 0.0),
+            Vec3::new(0.0, 1.0, 0.0),
+        );
+        for seed in 0..8 {
+            let p = random_scene(seed, 150);
+            for c in [cam(), oblique.clone()] {
+                let full = Viewport::full(&c);
+                let ids = frustum_cull(&p, &c, &full).ids;
+                let whole = render(&p.gather(&ids), &c, 3, &full, bg);
+                for column in [1, 16, 17, c.width / 2, c.width - 1] {
+                    let (left, right) = full.split_at_column(column);
+                    for half in [left, right] {
+                        let culled = frustum_cull(&p, &c, &half).ids;
+                        let expected = render(&p.gather(&culled), &c, 3, &half, bg).stats;
+                        assert_eq!(
+                            whole.stats_within(&half, |k| culled.contains(&ids[k])),
+                            expected,
+                            "seed {seed}, {}x{} camera, column {column}, {half:?}",
+                            c.width,
+                            c.height
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -182,11 +182,7 @@ pub fn project_splats(
         let (l1, _) = inter.cov2d.eigenvalues();
         let radius = RADIUS_SIGMA * l1.max(0.0).sqrt();
         let mean2d = cam.cam_to_pixel(inter.t);
-        // Keep any splat whose bounding box could reach a tile that overlaps
-        // the viewport (one extra tile of slack): this makes rendering a
-        // sub-viewport bit-identical to cropping a full-image render, which
-        // balance-aware image splitting relies on.
-        if !viewport.contains_with_margin(mean2d.x, mean2d.y, radius + 16.0) {
+        if !reaches_viewport(viewport, mean2d, radius) {
             continue;
         }
         let dir = cam.view_dir(params.mean(i));
@@ -203,6 +199,12 @@ pub fn project_splats(
         });
     }
     splats
+}
+
+/// Whether [`project_splats`] keeps a splat: its box could reach a tile
+/// overlapping `viewport`, so a sub-viewport render is a full render's crop.
+pub(crate) fn reaches_viewport(viewport: &Viewport, mean2d: Vec2, radius: f32) -> bool {
+    viewport.contains_with_margin(mean2d.x, mean2d.y, radius + crate::tiles::TILE_SIZE as f32)
 }
 
 /// Backpropagates per-splat gradients to the parameters of the Gaussians in

@@ -50,9 +50,8 @@ fn gaussian_weight(splat: &Splat, px: f32, py: f32) -> Option<(f32, f32, f32)> {
     let dx = px - splat.mean2d.x;
     let dy = py - splat.mean2d.y;
     // Restrict every splat to its own bounding box so that which pixels a
-    // splat touches does not depend on how the image happens to be tiled;
-    // this is what makes a sub-viewport render identical to the crop of a
-    // full render (balance-aware image splitting relies on it).
+    // splat touches does not depend on how the image is tiled: a sub-viewport
+    // render is then identical to the crop of a full render.
     if dx.abs() > splat.radius || dy.abs() > splat.radius {
         return None;
     }

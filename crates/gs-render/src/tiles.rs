@@ -1,9 +1,9 @@
 //! Tile binning and per-tile depth ordering for the rasterizer.
 //!
-//! The image (or a sub-viewport of it, for balance-aware image splitting) is
-//! divided into square tiles. Each splat is inserted into every tile its
-//! conservative radius overlaps, and the per-tile lists are sorted by depth
-//! so alpha blending composites in the correct front-to-back order.
+//! The image (or a sub-viewport of it) is divided into square tiles. Each
+//! splat is inserted into every tile its conservative radius overlaps, and
+//! the per-tile lists are sorted by depth so alpha blending composites in
+//! the correct front-to-back order.
 
 use gs_core::camera::Viewport;
 

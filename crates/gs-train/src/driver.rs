@@ -180,7 +180,7 @@ mod tests {
         let q_gss = train(&mut gss, &scene, 40, true).unwrap().quality.unwrap();
 
         // Table 3: GS-Scale trains to GPU-only's quality. The deferred
-        // update is exact; image splitting only reorders sums.
+        // update and image splitting are both exact.
         assert!(
             (q_gpu.psnr - q_gss.psnr).abs() < 0.2,
             "PSNR mismatch: {} vs {}",

@@ -19,9 +19,9 @@
 //!   GPU-on-CPU dependency in the iteration timeline;
 //! * **deferred optimizer update** — the host optimizer skips Gaussians with
 //!   zero gradients and restores them from a defer counter when needed;
-//! * **image splitting** — views whose active ratio exceeds `mem_limit` are
-//!   rendered as two balanced sub-viewports whose gradients are aggregated
-//!   before the optimizer step.
+//! * **image splitting** — a view whose active ratio exceeds `mem_limit` is
+//!   modelled as two passes over balanced sub-viewports; like the placement,
+//!   it decides what the step charges and schedules, never the arithmetic.
 //!
 //! # What is exact
 //!
@@ -43,26 +43,25 @@
 //!   expanding them first (`gs-optim`'s
 //!   `sparse_entry_is_bit_identical_to_the_densified_call`, and
 //!   `offload_step_is_bit_identical_to_the_densified_reference_step` in
-//!   `tests/end_to_end.rs`).
-//!
-//! Not yet exact:
-//!
-//! * image splitting: within 1e-4 of the unsplit run
-//!   (`image_splitting_preserves_training_results`); the split path rounds
-//!   the loss gradient twice and sums the halves in a different order.
+//!   `tests/end_to_end.rs`);
+//! * image splitting: the same loss and parameter bits as GPU-only (the
+//!   same lockstep test, and `image_splitting_preserves_training_results`);
+//!   each pass's work is that of rendering its half's cull (`gs-render`'s
+//!   `stats_within_a_sub_viewport_match_rendering_its_cull`, and the
+//!   reference step in `tests/end_to_end.rs`).
 //!
 //! # Host-side cost of one step
 //!
 //! With `N` Gaussians of which `A` are in the view, the real (not modelled)
 //! work of [`OffloadTrainer::step`] around the forward/backward pass is:
 //!
-//! * **O(A)** — staging (`gather` / `peek_restored`), merging the
-//!   per-viewport gradients ([`SparseGrads::merge`], linear in the merged
-//!   sizes), adding gradient norms to the densification accumulator, the
-//!   deferred Adam update of the touched Gaussians, and setting and
-//!   resetting the optimizers' id → row tables. The gradients stay packed
-//!   over the active set from the backward pass to the optimizers; no
-//!   `N`-sized gradient container or id list is built.
+//! * **O(A)** — staging (`gather` / `peek_restored`), a split step's
+//!   search over the cull's ids and its halves' work counters, adding
+//!   gradient norms to the densification accumulator, the deferred Adam
+//!   update of the touched Gaussians, and setting and resetting the
+//!   optimizers' id → row tables. The gradients stay packed over the active
+//!   set from the backward pass to the optimizers; no `N`-sized gradient
+//!   container or id list is built.
 //! * **one pass over `N`** — frustum culling over the geometric
 //!   attributes, the densification observation counts (a `u32` each), the
 //!   deferred optimizer's defer counters (a `u8` each, read to find
@@ -75,21 +74,21 @@ use std::collections::BTreeMap;
 
 use gs_core::camera::{Camera, Viewport};
 use gs_core::error::Result;
-use gs_core::gaussian::{GaussianParams, ParamGroup, SparseGrads};
+use gs_core::gaussian::{GaussianParams, ParamGroup};
 use gs_core::image::Image;
 use gs_optim::{DeferredAdam, DenseAdam};
 use gs_platform::{
     kernel_time, MemoryCategory, MemoryPool, PlatformSpec, Stream, TimelineSim, TransferModel,
 };
 use gs_render::cost as render_cost;
-use gs_render::culling::frustum_cull;
+use gs_render::culling::{frustum_cull, gaussian_in_frustum};
 use gs_render::loss::loss_and_grad;
-use gs_render::pipeline::{render, render_backward, to_sparse_grads};
+use gs_render::pipeline::{render, render_backward, to_sparse_grads, RenderStats};
 
 use crate::config::TrainConfig;
 use crate::densify::{densify, DensifyAccumulator};
 use crate::memory_model::{self, SystemKind};
-use crate::splitting::find_balanced_split;
+use crate::splitting::balanced_split;
 use crate::stats::IterationStats;
 use crate::timing::{work_from_estimate, work_from_step};
 use crate::Trainer;
@@ -105,7 +104,7 @@ pub struct OffloadOptions {
     pub parameter_forwarding: bool,
     /// Use the deferred optimizer update on the host (Section 4.3).
     pub deferred_update: bool,
-    /// Split demanding views into two balanced sub-views (Section 4.4).
+    /// Model demanding views as two balanced sub-view passes (Section 4.4).
     pub image_splitting: bool,
 }
 
@@ -209,10 +208,11 @@ impl Placement {
         ]
     }
 
-    /// What one forward/backward pass over `active` Gaussians and `pixels`
-    /// pixels adds: the staged columns (the bytes copied host-to-device),
-    /// their gradients (copied back) and the activations.
-    fn transient_gpu(self, active: usize, pixels: usize) -> [(MemoryCategory, u64); 3] {
+    /// What one forward/backward pass adds: the staged columns of its input
+    /// Gaussians (the bytes copied host-to-device), their gradients (copied
+    /// back) and the activations.
+    fn transient_gpu(self, pass: &RenderStats) -> [(MemoryCategory, u64); 3] {
+        let (active, pixels) = (pass.num_input, pass.num_pixels);
         let all = GaussianParams::PARAMS_PER_GAUSSIAN;
         let (staged, grads) = match self {
             Placement::Host => (all, all),
@@ -389,10 +389,8 @@ impl OffloadTrainer {
         self.iteration += 1;
         let total = self.params.len();
         let full_vp = Viewport::full(cam);
-        let full_pixels = cam.num_pixels() as f32;
 
-        let gpu = self.platform.gpu;
-        let cpu = self.platform.cpu;
+        let (gpu, cpu) = (self.platform.gpu, self.platform.cpu);
         let mut sim = TimelineSim::new();
 
         // ---- 1. Frustum culling over all Gaussians --------------------------
@@ -412,70 +410,40 @@ impl OffloadTrainer {
         };
         let cull_event = sim.schedule(cull_stream, cull_label, cull_time, &[]);
 
-        // ---- 2. Image-splitting decision ------------------------------------
-        let active_ratio = if total == 0 {
-            0.0
-        } else {
-            active as f64 / total as f64
-        };
-        let split = self.options.image_splitting && active_ratio > self.config.mem_limit;
-        let viewports: Vec<Viewport> = if split {
-            let plan = find_balanced_split(&self.params, cam);
-            let (l, r) = plan.viewports(cam);
-            vec![l, r]
-        } else {
-            vec![full_vp]
-        };
+        // ---- 2. Forward/backward over the whole view -------------------------
+        let staged = self.stage_params(&cull.ids);
+        let sh_degree = self.config.sh_degree;
+        let output = render(&staged, cam, sh_degree, &full_vp, self.config.background);
+        let (loss, d_image) = loss_and_grad(self.config.loss, &output.image, target);
+        let grads = render_backward(&staged, cam, sh_degree, &output, &d_image);
+        let grads = to_sparse_grads(&cull.ids, grads);
 
-        // ---- 3. Per-viewport forward/backward -------------------------------
-        let mut merged: SparseGrads = SparseGrads::new();
-        let mut total_loss = 0.0f32;
-        let mut last_gpu_event = cull_event;
-        let mut last_d2h_event = cull_event;
-        let transfers = self.placement != Placement::AllResident;
-        for vp in &viewports {
-            let sub_cull;
-            let ids: &[u32] = if split {
-                sub_cull = frustum_cull(&self.params, cam, vp);
-                &sub_cull.ids
-            } else {
-                &cull.ids
+        // ---- 3. Modelled passes ---------------------------------------------
+        // A view whose active ratio exceeds `mem_limit` (and that has a
+        // column to split at) is modelled as two balanced passes, each
+        // staging its half's cull and doing the work of rendering it.
+        let split = self.options.image_splitting
+            && cull.active_ratio() > self.config.mem_limit
+            && cam.width >= 2;
+        let passes = if split {
+            let (left, right) = balanced_split(&self.params, cam, &cull.ids).viewports(cam);
+            let within = |half: Viewport| {
+                output.stats_within(&half, |k| {
+                    gaussian_in_frustum(&self.params, cull.ids[k] as usize, cam, &half)
+                })
             };
-            let staged = self.stage_params(ids);
-
+            vec![within(left), within(right)]
+        } else {
+            vec![output.stats]
+        };
+        let (mut last_gpu_event, mut last_d2h_event) = (cull_event, cull_event);
+        let transfers = self.placement != Placement::AllResident;
+        for stats in passes {
             // Transient GPU memory for this pass. All or nothing: a view that
             // does not fit must leave no charge behind for the steps after it.
-            let transient = self.placement.transient_gpu(ids.len(), vp.num_pixels());
+            let transient = self.placement.transient_gpu(&stats);
             let [(_, staged_param_bytes), (_, grad_bytes), _] = transient;
             self.gpu_pool.alloc_all(&transient)?;
-
-            // Functional forward + loss + backward on the staged subset. The
-            // loss gradient is scaled so that split sub-views aggregate to the
-            // same gradients as a single full-image pass.
-            let output = render(
-                &staged,
-                cam,
-                self.config.sh_degree,
-                vp,
-                self.config.background,
-            );
-            let cropped;
-            let target_crop: &Image = if split {
-                cropped = target.crop(vp.x0, vp.y0, vp.x1, vp.y1);
-                &cropped
-            } else {
-                target
-            };
-            let (loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, target_crop);
-            let scale = vp.num_pixels() as f32 / full_pixels;
-            if (scale - 1.0).abs() > f32::EPSILON {
-                for v in d_image.data_mut() {
-                    *v *= scale;
-                }
-            }
-            total_loss += loss * scale;
-            let grads = render_backward(&staged, cam, self.config.sh_degree, &output, &d_image);
-            merged.merge(&to_sparse_grads(ids, grads));
 
             // Timeline: H2D staging (chunked), forward/backward, D2H grads.
             // Under parameter forwarding the H2D copy does not wait for the
@@ -490,8 +458,8 @@ impl OffloadTrainer {
             } else {
                 cull_event
             };
-            let fwd_work = work_from_estimate(&output.stats.forward_work());
-            let bwd_work = work_from_estimate(&output.stats.backward_work());
+            let fwd_work = work_from_estimate(&stats.forward_work());
+            let bwd_work = work_from_estimate(&stats.backward_work());
             let fwd = sim.schedule(
                 Stream::GpuCompute,
                 "gpu_fwd_bwd",
@@ -514,7 +482,7 @@ impl OffloadTrainer {
         // makes the same densification decisions and the trained models stay
         // comparable. The gradients stay sparse: Gaussians outside the view
         // add a zero norm.
-        self.accum.record_sparse(&merged);
+        self.accum.record_sparse(&grads);
 
         // ---- 5. Optimizer updates -------------------------------------------
         // Geometric groups: dense Adam over every Gaussian, reading the
@@ -523,18 +491,18 @@ impl OffloadTrainer {
         let params = &mut self.params;
         let geom_stats = self
             .dense
-            .apply_groups_sparse(params, &merged, &ParamGroup::GEOMETRIC, t);
+            .apply_groups_sparse(params, &grads, &ParamGroup::GEOMETRIC, t);
 
         // Non-geometric groups: deferred, or the same dense Adam at the same
         // step.
         let (cpu_stats, random_access) = match self.deferred.as_mut() {
             Some(deferred) => (
-                deferred.step_groups(params, &merged, &ParamGroup::NON_GEOMETRIC),
+                deferred.step_groups(params, &grads, &ParamGroup::NON_GEOMETRIC),
                 true,
             ),
             None => (
                 self.dense
-                    .apply_groups_sparse(params, &merged, &ParamGroup::NON_GEOMETRIC, t),
+                    .apply_groups_sparse(params, &grads, &ParamGroup::NON_GEOMETRIC, t),
                 false,
             ),
         };
@@ -578,7 +546,7 @@ impl OffloadTrainer {
         sim.accumulate_breakdown(&mut breakdown);
 
         Ok(IterationStats {
-            loss: total_loss,
+            loss,
             active_gaussians: active,
             total_gaussians: total,
             sim_time_s: sim.makespan(),
@@ -724,14 +692,16 @@ mod tests {
     }
 
     /// GPU-only against the baseline, against selective offloading with
-    /// parameter forwarding, and against that plus the deferred update (no
-    /// splitting in any of them); and GS-Scale without the deferred update
-    /// against GS-Scale with it (both splitting). The same loss bits after
-    /// every step, and the same parameter bits after every step — or, when
-    /// one side defers, after every densification and after a final flush —
+    /// parameter forwarding, against that plus the deferred update (no
+    /// splitting in any of them), and against GS-Scale with and without the
+    /// deferred update (both splitting). The same loss bits after every
+    /// step, and the same parameter bits after every step — or, when one
+    /// side defers, after every densification and after a final flush —
     /// over seeds × active ratio × densification on/off. Four seeds in debug
     /// builds, sixteen in release. The deferring runs must really defer: on
-    /// some step the host optimizer updates at most half the Gaussians.
+    /// some step the host optimizer updates at most half the Gaussians. The
+    /// splitting runs must really split at active ratios 0.55 and 0.9, which
+    /// exceed the default `mem_limit` of 0.3.
     #[test]
     fn placements_and_schedules_train_bit_identically_in_lockstep() {
         const STEPS: usize = 12;
@@ -785,22 +755,17 @@ mod tests {
                         let (config, init) = (config.clone(), init.clone());
                         GpuOnlyTrainer::new(config, platform.clone(), init, extent).unwrap()
                     };
-                    let offloaded = |options| {
-                        let (config, init) = (config.clone(), init.clone());
-                        OffloadTrainer::new(config, options, platform.clone(), init, extent)
-                            .unwrap()
-                    };
-                    let pairs: [(Box<dyn Trainer>, _); 4] = [
-                        (Box::new(gpu_only()), OffloadOptions::baseline()),
-                        (Box::new(gpu_only()), resident_pipelined),
-                        (Box::new(gpu_only()), deferring),
-                        (
-                            Box::new(offloaded(OffloadOptions::without_deferred())),
-                            OffloadOptions::full(),
-                        ),
-                    ];
-                    for (mut reference, options) in pairs {
-                        let mut other = offloaded(options);
+                    for options in [
+                        OffloadOptions::baseline(),
+                        resident_pipelined,
+                        deferring,
+                        OffloadOptions::without_deferred(),
+                        OffloadOptions::full(),
+                    ] {
+                        let mut reference = gpu_only();
+                        let (c, i) = (config.clone(), init.clone());
+                        let mut other =
+                            OffloadTrainer::new(c, options, platform.clone(), i, extent).unwrap();
                         let case = format!(
                             "{} vs {options:?}, seed {seed}, active ratio {active_ratio}, \
                              densify {densifying}",
@@ -810,7 +775,7 @@ mod tests {
                             !options.deferred_update || config.densify.is_due(iteration)
                         };
                         let stats =
-                            lockstep(&mut *reference, &mut other, &views, STEPS, compare_params)
+                            lockstep(&mut reference, &mut other, &views, STEPS, compare_params)
                                 .unwrap_or_else(|at| panic!("{case}: diverged at {at}"));
                         assert_eq!(
                             reference.num_gaussians() != init.len(),
@@ -824,6 +789,9 @@ mod tests {
                                 stats.iter().any(defers),
                                 "{case}: never deferred half the rows"
                             );
+                        }
+                        if options.image_splitting && active_ratio > config.mem_limit {
+                            assert!(stats.iter().any(|s| s.image_split), "{case}: never split");
                         }
                     }
                 }
@@ -1111,9 +1079,10 @@ mod tests {
     fn image_splitting_preserves_training_results() {
         let (init, cam, target) = tiny_scene();
         let platform = PlatformSpec::laptop_rtx4070m();
-        // Same options, but one trainer splits every view (mem_limit 0).
+        // Same options, but one trainer never splits (mem_limit 1) and the
+        // other splits every view (mem_limit 0).
         let mut whole = OffloadTrainer::new(
-            TrainConfig::fast_test(10),
+            TrainConfig::fast_test(10).with_mem_limit(1.0),
             OffloadOptions::without_deferred(),
             platform.clone(),
             init.clone(),
@@ -1129,11 +1098,31 @@ mod tests {
         )
         .unwrap();
         for _ in 0..10 {
-            whole.step(&cam, &target).unwrap();
-            split.step(&cam, &target).unwrap();
+            assert!(!whole.step(&cam, &target).unwrap().image_split);
+            assert!(split.step(&cam, &target).unwrap().image_split);
         }
-        let diff = max_param_diff(whole.params(), split.params());
-        assert!(diff < 1e-4, "splitting changed training results by {diff}");
+        same_params(whole.params(), split.params()).unwrap();
+    }
+
+    #[test]
+    fn a_view_too_narrow_to_split_trains_unsplit() {
+        let (init, _, _) = tiny_scene();
+        let cam = Camera::look_at(
+            1,
+            36,
+            std::f32::consts::FRAC_PI_2,
+            Vec3::new(0.0, 0.0, -4.0),
+            Vec3::ZERO,
+            Vec3::new(0.0, 1.0, 0.0),
+        );
+        let target = Image::filled(1, 36, [0.5; 3]);
+        let cfg = TrainConfig::fast_test(1).with_mem_limit(0.0);
+        let platform = PlatformSpec::laptop_rtx4070m();
+        let mut trainer =
+            OffloadTrainer::new(cfg, OffloadOptions::full(), platform, init, 10.0).unwrap();
+        let stats = trainer.step(&cam, &target).unwrap();
+        assert!(stats.active_gaussians > 0);
+        assert!(!stats.image_split);
     }
 
     #[test]

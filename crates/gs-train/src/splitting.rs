@@ -1,26 +1,20 @@
 //! Balance-aware image splitting (Section 4.4 of the paper).
 //!
-//! Even with host offloading, peak GPU memory is bound by the single most
-//! demanding training view. When the active-to-total Gaussian ratio of a
-//! view exceeds `mem_limit`, the image is split into two vertical sub-regions
-//! that are rendered (and back-propagated) independently; their gradients
-//! are aggregated on the CPU before the optimizer step.
+//! Peak GPU memory is bound by the most demanding training view. When a
+//! view's active-to-total Gaussian ratio exceeds `mem_limit`, the paper
+//! renders and back-propagates it as two vertical halves, one after the
+//! other. Here a split shapes the modelled passes, never the arithmetic: the
+//! trainer renders the whole view once, and the [`SplitPlan`] decides what
+//! each modelled pass stages, charges to GPU memory and schedules.
 //!
-//! The result is close to rendering the whole image at once, not bit-exact:
-//! each half's loss gradient is rounded twice (normalised per sub-image,
-//! then rescaled to the full image), each half builds its own tile grid, and
-//! the halves' gradients are summed half by half rather than in full-image
-//! tile order. `image_splitting_preserves_training_results` bounds the
-//! difference at 1e-4 after ten steps.
-//!
-//! Splitting at the image midpoint is usually unbalanced because Gaussian
-//! density varies across the view, so the split column is found once per
-//! camera with a short binary search that balances the number of active
-//! Gaussians on each side.
+//! The split column comes from a short binary search that balances the
+//! active Gaussians on each side, run on every split step over the view's
+//! frustum cull: a half's cull is exactly the full cull's Gaussians that
+//! pass the culling test against the half, which lies inside the view.
 
 use gs_core::camera::{Camera, Viewport};
 use gs_core::gaussian::GaussianParams;
-use gs_render::culling::frustum_cull;
+use gs_render::culling::{frustum_cull, gaussian_in_frustum};
 
 /// Number of binary-search refinement steps used to find the split column
 /// (the paper uses a 5-step search).
@@ -57,16 +51,34 @@ impl SplitPlan {
 /// Finds a split column that balances the number of active Gaussians between
 /// the two halves, starting from the image midpoint and refining with
 /// [`SPLIT_SEARCH_STEPS`] rounds of binary search toward the less populated
-/// side.
+/// side (the paper reports a 0.08 % overhead and an average split ratio of
+/// 0.551 : 0.449). Culls the view once and searches over its ids.
 ///
-/// This is run once per camera before training starts (the paper reports a
-/// 0.08 % overhead and an average split ratio of 0.551 : 0.449).
+/// # Panics
+///
+/// Panics unless `cam.width >= 2`: a narrower view has no column to split at.
 pub fn find_balanced_split(params: &GaussianParams, cam: &Camera) -> SplitPlan {
-    let full = Viewport::full(cam);
+    let cull = frustum_cull(params, cam, &Viewport::full(cam));
+    balanced_split(params, cam, &cull.ids)
+}
+
+/// Evaluates the active counts of the two halves for a given split column,
+/// clamped to `1..cam.width`.
+///
+/// # Panics
+///
+/// Panics unless `cam.width >= 2`: a narrower view has no column to split at.
+pub fn evaluate_split(params: &GaussianParams, cam: &Camera, column: usize) -> SplitPlan {
+    let cull = frustum_cull(params, cam, &Viewport::full(cam));
+    split_at(params, cam, &cull.ids, column)
+}
+
+/// [`find_balanced_split`] over `ids`, the view's frustum cull.
+pub(crate) fn balanced_split(params: &GaussianParams, cam: &Camera, ids: &[u32]) -> SplitPlan {
     let mut lo = 1usize;
-    let mut hi = cam.width.saturating_sub(1).max(1);
+    let mut hi = cam.width.saturating_sub(1);
     let mut column = cam.width / 2;
-    let mut best = evaluate_split(params, cam, column);
+    let mut best = split_at(params, cam, ids, column);
 
     for _ in 0..SPLIT_SEARCH_STEPS {
         if best.left_active == best.right_active {
@@ -79,26 +91,28 @@ pub fn find_balanced_split(params: &GaussianParams, cam: &Camera) -> SplitPlan {
             lo = column;
         }
         let next = (lo + hi) / 2;
-        if next == column || next == 0 || next >= full.x1 {
+        if next == column {
             break;
         }
         column = next;
-        best = evaluate_split(params, cam, column);
+        best = split_at(params, cam, ids, column);
     }
     best
 }
 
-/// Evaluates the active counts of the two halves for a given split column.
-pub fn evaluate_split(params: &GaussianParams, cam: &Camera, column: usize) -> SplitPlan {
-    let full = Viewport::full(cam);
-    let column = column.clamp(1, full.x1 - 1);
-    let (left, right) = full.split_at_column(column);
-    let left_active = frustum_cull(params, cam, &left).num_active();
-    let right_active = frustum_cull(params, cam, &right).num_active();
+/// [`evaluate_split`] over `ids`, the view's frustum cull.
+fn split_at(params: &GaussianParams, cam: &Camera, ids: &[u32], column: usize) -> SplitPlan {
+    assert!(cam.width >= 2, "image splitting needs cam.width >= 2");
+    let column = column.clamp(1, cam.width - 1);
+    let (left, right) = Viewport::full(cam).split_at_column(column);
+    let count = |half| {
+        let in_half = |&&i: &&u32| gaussian_in_frustum(params, i as usize, cam, half);
+        ids.iter().filter(in_half).count()
+    };
     SplitPlan {
         column,
-        left_active,
-        right_active,
+        left_active: count(&left),
+        right_active: count(&right),
     }
 }
 
@@ -106,6 +120,7 @@ pub fn evaluate_split(params: &GaussianParams, cam: &Camera, column: usize) -> S
 mod tests {
     use super::*;
     use gs_core::math::Vec3;
+    use gs_core::rng::Rng64;
 
     fn camera() -> Camera {
         Camera::look_at(
@@ -206,6 +221,39 @@ mod tests {
         assert_eq!(plan.left_active, 0);
         assert_eq!(plan.right_active, 0);
         assert_eq!(plan.balance(), 0.5);
+    }
+
+    #[test]
+    fn counting_the_cull_per_half_equals_culling_each_half() {
+        let mut rng = Rng64::seed_from_u64(11);
+        let mut params = GaussianParams::new();
+        for _ in 0..300 {
+            let mean = Vec3::new(
+                rng.gen_range(-16.0..16.0),
+                rng.gen_range(-12.0..12.0),
+                rng.gen_range(-8.0..8.0),
+            );
+            params.push_isotropic(mean, rng.gen_range(0.05..1.5), [0.5; 3], 0.8);
+        }
+        let cam = camera();
+        let ids = frustum_cull(&params, &cam, &Viewport::full(&cam)).ids;
+        assert!(ids.len() < params.len());
+        for column in 1..cam.width {
+            let plan = split_at(&params, &cam, &ids, column);
+            let (left, right) = plan.viewports(&cam);
+            assert_eq!(plan.column, column);
+            let culled = |half| frustum_cull(&params, &cam, half).num_active();
+            assert_eq!(plan.left_active, culled(&left), "column {column}");
+            assert_eq!(plan.right_active, culled(&right), "column {column}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "image splitting needs cam.width >= 2")]
+    fn a_view_one_pixel_wide_cannot_be_split() {
+        let mut cam = camera();
+        cam.width = 1;
+        let _ = evaluate_split(&skewed_scene(), &cam, 0);
     }
 
     #[test]

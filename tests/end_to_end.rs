@@ -5,7 +5,7 @@
 use std::collections::BTreeMap;
 
 use gs_scale::core::camera::{Camera, Viewport};
-use gs_scale::core::gaussian::{GaussianParams, ParamGroup, SparseGrads};
+use gs_scale::core::gaussian::{GaussianParams, ParamGroup};
 use gs_scale::core::image::Image;
 use gs_scale::core::scene::init_gaussians_from_point_cloud;
 use gs_scale::metrics::QualityReport;
@@ -260,10 +260,13 @@ fn throughput_ordering_matches_figure_11_on_the_laptop() {
 
 /// One GS-Scale training step (selective offloading, parameter forwarding and
 /// image splitting on; deferred Adam or a dense host optimizer) assembled
-/// from the public pieces the way `bench/src/workloads/train.rs::probe`
-/// assembles it: merged sparse gradients are expanded with `to_dense` and
-/// fed to `apply_groups`. `OffloadTrainer::step` reads the sparse gradients
-/// in place; this is what it must stay bit-identical to.
+/// from the public pieces: one forward/backward over the whole view, whose
+/// sparse gradients are expanded with `to_dense` and fed to `apply_groups`.
+/// A split view's modelled passes take their work counters from rendering
+/// each sub-viewport from that sub-viewport's own cull, which the trainer
+/// derives from its one full-view render instead. `OffloadTrainer::step`
+/// reads the sparse gradients in place; this is what it must stay
+/// bit-identical to.
 struct ReferenceTrainer {
     config: TrainConfig,
     platform: PlatformSpec,
@@ -301,48 +304,44 @@ impl ReferenceTrainer {
         let mut sim = TimelineSim::new();
 
         let full = Viewport::full(cam);
-        let active = frustum_cull(&self.params, cam, &full).num_active();
+        let ids = frustum_cull(&self.params, cam, &full).ids;
+        let active = ids.len();
         let cull_event = sim.schedule(
             Stream::GpuCompute,
             "frustum_cull",
             kernel_time(&render_work(&cull_cost(total, active)), &gpu, true),
             &[],
         );
+
+        let stage = |ids: &[u32]| match &self.deferred {
+            Some(deferred) => deferred.peek_restored(&self.params, ids, &ParamGroup::NON_GEOMETRIC),
+            None => self.params.gather(ids),
+        };
+        let (sh_degree, background) = (self.config.sh_degree, self.config.background);
+        let staged = stage(&ids);
+        let output = render(&staged, cam, sh_degree, &full, background);
+        let (loss, d_image) = loss_and_grad(self.config.loss, &output.image, target);
+        let grads = render_backward(&staged, cam, sh_degree, &output, &d_image);
+        let merged = to_sparse_grads(&ids, grads);
+
         let split = active as f64 / total as f64 > self.config.mem_limit;
-        let viewports = if split {
+        let passes = if split {
             let (left, right) = find_balanced_split(&self.params, cam).viewports(cam);
-            vec![left, right]
+            [left, right]
+                .iter()
+                .map(|vp| {
+                    let ids = frustum_cull(&self.params, cam, vp).ids;
+                    render(&stage(&ids), cam, sh_degree, vp, background).stats
+                })
+                .collect()
         } else {
-            vec![full]
+            vec![output.stats]
         };
 
-        let mut merged = SparseGrads::new();
-        let mut loss = 0.0f32;
         let mut last_gpu_event = cull_event;
-        for vp in &viewports {
-            let ids = frustum_cull(&self.params, cam, vp).ids;
-            let staged = match &self.deferred {
-                Some(deferred) => {
-                    deferred.peek_restored(&self.params, &ids, &ParamGroup::NON_GEOMETRIC)
-                }
-                None => self.params.gather(&ids),
-            };
-            let sh_degree = self.config.sh_degree;
-            let output = render(&staged, cam, sh_degree, vp, self.config.background);
-            let crop = target.crop(vp.x0, vp.y0, vp.x1, vp.y1);
-            let (view_loss, mut d_image) = loss_and_grad(self.config.loss, &output.image, &crop);
-            let scale = vp.num_pixels() as f32 / cam.num_pixels() as f32;
-            if (scale - 1.0).abs() > f32::EPSILON {
-                for v in d_image.data_mut() {
-                    *v *= scale;
-                }
-            }
-            loss += view_loss * scale;
-            let grads = render_backward(&staged, cam, sh_degree, &output, &d_image);
-            merged.merge(&to_sparse_grads(&ids, grads));
-
-            let staged_bytes = (ids.len() * GaussianParams::NON_GEOMETRIC_PARAMS * 4) as u64;
-            let grad_bytes = (ids.len() * GaussianParams::PARAMS_PER_GAUSSIAN * 4) as u64;
+        for stats in passes {
+            let staged_bytes = (stats.num_input * GaussianParams::NON_GEOMETRIC_PARAMS * 4) as u64;
+            let grad_bytes = (stats.num_input * GaussianParams::PARAMS_PER_GAUSSIAN * 4) as u64;
             let h2d_time: f64 = transfer
                 .chunks(staged_bytes)
                 .iter()
@@ -352,8 +351,8 @@ impl ReferenceTrainer {
             let fwd_bwd = sim.schedule(
                 Stream::GpuCompute,
                 "gpu_fwd_bwd",
-                kernel_time(&render_work(&output.stats.forward_work()), &gpu, true)
-                    + kernel_time(&render_work(&output.stats.backward_work()), &gpu, true),
+                kernel_time(&render_work(&stats.forward_work()), &gpu, true)
+                    + kernel_time(&render_work(&stats.backward_work()), &gpu, true),
                 &[h2d, last_gpu_event],
             );
             sim.schedule(
