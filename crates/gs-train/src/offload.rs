@@ -937,8 +937,8 @@ mod tests {
 
         for (options, expected) in [
             (OffloadOptions::baseline(), 0x3d43_32be_4816_da2d_u64),
-            (OffloadOptions::without_deferred(), 0xb377_e57e_e2f5_7daa),
-            (OffloadOptions::full(), 0xb377_e57e_e2f5_7daa),
+            (OffloadOptions::without_deferred(), 0x3d43_32be_4816_da2d),
+            (OffloadOptions::full(), 0x3d43_32be_4816_da2d),
         ] {
             let mut trainer =
                 OffloadTrainer::new(cfg.clone(), options, platform.clone(), init.clone(), 10.0)
