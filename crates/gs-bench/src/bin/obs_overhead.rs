@@ -99,8 +99,6 @@ fn run(workload: &Workload, mode: &Mode) -> ServeStats {
             cache_bytes: 0,
             trace_sample_every: mode.trace_sample_every,
             phase_sample_every: mode.phase_sample_every,
-            slow_trace_ms: 0,
-            span_ring: 256,
             ..ServeConfig::default()
         },
         SceneRegistry::with_budget(1 << 32),

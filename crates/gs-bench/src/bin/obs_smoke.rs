@@ -10,8 +10,9 @@
 //!   the per-phase roofline gauges (replica tier) and the interpretation
 //!   layer's families (`gs_slo_*`, `gs_build_info`, histogram exemplars)
 //!   are present;
-//! * fetches `GET /slo`, `GET /heat`, `GET /events` and `GET /dashboard`
-//!   on both tiers and checks each answers with its expected document;
+//! * fetches `GET /slo`, `GET /heat` and `GET /events` on both tiers and
+//!   checks each answers with its expected document, and that the deleted
+//!   `GET /dashboard` answers `404`;
 //! * fetches `GET /trace` and checks the Chrome trace-event JSON contains
 //!   the stitched cross-node tree (relay hops + grafted replica spans),
 //!   and that `GET /trace?id=<hex>` filters to exactly the pinned trace;
@@ -244,14 +245,8 @@ fn main() {
             .contains("\"events\""));
 
         let dash = client::request(stream, "GET", "/dashboard", b"").unwrap();
-        assert_eq!(dash.status, 200);
-        let body = String::from_utf8(dash.body).unwrap();
-        assert!(body.starts_with("<!DOCTYPE html>"), "{label} /dashboard");
-        assert!(
-            !body.contains("<script"),
-            "{label} dashboard must stay asset-free"
-        );
-        println!("{label}  /slo /heat /events /dashboard: all answering");
+        assert_eq!(dash.status, 404, "{label} /dashboard is not a route");
+        println!("{label}  /slo /heat /events: all answering; /dashboard: 404");
     }
 
     // /trace: the stitched tree exports as Chrome trace-event JSON.

@@ -5,7 +5,7 @@
 //! corresponding rows/series. The [`harness`] module holds the shared
 //! machinery: scene construction at a runnable scale, trainer construction
 //! per system, throughput measurement, the shared CLI flags
-//! ([`BenchArgs`]) and table formatting. [`replay`] is the deterministic
+//! ([`BenchArgs`]) and table formatting. [`mod@replay`] is the deterministic
 //! workload replayer driving captured [`gs_trace::Trace`]s back through a
 //! `RenderServer` or a cluster `Coordinator` (see the `trace_replay`
 //! binary). The remaining binaries are checks: `obs_smoke`,

@@ -80,12 +80,7 @@ pub struct ClusterConfig {
     /// Trace every Nth ingress render (0 disables coordinator-minted
     /// traces; requests arriving with an `X-Trace-Id` are always traced).
     pub trace_sample_every: u32,
-    /// Log a text waterfall to stderr for locally-owned traces slower than
-    /// this many milliseconds (0 disables the log).
-    pub slow_trace_ms: u64,
-    /// Capacity of the finished-trace ring behind `GET /trace`.
-    pub span_ring: usize,
-    /// Interpretation-layer tuning (SLO windows, heat tables, flight
+    /// Interpretation-layer tuning (SLO windows, heat table, flight
     /// recorder, watcher cadence), shared with the replica tier.
     pub obs: ObsTuning,
     /// Heat-driven replication policy (copy counts, replicate /
@@ -109,8 +104,6 @@ impl Default for ClusterConfig {
             pose_quant: 0.05,
             node: "gs-cluster".to_string(),
             trace_sample_every: 0,
-            slow_trace_ms: 0,
-            span_ring: 256,
             obs: ObsTuning::default(),
             replication: ReplicationConfig::default(),
             brownout_sh_degree: None,
@@ -455,8 +448,6 @@ impl Coordinator {
             config.node.clone(),
             config.trace_sample_every,
             0,
-            config.slow_trace_ms.saturating_mul(1000),
-            config.span_ring,
             &config.obs,
         ));
         let watcher = (config.obs.watcher_interval_ms > 0).then(|| {
@@ -1104,7 +1095,6 @@ impl Coordinator {
                     record(Outcome::CacheHit);
                     self.obs.record_outcome(
                         Some(request.scene.as_str()),
-                        request.client.as_deref(),
                         true,
                         true,
                         latency.as_secs_f64(),
@@ -1168,7 +1158,6 @@ impl Coordinator {
                 record(Outcome::Completed);
                 self.obs.record_outcome(
                     Some(request.scene.as_str()),
-                    request.client.as_deref(),
                     true,
                     frame.cache_hit,
                     latency_s,
@@ -1177,13 +1166,8 @@ impl Coordinator {
             Err(e) => {
                 self.collector.record_error();
                 record(outcome_for_cluster_error(e));
-                self.obs.record_outcome(
-                    Some(request.scene.as_str()),
-                    request.client.as_deref(),
-                    false,
-                    false,
-                    latency_s,
-                );
+                self.obs
+                    .record_outcome(Some(request.scene.as_str()), false, false, latency_s);
             }
         }
         result
@@ -1206,7 +1190,7 @@ impl Coordinator {
     }
 
     /// Re-evaluates the SLO-burn overload signal feeding
-    /// [`Coordinator::admit`]: any SLO whose fast-window burn rate is at
+    /// `Coordinator::admit`: any SLO whose fast-window burn rate is at
     /// or past the configured threshold (or that is fully breached)
     /// switches shedding/brown-out on. Returns the new signal. Called by
     /// every [`Coordinator::replication_tick`]; tests may drive it

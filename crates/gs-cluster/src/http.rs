@@ -19,12 +19,10 @@
 //!   ring, relay hops stitched under their request roots;
 //!   `GET /trace?id=<hex>` exports just one trace (`404` once it ages out).
 //! * `GET /slo` — cluster-tier SLO burn-rate status as JSON.
-//! * `GET /heat` — windowed per-scene / per-client top-K telemetry as JSON.
+//! * `GET /heat` — windowed per-scene top-K telemetry as JSON.
 //! * `GET /events` — the coordinator flight recorder's wide events (replica
 //!   downs, failovers, placement moves) as JSON.
 //! * `GET /incidents` — captured anomaly incidents as JSON.
-//! * `GET /dashboard` — the self-refreshing cluster health dashboard
-//!   (SLOs, per-replica health, heat top-K, incidents).
 //! * `GET /scenes` — placement rows (`id replicas=[..] gaussians bytes`).
 //! * `GET /replicas` — per-replica health/budget rows.
 //! * `GET /healthz` — coordinator liveness.
@@ -37,7 +35,7 @@
 use std::io;
 use std::sync::Arc;
 
-use gs_obs::{render_dashboard, DashboardData, ReplicaRow, ReplicationRow, TraceContext};
+use gs_obs::TraceContext;
 use gs_serve::http::{
     query_param, route_trace, split_path_query, status_for_error, Conn, HttpHandler, HttpRequest,
     HttpResponse, HttpServer, RouteTrace,
@@ -105,7 +103,6 @@ impl HttpHandler for ClusterHandler {
             ("GET", "/heat") => json_response(self.coordinator.obs().heat_json()),
             ("GET", "/events") => json_response(self.coordinator.obs().events_json()),
             ("GET", "/incidents") => json_response(self.coordinator.obs().incidents_json()),
-            ("GET", "/dashboard") => self.dashboard_route(),
             ("GET", "/healthz") => HttpResponse::text(200, "ok\n"),
             ("GET", "/scenes") => {
                 let mut body = String::new();
@@ -141,7 +138,7 @@ impl HttpHandler for ClusterHandler {
             (
                 _,
                 "/stats" | "/metrics" | "/trace" | "/slo" | "/heat" | "/events" | "/incidents"
-                | "/dashboard" | "/scenes" | "/replicas" | "/healthz" | "/render",
+                | "/scenes" | "/replicas" | "/healthz" | "/render",
             ) => HttpResponse::text(405, "method not allowed on this path\n"),
             (_, path) if path.starts_with("/scenes/") => {
                 HttpResponse::text(405, "method not allowed on this path\n")
@@ -152,68 +149,6 @@ impl HttpHandler for ClusterHandler {
 }
 
 impl ClusterHandler {
-    /// `GET /dashboard`: the cluster tier's page carries one health row per
-    /// replica on top of the shared SLO/heat/incident sections.
-    fn dashboard_route(&self) -> HttpResponse {
-        let obs = self.coordinator.obs();
-        let stats = self.coordinator.stats();
-        let replicas = self
-            .coordinator
-            .replica_status()
-            .into_iter()
-            .map(|status| ReplicaRow {
-                name: status.name,
-                health: status.health.to_string(),
-                detail: format!(
-                    "id={} placed={} MiB budget={} MiB",
-                    status.id,
-                    status.placed >> 20,
-                    status.budget >> 20
-                ),
-            })
-            .collect();
-        // The replication panel: scenes currently served from more than
-        // one replica (shards= stays the partition count, so copies are
-        // replicas-per-shard).
-        let replication = self
-            .coordinator
-            .scenes()
-            .into_iter()
-            .filter(|p| p.replicas.len() > p.shards)
-            .map(|p| {
-                let replicas: Vec<String> = p.replicas.iter().map(|r| r.to_string()).collect();
-                ReplicationRow {
-                    copies: p.replicas.len() / p.shards.max(1),
-                    detail: format!(
-                        "replicas [{}], {} MiB per copy",
-                        replicas.join(" "),
-                        p.bytes >> 20
-                    ),
-                    scene: p.id,
-                }
-            })
-            .collect();
-        let data = DashboardData {
-            title: "gs-cluster".to_string(),
-            node: obs.node().to_string(),
-            uptime_s: obs.uptime_s(),
-            refresh_s: 2,
-            slos: obs.slo().report(),
-            heat: obs.heat_scenes().snapshot().0,
-            clients: obs.heat_clients().snapshot().0,
-            replicas,
-            replication,
-            incidents: obs.recorder().incidents(),
-            stats_text: stats.to_string(),
-        };
-        HttpResponse {
-            status: 200,
-            content_type: "text/html; charset=utf-8",
-            headers: Vec::new(),
-            body: render_dashboard(&data).into_bytes(),
-        }
-    }
-
     fn render_route(&self, req: &HttpRequest, conn: &mut Conn<'_>) -> HttpResponse {
         let text = match std::str::from_utf8(&req.body) {
             Ok(t) => t,

@@ -296,8 +296,8 @@ impl Quat {
     /// Converts a **unit** quaternion to a rotation matrix.
     ///
     /// Callers that hold raw trainable quaternions should call
-    /// [`Quat::normalized`] first (or use [`quat_to_rotmat_with_grad`] which
-    /// handles the normalization and its gradient).
+    /// [`Quat::normalized`] first (or use [`quat_to_rotmat_with_norm`], whose
+    /// outputs [`quat_to_rotmat_backward`] turns into the gradient).
     pub fn to_rotmat(self) -> Mat3 {
         let Quat { w, x, y, z } = self;
         Mat3 {

@@ -8,11 +8,10 @@
 //! `watch_tick` periodically; when a tick observes a trigger (an SLO
 //! burn-rate breach from the engine, or error-level events since the
 //! last tick) the recorder opens an **incident**: a frozen snapshot of
-//! the recent event tail, the full `/metrics` text, and the latest
-//! slow-trace waterfalls. The incident resolves after a run of clean
-//! ticks, so one record brackets the whole anomaly instead of paging
-//! per-tick. `GET /events` and `GET /incidents` serve the ring and the
-//! incident log as JSON.
+//! the recent event tail and the full `/metrics` text. The incident
+//! resolves after a run of clean ticks, so one record brackets the whole
+//! anomaly instead of paging per-tick. `GET /events` and `GET /incidents`
+//! serve the ring and the incident log as JSON.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -147,7 +146,7 @@ impl Event {
 }
 
 /// One captured anomaly: the trigger, the event tail leading into it,
-/// a frozen `/metrics` snapshot, and recent slow-trace waterfalls.
+/// and a frozen `/metrics` snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Incident {
     /// Monotonic incident number (1-based).
@@ -162,16 +161,12 @@ pub struct Incident {
     pub events: Vec<Event>,
     /// The tier's full metrics text at open time.
     pub metrics_snapshot: String,
-    /// Waterfalls of the slowest recent traces at open time.
-    pub slow_traces: Vec<String>,
 }
 
 /// Incidents the log retains.
 const MAX_INCIDENTS: usize = 32;
 /// Event-ring tail frozen into an incident.
 const INCIDENT_EVENTS: usize = 64;
-/// Slow-trace waterfalls retained for the next incident.
-const SLOW_TRACES: usize = 8;
 /// Consecutive clean ticks before an open incident resolves.
 const CLEAR_TICKS: u32 = 3;
 
@@ -195,7 +190,6 @@ pub struct FlightRecorder {
     recorded: AtomicU64,
     dropped: AtomicU64,
     errors_total: AtomicU64,
-    slow: Mutex<VecDeque<String>>,
     incidents: Mutex<IncidentLog>,
 }
 
@@ -209,7 +203,6 @@ impl FlightRecorder {
             recorded: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
             errors_total: AtomicU64::new(0),
-            slow: Mutex::new(VecDeque::new()),
             incidents: Mutex::new(IncidentLog::default()),
         }
     }
@@ -228,15 +221,6 @@ impl FlightRecorder {
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
         ring.push_back(event);
-    }
-
-    /// Remembers a slow-trace waterfall for the next incident snapshot.
-    pub fn note_slow_trace(&self, waterfall: String) {
-        let mut slow = self.slow.lock().unwrap();
-        if slow.len() >= SLOW_TRACES {
-            slow.pop_front();
-        }
-        slow.push_back(waterfall);
     }
 
     /// Events ever recorded.
@@ -285,8 +269,8 @@ impl FlightRecorder {
     /// incident actually opens, to freeze the tier's `/metrics` text.
     ///
     /// Opens an incident when a trigger fires and none is open; keeps an
-    /// open one alive while triggers persist; resolves it after
-    /// [`CLEAR_TICKS`] consecutive clean ticks.
+    /// open one alive while triggers persist; resolves it after three
+    /// consecutive clean ticks.
     pub fn tick(&self, breaches: &[String], metrics: impl FnOnce() -> String) {
         let errors_now = self.errors_total();
         // Decide under the incident lock, but freeze the evidence outside
@@ -333,7 +317,6 @@ impl FlightRecorder {
             let skip = ring.len().saturating_sub(INCIDENT_EVENTS);
             let events: Vec<Event> = ring.iter().skip(skip).cloned().collect();
             drop(ring);
-            let slow_traces: Vec<String> = self.slow.lock().unwrap().iter().cloned().collect();
             let incident = Incident {
                 id,
                 opened_us: now,
@@ -341,7 +324,6 @@ impl FlightRecorder {
                 trigger,
                 events,
                 metrics_snapshot: metrics(),
-                slow_traces,
             };
             let mut log = self.incidents.lock().unwrap();
             if log.incidents.len() >= MAX_INCIDENTS {
@@ -391,16 +373,7 @@ pub fn incidents_json(incidents: &[Incident]) -> String {
         }
         out.push_str("],\"metrics_snapshot\":\"");
         json_escape(&inc.metrics_snapshot, &mut out);
-        out.push_str("\",\"slow_traces\":[");
-        for (j, trace) in inc.slow_traces.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push('"');
-            json_escape(trace, &mut out);
-            out.push('"');
-        }
-        out.push_str("]}");
+        out.push_str("\"}");
     }
     out.push_str("]}");
     out
@@ -480,13 +453,11 @@ mod tests {
         rec.tick(&[], || unreachable!("no trigger, no snapshot"));
         assert!(rec.incidents().is_empty());
         rec.record(Event::new(EventLevel::Error, "worker", "queue stall").field("depth", "7"));
-        rec.note_slow_trace("request 5ms".to_string());
         rec.tick(&[], || "# metrics\n".to_string());
         let incidents = rec.incidents();
         assert_eq!(incidents.len(), 1);
         assert!(incidents[0].trigger.contains("1 error event"));
         assert_eq!(incidents[0].metrics_snapshot, "# metrics\n");
-        assert_eq!(incidents[0].slow_traces, vec!["request 5ms".to_string()]);
         assert!(incidents[0].resolved_us.is_none());
         assert_eq!(incidents[0].events.len(), 1);
         // Still open after 2 clean ticks, resolved after the 3rd.

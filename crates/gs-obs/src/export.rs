@@ -1,4 +1,4 @@
-//! Trace exports: Chrome trace-event JSON and the text waterfall.
+//! Trace export: Chrome trace-event JSON.
 //!
 //! [`chrome_trace_json`] writes the [catapult trace-event
 //! format](https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU)
@@ -6,12 +6,8 @@
 //! in `chrome://tracing` and Perfetto. Each trace gets its own `tid` row
 //! so concurrent requests do not interleave; the node a span ran on and
 //! the trace id ride in `args`.
-//!
-//! [`waterfall`] renders one trace as an indented text tree with offsets
-//! relative to the root — the form the slow-request log dumps.
 
 use crate::sink::FinishedTrace;
-use crate::span::SpanRecord;
 
 pub(crate) fn json_escape(s: &str, out: &mut String) {
     for c in s.chars() {
@@ -62,64 +58,10 @@ pub fn chrome_trace_json(traces: &[FinishedTrace]) -> String {
     out
 }
 
-/// Renders one trace as a text waterfall for slow-request logging.
-///
-/// Children print under their parent in start order, indented by depth,
-/// with start offsets relative to the earliest span.
-pub fn waterfall(trace: &FinishedTrace) -> String {
-    let t0 = trace.spans.iter().map(|s| s.start_us).min().unwrap_or(0);
-    let total = trace
-        .spans
-        .iter()
-        .map(|s| (s.start_us - t0) + s.dur_us)
-        .max()
-        .unwrap_or(0);
-    let mut out = format!(
-        "trace {} ({} span(s), {} us total)\n",
-        trace.trace,
-        trace.spans.len(),
-        total
-    );
-    // Sorted by start (FinishedTrace already is), printed depth-first so
-    // each subtree stays contiguous.
-    fn emit(parent: u32, depth: usize, t0: u64, spans: &[SpanRecord], out: &mut String) {
-        for span in spans.iter().filter(|s| s.parent == parent) {
-            out.push_str(&format!(
-                "{:indent$}{:<24} +{:>8} us  {:>8} us  [{}]\n",
-                "",
-                span.name,
-                span.start_us - t0,
-                span.dur_us,
-                span.node,
-                indent = depth * 2,
-            ));
-            emit(span.id, depth + 1, t0, spans, out);
-        }
-    }
-    emit(0, 1, t0, &trace.spans, &mut out);
-    // Orphans (parent id missing, e.g. a truncated remote tree) still
-    // print, flat, so nothing silently disappears from the log.
-    let known: std::collections::HashSet<u32> = trace.spans.iter().map(|s| s.id).collect();
-    for span in trace
-        .spans
-        .iter()
-        .filter(|s| s.parent != 0 && !known.contains(&s.parent))
-    {
-        out.push_str(&format!(
-            "  {:<24} +{:>8} us  {:>8} us  [{}] (orphan)\n",
-            span.name,
-            span.start_us - t0,
-            span.dur_us,
-            span.node,
-        ));
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::TraceId;
+    use crate::span::{SpanRecord, TraceId};
 
     fn demo() -> FinishedTrace {
         let t = TraceId(0xabcd);
@@ -175,37 +117,5 @@ mod tests {
         // Empty input is still a valid document.
         let empty = chrome_trace_json(&[]);
         assert!(empty.contains("\"traceEvents\":[]"));
-    }
-
-    #[test]
-    fn waterfall_indents_children_and_shows_offsets() {
-        let text = waterfall(&demo());
-        assert!(text.contains("trace 000000000000abcd (3 span(s), 500 us total)"));
-        let lines: Vec<&str> = text.lines().collect();
-        let request = lines.iter().find(|l| l.contains("request")).unwrap();
-        let relay = lines.iter().find(|l| l.contains("relay:")).unwrap();
-        let raster = lines.iter().find(|l| l.contains("raster")).unwrap();
-        let indent = |l: &str| l.len() - l.trim_start().len();
-        assert!(indent(relay) > indent(request));
-        assert!(indent(raster) > indent(relay));
-        assert!(relay.contains("+     100 us"), "{relay}");
-        assert!(raster.contains("[replica-0]"));
-    }
-
-    #[test]
-    fn waterfall_prints_orphans_instead_of_losing_them() {
-        let mut t = demo();
-        t.spans.push(SpanRecord {
-            trace: t.trace,
-            id: 9,
-            parent: 77, // no such span
-            name: "lost".into(),
-            node: "replica-1".into(),
-            start_us: 1200,
-            dur_us: 10,
-        });
-        let text = waterfall(&t);
-        assert!(text.contains("lost"));
-        assert!(text.contains("(orphan)"));
     }
 }

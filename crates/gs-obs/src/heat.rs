@@ -1,19 +1,18 @@
-//! Per-key heat telemetry: windowed request-rate / hit-rate / latency
-//! tables keyed by scene or client.
+//! Per-key heat telemetry: a windowed request-rate / hit-rate / latency
+//! table keyed by scene.
 //!
 //! A [`HeatTable`] keeps an **exact** top-K table of the hottest keys —
 //! each with a ring of time-bucketed counters so rates are *windowed*,
 //! not lifetime — guarded by a [`CountMinSketch`] frequency filter for
 //! cardinality safety: an adversarial or long-tailed key population
-//! (thousands of one-request clients) can never grow the table past K.
+//! (thousands of one-request keys) can never grow the table past K.
 //! Admission is TinyLFU-shaped: a new key only evicts the coldest
 //! tracked entry when the sketch says it has been seen at least as often
 //! recently; everything else lands in an `untracked` overflow counter so
 //! the table's blind spot is itself observable.
 //!
-//! The scene-keyed table is the decision input ROADMAP item 3 (hot-scene
-//! replication, priority load shedding) consumes; the client-keyed table
-//! exists to spot flash crowds and noisy neighbors.
+//! Each tier keeps one table, keyed by scene: the decision input that
+//! hot-scene replication consumes.
 
 use std::hash::{Hash, Hasher};
 use std::sync::Mutex;
@@ -243,37 +242,28 @@ impl HeatTable {
     }
 }
 
-/// Renders the `/heat` endpoint's JSON document from the scene- and
-/// client-keyed tables' snapshots.
-pub fn heat_json(
-    window_s: u64,
-    scenes: &(Vec<HeatRow>, u64),
-    clients: &(Vec<HeatRow>, u64),
-) -> String {
-    let mut out = format!("{{\"window_seconds\":{window_s}");
-    for (name, (rows, untracked)) in [("scenes", scenes), ("clients", clients)] {
-        out.push_str(&format!(
-            ",\"{name}\":{{\"untracked\":{untracked},\"top\":["
-        ));
-        for (i, row) in rows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"key\":\"");
-            crate::export::json_escape(&row.key, &mut out);
-            out.push_str(&format!(
-                "\",\"requests\":{},\"rate_per_s\":{:.3},\"hit_ratio\":{:.4},\
-                 \"error_ratio\":{:.4},\"mean_latency_ms\":{:.3}}}",
-                row.requests,
-                row.rate_per_s,
-                row.hit_ratio,
-                row.error_ratio,
-                row.mean_latency_s * 1e3
-            ));
+/// Renders the `/heat` endpoint's JSON document from the scene table's
+/// snapshot.
+pub fn heat_json(window_s: u64, (rows, untracked): &(Vec<HeatRow>, u64)) -> String {
+    let mut out =
+        format!("{{\"window_seconds\":{window_s},\"scenes\":{{\"untracked\":{untracked},\"top\":[");
+    for (i, row) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
         }
-        out.push_str("]}");
+        out.push_str("{\"key\":\"");
+        crate::export::json_escape(&row.key, &mut out);
+        out.push_str(&format!(
+            "\",\"requests\":{},\"rate_per_s\":{:.3},\"hit_ratio\":{:.4},\
+             \"error_ratio\":{:.4},\"mean_latency_ms\":{:.3}}}",
+            row.requests,
+            row.rate_per_s,
+            row.hit_ratio,
+            row.error_ratio,
+            row.mean_latency_s * 1e3
+        ));
     }
-    out.push('}');
+    out.push_str("]}}");
     out
 }
 
@@ -344,9 +334,9 @@ mod tests {
         table.record_at(base, "s1", true, true, 0.1);
         let snap = table.snapshot_at(base + 1_000);
         assert!((snap.0[0].error_ratio - 0.5).abs() < 1e-9);
-        let json = heat_json(8, &snap, &(Vec::new(), 0));
+        let json = heat_json(8, &snap);
         assert!(json.contains("\"window_seconds\":8"));
         assert!(json.contains("\"key\":\"s1\""));
-        assert!(json.contains("\"clients\":{\"untracked\":0,\"top\":[]}"));
+        assert!(json.ends_with("]}}"));
     }
 }

@@ -16,7 +16,7 @@
 //! * [`sink`] — [`SpanSink`]: a bounded ring of finished traces with a
 //!   drop counter, cheap enough to leave on in production.
 //! * [`export`] — Chrome trace-event JSON (loadable in `chrome://tracing`
-//!   / Perfetto) and a per-request text waterfall for slow-request logs.
+//!   / Perfetto).
 //! * [`metrics`] — [`Registry`]: counters, gauges and mergeable
 //!   fixed-edge latency histograms ([`HistogramSnapshot`], the one latency
 //!   record of each tier, with per-bucket trace-id **exemplars**), Prometheus text
@@ -28,16 +28,12 @@
 //! * [`slo`] — [`SloEngine`]: declarative SLOs evaluated with
 //!   multi-window burn-rate math, exported as `gs_slo_*` gauges and the
 //!   `/slo` endpoint.
-//! * [`heat`] — [`HeatTable`]: windowed per-scene / per-client top-K
-//!   request-rate, hit-rate and latency tables behind a count-min
-//!   admission filter (the `/heat` endpoint and the replication /
-//!   shedding decision input).
+//! * [`heat`] — [`HeatTable`]: a windowed per-scene top-K request-rate,
+//!   hit-rate and latency table behind a count-min admission filter (the
+//!   `/heat` endpoint and the replication decision input).
 //! * [`events`] — [`FlightRecorder`]: a bounded ring of structured wide
-//!   events plus incident capture (metrics snapshot + slow traces at
-//!   anomaly time) driven by a [`Watcher`] thread (`/events`,
-//!   `/incidents`).
-//! * [`dashboard`] — [`render_dashboard`]: the self-refreshing, std-only
-//!   `/dashboard` HTML page.
+//!   events plus incident capture (a metrics snapshot at anomaly time)
+//!   driven by a [`Watcher`] thread (`/events`, `/incidents`).
 //!
 //! The crate depends only on `gs-core` and the standard library.
 
@@ -45,7 +41,6 @@
 #![warn(rust_2018_idioms)]
 
 pub mod clock;
-pub mod dashboard;
 pub mod events;
 pub mod export;
 pub mod heat;
@@ -55,11 +50,10 @@ pub mod slo;
 pub mod span;
 
 pub use clock::SpanClock;
-pub use dashboard::{render_dashboard, DashboardData, ReplicaRow, ReplicationRow};
 pub use events::{
     events_json, incidents_json, Event, EventLevel, FlightRecorder, Incident, Watcher,
 };
-pub use export::{chrome_trace_json, waterfall};
+pub use export::chrome_trace_json;
 pub use heat::{heat_json, HeatRow, HeatTable};
 pub use metrics::{
     lint_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS,

@@ -16,8 +16,7 @@
 //! keeps one bad second from paging).
 //!
 //! [`SloEngine::report`] refreshes `gs_slo_*` gauges in the registry and
-//! returns the per-spec [`SloStatus`] rows the `/slo` endpoint and the
-//! dashboard render.
+//! returns the per-spec [`SloStatus`] rows the `/slo` endpoint renders.
 
 use std::sync::Mutex;
 
@@ -55,7 +54,7 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// A human-readable one-liner for dashboards.
+    /// A human-readable one-liner for `/slo`.
     pub fn describe(&self) -> String {
         match self.kind {
             SloKind::LatencyUnder { seconds } => format!(

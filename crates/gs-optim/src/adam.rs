@@ -1,15 +1,10 @@
-//! Dense (exact) and sparse Adam optimizers.
+//! The dense (exact) Adam optimizer.
 //!
 //! [`DenseAdam`] is the mathematical reference: every Gaussian's momentum,
 //! variance and parameters are updated every step, exactly as PyTorch's Adam
 //! does. This is what the GPU-only baseline and the CPU optimizer of the
 //! naive offloading baseline run, and it is the ground truth the deferred
 //! optimizer is validated against.
-//!
-//! [`SparseAdam`] only updates Gaussians with non-zero gradients and lets the
-//! momentum of the others silently stall. It is *not* equivalent to Adam; it
-//! exists as an ablation point showing why the paper needed the deferred
-//! formulation instead of simply skipping untouched Gaussians.
 
 use gs_core::gaussian::{GaussianGrads, GaussianParams, ParamGroup, SparseGrads};
 
@@ -297,66 +292,6 @@ impl DenseAdam {
     }
 }
 
-/// Adam restricted to Gaussians with non-zero gradients (ablation baseline;
-/// *not* equivalent to Adam because skipped momentum does not decay).
-#[derive(Debug, Clone)]
-pub struct SparseAdam {
-    inner: DenseAdam,
-}
-
-impl SparseAdam {
-    /// Creates an optimizer for `n` Gaussians.
-    pub fn new(config: AdamConfig, n: usize) -> Self {
-        Self {
-            inner: DenseAdam::new(config, n),
-        }
-    }
-
-    /// Number of optimizer steps taken so far.
-    pub fn current_step(&self) -> u64 {
-        self.inner.step
-    }
-
-    /// Grows the state for newly added Gaussians.
-    pub fn append_zeros(&mut self, additional: usize) {
-        self.inner.append_zeros(additional);
-    }
-
-    /// Drops state for pruned Gaussians.
-    pub fn retain_mask(&mut self, mask: &[bool]) {
-        self.inner.retain_mask(mask);
-    }
-
-    /// Updates only the Gaussians listed in `sparse.ids`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an id is out of range or sizes mismatch.
-    pub fn step(&mut self, params: &mut GaussianParams, sparse: &SparseGrads) -> StepStats {
-        self.inner.step += 1;
-        let t = self.inner.step;
-        let n_total = params.len();
-        assert_eq!(n_total, self.inner.state.len(), "state length mismatch");
-        let updates = ParamGroup::ALL.map(|g| (g, ElementUpdate::new(&self.inner.config, g, t)));
-        for (k, &id) in sparse.ids.iter().enumerate() {
-            let i = id as usize;
-            assert!(i < n_total, "gaussian id out of range");
-            for &(g, update) in &updates {
-                let dim = g.dim();
-                let p = params.group_mut(g);
-                let gr = sparse.grads.group(g);
-                let m = self.inner.state.m.group_mut(g);
-                let v = self.inner.state.v.group_mut(g);
-                for d in 0..dim {
-                    let idx = i * dim + d;
-                    update.apply(&mut p[idx], &mut m[idx], &mut v[idx], gr[k * dim + d]);
-                }
-            }
-        }
-        StepStats::sparse(sparse.len(), n_total)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -538,60 +473,5 @@ mod tests {
         opt.retain_mask(&[false, true, true, false]);
         assert_eq!(opt.state().len(), 2);
         assert_eq!(opt.state().m.means[0], opt.state().m.means[0]);
-    }
-
-    #[test]
-    fn sparse_adam_only_touches_listed_ids() {
-        let cfg = AdamConfig::uniform(0.05);
-        let mut p = params(3);
-        let untouched_mean = p.means[3 * 2];
-        let mut opt = SparseAdam::new(cfg, 3);
-        let mut packed = GaussianGrads::zeros(1);
-        packed.means[0] = 1.0;
-        let sparse = SparseGrads {
-            ids: vec![1],
-            grads: packed,
-        };
-        let stats = opt.step(&mut p, &sparse);
-        assert_eq!(stats.updated_gaussians, 1);
-        assert_eq!(p.means[3 * 2], untouched_mean);
-        assert_ne!(p.means[3], 1.0);
-    }
-
-    #[test]
-    fn sparse_adam_differs_from_dense_adam_over_time() {
-        // After a gradient stops, dense Adam keeps applying momentum while
-        // sparse Adam freezes the Gaussian: the two diverge. This is why the
-        // paper needed the deferred formulation.
-        let cfg = AdamConfig::uniform(0.01);
-        let mut p_dense = params(1);
-        let mut p_sparse = p_dense.clone();
-        let mut dense = DenseAdam::new(cfg, 1);
-        let mut sparse_opt = SparseAdam::new(cfg, 1);
-
-        let mut dense_g = GaussianGrads::zeros(1);
-        dense_g.means[0] = 1.0;
-        let mut packed = GaussianGrads::zeros(1);
-        packed.means[0] = 1.0;
-        let sparse_g = SparseGrads {
-            ids: vec![0],
-            grads: packed,
-        };
-        dense.step(&mut p_dense, &dense_g);
-        sparse_opt.step(&mut p_sparse, &sparse_g);
-        assert!((p_dense.means[0] - p_sparse.means[0]).abs() < 1e-7);
-
-        // Now three steps with no gradient.
-        for _ in 0..3 {
-            dense.step(&mut p_dense, &GaussianGrads::zeros(1));
-            sparse_opt.step(
-                &mut p_sparse,
-                &SparseGrads {
-                    ids: vec![],
-                    grads: GaussianGrads::zeros(0),
-                },
-            );
-        }
-        assert!((p_dense.means[0] - p_sparse.means[0]).abs() > 1e-5);
     }
 }

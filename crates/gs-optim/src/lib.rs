@@ -6,11 +6,7 @@
 //!   coefficients) and the exponential decay schedule applied to the mean
 //!   learning rate.
 //! * [`adam`] — the exact dense Adam reference (updates every Gaussian every
-//!   step, as PyTorch does), plus a *sparse* Adam variant that only touches
-//!   Gaussians with non-zero gradients (not mathematically equivalent; kept
-//!   as an ablation baseline).
-//! * [`sgd`] — SGD with momentum, demonstrating that the deferred-update
-//!   idea applies to any momentum-based optimizer.
+//!   step, as PyTorch does).
 //! * [`deferred`] — the paper's deferred Adam (Section 4.3): zero-gradient
 //!   Gaussians are skipped, and a 4-bit counter says how many steps to
 //!   replay when they next receive a gradient or when the counter
@@ -26,12 +22,10 @@
 pub mod adam;
 pub mod config;
 pub mod deferred;
-pub mod sgd;
 mod slots;
 pub mod stats;
 
-pub use adam::{DenseAdam, SparseAdam};
+pub use adam::DenseAdam;
 pub use config::{AdamConfig, ExponentialLr, GroupLrs};
 pub use deferred::DeferredAdam;
-pub use sgd::SgdMomentum;
 pub use stats::StepStats;

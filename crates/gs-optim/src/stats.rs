@@ -52,13 +52,6 @@ impl StepStats {
         }
     }
 
-    /// Traffic of a sparse update over `updated` Gaussians (no counters).
-    pub fn sparse(updated: usize, total: usize) -> Self {
-        let mut s = Self::dense(updated);
-        s.total_gaussians = total;
-        s
-    }
-
     /// Total bytes moved.
     pub fn total_bytes(&self) -> f64 {
         self.bytes_read + self.bytes_written

@@ -329,7 +329,7 @@ pub fn rasterize_forward(
     )
 }
 
-/// The seed scalar forward pass (pixel-outer [`blend_pixel`] walk, alphas
+/// The seed scalar forward pass (pixel-outer `blend_pixel` walk, alphas
 /// through the same `exp_neg` as the lane kernels), kept as the
 /// bit-identity oracle for the lane-batched and tile-parallel paths and as
 /// the "before" baseline in kernel benchmarks.
@@ -627,7 +627,7 @@ fn blend_band(
     }
 }
 
-/// The seed scalar layer pass (pixel-outer [`blend_pixel`] walk, alphas
+/// The seed scalar layer pass (pixel-outer `blend_pixel` walk, alphas
 /// through the same `exp_neg` as the lane kernels), kept as the
 /// bit-identity oracle for the lane-batched and tile-parallel layer paths.
 ///

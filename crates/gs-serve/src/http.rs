@@ -34,11 +34,10 @@
 //!   (load it in `chrome://tracing` / Perfetto). `GET /trace?id=<hex>`
 //!   exports just that trace, `404` when it has aged out of the ring.
 //! * `GET /slo` — SLO burn-rate status as JSON (see [`gs_obs::SloEngine`]).
-//! * `GET /heat` — windowed per-scene / per-client top-K telemetry as JSON.
+//! * `GET /heat` — windowed per-scene top-K telemetry as JSON.
 //! * `GET /events` — the flight recorder's recent wide events as JSON.
 //! * `GET /incidents` — captured anomaly incidents (trigger, event tail,
-//!   metrics snapshot, slow traces) as JSON.
-//! * `GET /dashboard` — the self-refreshing HTML health dashboard.
+//!   metrics snapshot) as JSON.
 //! * `GET /scenes` — the loaded scene ids, one per line.
 //! * `GET /healthz` — liveness probe.
 //!
@@ -71,7 +70,7 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gs_obs::{render_dashboard, DashboardData, RequestTrace, Span, TraceContext, TraceId};
+use gs_obs::{RequestTrace, Span, TraceContext, TraceId};
 use gs_trace::{Outcome, TraceRecorder};
 
 use crate::obs::ServeObs;
@@ -831,33 +830,6 @@ fn json_response(body: String) -> HttpResponse {
     }
 }
 
-/// `GET /dashboard` on the single-node tier: snapshot the interpretation
-/// layer plus the stats block into one self-contained HTML page.
-fn dashboard_route(server: &RenderServer, conn: &mut Conn<'_>) -> HttpResponse {
-    let obs = server.obs();
-    let mut stats = server.stats();
-    stats.connections = conn.connections();
-    let data = DashboardData {
-        title: "gs-serve".to_string(),
-        node: obs.node().to_string(),
-        uptime_s: obs.uptime_s(),
-        refresh_s: 2,
-        slos: obs.slo().report(),
-        heat: obs.heat_scenes().snapshot().0,
-        clients: obs.heat_clients().snapshot().0,
-        replicas: Vec::new(),
-        replication: Vec::new(),
-        incidents: obs.recorder().incidents(),
-        stats_text: format!("{stats}"),
-    };
-    HttpResponse {
-        status: 200,
-        content_type: "text/html; charset=utf-8",
-        headers: Vec::new(),
-        body: render_dashboard(&data).into_bytes(),
-    }
-}
-
 /// The standard [`RenderServer`] routing layer (what [`HttpServer::bind`]
 /// installs).
 struct ServeHandler {
@@ -915,7 +887,6 @@ impl HttpHandler for ServeHandler {
             ("GET", "/heat") => json_response(server.obs().heat_json()),
             ("GET", "/events") => json_response(server.obs().events_json()),
             ("GET", "/incidents") => json_response(server.obs().incidents_json()),
-            ("GET", "/dashboard") => dashboard_route(server, conn),
             ("POST", "/render") => render_route(server, self.recorder.as_deref(), req, conn),
             ("POST", "/render_layer") => render_layer_route(server, req),
             ("POST", path) if path.strip_prefix("/scenes/").is_some() => {
@@ -936,7 +907,7 @@ impl HttpHandler for ServeHandler {
             (
                 _,
                 "/stats" | "/stats/wire" | "/scenes" | "/healthz" | "/metrics" | "/trace" | "/slo"
-                | "/heat" | "/events" | "/incidents" | "/dashboard" | "/render" | "/render_layer",
+                | "/heat" | "/events" | "/incidents" | "/render" | "/render_layer",
             ) => HttpResponse::text(405, "method not allowed on this path\n"),
             (_, path) if path.starts_with("/scenes/") => {
                 HttpResponse::text(405, "method not allowed on this path\n")

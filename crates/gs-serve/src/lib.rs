@@ -31,8 +31,8 @@
 //!   over the same `gs_obs` metrics registry `GET /metrics` exposes.
 //! * [`obs`] — the serving side of the observability layer (`gs-obs`):
 //!   sampled request traces with queue / cache / render / kernel-phase
-//!   spans, the finished-span ring behind `GET /trace`, slow-request
-//!   waterfalls, and live per-phase roofline gauges.
+//!   spans, the finished-span ring behind `GET /trace`, and live
+//!   per-phase roofline gauges.
 //! * [`http`] — a std-only HTTP/1.1 front-end (`POST /render`, `GET /stats`,
 //!   `GET /scenes`) so external load generators can drive the service over
 //!   real loopback/network TCP, one handler thread per connection.

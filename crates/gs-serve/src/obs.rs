@@ -6,9 +6,7 @@
 //!
 //! * the **trace sampler** — every Nth ingress request gets a
 //!   [`gs_obs::RequestTrace`] minted ([`ServeObs::should_trace`]); the
-//!   finished tree lands in a bounded [`SpanSink`] ring and, when it was
-//!   slower than the configured threshold, is also logged as a text
-//!   waterfall;
+//!   finished tree lands in a bounded [`SpanSink`] ring;
 //! * the **phase profiler** — every Nth production render contributes its
 //!   measured `project` / `bin` / `raster` timings plus analytic work
 //!   estimates to per-phase accumulators, which `GET /metrics` exposes as
@@ -23,7 +21,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use gs_obs::{
-    chrome_trace_json, default_slos, events_json, heat_json, incidents_json, slo_json, waterfall,
+    chrome_trace_json, default_slos, events_json, heat_json, incidents_json, slo_json,
     FinishedTrace, FlightRecorder, Gauge, HeatTable, Registry, RequestTrace, SloEngine, SloStatus,
     SpanClock, SpanSink, TraceId,
 };
@@ -84,29 +82,32 @@ struct PhaseGauges {
     intensity: Gauge,
 }
 
-/// Knobs of the interpretation layer (SLO engine, heat tables, flight
+/// Finished traces the span sink holds.
+const SPAN_RING: usize = 256;
+/// Events the flight recorder's ring holds.
+const EVENT_RING: usize = 256;
+/// Good fraction the latency SLO targets.
+const SLO_LATENCY_TARGET: f64 = 0.99;
+
+/// Knobs of the interpretation layer (SLO engine, heat table, flight
 /// recorder, watcher) that [`ServeObs::with_tuning`] builds from. The
 /// defaults suit production; tests shrink the windows to drive breach /
 /// recovery cycles in milliseconds.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ObsTuning {
-    /// Bounded event-ring capacity of the flight recorder.
-    pub event_ring: usize,
     /// SLO fast (detection) window, seconds.
     pub slo_fast_window_s: u64,
     /// SLO slow (confirmation) window, seconds.
     pub slo_slow_window_s: u64,
     /// Latency-SLO bound in milliseconds.
     pub slo_p99_ms: f64,
-    /// Latency-SLO target good fraction.
-    pub slo_latency_target: f64,
     /// Availability-SLO target good fraction.
     pub slo_availability_target: f64,
     /// Burn-rate threshold both windows must reach to breach.
     pub slo_burn_threshold: f64,
     /// Heat-table sliding window, seconds.
     pub heat_window_s: u64,
-    /// Hottest keys each heat table tracks exactly.
+    /// Hottest scenes the heat table tracks exactly.
     pub heat_top_k: usize,
     /// Watcher tick interval in milliseconds (`0` = no watcher thread;
     /// `watch_tick` can still be driven manually).
@@ -116,11 +117,9 @@ pub struct ObsTuning {
 impl Default for ObsTuning {
     fn default() -> Self {
         Self {
-            event_ring: 256,
             slo_fast_window_s: 10,
             slo_slow_window_s: 120,
             slo_p99_ms: 250.0,
-            slo_latency_target: 0.99,
             slo_availability_target: 0.999,
             slo_burn_threshold: 2.0,
             heat_window_s: 60,
@@ -139,7 +138,6 @@ pub struct ServeObs {
     node: String,
     trace_sample_every: u32,
     phase_sample_every: u32,
-    slow_trace_us: u64,
     trace_tick: AtomicU64,
     phase_tick: AtomicU64,
     phases: [PhaseAccum; 3],
@@ -147,10 +145,8 @@ pub struct ServeObs {
     traces_finished: Gauge,
     traces_dropped: Gauge,
     trace_ring_held: Gauge,
-    tuning: ObsTuning,
     slo: SloEngine,
     heat_scenes: HeatTable,
-    heat_clients: HeatTable,
     recorder: FlightRecorder,
     uptime_gauge: Gauge,
     events_recorded: Gauge,
@@ -160,44 +156,20 @@ pub struct ServeObs {
 }
 
 impl ServeObs {
-    /// [`ServeObs::with_tuning`] with the default [`ObsTuning`].
+    /// Builds the observability state, including the interpretation
+    /// layer (SLO engine, heat table, flight recorder) sized by `tuning`.
     ///
     /// `trace_sample_every` = 0 disables tracing entirely, 1 traces every
     /// request, N traces every Nth; `phase_sample_every` works the same
-    /// way for kernel-phase profiling. `slow_trace_us` = 0 disables the
-    /// slow-request waterfall log. `span_ring` bounds the sink.
-    pub fn new(
-        registry: Arc<Registry>,
-        node: impl Into<String>,
-        trace_sample_every: u32,
-        phase_sample_every: u32,
-        slow_trace_us: u64,
-        span_ring: usize,
-    ) -> Self {
-        Self::with_tuning(
-            registry,
-            node,
-            trace_sample_every,
-            phase_sample_every,
-            slow_trace_us,
-            span_ring,
-            &ObsTuning::default(),
-        )
-    }
-
-    /// Builds the observability state, including the interpretation
-    /// layer (SLO engine, heat tables, flight recorder) sized by
-    /// `tuning`. The watcher thread is **not** spawned here — the owner
-    /// wires [`ServeObs::watch_tick`] into a [`gs_obs::Watcher`] so the
-    /// tick closure can fold in owner-side probes (queue stalls).
-    #[allow(clippy::too_many_arguments)]
+    /// way for kernel-phase profiling. The watcher thread is **not**
+    /// spawned here — the owner wires [`ServeObs::watch_tick`] into a
+    /// [`gs_obs::Watcher`] so the tick closure can fold in owner-side
+    /// probes (queue stalls).
     pub fn with_tuning(
         registry: Arc<Registry>,
         node: impl Into<String>,
         trace_sample_every: u32,
         phase_sample_every: u32,
-        slow_trace_us: u64,
-        span_ring: usize,
         tuning: &ObsTuning,
     ) -> Self {
         let phase_gauges = Phase::ALL
@@ -272,7 +244,7 @@ impl ServeObs {
             &registry,
             default_slos(
                 tuning.slo_p99_ms,
-                tuning.slo_latency_target,
+                SLO_LATENCY_TARGET,
                 tuning.slo_availability_target,
             )
             .into_iter()
@@ -287,16 +259,13 @@ impl ServeObs {
         Self {
             slo,
             heat_scenes: HeatTable::new(tuning.heat_window_s, tuning.heat_top_k),
-            heat_clients: HeatTable::new(tuning.heat_window_s, tuning.heat_top_k),
-            recorder: FlightRecorder::new(tuning.event_ring),
-            tuning: tuning.clone(),
+            recorder: FlightRecorder::new(EVENT_RING),
             registry,
-            sink: SpanSink::new(span_ring),
+            sink: SpanSink::new(SPAN_RING),
             clock: SpanClock::new(),
             node,
             trace_sample_every,
             phase_sample_every,
-            slow_trace_us,
             trace_tick: AtomicU64::new(0),
             phase_tick: AtomicU64::new(0),
             phases: Default::default(),
@@ -442,32 +411,12 @@ impl ServeObs {
         self.slo.report();
     }
 
-    /// Files a finished trace into the ring and, when it exceeded the
-    /// slow-trace threshold, logs its waterfall to stderr.
+    /// Files a finished trace into the ring.
     pub fn finish(&self, trace: &RequestTrace) {
-        let finished = FinishedTrace {
+        self.sink.push_finished(FinishedTrace {
             trace: trace.id(),
             spans: trace.spans(),
-        };
-        if self.slow_trace_us > 0 {
-            let t0 = finished.spans.iter().map(|s| s.start_us).min().unwrap_or(0);
-            let total = finished
-                .spans
-                .iter()
-                .map(|s| (s.start_us - t0) + s.dur_us)
-                .max()
-                .unwrap_or(0);
-            if total >= self.slow_trace_us {
-                let rendered = waterfall(&finished);
-                eprintln!(
-                    "[{}] slow request {} ({} us):\n{}",
-                    self.node, finished.trace, total, rendered
-                );
-                self.recorder
-                    .note_slow_trace(format!("{} ({} us)\n{}", finished.trace, total, rendered));
-            }
-        }
-        self.sink.push_finished(finished);
+        });
     }
 
     /// Prometheus text exposition of the registry, gauges refreshed.
@@ -498,11 +447,6 @@ impl ServeObs {
         }
     }
 
-    /// The interpretation-layer tuning this state was built with.
-    pub fn tuning(&self) -> &ObsTuning {
-        &self.tuning
-    }
-
     /// The SLO engine.
     pub fn slo(&self) -> &SloEngine {
         &self.slo
@@ -511,11 +455,6 @@ impl ServeObs {
     /// The scene-keyed heat table.
     pub fn heat_scenes(&self) -> &HeatTable {
         &self.heat_scenes
-    }
-
-    /// The client-keyed heat table.
-    pub fn heat_clients(&self) -> &HeatTable {
-        &self.heat_clients
     }
 
     /// The anomaly flight recorder.
@@ -528,23 +467,13 @@ impl ServeObs {
         (self.clock.now_us().saturating_sub(self.clock.anchor_us())) as f64 / 1e6
     }
 
-    /// Feeds one finished request into the SLO engine and heat tables.
-    /// `scene`/`client` may be absent (rejected before routing); they
-    /// then fall out of the heat tables but still count against SLOs.
-    pub fn record_outcome(
-        &self,
-        scene: Option<&str>,
-        client: Option<&str>,
-        ok: bool,
-        cache_hit: bool,
-        latency_s: f64,
-    ) {
+    /// Feeds one finished request into the SLO engine and heat table.
+    /// `scene` may be absent (rejected before routing); the request then
+    /// falls out of the heat table but still counts against SLOs.
+    pub fn record_outcome(&self, scene: Option<&str>, ok: bool, cache_hit: bool, latency_s: f64) {
         self.slo.record(ok, latency_s);
         if let Some(scene) = scene {
             self.heat_scenes.record(scene, ok, cache_hit, latency_s);
-        }
-        if let Some(client) = client {
-            self.heat_clients.record(client, ok, cache_hit, latency_s);
         }
     }
 
@@ -569,11 +498,7 @@ impl ServeObs {
 
     /// The `/heat` endpoint's JSON document.
     pub fn heat_json(&self) -> String {
-        heat_json(
-            self.heat_scenes.window_s(),
-            &self.heat_scenes.snapshot(),
-            &self.heat_clients.snapshot(),
-        )
+        heat_json(self.heat_scenes.window_s(), &self.heat_scenes.snapshot())
     }
 
     /// The `/events` endpoint's JSON document.
@@ -611,13 +536,12 @@ mod tests {
     use super::*;
 
     fn obs(trace_every: u32, phase_every: u32) -> ServeObs {
-        ServeObs::new(
+        ServeObs::with_tuning(
             Arc::new(Registry::new()),
             "test-node",
             trace_every,
             phase_every,
-            0,
-            8,
+            &ObsTuning::default(),
         )
     }
 

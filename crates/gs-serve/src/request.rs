@@ -19,7 +19,7 @@ pub type SceneId = String;
 /// nobody will read — the same treatment expired deadlines get.
 ///
 /// When the service accepts the request it installs a *watcher* counter on
-/// the token ([`CancelToken::watch`]): the first `cancel()` bumps it, which
+/// the token (`CancelToken::watch`): the first `cancel()` bumps it, which
 /// is how workers know a sweep is worth its O(queue) walk at all — merely
 /// *carrying* a token (every HTTP request does) costs the queue nothing.
 #[derive(Debug, Clone, Default)]
@@ -127,12 +127,6 @@ impl RenderRequest {
     /// Attaches a cancel token (the caller keeps a clone to trigger it).
     pub fn with_cancel(mut self, token: CancelToken) -> Self {
         self.cancel = Some(token);
-        self
-    }
-
-    /// Attaches a client/session id.
-    pub fn with_client(mut self, client: impl Into<String>) -> Self {
-        self.client = Some(client.into());
         self
     }
 

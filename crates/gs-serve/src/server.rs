@@ -63,15 +63,8 @@ pub struct ServeConfig {
     /// production render into the `/metrics` roofline gauges (`0`
     /// disables phase profiling).
     pub phase_sample_every: u32,
-    /// Log a text waterfall of any *locally minted* trace slower than
-    /// this many milliseconds (`0` disables the slow-request log).
-    pub slow_trace_ms: u64,
-    /// Capacity of the finished-trace ring behind `GET /trace`
-    /// (`0` keeps only counters).
-    pub span_ring: usize,
     /// Interpretation-layer tuning: SLO windows and targets, heat-table
-    /// window and top-K, event-ring capacity, watcher interval (see
-    /// [`ObsTuning`]).
+    /// window and top-K, watcher interval (see [`ObsTuning`]).
     pub obs: ObsTuning,
 }
 
@@ -87,8 +80,6 @@ impl Default for ServeConfig {
             node: "gs-serve".to_string(),
             trace_sample_every: 0,
             phase_sample_every: 32,
-            slow_trace_ms: 0,
-            span_ring: 256,
             obs: ObsTuning::default(),
         }
     }
@@ -212,8 +203,6 @@ impl RenderServer {
             config.node.clone(),
             config.trace_sample_every,
             config.phase_sample_every,
-            config.slow_trace_ms.saturating_mul(1000),
-            config.span_ring,
             &config.obs,
         );
         let shared = Arc::new(Shared {
@@ -463,13 +452,9 @@ impl RenderServer {
             .unwrap()
             .contains(&request.scene)
         {
-            self.shared.obs.record_outcome(
-                Some(request.scene.as_str()),
-                request.client.as_deref(),
-                false,
-                false,
-                0.0,
-            );
+            self.shared
+                .obs
+                .record_outcome(Some(request.scene.as_str()), false, false, 0.0);
             return Err(ServeError::UnknownScene(request.scene));
         }
         // A request that is already dead gets the same answer the workers'
@@ -478,26 +463,18 @@ impl RenderServer {
         // (expired wins over cancelled, like respond_dead).
         if request.is_expired(submitted) {
             self.shared.stats.record_expired(1);
-            self.shared.obs.record_outcome(
-                Some(request.scene.as_str()),
-                request.client.as_deref(),
-                false,
-                false,
-                0.0,
-            );
+            self.shared
+                .obs
+                .record_outcome(Some(request.scene.as_str()), false, false, 0.0);
             let (tx, rx) = mpsc::channel();
             let _ = tx.send(Err(ServeError::DeadlineExceeded));
             return Ok(Ticket { rx });
         }
         if request.is_cancelled() {
             self.shared.stats.record_cancelled(1);
-            self.shared.obs.record_outcome(
-                Some(request.scene.as_str()),
-                request.client.as_deref(),
-                false,
-                false,
-                0.0,
-            );
+            self.shared
+                .obs
+                .record_outcome(Some(request.scene.as_str()), false, false, 0.0);
             let (tx, rx) = mpsc::channel();
             let _ = tx.send(Err(ServeError::Cancelled));
             return Ok(Ticket { rx });
@@ -532,7 +509,6 @@ impl RenderServer {
                 self.shared.stats.record_fast_hit(latency);
                 self.shared.obs.record_outcome(
                     Some(request.scene.as_str()),
-                    request.client.as_deref(),
                     true,
                     true,
                     latency.as_secs_f64(),
@@ -669,7 +645,6 @@ impl RenderServer {
         let outcome = |ok: bool| {
             self.shared.obs.record_outcome(
                 Some(request.scene.as_str()),
-                request.client.as_deref(),
                 ok,
                 false,
                 started_total.elapsed().as_secs_f64(),
@@ -746,20 +721,6 @@ impl RenderServer {
         Ok(layer)
     }
 
-    /// The background color registered with a scene (what
-    /// [`FrameLayer::finish`] should composite behind its layers).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::UnknownScene`] if the scene is not loaded.
-    pub fn scene_background(&self, id: &SceneId) -> Result<[f32; 3], ServeError> {
-        let view = self.shared.registry.lock().unwrap().get(id)?;
-        Ok(match view {
-            SceneView::Single(s) => s.background,
-            SceneView::Sharded(s) => s.background,
-        })
-    }
-
     /// The registry's device admission budget in bytes — what a cluster
     /// coordinator places scenes against.
     pub fn budget_bytes(&self) -> u64 {
@@ -775,18 +736,6 @@ impl RenderServer {
     /// the kernel-phase roofline gauges.
     pub fn obs(&self) -> &ServeObs {
         &self.shared.obs
-    }
-
-    /// The hottest scenes by windowed request rate (see
-    /// [`ServeObs::heat_scenes`]); what heat-driven replication consumes.
-    pub fn heat_scenes(&self) -> Vec<gs_obs::HeatRow> {
-        self.shared.obs.heat_scenes().snapshot().0
-    }
-
-    /// The hottest clients by windowed request rate (see
-    /// [`ServeObs::heat_clients`]).
-    pub fn heat_clients(&self) -> Vec<gs_obs::HeatRow> {
-        self.shared.obs.heat_clients().snapshot().0
     }
 
     /// Prometheus text exposition of the metrics registry (request
@@ -913,7 +862,7 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
                 .field("dropped", dropped.to_string()),
             );
             for _ in 0..dropped {
-                shared.obs.record_outcome(None, None, false, false, 0.0);
+                shared.obs.record_outcome(None, false, false, 0.0);
             }
             if !acct.batch_recorded.load(Ordering::Relaxed) {
                 shared.stats.record_batch(batch_size, 0, 0);
@@ -1014,7 +963,6 @@ fn process_batch(
                 shared.stats.record_error();
                 shared.obs.record_outcome(
                     Some(job.request.scene.as_str()),
-                    job.request.client.as_deref(),
                     false,
                     false,
                     job.enqueued.elapsed().as_secs_f64(),
@@ -1308,7 +1256,6 @@ fn respond_dead(shared: &Shared, job: Job, now: Instant) {
     }
     shared.obs.record_outcome(
         Some(job.request.scene.as_str()),
-        job.request.client.as_deref(),
         false,
         false,
         job.enqueued.elapsed().as_secs_f64(),
@@ -1342,7 +1289,6 @@ fn respond(
     let trace = job.request.trace.clone();
     shared.obs.record_outcome(
         Some(job.request.scene.as_str()),
-        job.request.client.as_deref(),
         true,
         cache_hit,
         latency.as_secs_f64(),

@@ -6,7 +6,7 @@
 //! traffic, and compared across changes. This crate supplies the workload
 //! layer those claims stand on:
 //!
-//! * [`format`] — the `GSTR` binary trace format: a versioned,
+//! * [`mod@format`] — the `GSTR` binary trace format: a versioned,
 //!   length-prefixed, lossless encoding of a request stream
 //!   ([`TraceEvent`]: scene id, pose, deadline, arrival timestamp,
 //!   client/session id, outcome, latency).

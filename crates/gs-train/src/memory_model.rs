@@ -102,7 +102,8 @@ const NON_GEOM_BYTES: u64 = (GaussianParams::NON_GEOMETRIC_PARAMS * 4) as u64; /
 /// `num_gaussians` Gaussians, a per-view active ratio of `active_ratio`
 /// (worst-case view, i.e. the ratio that bounds peak memory), and images of
 /// `pixels` pixels. `mem_limit` caps the active fraction processed at once
-/// when the system supports image splitting (pass 1.0 to disable).
+/// for the two GS-Scale kinds, the only ones that image-split (pass 1.0 to
+/// disable).
 pub fn estimate_gpu_memory(
     system: SystemKind,
     num_gaussians: usize,
@@ -117,11 +118,11 @@ pub fn estimate_gpu_memory(
         SystemKind::GsScale | SystemKind::GsScaleNoDeferred => active_ratio.min(mem_limit),
     };
     let active = (n as f64 * effective_ratio).ceil() as u64;
-    let split_factor = if system.is_gpu_only() || active_ratio <= mem_limit {
-        1.0
-    } else {
+    let split_factor = if system.selective_offloading() && active_ratio > mem_limit {
         // Image splitting halves the per-pass pixel count too.
         0.5
+    } else {
+        1.0
     };
     let act_pixels = (pixels as f64 * split_factor) as u64;
 
@@ -217,6 +218,15 @@ mod tests {
         let capped = estimate_gpu_memory(SystemKind::GsScale, 30 * M, 0.5, 1152 * 864, 0.1);
         let uncapped = estimate_gpu_memory(SystemKind::GsScale, 30 * M, 0.5, 1152 * 864, 1.0);
         assert!(capped.total() < uncapped.total());
+    }
+
+    #[test]
+    fn baseline_offload_never_splits_the_image() {
+        // The baseline options never image-split, so `mem_limit` moves
+        // none of its terms.
+        let split = estimate_gpu_memory(SystemKind::BaselineOffload, 10 * M, 0.5, 1152 * 864, 0.3);
+        let whole = estimate_gpu_memory(SystemKind::BaselineOffload, 10 * M, 0.5, 1152 * 864, 1.0);
+        assert_eq!(split, whole);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! * [`core`] (`gs-core`) — Gaussian parameters, cameras, images, math.
 //! * [`render`] (`gs-render`) — the differentiable software 3DGS renderer.
-//! * [`optim`] (`gs-optim`) — Adam, deferred Adam, SGD-momentum optimizers.
+//! * [`optim`] (`gs-optim`) — Adam and deferred Adam optimizers.
 //! * [`platform`] (`gs-platform`) — hardware specs, memory pools, PCIe
 //!   transfer and execution-timeline models.
 //! * [`scene`] (`gs-scene`) — synthetic large-scene datasets.
@@ -25,7 +25,7 @@
 //!   camera tours).
 //! * [`obs`] (`gs-obs`) — observability primitives: request span trees
 //!   with cross-node stitching, a bounded span ring sink, Chrome
-//!   trace-event / text-waterfall exports, and a metrics registry with
+//!   trace-event export, and a metrics registry with
 //!   Prometheus text exposition (plus the linter CI runs against it).
 //! * [`cluster`] (`gs-cluster`) — the multi-replica serving tier: a
 //!   coordinator that places scenes (and cross-node shards) against each

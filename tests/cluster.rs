@@ -736,6 +736,9 @@ fn cluster_http_front_end_serves_and_aggregates() {
     let response =
         client::request(&mut stream, "POST", "/render", missing.to_body().as_bytes()).unwrap();
     assert_eq!(response.status, 404);
+    // `/dashboard` is not a route.
+    let response = client::request(&mut stream, "GET", "/dashboard", b"").unwrap();
+    assert_eq!(response.status, 404);
 
     // The stats fan-in: cluster report plus per-replica lines with merged
     // latency from real traffic.

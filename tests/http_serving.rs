@@ -196,6 +196,13 @@ fn malformed_requests_get_4xx_without_killing_the_listener() {
                 .status,
             404
         );
+        // `/dashboard` is not a route.
+        assert_eq!(
+            client::request(&mut stream, "GET", "/dashboard", b"")
+                .unwrap()
+                .status,
+            404
+        );
         assert_eq!(
             client::request(&mut stream, "GET", "/render", b"")
                 .unwrap()
