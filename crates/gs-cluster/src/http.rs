@@ -25,7 +25,6 @@
 //! * `GET /incidents` — captured anomaly incidents as JSON.
 //! * `GET /scenes` — placement rows (`id replicas=[..] gaussians bytes`).
 //! * `GET /replicas` — per-replica health/budget rows.
-//! * `GET /healthz` — coordinator liveness.
 //!
 //! `POST /render` honors the same `X-Trace-Id` / `X-Trace-Parent` request
 //! headers as the single-node front-end (shared [`route_trace`] ingress
@@ -103,7 +102,6 @@ impl HttpHandler for ClusterHandler {
             ("GET", "/heat") => json_response(self.coordinator.obs().heat_json()),
             ("GET", "/events") => json_response(self.coordinator.obs().events_json()),
             ("GET", "/incidents") => json_response(self.coordinator.obs().incidents_json()),
-            ("GET", "/healthz") => HttpResponse::text(200, "ok\n"),
             ("GET", "/scenes") => {
                 let mut body = String::new();
                 for placement in self.coordinator.scenes() {
@@ -138,7 +136,7 @@ impl HttpHandler for ClusterHandler {
             (
                 _,
                 "/stats" | "/metrics" | "/trace" | "/slo" | "/heat" | "/events" | "/incidents"
-                | "/scenes" | "/replicas" | "/healthz" | "/render",
+                | "/scenes" | "/replicas" | "/render",
             ) => HttpResponse::text(405, "method not allowed on this path\n"),
             (_, path) if path.starts_with("/scenes/") => {
                 HttpResponse::text(405, "method not allowed on this path\n")

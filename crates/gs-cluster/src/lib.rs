@@ -46,7 +46,7 @@
 //! * [`http`] — the cluster's own HTTP front-end, built on the listener
 //!   machinery shared with `gs-serve` (`POST /render`, `GET /stats`,
 //!   `GET /metrics`, `GET /trace`, `GET /scenes`, `GET /replicas`,
-//!   `POST /scenes/<id>`, `GET /healthz`).
+//!   `POST /scenes/<id>`).
 //!
 //! The tier participates in the `gs-obs` observability layer end to end:
 //! sampled (or `X-Trace-Id`-carried) requests get a span tree covering the

@@ -208,12 +208,6 @@ impl Vec3 {
     pub fn max_elem(self) -> f32 {
         self.x.max(self.y).max(self.z)
     }
-
-    /// Smallest component.
-    #[inline]
-    pub fn min_elem(self) -> f32 {
-        self.x.min(self.y).min(self.z)
-    }
 }
 
 impl Vec4 {
@@ -451,16 +445,6 @@ impl Sym2 {
         let mid = 0.5 * (self.xx + self.yy);
         let disc = (mid * mid - self.det()).max(0.0).sqrt();
         (mid + disc, mid - disc)
-    }
-
-    /// Adds `v` to both diagonal entries (the 3DGS low-pass filter).
-    #[inline]
-    pub fn add_diag(self, v: f32) -> Self {
-        Self {
-            xx: self.xx + v,
-            xy: self.xy,
-            yy: self.yy + v,
-        }
     }
 }
 

@@ -171,11 +171,6 @@ impl MemoryPool {
         }
     }
 
-    /// Frees everything allocated in `category`.
-    pub fn free_all(&mut self, category: MemoryCategory) {
-        self.used.remove(&category);
-    }
-
     /// Adjusts the allocation of `category` to exactly `bytes`, allocating or
     /// freeing the difference.
     ///

@@ -122,16 +122,6 @@ impl SynthConfig {
             ..Self::zipf(requests)
         }
     }
-
-    /// The scenario's display name, used in reports and file names.
-    pub fn scenario_name(&self) -> &'static str {
-        match self.shape {
-            LoadShape::Constant if self.dwell == 0.0 => "tour",
-            LoadShape::Constant => "zipf",
-            LoadShape::Diurnal { .. } => "diurnal",
-            LoadShape::FlashCrowd { .. } => "flash",
-        }
-    }
 }
 
 /// Canonical name of the scene at popularity rank `rank`.

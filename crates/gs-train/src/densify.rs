@@ -71,14 +71,6 @@ impl DensifyConfig {
             && iteration < self.stop_iteration
             && iteration.is_multiple_of(self.interval)
     }
-
-    /// Returns a copy with the stop iteration scaled by `factor` — the
-    /// paper's mechanism (following Grendel) for producing smaller or larger
-    /// models of the same scene.
-    pub fn with_stop_scaled(mut self, factor: f64) -> Self {
-        self.stop_iteration = (self.stop_iteration as f64 * factor) as usize;
-        self
-    }
 }
 
 /// Accumulates positional gradient magnitudes between densification rounds.

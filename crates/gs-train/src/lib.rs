@@ -21,7 +21,8 @@
 //! * [`config`] — training hyper-parameters (3DGS recipe).
 //! * [`densify`] — adaptive density control (clone / split / prune).
 //! * [`splitting`] — balance-aware image splitting (Section 4.4).
-//! * [`memory_model`] — closed-form GPU memory estimates at paper scale.
+//! * [`memory_model`] — what each system charges to GPU and host memory,
+//!   and the paper-scale estimate that evaluates the same charges.
 //! * [`stats`] — per-iteration and per-run statistics.
 //! * [`offload`] — the training step of every system: the host-offloading
 //!   systems (baseline GS-Scale and GS-Scale with any subset of the

@@ -8,8 +8,10 @@
 //! resident on the GPU ([`OffloadTrainer::for_system`]). Where the buffers
 //! live is a private placement derived from the system; it decides what the
 //! step charges to GPU memory and which timeline events it schedules, never
-//! the arithmetic. The [`OffloadOptions`] flags select the paper's
-//! optimizations:
+//! the arithmetic. The placement and its byte charges live in
+//! [`crate::memory_model`], whose [`crate::estimate_gpu_memory`] evaluates
+//! the same charges at paper scale. The [`OffloadOptions`] flags select the
+//! paper's optimizations:
 //!
 //! * **selective offloading** — geometric attributes (and their optimizer
 //!   state) stay resident on the GPU, so frustum culling and the
@@ -83,11 +85,11 @@ use gs_platform::{
 use gs_render::cost as render_cost;
 use gs_render::culling::{frustum_cull, gaussian_in_frustum};
 use gs_render::loss::loss_and_grad;
-use gs_render::pipeline::{render, render_backward, to_sparse_grads, RenderStats};
+use gs_render::pipeline::{render, render_backward, to_sparse_grads};
 
 use crate::config::TrainConfig;
 use crate::densify::{densify, DensifyAccumulator};
-use crate::memory_model::{self, SystemKind};
+use crate::memory_model::{Placement, SystemKind};
 use crate::splitting::balanced_split;
 use crate::stats::IterationStats;
 use crate::timing::{work_from_estimate, work_from_step};
@@ -163,77 +165,6 @@ impl OffloadOptions {
     }
 }
 
-/// Where a system keeps its training state: what the step charges to GPU
-/// memory and which timeline events it schedules. Derived from the system,
-/// never set on its own.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Placement {
-    /// Everything on the host: each pass stages its Gaussians' full rows
-    /// and copies their gradients back; culling and both optimizers run on
-    /// the CPU (baseline offloading).
-    Host,
-    /// Selective offloading: the geometric columns and their Adam state stay
-    /// on the GPU, where culling and their update run; each pass stages the
-    /// non-geometric columns.
-    GeometricResident,
-    /// GPU-only: everything, gradients included, stays on the GPU; nothing
-    /// transfers and one GPU optimizer updates all 59 columns.
-    AllResident,
-}
-
-impl Placement {
-    /// The host placement the options ask for.
-    fn offloaded(options: &OffloadOptions) -> Self {
-        if options.selective_offloading {
-            Placement::GeometricResident
-        } else {
-            Placement::Host
-        }
-    }
-
-    /// What the GPU holds between steps for `n` Gaussians.
-    fn persistent_gpu(self, n: usize) -> [(MemoryCategory, u64); 4] {
-        let all = column_bytes(n, GaussianParams::PARAMS_PER_GAUSSIAN);
-        let geometric = column_bytes(n, GaussianParams::GEOMETRIC_PARAMS);
-        let (params, geometric, grads, state) = match self {
-            Placement::Host => (0, 0, 0, 0),
-            Placement::GeometricResident => (0, geometric, 0, 2 * geometric),
-            Placement::AllResident => (all, 0, all, 2 * all),
-        };
-        [
-            (MemoryCategory::Parameters, params),
-            (MemoryCategory::GeometricParameters, geometric),
-            (MemoryCategory::Gradients, grads),
-            (MemoryCategory::OptimizerState, state),
-        ]
-    }
-
-    /// What one forward/backward pass adds: the staged columns of its input
-    /// Gaussians (the bytes copied host-to-device), their gradients (copied
-    /// back) and the activations.
-    fn transient_gpu(self, pass: &RenderStats) -> [(MemoryCategory, u64); 3] {
-        let (active, pixels) = (pass.num_input, pass.num_pixels);
-        let all = GaussianParams::PARAMS_PER_GAUSSIAN;
-        let (staged, grads) = match self {
-            Placement::Host => (all, all),
-            Placement::GeometricResident => (GaussianParams::NON_GEOMETRIC_PARAMS, all),
-            Placement::AllResident => (0, 0),
-        };
-        let activations = memory_model::ACTIVATION_BYTES_PER_PIXEL * pixels as u64
-            + memory_model::ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN * active as u64;
-        [
-            (MemoryCategory::Parameters, column_bytes(active, staged)),
-            (MemoryCategory::Gradients, column_bytes(active, grads)),
-            (MemoryCategory::Activations, activations),
-        ]
-    }
-}
-
-/// Bytes of `columns` f32 columns over `n` Gaussians.
-fn column_bytes(n: usize, columns: usize) -> u64 {
-    n as u64 * columns as u64 * 4
-}
-
 /// The trainer behind every system (see module docs).
 #[derive(Debug)]
 pub struct OffloadTrainer {
@@ -294,11 +225,7 @@ impl OffloadTrainer {
         extent: f32,
     ) -> Result<Self> {
         let options = OffloadOptions::for_system(kind);
-        let placement = if kind.is_gpu_only() {
-            Placement::AllResident
-        } else {
-            Placement::offloaded(&options)
-        };
+        let placement = Placement::for_system(kind);
         Self::placed(config, options, placement, platform, init, extent)
     }
 
@@ -359,15 +286,8 @@ impl OffloadTrainer {
 
     fn update_persistent_memory(&mut self) -> Result<()> {
         let n = self.params.len();
-        if self.placement != Placement::AllResident {
-            // The host holds the full parameters and optimizer state (plus
-            // one defer counter byte per Gaussian when the deferred update
-            // is on).
-            let params = column_bytes(n, GaussianParams::PARAMS_PER_GAUSSIAN);
-            let counters = if self.deferred.is_some() { n as u64 } else { 0 };
-            let host = &mut self.host_pool;
-            host.set(MemoryCategory::Parameters, params)?;
-            host.set(MemoryCategory::OptimizerState, 2 * params + counters)?;
+        for (category, bytes) in self.placement.persistent_host(n, self.deferred.is_some()) {
+            self.host_pool.set(category, bytes)?;
         }
         for (category, bytes) in self.placement.persistent_gpu(n) {
             self.gpu_pool.set(category, bytes)?;
@@ -437,11 +357,13 @@ impl OffloadTrainer {
             vec![output.stats]
         };
         let (mut last_gpu_event, mut last_d2h_event) = (cull_event, cull_event);
-        let transfers = self.placement != Placement::AllResident;
+        let transfers = self.placement.transfers();
         for stats in passes {
             // Transient GPU memory for this pass. All or nothing: a view that
             // does not fit must leave no charge behind for the steps after it.
-            let transient = self.placement.transient_gpu(&stats);
+            let transient = self
+                .placement
+                .transient_gpu(stats.num_input, stats.num_pixels);
             let [(_, staged_param_bytes), (_, grad_bytes), _] = transient;
             self.gpu_pool.alloc_all(&transient)?;
 
@@ -822,14 +744,14 @@ mod tests {
         (init, cam, target)
     }
 
-    fn max_param_diff(a: &GaussianParams, b: &GaussianParams) -> f32 {
-        let mut worst = 0.0f32;
-        for g in ParamGroup::ALL {
-            for (x, y) in a.group(g).iter().zip(b.group(g)) {
-                worst = worst.max((x - y).abs());
-            }
-        }
-        worst
+    /// A trainer with `options` from `init` on the laptop platform.
+    fn laptop_trainer(
+        config: TrainConfig,
+        options: OffloadOptions,
+        init: &GaussianParams,
+    ) -> OffloadTrainer {
+        let platform = PlatformSpec::laptop_rtx4070m();
+        OffloadTrainer::new(config, options, platform, init.clone(), 10.0).unwrap()
     }
 
     /// FNV-1a over a byte stream.
@@ -940,9 +862,7 @@ mod tests {
             (OffloadOptions::without_deferred(), 0x3d43_32be_4816_da2d),
             (OffloadOptions::full(), 0x3d43_32be_4816_da2d),
         ] {
-            let mut trainer =
-                OffloadTrainer::new(cfg.clone(), options, platform.clone(), init.clone(), 10.0)
-                    .unwrap();
+            let mut trainer = laptop_trainer(cfg.clone(), options, &init);
             for _ in 0..20 {
                 trainer.step(&cam, &target).unwrap();
             }
@@ -956,36 +876,26 @@ mod tests {
         }
     }
 
+    /// The paper-scale estimate evaluates the trainer's own charges: one
+    /// unsplit step of each system peaks at exactly the estimate for its
+    /// Gaussian count, active ratio and pixel count. Three of the four
+    /// Gaussians are in view, so the ratio 0.75 round-trips exactly.
     #[test]
-    fn all_offload_variants_match_gpu_only_training() {
+    fn one_step_peaks_at_the_paper_scale_estimate() {
         let (init, cam, target) = tiny_scene();
-        let cfg = TrainConfig::fast_test(20);
-        let platform = PlatformSpec::laptop_rtx4070m();
-
-        let mut reference =
-            GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), 10.0).unwrap();
-        for _ in 0..20 {
-            reference.step(&cam, &target).unwrap();
-        }
-
-        for options in [
-            OffloadOptions::baseline(),
-            OffloadOptions::without_deferred(),
-            OffloadOptions::full(),
-        ] {
+        for kind in SystemKind::ALL {
+            let cfg = TrainConfig::fast_test(1).with_mem_limit(1.0);
+            let platform = PlatformSpec::laptop_rtx4070m();
             let mut trainer =
-                OffloadTrainer::new(cfg.clone(), options, platform.clone(), init.clone(), 10.0)
-                    .unwrap();
-            for _ in 0..20 {
-                trainer.step(&cam, &target).unwrap();
-            }
-            trainer.flush();
-            let diff = max_param_diff(reference.params(), trainer.params());
-            assert!(
-                diff < 2e-3,
-                "{} diverged from GPU-only by {diff}",
-                trainer.name()
-            );
+                OffloadTrainer::for_system(kind, cfg, platform, init.clone(), 10.0).unwrap();
+            let stats = trainer.step(&cam, &target).unwrap();
+            assert!(!stats.image_split, "{kind:?}");
+            let (active, n) = (stats.active_gaussians, stats.total_gaussians);
+            assert_eq!((active, n), (3, 4));
+            let ratio = active as f64 / n as f64;
+            let pixels = cam.width * cam.height;
+            let estimate = crate::estimate_gpu_memory(kind, n, ratio, pixels, 1.0);
+            assert_eq!(trainer.peak_gpu_memory(), estimate.total(), "{kind:?}");
         }
     }
 
@@ -994,10 +904,8 @@ mod tests {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(5);
         let platform = PlatformSpec::laptop_rtx4070m();
-        let mut gpu_only =
-            GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), 10.0).unwrap();
-        let mut offload =
-            OffloadTrainer::new(cfg, OffloadOptions::full(), platform, init, 10.0).unwrap();
+        let mut gpu_only = GpuOnlyTrainer::new(cfg.clone(), platform, init.clone(), 10.0).unwrap();
+        let mut offload = laptop_trainer(cfg, OffloadOptions::full(), &init);
         for _ in 0..5 {
             gpu_only.step(&cam, &target).unwrap();
             offload.step(&cam, &target).unwrap();
@@ -1012,17 +920,8 @@ mod tests {
     fn deferred_update_touches_fewer_gaussians() {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(5);
-        let platform = PlatformSpec::laptop_rtx4070m();
-        let mut full = OffloadTrainer::new(
-            cfg.clone(),
-            OffloadOptions::full(),
-            platform.clone(),
-            init.clone(),
-            10.0,
-        )
-        .unwrap();
-        let mut baseline =
-            OffloadTrainer::new(cfg, OffloadOptions::baseline(), platform, init, 10.0).unwrap();
+        let mut full = laptop_trainer(cfg.clone(), OffloadOptions::full(), &init);
+        let mut baseline = laptop_trainer(cfg, OffloadOptions::baseline(), &init);
         // The far-away Gaussian (index 3) never receives gradients, so the
         // deferred optimizer should touch fewer Gaussians than the dense one.
         let full_stats = full.step(&cam, &target).unwrap();
@@ -1038,23 +937,12 @@ mod tests {
         // path, so the simulated iteration time must be strictly shorter.
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(5);
-        let platform = PlatformSpec::laptop_rtx4070m();
         let no_forwarding = OffloadOptions {
-            selective_offloading: true,
             parameter_forwarding: false,
-            deferred_update: true,
-            image_splitting: true,
+            ..OffloadOptions::full()
         };
-        let mut serial = OffloadTrainer::new(
-            cfg.clone(),
-            no_forwarding,
-            platform.clone(),
-            init.clone(),
-            10.0,
-        )
-        .unwrap();
-        let mut pipelined =
-            OffloadTrainer::new(cfg, OffloadOptions::full(), platform, init, 10.0).unwrap();
+        let mut serial = laptop_trainer(cfg.clone(), no_forwarding, &init);
+        let mut pipelined = laptop_trainer(cfg, OffloadOptions::full(), &init);
         let t_serial = serial.step(&cam, &target).unwrap().sim_time_s;
         let t_pipelined = pipelined.step(&cam, &target).unwrap().sim_time_s;
         assert!(
@@ -1068,9 +956,7 @@ mod tests {
         let (init, cam, target) = tiny_scene();
         // With mem_limit 0 every non-empty view exceeds the threshold.
         let cfg = TrainConfig::fast_test(5).with_mem_limit(0.0);
-        let platform = PlatformSpec::laptop_rtx4070m();
-        let mut trainer =
-            OffloadTrainer::new(cfg, OffloadOptions::full(), platform, init, 10.0).unwrap();
+        let mut trainer = laptop_trainer(cfg, OffloadOptions::full(), &init);
         let stats = trainer.step(&cam, &target).unwrap();
         assert!(stats.image_split);
     }
@@ -1078,25 +964,13 @@ mod tests {
     #[test]
     fn image_splitting_preserves_training_results() {
         let (init, cam, target) = tiny_scene();
-        let platform = PlatformSpec::laptop_rtx4070m();
         // Same options, but one trainer never splits (mem_limit 1) and the
         // other splits every view (mem_limit 0).
-        let mut whole = OffloadTrainer::new(
-            TrainConfig::fast_test(10).with_mem_limit(1.0),
-            OffloadOptions::without_deferred(),
-            platform.clone(),
-            init.clone(),
-            10.0,
-        )
-        .unwrap();
-        let mut split = OffloadTrainer::new(
-            TrainConfig::fast_test(10).with_mem_limit(0.0),
-            OffloadOptions::without_deferred(),
-            platform,
-            init,
-            10.0,
-        )
-        .unwrap();
+        let trainer = |mem_limit| {
+            let cfg = TrainConfig::fast_test(10).with_mem_limit(mem_limit);
+            laptop_trainer(cfg, OffloadOptions::without_deferred(), &init)
+        };
+        let (mut whole, mut split) = (trainer(1.0), trainer(0.0));
         for _ in 0..10 {
             assert!(!whole.step(&cam, &target).unwrap().image_split);
             assert!(split.step(&cam, &target).unwrap().image_split);
@@ -1117,9 +991,7 @@ mod tests {
         );
         let target = Image::filled(1, 36, [0.5; 3]);
         let cfg = TrainConfig::fast_test(1).with_mem_limit(0.0);
-        let platform = PlatformSpec::laptop_rtx4070m();
-        let mut trainer =
-            OffloadTrainer::new(cfg, OffloadOptions::full(), platform, init, 10.0).unwrap();
+        let mut trainer = laptop_trainer(cfg, OffloadOptions::full(), &init);
         let stats = trainer.step(&cam, &target).unwrap();
         assert!(stats.active_gaussians > 0);
         assert!(!stats.image_split);
@@ -1128,10 +1000,11 @@ mod tests {
     #[test]
     fn a_step_that_runs_out_of_gpu_memory_leaves_no_charge_behind() {
         let (init, cam, target) = tiny_scene();
-        let staged_bytes = 3 * GaussianParams::NON_GEOMETRIC_PARAMS as u64 * 4;
-        let resident_bytes = init.len() as u64 * GaussianParams::GEOMETRIC_PARAMS as u64 * 4 * 3;
-        // Room for the resident geometric state and the staged parameters of
-        // the three visible Gaussians, but not for their gradients.
+        // Room for the four Gaussians' resident geometric state (10 columns
+        // and their two Adam moments: 120 bytes each) and the 49 staged
+        // columns of the three visible ones (196 bytes each), but not for
+        // their gradients.
+        let (resident_bytes, staged_bytes) = (4 * 120, 3 * 196);
         let platform =
             PlatformSpec::laptop_rtx4070m().with_gpu_memory(resident_bytes + staged_bytes + 100);
         let mut trainer = OffloadTrainer::new(
@@ -1148,9 +1021,10 @@ mod tests {
             assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
         }
 
-        // All resident (GPU-only): room for every Gaussian's parameters,
-        // gradients and Adam state, but not for the view's activations.
-        let all_resident = init.len() as u64 * GaussianParams::PARAMS_PER_GAUSSIAN as u64 * 4 * 4;
+        // All resident (GPU-only): room for every Gaussian's parameters (236
+        // bytes), gradients (as many) and Adam state (twice that), but not
+        // for the view's activations.
+        let all_resident = 4 * 4 * 236;
         let platform = PlatformSpec::laptop_rtx4070m().with_gpu_memory(all_resident + 100);
         let mut gpu_only =
             GpuOnlyTrainer::new(TrainConfig::fast_test(5), platform, init, 10.0).unwrap();
@@ -1164,32 +1038,12 @@ mod tests {
     #[test]
     fn selective_offloading_keeps_geometric_state_on_gpu() {
         let (init, _cam, _target) = tiny_scene();
-        let cfg = TrainConfig::fast_test(5);
-        let platform = PlatformSpec::laptop_rtx4070m();
-        let with_sel = OffloadTrainer::new(
-            cfg.clone(),
-            OffloadOptions::full(),
-            platform.clone(),
-            init.clone(),
-            10.0,
-        )
-        .unwrap();
-        let without_sel =
-            OffloadTrainer::new(cfg, OffloadOptions::baseline(), platform, init, 10.0).unwrap();
-        let geom = with_sel
-            .peak_gpu_breakdown()
-            .iter()
-            .find(|(c, _)| *c == MemoryCategory::GeometricParameters)
-            .map(|(_, b)| *b)
-            .unwrap_or(0);
-        assert!(geom > 0);
-        let geom_baseline = without_sel
-            .peak_gpu_breakdown()
-            .iter()
-            .find(|(c, _)| *c == MemoryCategory::GeometricParameters)
-            .map(|(_, b)| *b)
-            .unwrap_or(0);
-        assert_eq!(geom_baseline, 0);
+        let geometric = |options| {
+            let trainer = laptop_trainer(TrainConfig::fast_test(5), options, &init);
+            trainer.gpu_pool.peak(MemoryCategory::GeometricParameters)
+        };
+        assert!(geometric(OffloadOptions::full()) > 0);
+        assert_eq!(geometric(OffloadOptions::baseline()), 0);
     }
 
     #[test]

@@ -736,9 +736,11 @@ fn cluster_http_front_end_serves_and_aggregates() {
     let response =
         client::request(&mut stream, "POST", "/render", missing.to_body().as_bytes()).unwrap();
     assert_eq!(response.status, 404);
-    // `/dashboard` is not a route.
-    let response = client::request(&mut stream, "GET", "/dashboard", b"").unwrap();
-    assert_eq!(response.status, 404);
+    // Neither `/dashboard` nor `/healthz` is a route on this tier.
+    for path in ["/dashboard", "/healthz"] {
+        let response = client::request(&mut stream, "GET", path, b"").unwrap();
+        assert_eq!(response.status, 404, "{path}");
+    }
 
     // The stats fan-in: cluster report plus per-replica lines with merged
     // latency from real traffic.
