@@ -673,10 +673,6 @@ mod tests {
                             max_gaussians: 0,
                         };
                     }
-                    let gpu_only = || {
-                        let (config, init) = (config.clone(), init.clone());
-                        GpuOnlyTrainer::new(config, platform.clone(), init, extent).unwrap()
-                    };
                     for options in [
                         OffloadOptions::baseline(),
                         resident_pipelined,
@@ -684,7 +680,9 @@ mod tests {
                         OffloadOptions::without_deferred(),
                         OffloadOptions::full(),
                     ] {
-                        let mut reference = gpu_only();
+                        let (c, i) = (config.clone(), init.clone());
+                        let mut reference =
+                            GpuOnlyTrainer::new(c, platform.clone(), i, extent).unwrap();
                         let (c, i) = (config.clone(), init.clone());
                         let mut other =
                             OffloadTrainer::new(c, options, platform.clone(), i, extent).unwrap();
@@ -721,20 +719,20 @@ mod tests {
         }
     }
 
+    /// A `width` × 36 camera at (0, 0, -4) looking at the origin.
+    fn camera_at_origin(width: usize) -> Camera {
+        let up = Vec3::new(0.0, 1.0, 0.0);
+        let eye = Vec3::new(0.0, 0.0, -4.0);
+        Camera::look_at(width, 36, std::f32::consts::FRAC_PI_2, eye, Vec3::ZERO, up)
+    }
+
     fn tiny_scene() -> (GaussianParams, Camera, Image) {
         let mut gt = GaussianParams::new();
         gt.push_isotropic(Vec3::new(0.0, 0.0, 0.0), 0.5, [0.9, 0.3, 0.2], 0.9);
         gt.push_isotropic(Vec3::new(0.8, 0.4, 0.5), 0.4, [0.2, 0.8, 0.3], 0.85);
         gt.push_isotropic(Vec3::new(-0.6, -0.3, 0.3), 0.4, [0.3, 0.3, 0.9], 0.85);
         gt.push_isotropic(Vec3::new(300.0, 0.0, 40.0), 0.4, [0.5, 0.5, 0.5], 0.8); // far off-screen
-        let cam = Camera::look_at(
-            48,
-            36,
-            std::f32::consts::FRAC_PI_2,
-            Vec3::new(0.0, 0.0, -4.0),
-            Vec3::ZERO,
-            Vec3::new(0.0, 1.0, 0.0),
-        );
+        let cam = camera_at_origin(48);
         let target = render_image(&gt, &cam, 3, [0.05, 0.05, 0.08]);
         let mut init = gt.clone();
         for i in 0..init.len() {
@@ -742,6 +740,13 @@ mod tests {
             init.set_opacity_logit(i, init.opacity_logit(i) - 0.5);
         }
         (init, cam, target)
+    }
+
+    fn max_param_diff(a: &GaussianParams, b: &GaussianParams) -> f32 {
+        ParamGroup::ALL
+            .iter()
+            .flat_map(|&g| a.group(g).iter().zip(b.group(g)))
+            .fold(0.0, |worst, (x, y)| worst.max((x - y).abs()))
     }
 
     /// A trainer with `options` from `init` on the laptop platform.
@@ -840,39 +845,44 @@ mod tests {
         );
     }
 
-    /// Golden fingerprints of every trainer's parameters after 20 steps:
-    /// any change to the renderer, the optimizers or the step composition
-    /// that moves a single bit of the trained model shows up here (the
-    /// baseline matches GPU-only bit for bit; deferral, flushed, matches
-    /// its eager counterpart).
-    #[test]
-    fn trained_parameters_match_golden_fingerprints() {
+    /// Each system's parameters after 20 steps on `tiny_scene`, flushed,
+    /// in the order of `SystemKind::ALL` (GPU-only last).
+    fn trained_for_20_steps() -> [(SystemKind, GaussianParams); 4] {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(20);
         let platform = PlatformSpec::laptop_rtx4070m();
-        let mut reference =
-            GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), 10.0).unwrap();
-        for _ in 0..20 {
-            reference.step(&cam, &target).unwrap();
-        }
-        assert_eq!(param_fingerprint(reference.params()), 0x3d43_32be_4816_da2d);
-
-        for (options, expected) in [
-            (OffloadOptions::baseline(), 0x3d43_32be_4816_da2d_u64),
-            (OffloadOptions::without_deferred(), 0x3d43_32be_4816_da2d),
-            (OffloadOptions::full(), 0x3d43_32be_4816_da2d),
-        ] {
-            let mut trainer = laptop_trainer(cfg.clone(), options, &init);
+        SystemKind::ALL.map(|kind| {
+            let (cfg, platform, init) = (cfg.clone(), platform.clone(), init.clone());
+            let mut trainer = OffloadTrainer::for_system(kind, cfg, platform, init, 10.0).unwrap();
             for _ in 0..20 {
                 trainer.step(&cam, &target).unwrap();
             }
             trainer.flush();
-            assert_eq!(
-                param_fingerprint(trainer.params()),
-                expected,
-                "{}",
-                trainer.name()
-            );
+            (kind, trainer.params().clone())
+        })
+    }
+
+    #[test]
+    fn all_offload_variants_match_gpu_only_training() {
+        let trained = trained_for_20_steps();
+        let ((last, reference), offload) = trained.split_last().unwrap();
+        assert_eq!(*last, SystemKind::GpuOnly);
+        for (kind, params) in offload {
+            let diff = max_param_diff(reference, params);
+            assert!(diff < 2e-3, "{kind:?} diverged from GPU-only by {diff}");
+        }
+    }
+
+    /// Golden fingerprint of every trainer's parameters after 20 steps: any
+    /// change to the renderer, the optimizers or the step composition that
+    /// moves a single bit of the trained model shows up here (the baseline
+    /// matches GPU-only bit for bit; deferral, flushed, matches its eager
+    /// counterpart).
+    #[test]
+    fn trained_parameters_match_golden_fingerprints() {
+        for (kind, params) in trained_for_20_steps() {
+            let fingerprint = param_fingerprint(&params);
+            assert_eq!(fingerprint, 0x3d43_32be_4816_da2d, "{kind:?}");
         }
     }
 
@@ -981,14 +991,7 @@ mod tests {
     #[test]
     fn a_view_too_narrow_to_split_trains_unsplit() {
         let (init, _, _) = tiny_scene();
-        let cam = Camera::look_at(
-            1,
-            36,
-            std::f32::consts::FRAC_PI_2,
-            Vec3::new(0.0, 0.0, -4.0),
-            Vec3::ZERO,
-            Vec3::new(0.0, 1.0, 0.0),
-        );
+        let cam = camera_at_origin(1);
         let target = Image::filled(1, 36, [0.5; 3]);
         let cfg = TrainConfig::fast_test(1).with_mem_limit(0.0);
         let mut trainer = laptop_trainer(cfg, OffloadOptions::full(), &init);
@@ -1048,21 +1051,17 @@ mod tests {
 
     #[test]
     fn system_names_match_figure_11_legend() {
-        assert_eq!(
-            OffloadOptions::baseline().system_name(),
-            "Baseline GS-Scale"
-        );
-        assert_eq!(
-            OffloadOptions::without_deferred().system_name(),
-            "GS-Scale (w/o Deferred Adam)"
-        );
-        assert_eq!(
-            OffloadOptions::full().system_name(),
-            "GS-Scale (all optimizations)"
-        );
-        assert_eq!(
-            OffloadOptions::for_system(SystemKind::GsScale),
-            OffloadOptions::full()
-        );
+        for (options, name) in [
+            (OffloadOptions::baseline(), "Baseline GS-Scale"),
+            (
+                OffloadOptions::without_deferred(),
+                "GS-Scale (w/o Deferred Adam)",
+            ),
+            (OffloadOptions::full(), "GS-Scale (all optimizations)"),
+        ] {
+            assert_eq!(options.system_name(), name);
+        }
+        let gs_scale = OffloadOptions::for_system(SystemKind::GsScale);
+        assert_eq!(gs_scale, OffloadOptions::full());
     }
 }
