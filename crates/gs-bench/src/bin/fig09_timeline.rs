@@ -40,7 +40,7 @@ fn main() {
 
     for kind in SystemKind::ALL {
         let mut trainer =
-            OffloadTrainer::for_system(kind, cfg.clone(), platform.clone(), init.clone(), extent)
+            OffloadTrainer::new(cfg.clone(), kind, platform.clone(), init.clone(), extent)
                 .expect("fits at runnable scale");
         let stats = trainer.step(&cam, &target).expect("step");
         print_iteration(kind, &stats);

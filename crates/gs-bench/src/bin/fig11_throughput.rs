@@ -29,44 +29,49 @@ fn main() {
         PlatformSpec::desktop_rtx4080s(),
     ];
 
-    // Scene list matching the figure: each scene plus its "small" variant
-    // (Aerial has none).
-    let mut variants: Vec<(ScenePreset, &str, usize)> = Vec::new();
-    for preset in ScenePreset::ALL {
-        if preset.has_small_variant() {
-            variants.push((preset.clone(), "small", preset.paper_gaussians_small));
-        }
-        variants.push((preset.clone(), "full", preset.paper_gaussians));
-    }
-
     for platform in &platforms {
         let mut rows = Vec::new();
-        for (preset, variant, paper_gaussians) in &variants {
-            let scene = build_scene(preset, &scale);
-            let cfg = TrainConfig::fast_test(scale.iterations);
-
-            // Baseline throughput for normalization.
-            let baseline = measure_run(SystemKind::BaselineOffload, platform, &scene, &cfg, &scale)
-                .expect("baseline offloading fits")
-                .throughput_images_per_s();
-
-            let mut row = vec![format!(
-                "{}{}",
-                preset.name,
-                if *variant == "small" { " (small)" } else { "" }
-            )];
-            for kind in SystemKind::ALL {
-                if kind == SystemKind::GpuOnly && gpu_only_ooms(preset, *paper_gaussians, platform)
-                {
-                    row.push("OOM".to_string());
-                    continue;
-                }
-                let throughput = measure_run(kind, platform, &scene, &cfg, &scale)
-                    .map(|r| r.throughput_images_per_s())
-                    .unwrap_or(0.0);
-                row.push(format!("{:.2}", throughput / baseline));
+        for preset in ScenePreset::ALL {
+            // Each scene plus its "small" variant (Aerial has none). Both
+            // train the same scene, since `build_scene` ignores the paper
+            // size, so they share one run per system; only whether GPU-only
+            // fits at paper scale differs.
+            let mut variants = Vec::new();
+            if preset.has_small_variant() {
+                let label = format!("{} (small)", preset.name);
+                variants.push((label, preset.paper_gaussians_small));
             }
-            rows.push(row);
+            variants.push((preset.name.to_string(), preset.paper_gaussians));
+            let fits = |gaussians| !gpu_only_ooms(&preset, gaussians, platform);
+            let gpu_only_fits = variants.iter().any(|&(_, n)| fits(n));
+
+            let scene = build_scene(&preset, &scale);
+            let cfg = TrainConfig::fast_test(scale.iterations);
+            let throughput = |kind| {
+                measure_run(kind, platform, &scene, &cfg, &scale)
+                    .map(|r| r.throughput_images_per_s())
+            };
+            // The baseline column's own run is the normalization.
+            let baseline =
+                throughput(SystemKind::BaselineOffload).expect("baseline offloading fits");
+            let throughputs = SystemKind::ALL.map(|kind| match kind {
+                SystemKind::BaselineOffload => Some(baseline),
+                SystemKind::GpuOnly if !gpu_only_fits => None,
+                _ => Some(throughput(kind).unwrap_or(0.0)),
+            });
+
+            for (label, gaussians) in variants {
+                let mut row = vec![label];
+                for (kind, throughput) in SystemKind::ALL.into_iter().zip(throughputs) {
+                    row.push(match throughput {
+                        Some(t) if kind != SystemKind::GpuOnly || fits(gaussians) => {
+                            format!("{:.2}", t / baseline)
+                        }
+                        _ => "OOM".to_string(),
+                    });
+                }
+                rows.push(row);
+            }
         }
         print_table(
             &format!(

@@ -1,13 +1,10 @@
 //! Reproduces Figure 16: impact of the training image resolution on GS-Scale's
 //! GPU memory usage and throughput relative to GPU-only (Rubble, desktop).
 
-use gs_bench::{build_scene, initial_params, print_table, ExperimentScale};
+use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{
-    estimate_gpu_memory, train, GpuOnlyTrainer, OffloadOptions, OffloadTrainer, SystemKind,
-    TrainConfig,
-};
+use gs_train::{estimate_gpu_memory, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -36,43 +33,27 @@ fn main() {
             .map(|c| c.scaled(res_factor))
             .collect();
 
-        let init = initial_params(&scene);
-        let extent = scene.scene_extent();
-        let mut gpu_only = GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), extent)
-            .expect("fits at runnable scale");
-        let gpu_run = train(&mut gpu_only, &scene, scale.iterations, false).expect("train");
-        let mut gss = OffloadTrainer::new(
-            cfg.clone(),
-            OffloadOptions::full(),
-            platform.clone(),
-            init,
-            extent,
-        )
-        .expect("fits");
-        let gss_run = train(&mut gss, &scene, scale.iterations, false).expect("train");
+        let throughput = |kind| {
+            measure_run(kind, &platform, &scene, &cfg, &scale)
+                .expect("fits at runnable scale")
+                .throughput_images_per_s()
+        };
 
-        // Paper-scale analytic memory ratio at this resolution.
-        let mem_gpu = estimate_gpu_memory(
-            SystemKind::GpuOnly,
-            preset.paper_gaussians,
-            preset.active_ratio,
-            paper_pixels,
-            0.3,
-        );
-        let mem_gss = estimate_gpu_memory(
-            SystemKind::GsScale,
-            preset.paper_gaussians,
-            preset.active_ratio,
-            paper_pixels,
-            0.3,
-        );
+        // Paper-scale analytic memory at this resolution.
+        let memory = |kind| {
+            let (n, ratio) = (preset.paper_gaussians, preset.active_ratio);
+            estimate_gpu_memory(kind, n, ratio, paper_pixels, 0.3).total() as f64
+        };
 
         rows.push(vec![
             label.to_string(),
-            format!("{:.2}", mem_gss.total() as f64 / mem_gpu.total() as f64),
             format!(
                 "{:.2}",
-                gss_run.run.throughput_images_per_s() / gpu_run.run.throughput_images_per_s()
+                memory(SystemKind::GsScale) / memory(SystemKind::GpuOnly)
+            ),
+            format!(
+                "{:.2}",
+                throughput(SystemKind::GsScale) / throughput(SystemKind::GpuOnly)
             ),
         ]);
     }

@@ -128,8 +128,7 @@ pub fn measure_run(
 ) -> Result<RunStats> {
     let init = initial_params(scene);
     let extent = scene.scene_extent();
-    let mut trainer =
-        OffloadTrainer::for_system(kind, config.clone(), platform.clone(), init, extent)?;
+    let mut trainer = OffloadTrainer::new(config.clone(), kind, platform.clone(), init, extent)?;
     Ok(train(&mut trainer, scene, scale.iterations, false)?.run)
 }
 
@@ -148,8 +147,7 @@ pub fn quality_after_training(
 ) -> Result<(QualityReport, usize)> {
     let init = initial_params(scene);
     let extent = scene.scene_extent();
-    let mut trainer =
-        OffloadTrainer::for_system(kind, config.clone(), platform.clone(), init, extent)?;
+    let mut trainer = OffloadTrainer::new(config.clone(), kind, platform.clone(), init, extent)?;
     let outcome = train(&mut trainer, scene, iterations, true)?;
     Ok((
         outcome.quality.expect("evaluation requested"),

@@ -100,8 +100,8 @@ pub fn evaluate(params: &GaussianParams, scene: &SceneDataset) -> QualityReport 
 mod tests {
     use super::*;
     use crate::config::TrainConfig;
-    use crate::gpu_only::GpuOnlyTrainer;
-    use crate::offload::{OffloadOptions, OffloadTrainer};
+    use crate::memory_model::SystemKind;
+    use crate::offload::OffloadTrainer;
     use gs_core::scene::init_gaussians_from_point_cloud;
     use gs_platform::PlatformSpec;
     use gs_scene::SceneConfig;
@@ -131,7 +131,7 @@ mod tests {
         let cfg = TrainConfig::fast_test(60);
         let mut trainer = OffloadTrainer::new(
             cfg,
-            OffloadOptions::full(),
+            SystemKind::GsScale,
             PlatformSpec::laptop_rtx4070m(),
             init,
             scene.scene_extent(),
@@ -157,8 +157,9 @@ mod tests {
         let cfg = TrainConfig::fast_test(40);
         let platform = PlatformSpec::desktop_rtx4080s();
 
-        let mut gpu_only = GpuOnlyTrainer::new(
+        let mut gpu_only = OffloadTrainer::new(
             cfg.clone(),
+            SystemKind::GpuOnly,
             platform.clone(),
             init.clone(),
             scene.scene_extent(),
@@ -171,7 +172,7 @@ mod tests {
 
         let mut gss = OffloadTrainer::new(
             cfg,
-            OffloadOptions::full(),
+            SystemKind::GsScale,
             platform,
             init,
             scene.scene_extent(),
@@ -197,7 +198,7 @@ mod tests {
         let cfg = TrainConfig::fast_test(12);
         let mut trainer = OffloadTrainer::new(
             cfg,
-            OffloadOptions::baseline(),
+            SystemKind::BaselineOffload,
             PlatformSpec::laptop_rtx4070m(),
             init,
             scene.scene_extent(),

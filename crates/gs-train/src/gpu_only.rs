@@ -4,10 +4,10 @@
 //! throughout the paper's evaluation, and the one that hits out-of-memory
 //! failures on large scenes (Figure 11).
 //!
-//! GPU-only is a placement, not a trainer of its own: it runs
-//! [`OffloadTrainer`]'s step with the baseline options and every buffer
-//! resident on the GPU, so nothing transfers and one GPU optimizer updates
-//! all 59 columns (see [`OffloadTrainer::for_system`]).
+//! GPU-only is a placement, not a trainer of its own:
+//! [`OffloadTrainer::new`] with [`SystemKind::GpuOnly`] runs the shared step
+//! with every buffer resident on the GPU, so nothing transfers and one GPU
+//! optimizer updates all 59 columns.
 
 use gs_core::error::Result;
 use gs_core::gaussian::GaussianParams;
@@ -17,19 +17,17 @@ use crate::config::TrainConfig;
 use crate::memory_model::SystemKind;
 use crate::offload::OffloadTrainer;
 
-/// The GPU-only system's constructor, under the name the figures and the
-/// benchmark call.
+/// The GPU-only system's constructor, under the name `bench/` calls.
 ///
 /// The type has no values: [`GpuOnlyTrainer::new`] returns the shared
-/// [`OffloadTrainer`]. A wrapper struct would have to forward every
-/// [`crate::Trainer`] method while adding no behaviour, and a unit struct
-/// could be built and then do nothing.
+/// [`OffloadTrainer`]. `bench/` is its only caller; ROADMAP item 3, which
+/// folds the figure binaries into `bench/`, deletes it.
 #[derive(Debug)]
 pub enum GpuOnlyTrainer {}
 
 impl GpuOnlyTrainer {
     /// Creates a GPU-only trainer:
-    /// `OffloadTrainer::for_system(SystemKind::GpuOnly, ..)`.
+    /// `OffloadTrainer::new(config, SystemKind::GpuOnly, ..)`.
     ///
     /// # Errors
     ///
@@ -42,9 +40,9 @@ impl GpuOnlyTrainer {
         init_params: GaussianParams,
         scene_extent: f32,
     ) -> Result<OffloadTrainer> {
-        OffloadTrainer::for_system(
-            SystemKind::GpuOnly,
+        OffloadTrainer::new(
             config,
+            SystemKind::GpuOnly,
             platform,
             init_params,
             scene_extent,
@@ -85,11 +83,25 @@ mod tests {
     }
 
     #[test]
+    fn the_shim_builds_the_gpu_only_system() {
+        let (init, _, _) = tiny_scene();
+        let platform = PlatformSpec::laptop_rtx4070m();
+        let trainer = GpuOnlyTrainer::new(TrainConfig::fast_test(1), platform, init, 10.0).unwrap();
+        assert_eq!(trainer.name(), SystemKind::GpuOnly.name());
+    }
+
+    #[test]
     fn training_reduces_loss() {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(30);
-        let mut trainer =
-            GpuOnlyTrainer::new(cfg, PlatformSpec::laptop_rtx4070m(), init, 10.0).unwrap();
+        let mut trainer = OffloadTrainer::new(
+            cfg,
+            SystemKind::GpuOnly,
+            PlatformSpec::laptop_rtx4070m(),
+            init,
+            10.0,
+        )
+        .unwrap();
         let first = trainer.step(&cam, &target).unwrap();
         let mut last = first.clone();
         for _ in 0..30 {
@@ -112,7 +124,7 @@ mod tests {
         // cannot hold them.
         let platform = PlatformSpec::laptop_rtx4070m().with_gpu_memory(1024);
         let cfg = TrainConfig::fast_test(10);
-        let err = GpuOnlyTrainer::new(cfg, platform, init, 10.0).unwrap_err();
+        let err = OffloadTrainer::new(cfg, SystemKind::GpuOnly, platform, init, 10.0).unwrap_err();
         assert!(err.is_oom());
     }
 
@@ -120,8 +132,14 @@ mod tests {
     fn iteration_stats_are_consistent() {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(10);
-        let mut trainer =
-            GpuOnlyTrainer::new(cfg, PlatformSpec::desktop_rtx4080s(), init, 10.0).unwrap();
+        let mut trainer = OffloadTrainer::new(
+            cfg,
+            SystemKind::GpuOnly,
+            PlatformSpec::desktop_rtx4080s(),
+            init,
+            10.0,
+        )
+        .unwrap();
         let stats = trainer.step(&cam, &target).unwrap();
         assert_eq!(stats.total_gaussians, 3);
         assert_eq!(stats.active_gaussians, 3);
@@ -145,8 +163,14 @@ mod tests {
             prune_opacity: 0.0,
             max_gaussians: 0,
         };
-        let mut trainer =
-            GpuOnlyTrainer::new(cfg, PlatformSpec::desktop_rtx4080s(), init, 1.0).unwrap();
+        let mut trainer = OffloadTrainer::new(
+            cfg,
+            SystemKind::GpuOnly,
+            PlatformSpec::desktop_rtx4080s(),
+            init,
+            1.0,
+        )
+        .unwrap();
         let before_mem = trainer.peak_gpu_memory();
         for _ in 0..5 {
             trainer.step(&cam, &target).unwrap();

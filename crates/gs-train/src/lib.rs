@@ -3,13 +3,14 @@
 //! optimizations (selective offloading, parameter forwarding, deferred
 //! optimizer updates) plus balance-aware image splitting.
 //!
-//! All four systems run *one training step* ([`OffloadTrainer`], built for a
-//! system by [`OffloadTrainer::for_system`]) over the same functional
-//! pipeline (the `gs-render` renderer and `gs-optim` optimizers), so trained
-//! parameters are directly comparable across systems — the property behind
-//! Table 3 of the paper. What differs between systems is *where* data lives
-//! and *when* work runs: a placement derived from the system, which the step
-//! expresses through:
+//! A system is a [`SystemKind`]. All four run *one training step*
+//! ([`OffloadTrainer`], built for a system by [`OffloadTrainer::new`]) over
+//! the same functional pipeline (the `gs-render` renderer and `gs-optim`
+//! optimizers), so trained parameters are directly comparable across
+//! systems — the property behind Table 3 of the paper. Only the deferred
+//! update changes what the host executes. Otherwise systems differ in
+//! *where* data lives and *when* work runs: a placement derived from the
+//! system, which the step expresses through:
 //!
 //! * per-device [`gs_platform::MemoryPool`]s (peak GPU memory, OOM behaviour),
 //! * a per-iteration [`gs_platform::TimelineSim`] built from roofline kernel
@@ -25,11 +26,10 @@
 //!   and the paper-scale estimate that evaluates the same charges.
 //! * [`stats`] — per-iteration and per-run statistics.
 //! * [`offload`] — the training step of every system: the host-offloading
-//!   systems (baseline GS-Scale and GS-Scale with any subset of the
-//!   optimizations) and GPU-only, and which of their mechanisms are
-//!   bit-exact.
-//! * [`gpu_only`] — the GPU-only reference system's constructor, kept under
-//!   its published name.
+//!   systems (the baseline, and GS-Scale with and without the deferred
+//!   update) and GPU-only, and which of their mechanisms are bit-exact.
+//! * [`gpu_only`] — the GPU-only reference system, and its constructor
+//!   under the name the benchmark still calls.
 //! * [`driver`] — the training loop, evaluation, and epoch timing.
 
 #![deny(missing_docs)]

@@ -9,9 +9,10 @@
 use gs_core::gaussian::GaussianParams;
 use gs_platform::MemoryCategory;
 
-use crate::offload::OffloadOptions;
-
-/// Which training system the estimate is for.
+/// A training system of the paper's evaluation, the only description of one
+/// that [`crate::OffloadTrainer::new`] takes. The trainer reads two facts
+/// from it: where the system keeps its buffers, and whether its host
+/// optimizer defers (GS-Scale only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Everything resident on the GPU (no offloading).
@@ -103,23 +104,21 @@ pub(crate) enum Placement {
 }
 
 impl Placement {
-    /// Where `kind` keeps its buffers: GPU-only keeps them all on the GPU,
-    /// every other system where its options put them.
+    /// Where `kind` keeps its buffers.
     pub(crate) fn for_system(kind: SystemKind) -> Self {
-        if kind == SystemKind::GpuOnly {
-            Placement::AllResident
-        } else {
-            Self::offloaded(&OffloadOptions::for_system(kind))
+        match kind {
+            SystemKind::GpuOnly => Placement::AllResident,
+            SystemKind::BaselineOffload => Placement::Host,
+            SystemKind::GsScaleNoDeferred | SystemKind::GsScale => Placement::GeometricResident,
         }
     }
 
-    /// The host placement the options ask for.
-    pub(crate) fn offloaded(options: &OffloadOptions) -> Self {
-        if options.selective_offloading {
-            Placement::GeometricResident
-        } else {
-            Placement::Host
-        }
+    /// Whether the system forwards parameters (its CPU optimizer overlaps
+    /// the GPU passes instead of preceding the next one) and image-splits
+    /// demanding views. Both hold exactly under selective offloading, in
+    /// every system of the paper's evaluation.
+    pub(crate) fn forwards_and_splits(self) -> bool {
+        self == Placement::GeometricResident
     }
 
     /// Whether each pass copies its Gaussians to the GPU and their
@@ -202,7 +201,7 @@ pub fn estimate_gpu_memory(
     mem_limit: f64,
 ) -> MemoryEstimate {
     let placement = Placement::for_system(system);
-    let split = OffloadOptions::for_system(system).image_splitting && active_ratio > mem_limit;
+    let split = placement.forwards_and_splits() && active_ratio > mem_limit;
     let (ratio, pixels) = if split {
         (mem_limit, pixels / 2)
     } else {
@@ -345,8 +344,8 @@ mod tests {
 
     #[test]
     fn baseline_offload_never_splits_the_image() {
-        // The baseline options never image-split, so `mem_limit` moves
-        // none of its terms.
+        // The baseline never image-splits, so `mem_limit` moves none of its
+        // terms.
         let split = estimate_gpu_memory(SystemKind::BaselineOffload, 10 * M, 0.5, 1152 * 864, 0.3);
         let whole = estimate_gpu_memory(SystemKind::BaselineOffload, 10 * M, 0.5, 1152 * 864, 1.0);
         assert_eq!(split, whole);

@@ -1,17 +1,17 @@
 //! The one training step behind all four systems of the paper's evaluation:
-//! the baseline offloading system, GS-Scale with any subset of the paper's
-//! optimizations, and GPU-only.
+//! the baseline offloading system, GS-Scale with and without the deferred
+//! optimizer update, and GPU-only.
 //!
-//! Under offloading, all Gaussian parameters and optimizer states live in
-//! host memory; only the subset needed by the current view is staged on the
-//! GPU. GPU-only is the same step with the baseline options and every buffer
-//! resident on the GPU ([`OffloadTrainer::for_system`]). Where the buffers
-//! live is a private placement derived from the system; it decides what the
-//! step charges to GPU memory and which timeline events it schedules, never
-//! the arithmetic. The placement and its byte charges live in
-//! [`crate::memory_model`], whose [`crate::estimate_gpu_memory`] evaluates
-//! the same charges at paper scale. The [`OffloadOptions`] flags select the
-//! paper's optimizations:
+//! A system is a [`SystemKind`], the one thing [`OffloadTrainer::new`] takes
+//! to choose it. Under offloading, all Gaussian parameters and optimizer
+//! states live in host memory; only the subset needed by the current view is
+//! staged on the GPU. GPU-only is the same step with every buffer resident
+//! on the GPU. Where the buffers live is a private placement derived from
+//! the system; its byte charges live in [`crate::memory_model`], whose
+//! [`crate::estimate_gpu_memory`] evaluates the same charges at paper scale.
+//! GS-Scale applies all four of the paper's optimizations below, GS-Scale
+//! without the deferred update the other three, and the baseline and
+//! GPU-only none:
 //!
 //! * **selective offloading** — geometric attributes (and their optimizer
 //!   state) stay resident on the GPU, so frustum culling and the
@@ -22,22 +22,25 @@
 //! * **deferred optimizer update** — the host optimizer skips Gaussians with
 //!   zero gradients and restores them from a defer counter when needed;
 //! * **image splitting** — a view whose active ratio exceeds `mem_limit` is
-//!   modelled as two passes over balanced sub-viewports; like the placement,
-//!   it decides what the step charges and schedules, never the arithmetic.
+//!   modelled as two passes over balanced sub-viewports.
+//!
+//! Only the deferred update changes what the host executes. The placement,
+//! parameter forwarding and image splitting change only what the step
+//! charges to memory and schedules on the timeline, never the arithmetic.
 //!
 //! # What is exact
 //!
 //! Bit-exact, with the test that pins each:
 //!
-//! * the GPU-only and baseline placements, selective offloading and
+//! * the GPU-only, baseline and selective-offloading placements, and
 //!   parameter forwarding: the same loss and parameter bits after every
 //!   step, with and without densification
 //!   (`placements_and_schedules_train_bit_identically_in_lockstep`, and the
 //!   fingerprints in `trained_parameters_match_golden_fingerprints`);
 //! * the deferred update: the same loss bits after every step and the same
 //!   parameter bits after every densification and flush, against GPU-only
-//!   and against GS-Scale without it, on runs that defer most Gaussians
-//!   (the same lockstep test); deferred Adam equals dense Adam in
+//!   (and so against every system without it), on runs that defer most
+//!   Gaussians (the same lockstep test); deferred Adam equals dense Adam in
 //!   parameters and both moments (`gs-optim`'s
 //!   `deferred_is_bit_identical_to_dense_adam_under_random_activity`, and
 //!   `deferred_adam_tracks_dense_adam` in `tests/property_invariants.rs`);
@@ -95,81 +98,11 @@ use crate::stats::IterationStats;
 use crate::timing::{work_from_estimate, work_from_step};
 use crate::Trainer;
 
-/// Which of the paper's optimizations an [`OffloadTrainer`] applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct OffloadOptions {
-    /// Keep geometric attributes (and their optimizer state) on the GPU and
-    /// run frustum culling there (Section 4.2.1).
-    pub selective_offloading: bool,
-    /// Pipeline the CPU optimizer update with GPU forward/backward via
-    /// parameter forwarding (Section 4.2.2).
-    pub parameter_forwarding: bool,
-    /// Use the deferred optimizer update on the host (Section 4.3).
-    pub deferred_update: bool,
-    /// Model demanding views as two balanced sub-view passes (Section 4.4).
-    pub image_splitting: bool,
-}
-
-impl OffloadOptions {
-    /// The baseline host-offloading system (no optimizations).
-    pub fn baseline() -> Self {
-        Self {
-            selective_offloading: false,
-            parameter_forwarding: false,
-            deferred_update: false,
-            image_splitting: false,
-        }
-    }
-
-    /// GS-Scale with every optimization except the deferred optimizer update
-    /// (the "all w/o Deferred Adam" configuration of Figure 11).
-    pub fn without_deferred() -> Self {
-        Self {
-            selective_offloading: true,
-            parameter_forwarding: true,
-            deferred_update: false,
-            image_splitting: true,
-        }
-    }
-
-    /// GS-Scale with all optimizations.
-    pub fn full() -> Self {
-        Self {
-            selective_offloading: true,
-            parameter_forwarding: true,
-            deferred_update: true,
-            image_splitting: true,
-        }
-    }
-
-    /// The options corresponding to a [`SystemKind`]. GPU-only runs none of
-    /// the optimizations: it differs from the baseline only in placement.
-    pub fn for_system(kind: SystemKind) -> Self {
-        match kind {
-            SystemKind::GpuOnly | SystemKind::BaselineOffload => Self::baseline(),
-            SystemKind::GsScaleNoDeferred => Self::without_deferred(),
-            SystemKind::GsScale => Self::full(),
-        }
-    }
-
-    /// Display name matching the paper's legend.
-    pub fn system_name(&self) -> &'static str {
-        let system = if self.deferred_update {
-            SystemKind::GsScale
-        } else if self.selective_offloading || self.parameter_forwarding {
-            SystemKind::GsScaleNoDeferred
-        } else {
-            SystemKind::BaselineOffload
-        };
-        system.name()
-    }
-}
-
 /// The trainer behind every system (see module docs).
 #[derive(Debug)]
 pub struct OffloadTrainer {
     config: TrainConfig,
-    options: OffloadOptions,
+    kind: SystemKind,
     placement: Placement,
     platform: PlatformSpec,
     /// Host-authoritative parameters. Non-geometric values of deferred
@@ -190,49 +123,16 @@ pub struct OffloadTrainer {
 }
 
 impl OffloadTrainer {
-    /// Creates an offloading trainer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an out-of-memory error if the resident state (host copy, plus
-    /// the GPU-resident geometric attributes under selective offloading)
-    /// does not fit the platform's memories.
-    pub fn new(
-        config: TrainConfig,
-        options: OffloadOptions,
-        platform: PlatformSpec,
-        init: GaussianParams,
-        extent: f32,
-    ) -> Result<Self> {
-        let placement = Placement::offloaded(&options);
-        Self::placed(config, options, placement, platform, init, extent)
-    }
-
-    /// Creates the trainer for one of the four systems of the paper's
-    /// evaluation: [`OffloadOptions::for_system`], placed as the system
-    /// places its buffers. GPU-only is the baseline options with every
-    /// buffer, gradients included, resident on the GPU.
+    /// Creates the trainer for `kind`, one of the four systems of the
+    /// paper's evaluation.
     ///
     /// # Errors
     ///
     /// Returns an out-of-memory error if the system's resident state does
     /// not fit the platform's memories.
-    pub fn for_system(
+    pub fn new(
+        config: TrainConfig,
         kind: SystemKind,
-        config: TrainConfig,
-        platform: PlatformSpec,
-        init: GaussianParams,
-        extent: f32,
-    ) -> Result<Self> {
-        let options = OffloadOptions::for_system(kind);
-        let placement = Placement::for_system(kind);
-        Self::placed(config, options, placement, platform, init, extent)
-    }
-
-    fn placed(
-        config: TrainConfig,
-        options: OffloadOptions,
-        placement: Placement,
         platform: PlatformSpec,
         init: GaussianParams,
         scene_extent: f32,
@@ -242,13 +142,11 @@ impl OffloadTrainer {
         let host_pool = MemoryPool::new("host", platform.cpu.mem_capacity);
         let transfer = TransferModel::new(platform.pcie_bandwidth);
         let dense = DenseAdam::new(config.adam, n);
-        let deferred = options
-            .deferred_update
-            .then(|| DeferredAdam::new(config.adam, n));
+        let deferred = (kind == SystemKind::GsScale).then(|| DeferredAdam::new(config.adam, n));
         let mut trainer = Self {
             config,
-            options,
-            placement,
+            kind,
+            placement: Placement::for_system(kind),
             platform,
             params: init,
             dense,
@@ -262,11 +160,6 @@ impl OffloadTrainer {
         };
         trainer.update_persistent_memory()?;
         Ok(trainer)
-    }
-
-    /// The configured options.
-    pub fn options(&self) -> &OffloadOptions {
-        &self.options
     }
 
     /// The platform this trainer is modelled on.
@@ -342,7 +235,7 @@ impl OffloadTrainer {
         // A view whose active ratio exceeds `mem_limit` (and that has a
         // column to split at) is modelled as two balanced passes, each
         // staging its half's cull and doing the work of rendering it.
-        let split = self.options.image_splitting
+        let split = self.placement.forwards_and_splits()
             && cull.active_ratio() > self.config.mem_limit
             && cam.width >= 2;
         let passes = if split {
@@ -455,7 +348,7 @@ impl OffloadTrainer {
             // has no GPU-side dependents. Serial otherwise: the CPU update
             // follows the backward pass and the gradient transfer back to
             // host memory.
-            let deps = (!self.options.parameter_forwarding).then_some(last_d2h_event);
+            let deps = (!self.placement.forwards_and_splits()).then_some(last_d2h_event);
             sim.schedule(
                 Stream::CpuCompute,
                 "cpu_optimizer",
@@ -481,11 +374,7 @@ impl OffloadTrainer {
 
 impl Trainer for OffloadTrainer {
     fn name(&self) -> &str {
-        if self.placement == Placement::AllResident {
-            SystemKind::GpuOnly.name()
-        } else {
-            self.options.system_name()
-        }
+        self.kind.name()
     }
 
     fn params(&self) -> &GaussianParams {
@@ -545,11 +434,30 @@ impl Trainer for OffloadTrainer {
     }
 }
 
+/// The two GS-Scale systems under the names `bench/` builds them by.
+///
+/// The type has no values: each function returns the [`SystemKind`] that
+/// [`OffloadTrainer::new`] takes. `bench/` is its only caller; ROADMAP item
+/// 3, which folds the figure binaries into `bench/`, deletes it.
+#[derive(Debug)]
+pub enum OffloadOptions {}
+
+impl OffloadOptions {
+    /// GS-Scale without the deferred optimizer update.
+    pub fn without_deferred() -> SystemKind {
+        SystemKind::GsScaleNoDeferred
+    }
+
+    /// GS-Scale with all optimizations.
+    pub fn full() -> SystemKind {
+        SystemKind::GsScale
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::densify::DensifyConfig;
-    use crate::gpu_only::GpuOnlyTrainer;
     use gs_core::math::Vec3;
     use gs_core::scene::init_gaussians_from_point_cloud;
     use gs_render::pipeline::render_image;
@@ -613,31 +521,31 @@ mod tests {
         Ok(())
     }
 
-    /// GPU-only against the baseline, against selective offloading with
-    /// parameter forwarding, against that plus the deferred update (no
-    /// splitting in any of them), and against GS-Scale with and without the
-    /// deferred update (both splitting). The same loss bits after every
-    /// step, and the same parameter bits after every step — or, when one
-    /// side defers, after every densification and after a final flush —
+    /// GPU-only against each offloaded system — the baseline, and GS-Scale
+    /// with and without the deferred update — at the default `mem_limit`
+    /// of 0.3 and at 1.0, where no view splits. The same loss bits after
+    /// every step, and the same parameter bits after every step — or, when
+    /// one side defers, after every densification and after a final flush —
     /// over seeds × active ratio × densification on/off. Four seeds in debug
     /// builds, sixteen in release. The deferring runs must really defer: on
     /// some step the host optimizer updates at most half the Gaussians. The
-    /// splitting runs must really split at active ratios 0.55 and 0.9, which
-    /// exceed the default `mem_limit` of 0.3.
+    /// GS-Scale runs at the default `mem_limit` must really split at active
+    /// ratios 0.55 and 0.9, which exceed it.
     #[test]
     fn placements_and_schedules_train_bit_identically_in_lockstep() {
         const STEPS: usize = 12;
         let seeds = if cfg!(debug_assertions) { 4 } else { 16 };
         let platform = PlatformSpec::laptop_rtx4070m();
-        let resident_pipelined = OffloadOptions {
-            selective_offloading: true,
-            parameter_forwarding: true,
-            ..OffloadOptions::baseline()
-        };
-        let deferring = OffloadOptions {
-            deferred_update: true,
-            ..resident_pipelined
-        };
+        let offloaded = [
+            SystemKind::BaselineOffload,
+            SystemKind::GsScaleNoDeferred,
+            SystemKind::GsScale,
+        ];
+        let default_limit = TrainConfig::fast_test(STEPS).mem_limit;
+        let cases: Vec<(SystemKind, f64)> = [default_limit, 1.0]
+            .into_iter()
+            .flat_map(|mem_limit| offloaded.map(|kind| (kind, mem_limit)))
+            .collect();
         for seed in 0..seeds {
             for active_ratio in [0.15, 0.55, 0.9] {
                 let scene = SceneDataset::generate(SceneConfig {
@@ -673,27 +581,23 @@ mod tests {
                             max_gaussians: 0,
                         };
                     }
-                    for options in [
-                        OffloadOptions::baseline(),
-                        resident_pipelined,
-                        deferring,
-                        OffloadOptions::without_deferred(),
-                        OffloadOptions::full(),
-                    ] {
-                        let (c, i) = (config.clone(), init.clone());
-                        let mut reference =
-                            GpuOnlyTrainer::new(c, platform.clone(), i, extent).unwrap();
-                        let (c, i) = (config.clone(), init.clone());
-                        let mut other =
-                            OffloadTrainer::new(c, options, platform.clone(), i, extent).unwrap();
-                        let case = format!(
-                            "{} vs {options:?}, seed {seed}, active ratio {active_ratio}, \
-                             densify {densifying}",
-                            reference.name()
-                        );
-                        let compare_params = |iteration| {
-                            !options.deferred_update || config.densify.is_due(iteration)
+                    for &(kind, mem_limit) in &cases {
+                        let config = config.clone().with_mem_limit(mem_limit);
+                        let trainer = |kind| {
+                            let (c, p, i) = (config.clone(), platform.clone(), init.clone());
+                            OffloadTrainer::new(c, kind, p, i, extent).unwrap()
                         };
+                        let (mut reference, mut other) =
+                            (trainer(SystemKind::GpuOnly), trainer(kind));
+                        let case = format!(
+                            "{} vs {}, seed {seed}, active ratio {active_ratio}, \
+                             densify {densifying}, mem_limit {mem_limit}",
+                            reference.name(),
+                            other.name()
+                        );
+                        let defers = kind == SystemKind::GsScale;
+                        let compare_params =
+                            |iteration| !defers || config.densify.is_due(iteration);
                         let stats =
                             lockstep(&mut reference, &mut other, &views, STEPS, compare_params)
                                 .unwrap_or_else(|at| panic!("{case}: diverged at {at}"));
@@ -702,16 +606,19 @@ mod tests {
                             densifying,
                             "{case}"
                         );
-                        if options.deferred_update {
-                            let defers =
+                        if defers {
+                            let deferred =
                                 |s: &IterationStats| s.optimizer_updates <= s.total_gaussians / 2;
                             assert!(
-                                stats.iter().any(defers),
+                                stats.iter().any(deferred),
                                 "{case}: never deferred half the rows"
                             );
                         }
-                        if options.image_splitting && active_ratio > config.mem_limit {
-                            assert!(stats.iter().any(|s| s.image_split), "{case}: never split");
+                        let splits = stats.iter().any(|s| s.image_split);
+                        if mem_limit == 1.0 || kind == SystemKind::BaselineOffload {
+                            assert!(!splits, "{case}: split");
+                        } else if active_ratio > mem_limit {
+                            assert!(splits, "{case}: never split");
                         }
                     }
                 }
@@ -749,14 +656,14 @@ mod tests {
             .fold(0.0, |worst, (x, y)| worst.max((x - y).abs()))
     }
 
-    /// A trainer with `options` from `init` on the laptop platform.
+    /// A `kind` trainer from `init` on the laptop platform.
     fn laptop_trainer(
         config: TrainConfig,
-        options: OffloadOptions,
+        kind: SystemKind,
         init: &GaussianParams,
     ) -> OffloadTrainer {
         let platform = PlatformSpec::laptop_rtx4070m();
-        OffloadTrainer::new(config, options, platform, init.clone(), 10.0).unwrap()
+        OffloadTrainer::new(config, kind, platform, init.clone(), 10.0).unwrap()
     }
 
     /// FNV-1a over a byte stream.
@@ -813,8 +720,7 @@ mod tests {
             prune_opacity: 0.0,
             max_gaussians: 0,
         };
-        let mut trainer =
-            GpuOnlyTrainer::new(cfg, PlatformSpec::laptop_rtx4070m(), init, 10.0).unwrap();
+        let mut trainer = laptop_trainer(cfg, SystemKind::GpuOnly, &init);
         let mut steps = Vec::new();
         let mut densified = Vec::new();
         for _ in 0..20 {
@@ -853,7 +759,7 @@ mod tests {
         let platform = PlatformSpec::laptop_rtx4070m();
         SystemKind::ALL.map(|kind| {
             let (cfg, platform, init) = (cfg.clone(), platform.clone(), init.clone());
-            let mut trainer = OffloadTrainer::for_system(kind, cfg, platform, init, 10.0).unwrap();
+            let mut trainer = OffloadTrainer::new(cfg, kind, platform, init, 10.0).unwrap();
             for _ in 0..20 {
                 trainer.step(&cam, &target).unwrap();
             }
@@ -895,9 +801,7 @@ mod tests {
         let (init, cam, target) = tiny_scene();
         for kind in SystemKind::ALL {
             let cfg = TrainConfig::fast_test(1).with_mem_limit(1.0);
-            let platform = PlatformSpec::laptop_rtx4070m();
-            let mut trainer =
-                OffloadTrainer::for_system(kind, cfg, platform, init.clone(), 10.0).unwrap();
+            let mut trainer = laptop_trainer(cfg, kind, &init);
             let stats = trainer.step(&cam, &target).unwrap();
             assert!(!stats.image_split, "{kind:?}");
             let (active, n) = (stats.active_gaussians, stats.total_gaussians);
@@ -913,9 +817,8 @@ mod tests {
     fn offload_uses_less_gpu_memory_than_gpu_only() {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(5);
-        let platform = PlatformSpec::laptop_rtx4070m();
-        let mut gpu_only = GpuOnlyTrainer::new(cfg.clone(), platform, init.clone(), 10.0).unwrap();
-        let mut offload = laptop_trainer(cfg, OffloadOptions::full(), &init);
+        let mut gpu_only = laptop_trainer(cfg.clone(), SystemKind::GpuOnly, &init);
+        let mut offload = laptop_trainer(cfg, SystemKind::GsScale, &init);
         for _ in 0..5 {
             gpu_only.step(&cam, &target).unwrap();
             offload.step(&cam, &target).unwrap();
@@ -930,8 +833,8 @@ mod tests {
     fn deferred_update_touches_fewer_gaussians() {
         let (init, cam, target) = tiny_scene();
         let cfg = TrainConfig::fast_test(5);
-        let mut full = laptop_trainer(cfg.clone(), OffloadOptions::full(), &init);
-        let mut baseline = laptop_trainer(cfg, OffloadOptions::baseline(), &init);
+        let mut full = laptop_trainer(cfg.clone(), SystemKind::GsScale, &init);
+        let mut baseline = laptop_trainer(cfg, SystemKind::BaselineOffload, &init);
         // The far-away Gaussian (index 3) never receives gradients, so the
         // deferred optimizer should touch fewer Gaussians than the dense one.
         let full_stats = full.step(&cam, &target).unwrap();
@@ -940,24 +843,27 @@ mod tests {
         assert_eq!(base_stats.optimizer_updates, 4);
     }
 
+    /// The baseline runs every phase serially, so its modelled step takes
+    /// the sum of its phase times. Under parameter forwarding the CPU
+    /// optimizer overlaps the GPU work, so the step takes strictly less.
     #[test]
     fn parameter_forwarding_hides_the_cpu_optimizer() {
-        // Identical configuration except the forwarding flag: with
-        // forwarding, the CPU optimizer update no longer sits on the critical
-        // path, so the simulated iteration time must be strictly shorter.
         let (init, cam, target) = tiny_scene();
-        let cfg = TrainConfig::fast_test(5);
-        let no_forwarding = OffloadOptions {
-            parameter_forwarding: false,
-            ..OffloadOptions::full()
+        let step = |kind| {
+            let mut trainer = laptop_trainer(TrainConfig::fast_test(5), kind, &init);
+            let stats = trainer.step(&cam, &target).unwrap();
+            let serial: f64 = stats.phase_breakdown.values().sum();
+            (stats.sim_time_s, serial)
         };
-        let mut serial = laptop_trainer(cfg.clone(), no_forwarding, &init);
-        let mut pipelined = laptop_trainer(cfg, OffloadOptions::full(), &init);
-        let t_serial = serial.step(&cam, &target).unwrap().sim_time_s;
-        let t_pipelined = pipelined.step(&cam, &target).unwrap().sim_time_s;
+        let (baseline, serial) = step(SystemKind::BaselineOffload);
         assert!(
-            t_pipelined < t_serial,
-            "pipelined iteration ({t_pipelined}s) should be faster than serial ({t_serial}s)"
+            (baseline - serial).abs() < 1e-12,
+            "{baseline}s vs {serial}s"
+        );
+        let (pipelined, serial) = step(SystemKind::GsScaleNoDeferred);
+        assert!(
+            pipelined < serial - 1e-12,
+            "pipelined iteration ({pipelined}s) should be faster than serial ({serial}s)"
         );
     }
 
@@ -966,7 +872,7 @@ mod tests {
         let (init, cam, target) = tiny_scene();
         // With mem_limit 0 every non-empty view exceeds the threshold.
         let cfg = TrainConfig::fast_test(5).with_mem_limit(0.0);
-        let mut trainer = laptop_trainer(cfg, OffloadOptions::full(), &init);
+        let mut trainer = laptop_trainer(cfg, SystemKind::GsScale, &init);
         let stats = trainer.step(&cam, &target).unwrap();
         assert!(stats.image_split);
     }
@@ -974,11 +880,11 @@ mod tests {
     #[test]
     fn image_splitting_preserves_training_results() {
         let (init, cam, target) = tiny_scene();
-        // Same options, but one trainer never splits (mem_limit 1) and the
+        // Same system, but one trainer never splits (mem_limit 1) and the
         // other splits every view (mem_limit 0).
         let trainer = |mem_limit| {
             let cfg = TrainConfig::fast_test(10).with_mem_limit(mem_limit);
-            laptop_trainer(cfg, OffloadOptions::without_deferred(), &init)
+            laptop_trainer(cfg, SystemKind::GsScaleNoDeferred, &init)
         };
         let (mut whole, mut split) = (trainer(1.0), trainer(0.0));
         for _ in 0..10 {
@@ -994,7 +900,7 @@ mod tests {
         let cam = camera_at_origin(1);
         let target = Image::filled(1, 36, [0.5; 3]);
         let cfg = TrainConfig::fast_test(1).with_mem_limit(0.0);
-        let mut trainer = laptop_trainer(cfg, OffloadOptions::full(), &init);
+        let mut trainer = laptop_trainer(cfg, SystemKind::GsScale, &init);
         let stats = trainer.step(&cam, &target).unwrap();
         assert!(stats.active_gaussians > 0);
         assert!(!stats.image_split);
@@ -1012,7 +918,7 @@ mod tests {
             PlatformSpec::laptop_rtx4070m().with_gpu_memory(resident_bytes + staged_bytes + 100);
         let mut trainer = OffloadTrainer::new(
             TrainConfig::fast_test(5),
-            OffloadOptions::full(),
+            SystemKind::GsScale,
             platform,
             init.clone(),
             10.0,
@@ -1029,8 +935,14 @@ mod tests {
         // for the view's activations.
         let all_resident = 4 * 4 * 236;
         let platform = PlatformSpec::laptop_rtx4070m().with_gpu_memory(all_resident + 100);
-        let mut gpu_only =
-            GpuOnlyTrainer::new(TrainConfig::fast_test(5), platform, init, 10.0).unwrap();
+        let mut gpu_only = OffloadTrainer::new(
+            TrainConfig::fast_test(5),
+            SystemKind::GpuOnly,
+            platform,
+            init,
+            10.0,
+        )
+        .unwrap();
         assert_eq!(gpu_only.gpu_pool.used_total(), all_resident);
         for _ in 0..2 {
             assert!(gpu_only.step(&cam, &target).unwrap_err().is_oom());
@@ -1041,27 +953,36 @@ mod tests {
     #[test]
     fn selective_offloading_keeps_geometric_state_on_gpu() {
         let (init, _cam, _target) = tiny_scene();
-        let geometric = |options| {
-            let trainer = laptop_trainer(TrainConfig::fast_test(5), options, &init);
+        let geometric = |kind| {
+            let trainer = laptop_trainer(TrainConfig::fast_test(5), kind, &init);
             trainer.gpu_pool.peak(MemoryCategory::GeometricParameters)
         };
-        assert!(geometric(OffloadOptions::full()) > 0);
-        assert_eq!(geometric(OffloadOptions::baseline()), 0);
+        assert!(geometric(SystemKind::GsScale) > 0);
+        assert_eq!(geometric(SystemKind::BaselineOffload), 0);
     }
 
     #[test]
     fn system_names_match_figure_11_legend() {
-        for (options, name) in [
-            (OffloadOptions::baseline(), "Baseline GS-Scale"),
-            (
-                OffloadOptions::without_deferred(),
-                "GS-Scale (w/o Deferred Adam)",
-            ),
-            (OffloadOptions::full(), "GS-Scale (all optimizations)"),
-        ] {
-            assert_eq!(options.system_name(), name);
+        let (init, _, _) = tiny_scene();
+        let legend = [
+            "Baseline GS-Scale",
+            "GS-Scale (w/o Deferred Adam)",
+            "GS-Scale (all optimizations)",
+            "GPU-Only",
+        ];
+        for (kind, name) in SystemKind::ALL.into_iter().zip(legend) {
+            let trainer = laptop_trainer(TrainConfig::fast_test(1), kind, &init);
+            assert_eq!(trainer.name(), kind.name());
+            assert_eq!(trainer.name(), name);
         }
-        let gs_scale = OffloadOptions::for_system(SystemKind::GsScale);
-        assert_eq!(gs_scale, OffloadOptions::full());
+    }
+
+    #[test]
+    fn the_options_shim_names_the_gs_scale_systems() {
+        assert_eq!(OffloadOptions::full(), SystemKind::GsScale);
+        assert_eq!(
+            OffloadOptions::without_deferred(),
+            SystemKind::GsScaleNoDeferred
+        );
     }
 }

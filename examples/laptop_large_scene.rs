@@ -19,10 +19,7 @@
 use gs_scale::core::scene::init_gaussians_from_point_cloud;
 use gs_scale::platform::PlatformSpec;
 use gs_scale::scene::{SceneDataset, ScenePreset};
-use gs_scale::train::{
-    estimate_gpu_memory, train, GpuOnlyTrainer, OffloadOptions, OffloadTrainer, SystemKind,
-    TrainConfig,
-};
+use gs_scale::train::{estimate_gpu_memory, train, OffloadTrainer, SystemKind, TrainConfig};
 
 fn main() {
     let preset = ScenePreset::RUBBLE;
@@ -62,8 +59,9 @@ fn main() {
     );
 
     // 1. GPU-only: expected to fail with OOM.
-    match GpuOnlyTrainer::new(
+    match OffloadTrainer::new(
         TrainConfig::fast_test(100),
+        SystemKind::GpuOnly,
         constrained.clone(),
         init.clone(),
         scene.scene_extent(),
@@ -75,7 +73,7 @@ fn main() {
     // 2. GS-Scale: trains under the same constraint.
     let mut trainer = OffloadTrainer::new(
         TrainConfig::reference(200, scene.scene_extent()),
-        OffloadOptions::full(),
+        SystemKind::GsScale,
         constrained,
         init,
         scene.scene_extent(),

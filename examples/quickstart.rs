@@ -10,7 +10,7 @@
 use gs_scale::core::scene::init_gaussians_from_point_cloud;
 use gs_scale::platform::PlatformSpec;
 use gs_scale::scene::{SceneConfig, SceneDataset};
-use gs_scale::train::{evaluate, train, OffloadOptions, OffloadTrainer, TrainConfig, Trainer};
+use gs_scale::train::{evaluate, train, OffloadTrainer, SystemKind, TrainConfig, Trainer};
 
 fn main() {
     // 1. Generate a small city-like scene: ground-truth Gaussians, an
@@ -51,7 +51,7 @@ fn main() {
     let config = TrainConfig::reference(300, scene.scene_extent());
     let mut trainer = OffloadTrainer::new(
         config,
-        OffloadOptions::full(),
+        SystemKind::GsScale,
         platform,
         init,
         scene.scene_extent(),

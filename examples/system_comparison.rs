@@ -45,9 +45,9 @@ fn main() {
     let mut baseline_throughput = None;
     for kind in SystemKind::ALL {
         let config = TrainConfig::reference(iterations, scene.scene_extent());
-        let mut trainer = OffloadTrainer::for_system(
-            kind,
+        let mut trainer = OffloadTrainer::new(
             config,
+            kind,
             platform.clone(),
             init.clone(),
             scene.scene_extent(),

@@ -18,8 +18,7 @@ use gs_scale::render::pipeline::{render, render_backward, to_sparse_grads};
 use gs_scale::scene::{SceneConfig, SceneDataset};
 use gs_scale::train::splitting::find_balanced_split;
 use gs_scale::train::{
-    evaluate, train, GpuOnlyTrainer, IterationStats, OffloadOptions, OffloadTrainer, SystemKind,
-    TrainConfig, Trainer,
+    evaluate, train, IterationStats, OffloadTrainer, SystemKind, TrainConfig, Trainer,
 };
 
 fn test_scene(seed: u64) -> SceneDataset {
@@ -66,8 +65,7 @@ fn run_system(
     let init = init_gaussians_from_point_cloud(&scene.init_cloud, 0.3);
     let cfg = TrainConfig::fast_test(iterations);
     let mut trainer =
-        OffloadTrainer::for_system(kind, cfg, platform.clone(), init, scene.scene_extent())
-            .unwrap();
+        OffloadTrainer::new(cfg, kind, platform.clone(), init, scene.scene_extent()).unwrap();
     let o = train(&mut trainer, scene, iterations, true).unwrap();
     (o.run, o.quality.unwrap())
 }
@@ -166,8 +164,9 @@ fn densification_grows_models_identically_across_systems() {
         max_gaussians: 0,
     };
 
-    let mut gpu_only = GpuOnlyTrainer::new(
+    let mut gpu_only = OffloadTrainer::new(
         cfg.clone(),
+        SystemKind::GpuOnly,
         platform.clone(),
         init.clone(),
         scene.scene_extent(),
@@ -177,7 +176,7 @@ fn densification_grows_models_identically_across_systems() {
 
     let mut gs = OffloadTrainer::new(
         cfg,
-        OffloadOptions::full(),
+        SystemKind::GsScale,
         platform,
         init,
         scene.scene_extent(),
@@ -220,13 +219,19 @@ fn gpu_only_ooms_on_constrained_gpu_but_gs_scale_survives() {
     let platform = PlatformSpec::laptop_rtx4070m().with_gpu_memory(capacity);
     let cfg = TrainConfig::fast_test(4);
 
-    let gpu_only = GpuOnlyTrainer::new(cfg.clone(), platform.clone(), init.clone(), 60.0);
+    let gpu_only = OffloadTrainer::new(
+        cfg.clone(),
+        SystemKind::GpuOnly,
+        platform.clone(),
+        init.clone(),
+        60.0,
+    );
     assert!(gpu_only.is_err());
     assert!(gpu_only.err().unwrap().is_oom());
 
     let mut gs = OffloadTrainer::new(
         cfg,
-        OffloadOptions::full(),
+        SystemKind::GsScale,
         platform,
         init,
         scene.scene_extent(),
@@ -279,13 +284,16 @@ struct ReferenceTrainer {
 impl ReferenceTrainer {
     fn new(
         config: TrainConfig,
-        options: OffloadOptions,
+        kind: SystemKind,
         platform: PlatformSpec,
         init: GaussianParams,
     ) -> Self {
-        assert!(options.selective_offloading && options.parameter_forwarding);
+        assert!(matches!(
+            kind,
+            SystemKind::GsScale | SystemKind::GsScaleNoDeferred
+        ));
         let n = init.len();
-        let deferred = options.deferred_update;
+        let deferred = kind == SystemKind::GsScale;
         Self {
             geometric: DenseAdam::new(config.adam, n),
             deferred: deferred.then(|| DeferredAdam::new(config.adam, n)),
@@ -417,20 +425,20 @@ fn offload_step_is_bit_identical_to_the_densified_reference_step() {
         .collect();
     let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
 
-    for options in [OffloadOptions::full(), OffloadOptions::without_deferred()] {
+    for kind in [SystemKind::GsScale, SystemKind::GsScaleNoDeferred] {
         // mem_limit 0 splits every view, 1 splits none.
         for mem_limit in [0.0, 1.0] {
             let config = TrainConfig::fast_test(10).with_mem_limit(mem_limit);
             let platform = PlatformSpec::laptop_rtx4070m();
             let mut trainer = OffloadTrainer::new(
                 config.clone(),
-                options,
+                kind,
                 platform.clone(),
                 init.clone(),
                 scene.scene_extent(),
             )
             .unwrap();
-            let mut reference = ReferenceTrainer::new(config, options, platform, init.clone());
+            let mut reference = ReferenceTrainer::new(config, kind, platform, init.clone());
             for step in 0..10 {
                 let (cam, target) = &views[step % views.len()];
                 let stats = trainer.step(cam, target).unwrap();
