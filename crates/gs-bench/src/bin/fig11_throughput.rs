@@ -43,7 +43,6 @@ fn main() {
             }
             variants.push((preset.name.to_string(), preset.paper_gaussians));
             let fits = |gaussians| !gpu_only_ooms(&preset, gaussians, platform);
-            let gpu_only_fits = variants.iter().any(|&(_, n)| fits(n));
 
             let scene = build_scene(&preset, &scale);
             let cfg = TrainConfig::fast_test(scale.iterations);
@@ -54,22 +53,22 @@ fn main() {
             // The baseline column's own run is the normalization.
             let baseline =
                 throughput(SystemKind::BaselineOffload).expect("baseline offloading fits");
-            let throughputs = SystemKind::ALL.map(|kind| match kind {
-                SystemKind::BaselineOffload => Some(baseline),
-                SystemKind::GpuOnly if !gpu_only_fits => None,
-                _ => Some(throughput(kind).unwrap_or(0.0)),
-            });
-
+            let normalized = |t: f64| format!("{:.2}", t / baseline);
+            let mut offloaded = vec![normalized(baseline)];
+            for kind in [SystemKind::GsScaleNoDeferred, SystemKind::GsScale] {
+                offloaded.push(normalized(throughput(kind).unwrap_or(0.0)));
+            }
+            // GPU-only trains at most once: the first time a variant fits.
+            let mut gpu_only = None;
             for (label, gaussians) in variants {
                 let mut row = vec![label];
-                for (kind, throughput) in SystemKind::ALL.into_iter().zip(throughputs) {
-                    row.push(match throughput {
-                        Some(t) if kind != SystemKind::GpuOnly || fits(gaussians) => {
-                            format!("{:.2}", t / baseline)
-                        }
-                        _ => "OOM".to_string(),
-                    });
-                }
+                row.extend(offloaded.iter().cloned());
+                row.push(if fits(gaussians) {
+                    let run = || throughput(SystemKind::GpuOnly).unwrap_or(0.0);
+                    normalized(*gpu_only.get_or_insert_with(run))
+                } else {
+                    "OOM".to_string()
+                });
                 rows.push(row);
             }
         }
