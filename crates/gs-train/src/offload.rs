@@ -703,12 +703,9 @@ mod tests {
         fnv1a(bytes)
     }
 
-    /// GPU-only's modelled outputs, pinned: 20 steps on `tiny_scene` with
-    /// one densification pass (at iteration 10). Every step's statistics,
-    /// the phase labels (no transfer or host-optimizer phases) and the peak
-    /// GPU memory and its breakdown must not move.
-    #[test]
-    fn gpu_only_iteration_stats_and_peak_memory_match_golden() {
+    /// `kind`'s per-step statistics over 20 steps on `tiny_scene` with one
+    /// densification pass (at iteration 10), and the trainer after them.
+    fn golden_run(kind: SystemKind) -> (Vec<IterationStats>, OffloadTrainer) {
         let (init, cam, target) = tiny_scene();
         let mut cfg = TrainConfig::fast_test(20);
         cfg.densify = crate::densify::DensifyConfig {
@@ -720,7 +717,7 @@ mod tests {
             prune_opacity: 0.0,
             max_gaussians: 0,
         };
-        let mut trainer = laptop_trainer(cfg, SystemKind::GpuOnly, &init);
+        let mut trainer = laptop_trainer(cfg, kind, &init);
         let mut steps = Vec::new();
         let mut densified = Vec::new();
         for _ in 0..20 {
@@ -729,6 +726,15 @@ mod tests {
         }
         assert_eq!(densified.iter().filter(|&&d| d != (0, 0)).count(), 1);
         assert!(trainer.num_gaussians() > 4);
+        (steps, trainer)
+    }
+
+    /// GPU-only's modelled outputs, pinned: every step's statistics from
+    /// `golden_run`, the phase labels (no transfer or host-optimizer
+    /// phases) and the peak GPU memory and its breakdown must not move.
+    #[test]
+    fn gpu_only_iteration_stats_and_peak_memory_match_golden() {
+        let (steps, trainer) = golden_run(SystemKind::GpuOnly);
         for s in &steps {
             let labels: Vec<&str> = s.phase_breakdown.keys().map(String::as_str).collect();
             assert_eq!(labels, ["frustum_cull", "gpu_fwd_bwd", "optimizer"]);
@@ -749,6 +755,75 @@ mod tests {
                 (MemoryCategory::Other, 0),
             ]
         );
+    }
+
+    /// The offloaded systems' modelled outputs, pinned like GPU-only's:
+    /// every step's statistics from `golden_run` (the default `mem_limit`
+    /// splits the GS-Scale steps), the phase labels, and the peak GPU
+    /// memory and its breakdown.
+    #[test]
+    fn offloaded_iteration_stats_and_peak_memory_match_golden() {
+        let host = [
+            "cpu_frustum_cull",
+            "cpu_optimizer",
+            "d2h_grads",
+            "gpu_fwd_bwd",
+            "h2d_params",
+        ];
+        let gs_scale = [
+            "cpu_optimizer",
+            "d2h_grads",
+            "frustum_cull",
+            "gpu_fwd_bwd",
+            "h2d_params",
+            "msq_optimizer",
+        ];
+        let cases = [
+            (
+                SystemKind::BaselineOffload,
+                host.as_slice(),
+                0x3030_0ef5_284e_d5ae,
+                1_903_920,
+                [1416, 0, 1416, 0, 1_901_088],
+            ),
+            (
+                SystemKind::GsScaleNoDeferred,
+                gs_scale.as_slice(),
+                0xc5d9_8483_59d2_a554,
+                954_120,
+                [1176, 280, 1416, 560, 950_688],
+            ),
+            (
+                SystemKind::GsScale,
+                gs_scale.as_slice(),
+                0x24ab_2286_4257_72dc,
+                954_120,
+                [1176, 280, 1416, 560, 950_688],
+            ),
+        ];
+        for (kind, labels, fingerprint, peak, [params, geometric, grads, state, activations]) in
+            cases
+        {
+            let (steps, trainer) = golden_run(kind);
+            for s in &steps {
+                let step_labels: Vec<&str> = s.phase_breakdown.keys().map(String::as_str).collect();
+                assert_eq!(step_labels, labels, "{kind:?}");
+            }
+            assert_eq!(stats_fingerprint(&steps), fingerprint, "{kind:?}");
+            assert_eq!(trainer.peak_gpu_memory(), peak, "{kind:?}");
+            assert_eq!(
+                trainer.peak_gpu_breakdown(),
+                [
+                    (MemoryCategory::Parameters, params),
+                    (MemoryCategory::GeometricParameters, geometric),
+                    (MemoryCategory::Gradients, grads),
+                    (MemoryCategory::OptimizerState, state),
+                    (MemoryCategory::Activations, activations),
+                    (MemoryCategory::Other, 0),
+                ],
+                "{kind:?}"
+            );
+        }
     }
 
     /// Each system's parameters after 20 steps on `tiny_scene`, flushed,
