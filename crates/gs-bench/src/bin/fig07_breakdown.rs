@@ -2,10 +2,10 @@
 //! (naive host offloading) on the laptop platform, showing that CPU frustum
 //! culling and CPU optimizer updates dominate.
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{SystemKind, TrainConfig};
+use gs_train::{replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -14,7 +14,8 @@ fn main() {
     for preset in [ScenePreset::RUBBLE, ScenePreset::BUILDING] {
         let scene = build_scene(&preset, &scale);
         let cfg = TrainConfig::fast_test(scale.iterations);
-        let run = measure_run(SystemKind::BaselineOffload, &platform, &scene, &cfg, &scale)
+        let recorded = record_run(&scene, &cfg, &scale);
+        let run = replay(SystemKind::BaselineOffload, &platform, &recorded)
             .expect("baseline offloading never OOMs");
         let breakdown = run.phase_breakdown();
         let total: f64 = breakdown.iter().map(|(_, t)| t).sum();

@@ -2,10 +2,10 @@
 //! iteration under the four systems (GPU-only, baseline GS-Scale, GS-Scale
 //! without deferred Adam, GS-Scale with all optimizations).
 
-use gs_bench::{build_scene, initial_params, ExperimentScale};
+use gs_bench::{build_scene, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{OffloadTrainer, SystemKind, TrainConfig, Trainer};
+use gs_train::{replay, SystemKind, TrainConfig};
 
 fn print_iteration(kind: SystemKind, stats: &gs_train::IterationStats) {
     println!("\n--- {} ---", kind.name());
@@ -29,21 +29,21 @@ fn main() {
     let scale = ExperimentScale::from_args();
     let platform = PlatformSpec::laptop_rtx4070m();
     let preset = ScenePreset::RUBBLE;
-    let scene = build_scene(&preset, &scale);
+    // One step on training view 1, recorded once and modelled per system.
+    let mut scene = build_scene(&preset, &scale);
+    scene.train_cameras = vec![scene.train_cameras[1].clone()];
     let cfg = TrainConfig::fast_test(4);
-    let cam = scene.train_cameras[1].clone();
-    let target = scene.ground_truth(&cam);
-    let init = initial_params(&scene);
-    let extent = scene.scene_extent();
+    let one_step = ExperimentScale {
+        iterations: 1,
+        ..scale
+    };
+    let recorded = record_run(&scene, &cfg, &one_step);
 
     println!("Figure 9: execution timeline of one training iteration (Rubble, laptop platform)");
 
     for kind in SystemKind::ALL {
-        let mut trainer =
-            OffloadTrainer::new(cfg.clone(), kind, platform.clone(), init.clone(), extent)
-                .expect("fits at runnable scale");
-        let stats = trainer.step(&cam, &target).expect("step");
-        print_iteration(kind, &stats);
+        let run = replay(kind, &platform, &recorded).expect("fits at runnable scale");
+        print_iteration(kind, &run.iterations[0]);
     }
 
     println!(

@@ -4,23 +4,10 @@
 //! not fit in GPU memory at the paper's scale are reported as OOM, exactly as
 //! in the paper.
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{estimate_gpu_memory, SystemKind, TrainConfig};
-
-/// Decides (at the paper's full scale) whether GPU-only training of the scene
-/// fits in the platform's GPU memory.
-fn gpu_only_ooms(preset: &ScenePreset, gaussians: usize, platform: &PlatformSpec) -> bool {
-    let est = estimate_gpu_memory(
-        SystemKind::GpuOnly,
-        gaussians,
-        preset.active_ratio,
-        preset.width * preset.height,
-        0.3,
-    );
-    est.total() > platform.gpu.mem_capacity
-}
+use gs_train::{estimate_gpu_memory, replay, SystemKind, TrainConfig, TrainOutcome};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -28,44 +15,48 @@ fn main() {
         PlatformSpec::laptop_rtx4070m(),
         PlatformSpec::desktop_rtx4080s(),
     ];
+    // Each scene trains once; every (system, platform) pair is modelled
+    // from that recording.
+    let cfg = TrainConfig::fast_test(scale.iterations);
+    let recorded: Vec<TrainOutcome> = ScenePreset::ALL
+        .iter()
+        .map(|preset| record_run(&build_scene(preset, &scale), &cfg, &scale))
+        .collect();
 
     for platform in &platforms {
         let mut rows = Vec::new();
-        for preset in ScenePreset::ALL {
+        for (preset, recorded) in ScenePreset::ALL.iter().zip(&recorded) {
             // Each scene plus its "small" variant (Aerial has none). Both
             // train the same scene, since `build_scene` ignores the paper
-            // size, so they share one run per system; only whether GPU-only
-            // fits at paper scale differs.
+            // size, so they share one recording; only whether GPU-only fits
+            // at paper scale differs.
             let mut variants = Vec::new();
             if preset.has_small_variant() {
                 let label = format!("{} (small)", preset.name);
                 variants.push((label, preset.paper_gaussians_small));
             }
             variants.push((preset.name.to_string(), preset.paper_gaussians));
-            let fits = |gaussians| !gpu_only_ooms(&preset, gaussians, platform);
-
-            let scene = build_scene(&preset, &scale);
-            let cfg = TrainConfig::fast_test(scale.iterations);
-            let throughput = |kind| {
-                measure_run(kind, platform, &scene, &cfg, &scale)
-                    .map(|r| r.throughput_images_per_s())
+            // Whether GPU-only training fits the GPU at the paper's scale.
+            let pixels = preset.width * preset.height;
+            let fits = |n| {
+                let estimate =
+                    estimate_gpu_memory(SystemKind::GpuOnly, n, preset.active_ratio, pixels, 0.3);
+                estimate.total() <= platform.gpu.mem_capacity
             };
-            // The baseline column's own run is the normalization.
+
+            let throughput =
+                |kind| replay(kind, platform, recorded).map(|r| r.throughput_images_per_s());
+            // The baseline column is the normalization.
             let baseline =
                 throughput(SystemKind::BaselineOffload).expect("baseline offloading fits");
-            let normalized = |t: f64| format!("{:.2}", t / baseline);
-            let mut offloaded = vec![normalized(baseline)];
-            for kind in [SystemKind::GsScaleNoDeferred, SystemKind::GsScale] {
-                offloaded.push(normalized(throughput(kind).unwrap_or(0.0)));
-            }
-            // GPU-only trains at most once: the first time a variant fits.
-            let mut gpu_only = None;
+            let normalized = |kind| format!("{:.2}", throughput(kind).unwrap_or(0.0) / baseline);
+            let mut columns: Vec<String> = SystemKind::ALL.map(normalized).into();
+            let gpu_only = columns.pop().expect("GPU-only is the last column");
             for (label, gaussians) in variants {
                 let mut row = vec![label];
-                row.extend(offloaded.iter().cloned());
+                row.extend(columns.iter().cloned());
                 row.push(if fits(gaussians) {
-                    let run = || throughput(SystemKind::GpuOnly).unwrap_or(0.0);
-                    normalized(*gpu_only.get_or_insert_with(run))
+                    gpu_only.clone()
                 } else {
                     "OOM".to_string()
                 });

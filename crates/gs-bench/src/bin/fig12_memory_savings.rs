@@ -3,10 +3,10 @@
 //! together with the measured ratio from the functional trainers at the
 //! runnable scale.
 
-use gs_bench::{build_scene, fmt_gb, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, fmt_gb, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{estimate_gpu_memory, SystemKind, TrainConfig};
+use gs_train::{estimate_gpu_memory, replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -14,33 +14,19 @@ fn main() {
     let mut rows = Vec::new();
     let mut geo_product = 1.0f64;
     for preset in ScenePreset::ALL {
-        let pixels = preset.width * preset.height;
-        let gpu_only = estimate_gpu_memory(
-            SystemKind::GpuOnly,
-            preset.paper_gaussians,
-            preset.active_ratio,
-            pixels,
-            0.3,
-        );
-        let gs_scale = estimate_gpu_memory(
-            SystemKind::GsScale,
-            preset.paper_gaussians,
-            preset.active_ratio,
-            pixels,
-            0.3,
-        );
+        let (n, pixels) = (preset.paper_gaussians, preset.width * preset.height);
+        let estimate = |kind| estimate_gpu_memory(kind, n, preset.active_ratio, pixels, 0.3);
+        let (gpu_only, gs_scale) = (estimate(SystemKind::GpuOnly), estimate(SystemKind::GsScale));
         let analytic_ratio = gs_scale.total() as f64 / gpu_only.total() as f64;
         geo_product *= gpu_only.total() as f64 / gs_scale.total() as f64;
 
         // Functional measurement at the runnable scale.
         let scene = build_scene(&preset, &scale);
         let cfg = TrainConfig::fast_test(scale.iterations);
-        let measured_gpu_only = measure_run(SystemKind::GpuOnly, &platform, &scene, &cfg, &scale)
-            .map(|r| r.peak_gpu_bytes);
-        let measured_gs = measure_run(SystemKind::GsScale, &platform, &scene, &cfg, &scale)
-            .map(|r| r.peak_gpu_bytes);
-        let measured_ratio = match (&measured_gpu_only, &measured_gs) {
-            (Ok(a), Ok(b)) if *a > 0 => format!("{:.2}", *b as f64 / *a as f64),
+        let recorded = record_run(&scene, &cfg, &scale);
+        let measured = |kind| replay(kind, &platform, &recorded).map(|r| r.peak_gpu_bytes);
+        let measured_ratio = match (measured(SystemKind::GpuOnly), measured(SystemKind::GsScale)) {
+            (Ok(a), Ok(b)) if a > 0 => format!("{:.2}", b as f64 / a as f64),
             _ => "n/a".to_string(),
         };
 

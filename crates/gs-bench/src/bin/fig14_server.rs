@@ -1,10 +1,10 @@
 //! Reproduces Figure 14: GS-Scale vs GPU-only training throughput on the
 //! server platform (H100 PCIe, dual-socket NUMA host).
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{SystemKind, TrainConfig};
+use gs_train::{replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -13,12 +13,15 @@ fn main() {
     for preset in ScenePreset::ALL {
         let scene = build_scene(&preset, &scale);
         let cfg = TrainConfig::fast_test(scale.iterations);
-        let gpu_only = measure_run(SystemKind::GpuOnly, &platform, &scene, &cfg, &scale)
-            .expect("H100 fits the runnable scale")
-            .throughput_images_per_s();
-        let gs = measure_run(SystemKind::GsScale, &platform, &scene, &cfg, &scale)
-            .expect("GS-Scale fits")
-            .throughput_images_per_s();
+        let recorded = record_run(&scene, &cfg, &scale);
+        let throughput = |kind| {
+            let run = replay(kind, &platform, &recorded).expect("H100 fits the runnable scale");
+            run.throughput_images_per_s()
+        };
+        let (gpu_only, gs) = (
+            throughput(SystemKind::GpuOnly),
+            throughput(SystemKind::GsScale),
+        );
         rows.push(vec![
             preset.name.to_string(),
             "1.00".to_string(),

@@ -2,10 +2,10 @@
 //! training throughput to the `mem_limit` threshold that triggers
 //! balance-aware image splitting (Rubble scene, desktop platform).
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{estimate_gpu_memory, SystemKind, TrainConfig};
+use gs_train::{estimate_gpu_memory, replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -16,8 +16,8 @@ fn main() {
     let mut rows = Vec::new();
     for mem_limit in [0.3f64, 0.2, 0.1] {
         let cfg = TrainConfig::fast_test(scale.iterations).with_mem_limit(mem_limit);
-        let run = measure_run(SystemKind::GsScale, &platform, &scene, &cfg, &scale)
-            .expect("GS-Scale fits");
+        let recorded = record_run(&scene, &cfg, &scale);
+        let run = replay(SystemKind::GsScale, &platform, &recorded).expect("GS-Scale fits");
         // Paper-scale analytic estimate of the peak memory under this limit.
         let est = estimate_gpu_memory(
             SystemKind::GsScale,

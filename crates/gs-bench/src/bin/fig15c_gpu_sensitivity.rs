@@ -3,16 +3,17 @@
 //! scene. Higher-bandwidth GPUs raise R_bw and lower GS-Scale's throughput
 //! relative to GPU-only.
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{SystemKind, TrainConfig};
+use gs_train::{replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
     let preset = ScenePreset::LFLS;
     let scene = build_scene(&preset, &scale);
     let cfg = TrainConfig::fast_test(scale.iterations);
+    let recorded = record_run(&scene, &cfg, &scale);
 
     let mut rows = Vec::new();
     for platform in [
@@ -20,12 +21,14 @@ fn main() {
         PlatformSpec::desktop_rtx4080s(),
         PlatformSpec::desktop_rtx4090(),
     ] {
-        let gpu_only = measure_run(SystemKind::GpuOnly, &platform, &scene, &cfg, &scale)
-            .expect("runnable scale fits")
-            .throughput_images_per_s();
-        let gs = measure_run(SystemKind::GsScale, &platform, &scene, &cfg, &scale)
-            .expect("GS-Scale fits")
-            .throughput_images_per_s();
+        let throughput = |kind| {
+            let run = replay(kind, &platform, &recorded).expect("runnable scale fits");
+            run.throughput_images_per_s()
+        };
+        let (gpu_only, gs) = (
+            throughput(SystemKind::GpuOnly),
+            throughput(SystemKind::GsScale),
+        );
         rows.push(vec![
             platform.name.clone(),
             format!("{:.1}", platform.r_bw()),

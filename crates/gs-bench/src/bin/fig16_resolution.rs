@@ -1,10 +1,10 @@
 //! Reproduces Figure 16: impact of the training image resolution on GS-Scale's
 //! GPU memory usage and throughput relative to GPU-only (Rubble, desktop).
 
-use gs_bench::{build_scene, measure_run, print_table, ExperimentScale};
+use gs_bench::{build_scene, print_table, record_run, ExperimentScale};
 use gs_platform::PlatformSpec;
 use gs_scene::ScenePreset;
-use gs_train::{estimate_gpu_memory, SystemKind, TrainConfig};
+use gs_train::{estimate_gpu_memory, replay, SystemKind, TrainConfig};
 
 fn main() {
     let scale = ExperimentScale::from_args();
@@ -33,8 +33,9 @@ fn main() {
             .map(|c| c.scaled(res_factor))
             .collect();
 
+        let recorded = record_run(&scene, &cfg, &scale);
         let throughput = |kind| {
-            measure_run(kind, &platform, &scene, &cfg, &scale)
+            replay(kind, &platform, &recorded)
                 .expect("fits at runnable scale")
                 .throughput_images_per_s()
         };

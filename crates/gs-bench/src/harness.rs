@@ -1,4 +1,6 @@
-//! Shared machinery for the figure/table reproduction binaries.
+//! Shared machinery for the figure/table reproduction binaries. Every
+//! system trains to the same parameters, so a figure trains each scene once
+//! ([`record_run`]) and models every (system, platform) pair from that.
 
 use gs_core::error::Result;
 use gs_core::gaussian::GaussianParams;
@@ -6,7 +8,7 @@ use gs_core::scene::init_gaussians_from_point_cloud;
 use gs_metrics::QualityReport;
 use gs_platform::PlatformSpec;
 use gs_scene::{SceneDataset, ScenePreset};
-use gs_train::{train, OffloadTrainer, RunStats, SystemKind, TrainConfig, Trainer};
+use gs_train::{train, OffloadTrainer, SystemKind, TrainConfig, TrainOutcome};
 
 /// How large the runnable (functional) version of each experiment is.
 ///
@@ -113,23 +115,23 @@ pub fn initial_params(scene: &SceneDataset) -> GaussianParams {
     init_gaussians_from_point_cloud(&scene.init_cloud, 0.3)
 }
 
-/// Trains `kind` on `scene` for the configured number of iterations and
-/// returns the run statistics.
-///
-/// # Errors
-///
-/// Propagates out-of-memory errors (the GPU-only system on large scenes).
-pub fn measure_run(
-    kind: SystemKind,
-    platform: &PlatformSpec,
+/// Trains GS-Scale on `scene` for the configured number of iterations and
+/// returns the recorded run, which [`gs_train::replay`] models under every
+/// system on every platform. A step's record does not depend on the
+/// platform, so the recording runs on one whose memories are unbounded: it
+/// never runs out of memory where a system's own run would not.
+pub fn record_run(
     scene: &SceneDataset,
     config: &TrainConfig,
     scale: &ExperimentScale,
-) -> Result<RunStats> {
-    let init = initial_params(scene);
-    let extent = scene.scene_extent();
-    let mut trainer = OffloadTrainer::new(config.clone(), kind, platform.clone(), init, extent)?;
-    Ok(train(&mut trainer, scene, scale.iterations, false)?.run)
+) -> TrainOutcome {
+    let mut unbounded = PlatformSpec::laptop_rtx4070m().with_gpu_memory(u64::MAX);
+    unbounded.cpu.mem_capacity = u64::MAX;
+    let (init, extent) = (initial_params(scene), scene.scene_extent());
+    let mut trainer =
+        OffloadTrainer::new(config.clone(), SystemKind::GsScale, unbounded, init, extent)
+            .expect("unbounded memory");
+    train(&mut trainer, scene, scale.iterations, false).expect("unbounded memory")
 }
 
 /// Trains `kind` on `scene` and evaluates rendering quality on the test
@@ -145,14 +147,11 @@ pub fn quality_after_training(
     config: &TrainConfig,
     iterations: usize,
 ) -> Result<(QualityReport, usize)> {
-    let init = initial_params(scene);
-    let extent = scene.scene_extent();
+    let (init, extent) = (initial_params(scene), scene.scene_extent());
     let mut trainer = OffloadTrainer::new(config.clone(), kind, platform.clone(), init, extent)?;
     let outcome = train(&mut trainer, scene, iterations, true)?;
-    Ok((
-        outcome.quality.expect("evaluation requested"),
-        trainer.num_gaussians(),
-    ))
+    let quality = outcome.quality.expect("evaluation requested");
+    Ok((quality, outcome.run.final_gaussians))
 }
 
 /// Prints a fixed-width table with a title, header row and data rows.
@@ -203,7 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn measure_run_produces_timing_for_every_system() {
+    fn a_recorded_run_models_every_system() {
         let scale = ExperimentScale {
             gaussian_scale: 2.0e-5,
             iterations: 3,
@@ -212,8 +211,10 @@ mod tests {
         let scene = build_scene(&ScenePreset::SZIIT, &scale);
         let platform = PlatformSpec::laptop_rtx4070m();
         let config = TrainConfig::fast_test(scale.iterations);
+        let recorded = record_run(&scene, &config, &scale);
+        assert_eq!(recorded.records.len(), 3);
         for kind in SystemKind::ALL {
-            let run = measure_run(kind, &platform, &scene, &config, &scale).unwrap();
+            let run = gs_train::replay(kind, &platform, &recorded).unwrap();
             assert_eq!(run.iterations.len(), 3, "{kind:?}");
             assert!(run.total_sim_time() > 0.0);
         }

@@ -3,12 +3,12 @@
 //!
 //! Each binary under `src/bin/` reproduces one experiment and prints the
 //! corresponding rows/series. The [`harness`] module holds the shared
-//! machinery: scene construction at a runnable scale, trainer construction
-//! per system, throughput measurement, the shared CLI flags
-//! ([`BenchArgs`]) and table formatting. [`mod@replay`] is the deterministic
-//! workload replayer driving captured [`gs_trace::Trace`]s back through a
-//! `RenderServer` or a cluster `Coordinator` (see the `trace_replay`
-//! binary). The remaining binaries are checks: `obs_smoke`,
+//! machinery: scene construction at a runnable scale, the one recorded
+//! training run per scene that every system is modelled from, the shared
+//! CLI flags ([`BenchArgs`]) and table formatting. [`mod@replay`] is the
+//! deterministic workload replayer driving captured [`gs_trace::Trace`]s
+//! back through a `RenderServer` or a cluster `Coordinator` (see the
+//! `trace_replay` binary). The remaining binaries are checks: `obs_smoke`,
 //! `obs_overhead` and `cluster_replication` exit non-zero when their
 //! contract breaks. Performance is tracked by the repository's benchmark
 //! (`bench/`), which does not link this crate.
@@ -20,7 +20,7 @@ pub mod harness;
 pub mod replay;
 
 pub use harness::{
-    build_scene, fmt_gb, initial_params, measure_run, print_table, quality_after_training,
+    build_scene, fmt_gb, initial_params, print_table, quality_after_training, record_run,
     BenchArgs, ExperimentScale,
 };
 pub use replay::{

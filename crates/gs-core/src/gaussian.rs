@@ -172,18 +172,6 @@ impl GaussianParams {
         self.num_parameters() * 4
     }
 
-    /// Bytes occupied by the geometric groups only.
-    #[inline]
-    pub fn geometric_bytes(&self) -> usize {
-        self.len * Self::GEOMETRIC_PARAMS * 4
-    }
-
-    /// Bytes occupied by the non-geometric groups only.
-    #[inline]
-    pub fn non_geometric_bytes(&self) -> usize {
-        self.len * Self::NON_GEOMETRIC_PARAMS * 4
-    }
-
     /// Appends a Gaussian with explicit raw parameters.
     ///
     /// `sh` must contain 48 coefficients (16 RGB triples, coefficient-major).
@@ -720,11 +708,8 @@ mod tests {
     #[test]
     fn bytes_accounting_is_consistent() {
         let p = sample_params(10);
+        assert_eq!(p.num_parameters(), 10 * 59);
         assert_eq!(p.total_bytes(), 10 * 59 * 4);
-        assert_eq!(
-            p.geometric_bytes() + p.non_geometric_bytes(),
-            p.total_bytes()
-        );
     }
 
     #[test]

@@ -121,18 +121,6 @@ impl ElementUpdate {
     }
 }
 
-/// Traffic of a dense update of `dims` values per Gaussian over `n`
-/// Gaussians.
-fn dense_stats(n: usize, dims: usize) -> StepStats {
-    StepStats {
-        updated_gaussians: n,
-        total_gaussians: n,
-        bytes_read: n as f64 * 4.0 * dims as f64 * 4.0,
-        bytes_written: n as f64 * 3.0 * dims as f64 * 4.0,
-        flops: n as f64 * dims as f64 * 12.0,
-    }
-}
-
 /// Exact Adam: updates every parameter and optimizer state each step.
 #[derive(Debug, Clone)]
 pub struct DenseAdam {
@@ -152,16 +140,6 @@ impl DenseAdam {
             step: 0,
             slots: SlotTable::default(),
         }
-    }
-
-    /// The optimizer configuration.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Number of optimizer steps taken so far.
-    pub fn current_step(&self) -> u64 {
-        self.step
     }
 
     /// The moment state (for inspection and memory accounting).
@@ -231,7 +209,7 @@ impl DenseAdam {
                 update.apply(p, m, v, grad);
             }
         }
-        dense_stats(params.len(), dims)
+        StepStats::dense(params.len(), dims)
     }
 
     /// [`DenseAdam::apply_groups`] on `sparse.to_dense(params.len())`
@@ -288,7 +266,7 @@ impl DenseAdam {
             }
         }
         self.slots.clear(&sparse.ids);
-        dense_stats(n, dims)
+        StepStats::dense(n, dims)
     }
 }
 

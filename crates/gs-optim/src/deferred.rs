@@ -108,16 +108,6 @@ impl DeferredAdam {
         }
     }
 
-    /// The optimizer configuration.
-    pub fn config(&self) -> &AdamConfig {
-        &self.config
-    }
-
-    /// Number of optimizer steps taken so far.
-    pub fn current_step(&self) -> u64 {
-        self.step
-    }
-
     /// The defer counters (for inspection in tests and reports).
     pub fn counters(&self) -> &[u8] {
         &self.counters
@@ -220,14 +210,7 @@ impl DeferredAdam {
         }
         self.slots.clear(&sparse.ids);
 
-        let updated = update_ids.len();
-        StepStats {
-            updated_gaussians: updated,
-            total_gaussians: n,
-            bytes_read: updated as f64 * 4.0 * dims as f64 * 4.0 + n as f64,
-            bytes_written: updated as f64 * 3.0 * dims as f64 * 4.0 + n as f64,
-            flops: updated as f64 * dims as f64 * 16.0,
-        }
+        StepStats::deferred(update_ids.len(), n, dims)
     }
 
     /// Performs a deferred Adam step over all parameter groups.
@@ -330,7 +313,7 @@ impl DeferredAdam {
     }
 
     /// Computes the values the Gaussians listed in `ids` would have *after*
-    /// the next optimizer step (step `current_step + 1`) is applied with the
+    /// the next optimizer step is applied with the
     /// pending sparse gradients. Neither optimizer state nor stored
     /// parameters change; `&mut self` is for the id → row scratch, which is
     /// left as found.
@@ -593,7 +576,7 @@ mod tests {
         let sparse = sparse_for(&ids, n, 0.9);
         let stats = opt.step(&mut p, &sparse);
         assert_eq!(stats.updated_gaussians, 50);
-        let dense_traffic = StepStats::dense(n).total_bytes();
+        let dense_traffic = StepStats::dense(n, GaussianParams::PARAMS_PER_GAUSSIAN).total_bytes();
         assert!(stats.total_bytes() < dense_traffic * 0.1);
     }
 

@@ -7,8 +7,6 @@
 //! being updated plus one byte of counter per Gaussian. Trainers feed these
 //! numbers to the platform timing model to turn them into CPU time.
 
-use gs_core::gaussian::GaussianParams;
-
 /// Memory traffic and arithmetic performed by one optimizer step.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StepStats {
@@ -25,30 +23,29 @@ pub struct StepStats {
 }
 
 impl StepStats {
-    /// Traffic of a full (dense) momentum-optimizer update over `n`
-    /// Gaussians: 4 reads + 3 writes of all 59 parameters each.
-    pub fn dense(n: usize) -> Self {
-        let d = GaussianParams::PARAMS_PER_GAUSSIAN as f64;
+    /// Traffic of a dense momentum-optimizer update of `dims` values per
+    /// Gaussian over `n` Gaussians: 4 reads + 3 writes of each value.
+    pub fn dense(n: usize, dims: usize) -> Self {
         Self {
             updated_gaussians: n,
             total_gaussians: n,
-            bytes_read: n as f64 * 4.0 * d * 4.0,
-            bytes_written: n as f64 * 3.0 * d * 4.0,
-            flops: n as f64 * d * 12.0,
+            bytes_read: n as f64 * 4.0 * dims as f64 * 4.0,
+            bytes_written: n as f64 * 3.0 * dims as f64 * 4.0,
+            flops: n as f64 * dims as f64 * 12.0,
         }
     }
 
-    /// Traffic of a deferred update that touched `updated` of `total`
-    /// Gaussians plus one counter byte per Gaussian (read and write).
-    pub fn deferred(updated: usize, total: usize) -> Self {
-        let d = GaussianParams::PARAMS_PER_GAUSSIAN as f64;
+    /// Traffic of a deferred update of `dims` values per Gaussian that
+    /// touched `updated` of `n` Gaussians, plus one counter byte per
+    /// Gaussian (read and write).
+    pub fn deferred(updated: usize, n: usize, dims: usize) -> Self {
         Self {
             updated_gaussians: updated,
-            total_gaussians: total,
-            bytes_read: updated as f64 * 4.0 * d * 4.0 + total as f64,
-            bytes_written: updated as f64 * 3.0 * d * 4.0 + total as f64,
+            total_gaussians: n,
+            bytes_read: updated as f64 * 4.0 * dims as f64 * 4.0 + n as f64,
+            bytes_written: updated as f64 * 3.0 * dims as f64 * 4.0 + n as f64,
             // Restoration adds a handful of extra multiplies per value.
-            flops: updated as f64 * d * 16.0,
+            flops: updated as f64 * dims as f64 * 16.0,
         }
     }
 
@@ -72,18 +69,21 @@ impl StepStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use gs_core::gaussian::GaussianParams;
+
+    const D: usize = GaussianParams::PARAMS_PER_GAUSSIAN;
 
     #[test]
     fn dense_traffic_is_7d_words_per_gaussian() {
-        let s = StepStats::dense(100);
+        let s = StepStats::dense(100, D);
         let expected = 100.0 * 7.0 * 59.0 * 4.0;
         assert!((s.total_bytes() - expected).abs() < 1e-6);
     }
 
     #[test]
     fn deferred_traffic_scales_with_active_ratio() {
-        let dense = StepStats::dense(10_000);
-        let deferred = StepStats::deferred(1_000, 10_000);
+        let dense = StepStats::dense(10_000, D);
+        let deferred = StepStats::deferred(1_000, 10_000, D);
         // Roughly 10x less traffic (counters add a small constant).
         let ratio = dense.total_bytes() / deferred.total_bytes();
         assert!(ratio > 8.0 && ratio < 11.0, "ratio {ratio}");
@@ -91,8 +91,8 @@ mod tests {
 
     #[test]
     fn combine_adds_traffic() {
-        let a = StepStats::dense(10);
-        let b = StepStats::dense(20);
+        let a = StepStats::dense(10, D);
+        let b = StepStats::dense(20, D);
         let c = a.combine(&b);
         assert_eq!(c.updated_gaussians, 30);
         assert!((c.total_bytes() - (a.total_bytes() + b.total_bytes())).abs() < 1e-9);

@@ -20,9 +20,9 @@
 //!   duration on a given device (`time = max(compute, memory) + launch`).
 //! * [`timeline`] — an event-graph simulator with one queue per hardware
 //!   stream (GPU compute, CPU compute, H2D, D2H) that respects dependencies
-//!   and exposes per-stream busy/idle breakdowns; this is what produces the
-//!   execution timelines of Figure 9 and the throughput numbers of
-//!   Figures 11/14/15/16.
+//!   and exposes per-stream busy time and per-label breakdowns; this is
+//!   what produces the execution timelines of Figure 9 and the throughput
+//!   numbers of Figures 11/14/15/16.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]

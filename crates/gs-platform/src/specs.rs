@@ -143,11 +143,6 @@ impl PlatformSpec {
         self.gpu.mem_bandwidth / self.cpu.mem_bandwidth
     }
 
-    /// Ratio of GPU to CPU peak compute throughput.
-    pub fn flops_ratio(&self) -> f64 {
-        self.gpu.peak_flops / self.cpu.peak_flops
-    }
-
     /// Returns a copy with a different GPU memory capacity (used to emulate
     /// memory-limit sweeps).
     pub fn with_gpu_memory(mut self, bytes: u64) -> Self {
@@ -159,6 +154,11 @@ impl PlatformSpec {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Ratio of GPU to CPU peak compute throughput.
+    fn flops_ratio(platform: &PlatformSpec) -> f64 {
+        platform.gpu.peak_flops / platform.cpu.peak_flops
+    }
 
     #[test]
     fn table1_r_bw_matches_paper() {
@@ -193,7 +193,7 @@ mod tests {
     #[test]
     fn laptop_flops_ratio_is_about_52x() {
         let laptop = PlatformSpec::laptop_rtx4070m();
-        assert!((laptop.flops_ratio() - 52.0).abs() < 5.0);
+        assert!((flops_ratio(&laptop) - 52.0).abs() < 5.0);
     }
 
     #[test]
@@ -222,6 +222,6 @@ mod tests {
         // The desktop CPU is stronger relative to its GPU than the laptop's.
         let laptop = PlatformSpec::laptop_rtx4070m();
         let desktop = PlatformSpec::desktop_rtx4080s();
-        assert!(desktop.flops_ratio() > laptop.flops_ratio());
+        assert!(flops_ratio(&desktop) > flops_ratio(&laptop));
     }
 }

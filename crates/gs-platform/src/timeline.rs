@@ -9,9 +9,9 @@
 //!
 //! This is what turns the per-kernel durations from the roofline model into
 //! the end-to-end iteration times of Figures 7, 9, 11, 14, 15 and 16: the
-//! GPU-only and baseline-offloading trainers build mostly-serial graphs,
-//! while the GS-Scale trainer's *parameter forwarding* creates the
-//! overlapping structure of Figure 9c/9d.
+//! GPU-only and baseline-offloading systems' models build mostly-serial
+//! graphs, while GS-Scale's *parameter forwarding* creates the overlapping
+//! structure of Figure 9c/9d.
 
 use std::collections::BTreeMap;
 
@@ -36,16 +36,6 @@ impl Stream {
         Stream::HostToDevice,
         Stream::DeviceToHost,
     ];
-
-    /// Short human-readable name.
-    pub const fn name(self) -> &'static str {
-        match self {
-            Stream::GpuCompute => "gpu",
-            Stream::CpuCompute => "cpu",
-            Stream::HostToDevice => "h2d",
-            Stream::DeviceToHost => "d2h",
-        }
-    }
 }
 
 /// Identifier of a scheduled event, usable as a dependency for later events.
@@ -118,15 +108,6 @@ impl TimelineSim {
         EventId(self.events.len() - 1)
     }
 
-    /// End time of a previously scheduled event.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the id is invalid.
-    pub fn end_of(&self, id: EventId) -> f64 {
-        self.events[id.0].end
-    }
-
     /// All scheduled events, in scheduling order.
     pub fn events(&self) -> &[Event] {
         &self.events
@@ -146,22 +127,8 @@ impl TimelineSim {
             .sum()
     }
 
-    /// Idle time of one stream relative to the makespan.
-    pub fn idle_time(&self, stream: Stream) -> f64 {
-        (self.makespan() - self.busy_time(stream)).max(0.0)
-    }
-
-    /// Total time spent in events with each label, sorted by label.
-    pub fn breakdown_by_label(&self) -> Vec<(String, f64)> {
-        let mut map: BTreeMap<String, f64> = BTreeMap::new();
-        for e in &self.events {
-            *map.entry(e.label.clone()).or_insert(0.0) += e.duration();
-        }
-        map.into_iter().collect()
-    }
-
-    /// Merges another timeline's label breakdown into an accumulator map
-    /// (convenience for aggregating many iterations).
+    /// Adds the total time spent in events with each label to `acc`, the
+    /// per-label breakdown of one or (accumulated) many timelines.
     pub fn accumulate_breakdown(&self, acc: &mut BTreeMap<String, f64>) {
         for e in &self.events {
             *acc.entry(e.label.clone()).or_insert(0.0) += e.duration();
@@ -198,10 +165,10 @@ mod tests {
     #[test]
     fn serial_events_on_one_stream_do_not_overlap() {
         let mut sim = TimelineSim::new();
-        let a = sim.schedule(Stream::GpuCompute, "a", 1.0, &[]);
-        let b = sim.schedule(Stream::GpuCompute, "b", 2.0, &[]);
-        assert_eq!(sim.end_of(a), 1.0);
-        assert_eq!(sim.end_of(b), 3.0);
+        sim.schedule(Stream::GpuCompute, "a", 1.0, &[]);
+        sim.schedule(Stream::GpuCompute, "b", 2.0, &[]);
+        let ends: Vec<f64> = sim.events().iter().map(|e| e.end).collect();
+        assert_eq!(ends, [1.0, 3.0]);
         assert!(sim.is_consistent());
     }
 
@@ -212,7 +179,6 @@ mod tests {
         sim.schedule(Stream::CpuCompute, "cpu work", 3.0, &[]);
         assert_eq!(sim.makespan(), 3.0);
         assert_eq!(sim.busy_time(Stream::GpuCompute), 2.0);
-        assert_eq!(sim.idle_time(Stream::GpuCompute), 1.0);
     }
 
     #[test]
@@ -255,10 +221,14 @@ mod tests {
         sim.schedule(Stream::CpuCompute, "optimizer", 1.0, &[]);
         sim.schedule(Stream::CpuCompute, "optimizer", 2.0, &[]);
         sim.schedule(Stream::GpuCompute, "fwd", 0.5, &[]);
-        let breakdown = sim.breakdown_by_label();
+        let mut breakdown = BTreeMap::new();
+        sim.accumulate_breakdown(&mut breakdown);
         assert_eq!(breakdown.len(), 2);
-        let opt = breakdown.iter().find(|(l, _)| l == "optimizer").unwrap();
-        assert_eq!(opt.1, 3.0);
+        assert_eq!(breakdown["optimizer"], 3.0);
+        // A second timeline adds to the same labels.
+        sim.accumulate_breakdown(&mut breakdown);
+        assert_eq!(breakdown["optimizer"], 6.0);
+        assert_eq!(breakdown["fwd"], 1.0);
     }
 
     #[test]

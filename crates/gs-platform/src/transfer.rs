@@ -31,17 +31,6 @@ impl TransferModel {
         }
     }
 
-    /// Returns a copy with a different chunk size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_bytes` is zero.
-    pub fn with_chunk_bytes(mut self, chunk_bytes: u64) -> Self {
-        assert!(chunk_bytes > 0, "chunk size must be positive");
-        self.chunk_bytes = chunk_bytes;
-        self
-    }
-
     /// Time to move `bytes` across the link as a single transfer.
     pub fn transfer_time(&self, bytes: u64) -> f64 {
         if bytes == 0 {
@@ -115,11 +104,5 @@ mod tests {
         let chunked = m.chunked_transfer_time(bytes);
         let extra_latency = (m.chunks(bytes).len() as f64 - 1.0) * TRANSFER_LATENCY;
         assert!((chunked - single - extra_latency).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn zero_chunk_size_panics() {
-        let _ = TransferModel::new(1.0).with_chunk_bytes(0);
     }
 }

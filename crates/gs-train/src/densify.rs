@@ -90,13 +90,8 @@ impl DensifyAccumulator {
     }
 
     /// Number of Gaussians tracked.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.grad_norm_sum.len()
-    }
-
-    /// Whether the accumulator is empty.
-    pub fn is_empty(&self) -> bool {
-        self.grad_norm_sum.is_empty()
     }
 
     /// Records the gradients of one iteration for the Gaussians listed in
@@ -112,26 +107,12 @@ impl DensifyAccumulator {
         }
     }
 
-    /// Records one iteration whose gradients cover every Gaussian (`grads`
-    /// is indexed by global index): what [`DensifyAccumulator::record`] does
-    /// when given every index, without the index list.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `grads` does not cover exactly the tracked Gaussians.
-    pub fn record_dense(&mut self, grads: &GaussianGrads) {
-        assert_eq!(grads.len(), self.len(), "accumulator length mismatch");
-        for (i, sum) in self.grad_norm_sum.iter_mut().enumerate() {
-            *sum += grads.mean_grad_norm(i);
-        }
-        self.count_observation_for_all();
-    }
-
     /// Records one iteration from its sparse gradients as if they had been
     /// expanded over the whole model first: norms are added for the listed
     /// Gaussians (the others would add zero) and every Gaussian counts an
-    /// observation. Bit-identical to `record_dense(&sparse.to_dense(len))`
-    /// for a gradient set that lists no id twice.
+    /// observation. Bit-identical to [`DensifyAccumulator::record`] of
+    /// `sparse.to_dense(len)` over every index, for a gradient set that
+    /// lists no id twice.
     ///
     /// # Panics
     ///
@@ -140,10 +121,6 @@ impl DensifyAccumulator {
         for (k, &id) in sparse.ids.iter().enumerate() {
             self.grad_norm_sum[id as usize] += sparse.grads.mean_grad_norm(k);
         }
-        self.count_observation_for_all();
-    }
-
-    fn count_observation_for_all(&mut self) {
         for count in &mut self.observations {
             *count += 1;
         }
@@ -180,13 +157,6 @@ pub struct DensifyReport {
     pub keep_mask: Vec<bool>,
     /// Number of new Gaussians appended after the kept ones.
     pub appended: usize,
-}
-
-impl DensifyReport {
-    /// Net change in the number of Gaussians.
-    pub fn net_change(&self) -> isize {
-        self.appended as isize - self.keep_mask.iter().filter(|&&k| !k).count() as isize
-    }
 }
 
 /// Runs one densification round on `params`.
@@ -300,13 +270,16 @@ mod tests {
         p
     }
 
+    /// One observation of every Gaussian, with a positional gradient of
+    /// `norm` on the `hot` ones.
     fn accum_with_grads(n: usize, hot: &[usize], norm: f32) -> DensifyAccumulator {
         let mut acc = DensifyAccumulator::new(n);
-        let mut grads = GaussianGrads::zeros(n);
-        for &i in hot {
-            grads.means[3 * i] = norm;
+        let mut grads = GaussianGrads::zeros(hot.len());
+        for k in 0..hot.len() {
+            grads.means[3 * k] = norm;
         }
-        acc.record_dense(&grads);
+        let ids = hot.iter().map(|&i| i as u32).collect();
+        acc.record_sparse(&SparseGrads { ids, grads });
         acc
     }
 
@@ -348,7 +321,6 @@ mod tests {
         assert_eq!(report.split, 0);
         assert_eq!(report.pruned, 0);
         assert_eq!(p.len(), 6);
-        assert_eq!(report.net_change(), 2);
     }
 
     #[test]
@@ -421,11 +393,10 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_records_match_the_id_list_record() {
+    fn sparse_record_matches_the_id_list_record() {
         let n = 30;
         let all_ids: Vec<u32> = (0..n as u32).collect();
         let mut by_ids = DensifyAccumulator::new(n);
-        let mut dense = DensifyAccumulator::new(n);
         let mut sparse = DensifyAccumulator::new(n);
         let mut rng = Rng64::seed_from_u64(0x6163_6375);
         for step in 0..24 {
@@ -444,13 +415,10 @@ mod tests {
             let expanded = step_grads.to_dense(n);
 
             by_ids.record(&all_ids, &expanded);
-            dense.record_dense(&expanded);
             sparse.record_sparse(&step_grads);
-            for other in [&dense, &sparse] {
-                let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&other.grad_norm_sum), bits(&by_ids.grad_norm_sum));
-                assert_eq!(other.observations, by_ids.observations);
-            }
+            let bits = |x: &[f32]| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&sparse.grad_norm_sum), bits(&by_ids.grad_norm_sum));
+            assert_eq!(sparse.observations, by_ids.observations);
         }
         assert_eq!(by_ids.observations, vec![24; n]);
     }

@@ -6,31 +6,38 @@
 //! A system is a [`SystemKind`]. All four run *one training step*
 //! ([`OffloadTrainer`], built for a system by [`OffloadTrainer::new`]) over
 //! the same functional pipeline (the `gs-render` renderer and `gs-optim`
-//! optimizers), so trained parameters are directly comparable across
-//! systems — the property behind Table 3 of the paper. Only the deferred
-//! update changes what the host executes. Otherwise systems differ in
-//! *where* data lives and *when* work runs: a placement derived from the
-//! system, which the step expresses through:
+//! optimizers), so trained parameters are identical across systems — the
+//! property behind Table 3 of the paper. Only the deferred update changes
+//! what the host executes. Otherwise systems differ in *where* data lives
+//! and *when* work runs. So the step records what it did (a
+//! [`StepRecord`]), and one model per system, in [`memory_model`], charges
+//! the record and schedules it:
 //!
 //! * per-device [`gs_platform::MemoryPool`]s (peak GPU memory, OOM behaviour),
 //! * a per-iteration [`gs_platform::TimelineSim`] built from roofline kernel
 //!   costs and PCIe transfer times (training throughput, time breakdowns,
 //!   execution timelines).
 //!
+//! The trainer runs its system's model on every step; [`replay`] runs any
+//! system's model over a recorded GS-Scale run, so one training run gives
+//! every system's statistics.
+//!
 //! Modules:
 //!
 //! * [`config`] — training hyper-parameters (3DGS recipe).
 //! * [`densify`] — adaptive density control (clone / split / prune).
 //! * [`splitting`] — balance-aware image splitting (Section 4.4).
-//! * [`memory_model`] — what each system charges to GPU and host memory,
-//!   and the paper-scale estimate that evaluates the same charges.
+//! * [`memory_model`] — the step record, what each system charges to GPU
+//!   and host memory and schedules on the timeline for it, and the
+//!   paper-scale estimate that evaluates the same charges.
 //! * [`stats`] — per-iteration and per-run statistics.
 //! * [`offload`] — the training step of every system: the host-offloading
 //!   systems (the baseline, and GS-Scale with and without the deferred
 //!   update) and GPU-only, and which of their mechanisms are bit-exact.
 //! * [`gpu_only`] — the GPU-only reference system, and its constructor
 //!   under the name the benchmark still calls.
-//! * [`driver`] — the training loop, evaluation, and epoch timing.
+//! * [`driver`] — the training loop, evaluation, epoch timing, and the
+//!   replay of a recorded run under every system.
 
 #![deny(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -43,12 +50,11 @@ pub mod memory_model;
 pub mod offload;
 pub mod splitting;
 pub mod stats;
-mod timing;
 
 pub use config::TrainConfig;
-pub use driver::{evaluate, train, TrainOutcome};
+pub use driver::{evaluate, replay, train, TrainOutcome};
 pub use gpu_only::GpuOnlyTrainer;
-pub use memory_model::{estimate_gpu_memory, MemoryEstimate, SystemKind};
+pub use memory_model::{estimate_gpu_memory, MemoryEstimate, StepRecord, SystemKind};
 pub use offload::{OffloadOptions, OffloadTrainer};
 pub use stats::{IterationStats, RunStats};
 

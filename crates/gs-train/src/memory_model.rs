@@ -1,18 +1,29 @@
-//! Where each system's bytes live. The trainer charges its memory pools
-//! through the placement here: what a system keeps resident between steps
-//! and what each forward/backward pass adds. The functional trainers run on
-//! small scenes, so their measured usage is small and the ratios between
-//! systems are what carry over; [`estimate_gpu_memory`] evaluates the
-//! trainer's charges at paper scale (tens of millions of Gaussians, Figures
-//! 1, 3, 11–13, 15 and 16) for one analytic pass.
+//! What distinguishes the systems: where each keeps its bytes and when its
+//! work runs. One model (the private `SystemModel`) turns what a step did,
+//! a [`StepRecord`], into a system's memory charges and execution timeline
+//! on a platform; [`crate::OffloadTrainer`] runs it on every step and
+//! [`crate::replay`] on a recorded run. The functional trainers run on
+//! small scenes, so the ratios between systems are what carry over;
+//! [`estimate_gpu_memory`] evaluates the same charges at paper scale (tens
+//! of millions of Gaussians, Figures 1, 3, 11–13, 15 and 16).
 
+use std::collections::BTreeMap;
+
+use gs_core::error::Result;
 use gs_core::gaussian::GaussianParams;
-use gs_platform::MemoryCategory;
+use gs_optim::StepStats;
+use gs_platform::{
+    kernel_time, MemoryCategory, MemoryPool, PlatformSpec, Stream, TimelineSim, TransferModel, Work,
+};
+use gs_render::cost::{self as render_cost, WorkEstimate};
+use gs_render::pipeline::RenderStats;
+
+use crate::stats::IterationStats;
 
 /// A training system of the paper's evaluation, the only description of one
-/// that [`crate::OffloadTrainer::new`] takes. The trainer reads two facts
-/// from it: where the system keeps its buffers, and whether its host
-/// optimizer defers (GS-Scale only).
+/// that [`crate::OffloadTrainer::new`] takes. Two facts are read from it:
+/// where the system keeps its buffers, and whether its host optimizer
+/// defers (GS-Scale only).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SystemKind {
     /// Everything resident on the GPU (no offloading).
@@ -85,9 +96,9 @@ const ACTIVATION_BYTES_PER_PIXEL: u64 = 1100;
 /// Bytes of transient per-splat state during the forward/backward pass.
 const ACTIVATION_BYTES_PER_ACTIVE_GAUSSIAN: u64 = 48;
 
-/// Where a system keeps its training state: what the step charges to GPU
-/// and host memory and which timeline events it schedules. Derived from the
-/// system, never set on its own.
+/// Where a system keeps its training state: what [`SystemModel`] charges
+/// to GPU and host memory and which timeline events it schedules. Derived
+/// from the system, never set on its own.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Placement {
     /// Everything on the host: each pass stages its Gaussians' full rows
@@ -175,6 +186,248 @@ impl Placement {
             (MemoryCategory::Gradients, column_bytes(active, grads)),
             (MemoryCategory::Activations, activations),
         ]
+    }
+}
+
+/// What one training step did, as far as the system model reads it. The
+/// step's arithmetic is the same under every system, so a record made by
+/// one system models the step under any other ([`crate::replay`]).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct StepRecord {
+    /// Photometric loss of the step.
+    pub(crate) loss: f32,
+    /// Gaussians in the model during the step.
+    pub(crate) gaussians: usize,
+    /// Gaussians inside the view's frustum.
+    pub(crate) active: usize,
+    /// Work counters of the forward/backward pass over the whole view.
+    pub(crate) whole: RenderStats,
+    /// Work counters of the view's two balanced halves, when its active
+    /// ratio exceeded `mem_limit` under a system that image-splits.
+    pub(crate) halves: Option<[RenderStats; 2]>,
+    /// Gaussians the deferred update updated, under the one system that
+    /// defers (every other host optimizer updates all of them).
+    pub(crate) deferred_updates: Option<usize>,
+}
+
+/// One system on one platform: the memory pools a step charges and the
+/// timeline it schedules, both read off a [`StepRecord`].
+#[derive(Debug, Clone)]
+pub(crate) struct SystemModel {
+    placement: Placement,
+    defers: bool,
+    pub(crate) platform: PlatformSpec,
+    gpu_pool: MemoryPool,
+    host_pool: MemoryPool,
+}
+
+impl SystemModel {
+    /// The model of `kind` on `platform`, with nothing charged yet.
+    pub(crate) fn new(kind: SystemKind, platform: PlatformSpec) -> Self {
+        Self {
+            placement: Placement::for_system(kind),
+            defers: kind == SystemKind::GsScale,
+            gpu_pool: MemoryPool::new("gpu", platform.gpu.mem_capacity),
+            host_pool: MemoryPool::new("host", platform.cpu.mem_capacity),
+            platform,
+        }
+    }
+
+    /// GPU memory charged so far.
+    pub(crate) fn gpu_pool(&self) -> &MemoryPool {
+        &self.gpu_pool
+    }
+
+    /// Host memory charged so far.
+    pub(crate) fn host_pool(&self) -> &MemoryPool {
+        &self.host_pool
+    }
+
+    /// Whether the system image-splits a view whose active ratio exceeds
+    /// `mem_limit`.
+    pub(crate) fn splits(&self) -> bool {
+        self.placement.forwards_and_splits()
+    }
+
+    /// Re-charges the persistent state for a model of `n` Gaussians, host
+    /// memory first; out of memory if it no longer fits.
+    pub(crate) fn resize(&mut self, n: usize) -> Result<()> {
+        for (category, bytes) in self.placement.persistent_host(n, self.defers) {
+            self.host_pool.set(category, bytes)?;
+        }
+        for (category, bytes) in self.placement.persistent_gpu(n) {
+            self.gpu_pool.set(category, bytes)?;
+        }
+        Ok(())
+    }
+
+    /// The forward/backward passes the system runs for `record`: the two
+    /// halves of a split view, or the whole view.
+    fn passes<'r>(&self, record: &'r StepRecord) -> &'r [RenderStats] {
+        match &record.halves {
+            Some(halves) if self.splits() => halves,
+            _ => std::slice::from_ref(&record.whole),
+        }
+    }
+
+    /// Charges each pass's transient GPU memory and releases it; out of
+    /// memory at the first pass that does not fit. All or nothing: that
+    /// pass leaves no charge behind for the steps after it.
+    pub(crate) fn charge(&mut self, record: &StepRecord) -> Result<()> {
+        let charged = self.passes(record).iter().try_for_each(|stats| {
+            let transient = self
+                .placement
+                .transient_gpu(stats.num_input, stats.num_pixels);
+            self.gpu_pool.alloc_all(&transient)?;
+            for (category, bytes) in transient {
+                self.gpu_pool.free(category, bytes);
+            }
+            Ok(())
+        });
+        let persistent = self.placement.persistent_gpu(record.gaussians);
+        debug_assert_eq!(
+            self.gpu_pool.used_total(),
+            persistent.iter().map(|&(_, bytes)| bytes).sum::<u64>(),
+            "GPU memory left charged"
+        );
+        charged
+    }
+
+    /// Schedules `record` on the system's execution timeline and returns
+    /// the step's statistics.
+    pub(crate) fn schedule(&self, record: &StepRecord) -> IterationStats {
+        let (gpu, cpu) = (&self.platform.gpu, &self.platform.cpu);
+        let (total, active) = (record.gaussians, record.active);
+        let transfer = TransferModel::new(self.platform.pcie_bandwidth);
+        let mut sim = TimelineSim::new();
+
+        // Frustum culling over all Gaussians.
+        let (cull_stream, cull_label, cull_time) = if self.placement == Placement::Host {
+            // Eager-mode tensor ops on the CPU: each projection intermediate
+            // materializes, so the traffic is many passes over the tensors.
+            let work = work_from_estimate(&render_cost::cull_cost_cpu_eager(total, active));
+            let time = kernel_time(&work, cpu, false);
+            (Stream::CpuCompute, "cpu_frustum_cull", time)
+        } else {
+            // Fused culling kernel over the GPU-resident geometric attributes.
+            let work = work_from_estimate(&render_cost::cull_cost(total, active));
+            let time = kernel_time(&work, gpu, true);
+            (Stream::GpuCompute, "frustum_cull", time)
+        };
+        let cull_event = sim.schedule(cull_stream, cull_label, cull_time, &[]);
+
+        // H2D staging (chunked), forward/backward and D2H gradients per
+        // pass. Under parameter forwarding the H2D copy does not wait for
+        // the (lazy) CPU optimizer; in the baseline it must wait for the
+        // full CPU update, which is modelled by the optimizer event being
+        // scheduled before the next iteration starts (serial CPU stream).
+        // With everything resident nothing transfers, and the pass waits
+        // only for the cull.
+        let passes = self.passes(record);
+        let (mut last_gpu_event, mut last_d2h_event) = (cull_event, cull_event);
+        let transfers = self.placement.transfers();
+        for stats in passes {
+            let [(_, staged_param_bytes), (_, grad_bytes), _] = self
+                .placement
+                .transient_gpu(stats.num_input, stats.num_pixels);
+            let staged_event = if transfers {
+                let h2d_time = transfer.chunked_transfer_time(staged_param_bytes);
+                sim.schedule(Stream::HostToDevice, "h2d_params", h2d_time, &[cull_event])
+            } else {
+                cull_event
+            };
+            let fwd_work = work_from_estimate(&stats.forward_work());
+            let bwd_work = work_from_estimate(&stats.backward_work());
+            let fwd = sim.schedule(
+                Stream::GpuCompute,
+                "gpu_fwd_bwd",
+                kernel_time(&fwd_work, gpu, true) + kernel_time(&bwd_work, gpu, true),
+                &[staged_event, last_gpu_event],
+            );
+            if transfers {
+                let d2h_time = transfer.transfer_time(grad_bytes);
+                last_d2h_event = sim.schedule(Stream::DeviceToHost, "d2h_grads", d2h_time, &[fwd]);
+            }
+            last_gpu_event = fwd;
+        }
+
+        // Optimizer updates: dense Adam over the geometric columns, and the
+        // deferred update or the same dense Adam over the others.
+        let geom_stats = StepStats::dense(total, GaussianParams::GEOMETRIC_PARAMS);
+        let host_dims = GaussianParams::NON_GEOMETRIC_PARAMS;
+        let cpu_stats = if self.defers {
+            let updated = record
+                .deferred_updates
+                .expect("a deferring system's step records its deferred update");
+            StepStats::deferred(updated, total, host_dims)
+        } else {
+            StepStats::dense(total, host_dims)
+        };
+        // Geometric state on the host can only be updated after the gradients
+        // have been copied back; on the GPU its update follows the backward
+        // pass directly. With everything resident, one GPU optimizer updates
+        // all 59 columns.
+        let (label, after, geom_stats) = match self.placement {
+            Placement::Host => ("cpu_optimizer", last_d2h_event, geom_stats),
+            Placement::GeometricResident => ("msq_optimizer", last_gpu_event, geom_stats),
+            Placement::AllResident => ("optimizer", last_gpu_event, geom_stats.combine(&cpu_stats)),
+        };
+        let geom_work = work_from_step(&geom_stats, false);
+        if self.placement == Placement::Host {
+            let time = kernel_time(&geom_work, cpu, false);
+            sim.schedule(Stream::CpuCompute, label, time, &[after]);
+        } else {
+            let time = kernel_time(&geom_work, gpu, true);
+            sim.schedule(Stream::GpuCompute, label, time, &[after]);
+        }
+        if transfers {
+            let cpu_work = work_from_step(&cpu_stats, self.defers);
+            let cpu_opt_time = kernel_time(&cpu_work, cpu, false);
+            // Pipelined under parameter forwarding: the CPU update runs
+            // concurrently with the GPU work of this iteration (steady-state
+            // model of Figure 9c/9d). Only a small "forwarding" slice —
+            // updating the staged subset — must precede the H2D copy, which
+            // is already charged inside the H2D latency, so the lazy update
+            // has no GPU-side dependents. Serial otherwise: the CPU update
+            // follows the backward pass and the gradient transfer back to
+            // host memory.
+            let deps = (!self.placement.forwards_and_splits()).then_some(last_d2h_event);
+            sim.schedule(
+                Stream::CpuCompute,
+                "cpu_optimizer",
+                cpu_opt_time,
+                deps.as_slice(),
+            );
+        }
+
+        let mut breakdown = BTreeMap::new();
+        sim.accumulate_breakdown(&mut breakdown);
+        IterationStats {
+            loss: record.loss,
+            active_gaussians: active,
+            total_gaussians: total,
+            sim_time_s: sim.makespan(),
+            phase_breakdown: breakdown,
+            image_split: passes.len() == 2,
+            optimizer_updates: cpu_stats.updated_gaussians,
+        }
+    }
+}
+
+/// A renderer work estimate as platform work.
+fn work_from_estimate(e: &WorkEstimate) -> Work {
+    Work::new(e.flops, e.total_bytes())
+}
+
+/// An optimizer step's traffic as platform work; `random_access` marks it
+/// scattered (the deferred update touches an arbitrary subset of Gaussians,
+/// which matters on the NUMA server).
+fn work_from_step(s: &StepStats, random_access: bool) -> Work {
+    let w = Work::new(s.flops, s.total_bytes());
+    if random_access {
+        w.with_random_access()
+    } else {
+        w
     }
 }
 
@@ -280,6 +533,26 @@ mod tests {
             }
         }
         assert_eq!(hash, 0x2f7d_afd5_766a_05b3);
+    }
+
+    #[test]
+    fn conversions_preserve_totals() {
+        let e = WorkEstimate::new(100.0, 30.0, 20.0);
+        let w = work_from_estimate(&e);
+        assert_eq!(w.flops, 100.0);
+        assert_eq!(w.bytes, 50.0);
+        assert!(!w.random_access);
+
+        let s = StepStats {
+            updated_gaussians: 1,
+            total_gaussians: 2,
+            bytes_read: 8.0,
+            bytes_written: 4.0,
+            flops: 16.0,
+        };
+        let w2 = work_from_step(&s, true);
+        assert_eq!(w2.bytes, 12.0);
+        assert!(w2.random_access);
     }
 
     #[test]

@@ -6,12 +6,9 @@
 //! to choose it. Under offloading, all Gaussian parameters and optimizer
 //! states live in host memory; only the subset needed by the current view is
 //! staged on the GPU. GPU-only is the same step with every buffer resident
-//! on the GPU. Where the buffers live is a private placement derived from
-//! the system; its byte charges live in [`crate::memory_model`], whose
-//! [`crate::estimate_gpu_memory`] evaluates the same charges at paper scale.
-//! GS-Scale applies all four of the paper's optimizations below, GS-Scale
-//! without the deferred update the other three, and the baseline and
-//! GPU-only none:
+//! on the GPU. GS-Scale applies all four of the paper's optimizations below,
+//! GS-Scale without the deferred update the other three, and the baseline
+//! and GPU-only none:
 //!
 //! * **selective offloading** — geometric attributes (and their optimizer
 //!   state) stay resident on the GPU, so frustum culling and the
@@ -24,17 +21,19 @@
 //! * **image splitting** — a view whose active ratio exceeds `mem_limit` is
 //!   modelled as two passes over balanced sub-viewports.
 //!
-//! Only the deferred update changes what the host executes. The placement,
-//! parameter forwarding and image splitting change only what the step
-//! charges to memory and schedules on the timeline, never the arithmetic.
+//! Only the deferred update changes what the host executes. Where the
+//! buffers live, parameter forwarding and image splitting change only what
+//! is charged to memory and scheduled on the timeline, never the
+//! arithmetic. So the step runs the arithmetic and records what it did (a
+//! [`StepRecord`]), and the system's model in [`crate::memory_model`]
+//! charges and schedules the record.
 //!
 //! # What is exact
 //!
 //! Bit-exact, with the test that pins each:
 //!
-//! * the GPU-only, baseline and selective-offloading placements, and
-//!   parameter forwarding: the same loss and parameter bits after every
-//!   step, with and without densification
+//! * where the buffers live, and parameter forwarding: the same loss and
+//!   parameter bits after every step, with and without densification
 //!   (`placements_and_schedules_train_bit_identically_in_lockstep`, and the
 //!   fingerprints in `trained_parameters_match_golden_fingerprints`);
 //! * the deferred update: the same loss bits after every step and the same
@@ -53,7 +52,9 @@
 //!   same lockstep test, and `image_splitting_preserves_training_results`);
 //!   each pass's work is that of rendering its half's cull (`gs-render`'s
 //!   `stats_within_a_sub_viewport_match_rendering_its_cull`, and the
-//!   reference step in `tests/end_to_end.rs`).
+//!   reference step in `tests/end_to_end.rs`);
+//! * one recorded GS-Scale run, replayed under each system, equals that
+//!   system's own run (`a_recorded_run_replays_as_every_system`).
 //!
 //! # Host-side cost of one step
 //!
@@ -75,27 +76,21 @@
 //!   the deferred update off, dense Adam also walks the 49 host-resident
 //!   columns, which is the cost the deferred update exists to remove.
 
-use std::collections::BTreeMap;
-
 use gs_core::camera::{Camera, Viewport};
 use gs_core::error::Result;
 use gs_core::gaussian::{GaussianParams, ParamGroup};
 use gs_core::image::Image;
 use gs_optim::{DeferredAdam, DenseAdam};
-use gs_platform::{
-    kernel_time, MemoryCategory, MemoryPool, PlatformSpec, Stream, TimelineSim, TransferModel,
-};
-use gs_render::cost as render_cost;
+use gs_platform::{MemoryCategory, PlatformSpec};
 use gs_render::culling::{frustum_cull, gaussian_in_frustum};
 use gs_render::loss::loss_and_grad;
 use gs_render::pipeline::{render, render_backward, to_sparse_grads};
 
 use crate::config::TrainConfig;
 use crate::densify::{densify, DensifyAccumulator};
-use crate::memory_model::{Placement, SystemKind};
+use crate::memory_model::{StepRecord, SystemKind, SystemModel};
 use crate::splitting::balanced_split;
 use crate::stats::IterationStats;
-use crate::timing::{work_from_estimate, work_from_step};
 use crate::Trainer;
 
 /// The trainer behind every system (see module docs).
@@ -103,20 +98,16 @@ use crate::Trainer;
 pub struct OffloadTrainer {
     config: TrainConfig,
     kind: SystemKind,
-    placement: Placement,
-    platform: PlatformSpec,
     /// Host-authoritative parameters. Non-geometric values of deferred
     /// Gaussians are intentionally stale between commits.
     params: GaussianParams,
-    /// Dense Adam: the geometric groups always (on the GPU unless the
-    /// placement is `Host`), the non-geometric groups unless the deferred
-    /// update is on.
+    /// Dense Adam: the geometric groups always, the non-geometric groups
+    /// unless the deferred update is on.
     dense: DenseAdam,
     /// Deferred Adam for the non-geometric groups.
     deferred: Option<DeferredAdam>,
-    gpu_pool: MemoryPool,
-    host_pool: MemoryPool,
-    transfer: TransferModel,
+    /// What the system charges and schedules for each step.
+    model: SystemModel,
     accum: DensifyAccumulator,
     iteration: usize,
     scene_extent: f32,
@@ -138,54 +129,29 @@ impl OffloadTrainer {
         scene_extent: f32,
     ) -> Result<Self> {
         let n = init.len();
-        let gpu_pool = MemoryPool::new("gpu", platform.gpu.mem_capacity);
-        let host_pool = MemoryPool::new("host", platform.cpu.mem_capacity);
-        let transfer = TransferModel::new(platform.pcie_bandwidth);
-        let dense = DenseAdam::new(config.adam, n);
-        let deferred = (kind == SystemKind::GsScale).then(|| DeferredAdam::new(config.adam, n));
-        let mut trainer = Self {
+        let mut model = SystemModel::new(kind, platform);
+        model.resize(n)?;
+        Ok(Self {
+            dense: DenseAdam::new(config.adam, n),
+            deferred: (kind == SystemKind::GsScale).then(|| DeferredAdam::new(config.adam, n)),
+            model,
             config,
             kind,
-            placement: Placement::for_system(kind),
-            platform,
             params: init,
-            dense,
-            deferred,
-            gpu_pool,
-            host_pool,
-            transfer,
             accum: DensifyAccumulator::new(n),
             iteration: 0,
             scene_extent,
-        };
-        trainer.update_persistent_memory()?;
-        Ok(trainer)
+        })
     }
 
     /// The platform this trainer is modelled on.
     pub fn platform(&self) -> &PlatformSpec {
-        &self.platform
-    }
-
-    /// Number of training iterations performed so far.
-    pub fn iteration(&self) -> usize {
-        self.iteration
+        &self.model.platform
     }
 
     /// Peak host (CPU) memory observed so far, in bytes.
     pub fn peak_host_memory(&self) -> u64 {
-        self.host_pool.peak_total()
-    }
-
-    fn update_persistent_memory(&mut self) -> Result<()> {
-        let n = self.params.len();
-        for (category, bytes) in self.placement.persistent_host(n, self.deferred.is_some()) {
-            self.host_pool.set(category, bytes)?;
-        }
-        for (category, bytes) in self.placement.persistent_gpu(n) {
-            self.gpu_pool.set(category, bytes)?;
-        }
-        Ok(())
+        self.model.host_pool().peak_total()
     }
 
     /// Stages the parameters of the listed Gaussians for the GPU forward
@@ -197,31 +163,20 @@ impl OffloadTrainer {
         }
     }
 
-    /// One training step; [`Trainer::step`] checks the GPU pool after it.
-    fn train_step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
+    /// One training step: runs the arithmetic and returns what it did and
+    /// the statistics the system's model gives it. The model charges the
+    /// step's passes before the optimizers run, so a step that runs out of
+    /// GPU memory leaves the parameters as they were.
+    pub(crate) fn record_step(
+        &mut self,
+        cam: &Camera,
+        target: &Image,
+    ) -> Result<(StepRecord, IterationStats)> {
         self.iteration += 1;
-        let total = self.params.len();
         let full_vp = Viewport::full(cam);
-
-        let (gpu, cpu) = (self.platform.gpu, self.platform.cpu);
-        let mut sim = TimelineSim::new();
 
         // ---- 1. Frustum culling over all Gaussians --------------------------
         let cull = frustum_cull(&self.params, cam, &full_vp);
-        let active = cull.num_active();
-        let (cull_stream, cull_label, cull_time) = if self.placement == Placement::Host {
-            // Eager-mode tensor ops on the CPU: each projection intermediate
-            // materializes, so the traffic is many passes over the tensors.
-            let work = work_from_estimate(&render_cost::cull_cost_cpu_eager(total, active));
-            let time = kernel_time(&work, &cpu, false);
-            (Stream::CpuCompute, "cpu_frustum_cull", time)
-        } else {
-            // Fused culling kernel over the GPU-resident geometric attributes.
-            let work = work_from_estimate(&render_cost::cull_cost(total, active));
-            let time = kernel_time(&work, &gpu, true);
-            (Stream::GpuCompute, "frustum_cull", time)
-        };
-        let cull_event = sim.schedule(cull_stream, cull_label, cull_time, &[]);
 
         // ---- 2. Forward/backward over the whole view -------------------------
         let staged = self.stage_params(&cull.ids);
@@ -231,66 +186,30 @@ impl OffloadTrainer {
         let grads = render_backward(&staged, cam, sh_degree, &output, &d_image);
         let grads = to_sparse_grads(&cull.ids, grads);
 
-        // ---- 3. Modelled passes ---------------------------------------------
+        // ---- 3. The record and its charges ----------------------------------
         // A view whose active ratio exceeds `mem_limit` (and that has a
         // column to split at) is modelled as two balanced passes, each
         // staging its half's cull and doing the work of rendering it.
-        let split = self.placement.forwards_and_splits()
-            && cull.active_ratio() > self.config.mem_limit
-            && cam.width >= 2;
-        let passes = if split {
+        let split =
+            self.model.splits() && cull.active_ratio() > self.config.mem_limit && cam.width >= 2;
+        let halves = split.then(|| {
             let (left, right) = balanced_split(&self.params, cam, &cull.ids).viewports(cam);
             let within = |half: Viewport| {
                 output.stats_within(&half, |k| {
                     gaussian_in_frustum(&self.params, cull.ids[k] as usize, cam, &half)
                 })
             };
-            vec![within(left), within(right)]
-        } else {
-            vec![output.stats]
+            [within(left), within(right)]
+        });
+        let mut record = StepRecord {
+            loss,
+            gaussians: self.params.len(),
+            active: cull.num_active(),
+            whole: output.stats,
+            halves,
+            deferred_updates: None,
         };
-        let (mut last_gpu_event, mut last_d2h_event) = (cull_event, cull_event);
-        let transfers = self.placement.transfers();
-        for stats in passes {
-            // Transient GPU memory for this pass. All or nothing: a view that
-            // does not fit must leave no charge behind for the steps after it.
-            let transient = self
-                .placement
-                .transient_gpu(stats.num_input, stats.num_pixels);
-            let [(_, staged_param_bytes), (_, grad_bytes), _] = transient;
-            self.gpu_pool.alloc_all(&transient)?;
-
-            // Timeline: H2D staging (chunked), forward/backward, D2H grads.
-            // Under parameter forwarding the H2D copy does not wait for the
-            // (lazy) CPU optimizer; in the baseline it must wait for the full
-            // CPU update, which is modelled by the optimizer event being
-            // scheduled before the next iteration starts (serial CPU stream).
-            // With everything resident nothing transfers, and the pass waits
-            // only for the cull.
-            let staged_event = if transfers {
-                let h2d_time = self.transfer.chunked_transfer_time(staged_param_bytes);
-                sim.schedule(Stream::HostToDevice, "h2d_params", h2d_time, &[cull_event])
-            } else {
-                cull_event
-            };
-            let fwd_work = work_from_estimate(&stats.forward_work());
-            let bwd_work = work_from_estimate(&stats.backward_work());
-            let fwd = sim.schedule(
-                Stream::GpuCompute,
-                "gpu_fwd_bwd",
-                kernel_time(&fwd_work, &gpu, true) + kernel_time(&bwd_work, &gpu, true),
-                &[staged_event, last_gpu_event],
-            );
-            if transfers {
-                let d2h_time = self.transfer.transfer_time(grad_bytes);
-                last_d2h_event = sim.schedule(Stream::DeviceToHost, "d2h_grads", d2h_time, &[fwd]);
-            }
-            last_gpu_event = fwd;
-
-            for (category, bytes) in transient {
-                self.gpu_pool.free(category, bytes);
-            }
-        }
+        self.model.charge(&record)?;
 
         // ---- 4. Densification statistics ------------------------------------
         // Statistics are recorded over the full index space so every system
@@ -301,74 +220,23 @@ impl OffloadTrainer {
 
         // ---- 5. Optimizer updates -------------------------------------------
         // Geometric groups: dense Adam over every Gaussian, reading the
-        // sparse gradients in place.
+        // sparse gradients in place. Non-geometric groups: deferred, or the
+        // same dense Adam at the same step.
         let t = self.dense.advance();
         let params = &mut self.params;
-        let geom_stats = self
-            .dense
+        self.dense
             .apply_groups_sparse(params, &grads, &ParamGroup::GEOMETRIC, t);
-
-        // Non-geometric groups: deferred, or the same dense Adam at the same
-        // step.
-        let (cpu_stats, random_access) = match self.deferred.as_mut() {
-            Some(deferred) => (
-                deferred.step_groups(params, &grads, &ParamGroup::NON_GEOMETRIC),
-                true,
-            ),
-            None => (
+        match self.deferred.as_mut() {
+            Some(deferred) => {
+                let stats = deferred.step_groups(params, &grads, &ParamGroup::NON_GEOMETRIC);
+                record.deferred_updates = Some(stats.updated_gaussians);
+            }
+            None => {
                 self.dense
-                    .apply_groups_sparse(params, &grads, &ParamGroup::NON_GEOMETRIC, t),
-                false,
-            ),
-        };
-        // Geometric state on the host can only be updated after the gradients
-        // have been copied back; on the GPU its update follows the backward
-        // pass directly. With everything resident, one GPU optimizer updates
-        // all 59 columns.
-        let (label, after, geom_stats) = match self.placement {
-            Placement::Host => ("cpu_optimizer", last_d2h_event, geom_stats),
-            Placement::GeometricResident => ("msq_optimizer", last_gpu_event, geom_stats),
-            Placement::AllResident => ("optimizer", last_gpu_event, geom_stats.combine(&cpu_stats)),
-        };
-        let geom_work = work_from_step(&geom_stats, false);
-        if self.placement == Placement::Host {
-            let time = kernel_time(&geom_work, &cpu, false);
-            sim.schedule(Stream::CpuCompute, label, time, &[after]);
-        } else {
-            let time = kernel_time(&geom_work, &gpu, true);
-            sim.schedule(Stream::GpuCompute, label, time, &[after]);
+                    .apply_groups_sparse(params, &grads, &ParamGroup::NON_GEOMETRIC, t);
+            }
         }
-        if transfers {
-            let cpu_opt_time = kernel_time(&work_from_step(&cpu_stats, random_access), &cpu, false);
-            // Pipelined under parameter forwarding: the CPU update runs
-            // concurrently with the GPU work of this iteration (steady-state
-            // model of Figure 9c/9d). Only a small "forwarding" slice —
-            // updating the staged subset — must precede the H2D copy, which
-            // is already charged inside the H2D latency, so the lazy update
-            // has no GPU-side dependents. Serial otherwise: the CPU update
-            // follows the backward pass and the gradient transfer back to
-            // host memory.
-            let deps = (!self.placement.forwards_and_splits()).then_some(last_d2h_event);
-            sim.schedule(
-                Stream::CpuCompute,
-                "cpu_optimizer",
-                cpu_opt_time,
-                deps.as_slice(),
-            );
-        }
-
-        let mut breakdown = BTreeMap::new();
-        sim.accumulate_breakdown(&mut breakdown);
-
-        Ok(IterationStats {
-            loss,
-            active_gaussians: active,
-            total_gaussians: total,
-            sim_time_s: sim.makespan(),
-            phase_breakdown: breakdown,
-            image_split: split,
-            optimizer_updates: cpu_stats.updated_gaussians,
-        })
+        Ok((record, self.model.schedule(&record)))
     }
 }
 
@@ -382,17 +250,7 @@ impl Trainer for OffloadTrainer {
     }
 
     fn step(&mut self, cam: &Camera, target: &Image) -> Result<IterationStats> {
-        let stats = self.train_step(cam, target);
-        // Whether the step succeeded or ran out of memory, it released every
-        // transient charge: the GPU holds exactly what the placement keeps.
-        let persistent = self.placement.persistent_gpu(self.params.len());
-        debug_assert_eq!(
-            self.gpu_pool.used_total(),
-            persistent.iter().map(|&(_, bytes)| bytes).sum::<u64>(),
-            "GPU memory left charged after step {}",
-            self.iteration
-        );
-        stats
+        self.record_step(cam, target).map(|(_, stats)| stats)
     }
 
     fn flush(&mut self) {
@@ -421,16 +279,16 @@ impl Trainer for OffloadTrainer {
             deferred.append_zeros(report.appended);
         }
         self.accum.reset(self.params.len());
-        self.update_persistent_memory()?;
+        self.model.resize(self.params.len())?;
         Ok((report.appended, report.pruned + report.split))
     }
 
     fn peak_gpu_memory(&self) -> u64 {
-        self.gpu_pool.peak_total()
+        self.model.gpu_pool().peak_total()
     }
 
     fn peak_gpu_breakdown(&self) -> Vec<(MemoryCategory, u64)> {
-        self.gpu_pool.peak_breakdown()
+        self.model.gpu_pool().peak_breakdown()
     }
 }
 
@@ -1002,10 +860,10 @@ mod tests {
             10.0,
         )
         .unwrap();
-        assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
+        assert_eq!(trainer.model.gpu_pool().used_total(), resident_bytes);
         for _ in 0..2 {
             assert!(trainer.step(&cam, &target).unwrap_err().is_oom());
-            assert_eq!(trainer.gpu_pool.used_total(), resident_bytes);
+            assert_eq!(trainer.model.gpu_pool().used_total(), resident_bytes);
         }
 
         // All resident (GPU-only): room for every Gaussian's parameters (236
@@ -1021,10 +879,10 @@ mod tests {
             10.0,
         )
         .unwrap();
-        assert_eq!(gpu_only.gpu_pool.used_total(), all_resident);
+        assert_eq!(gpu_only.model.gpu_pool().used_total(), all_resident);
         for _ in 0..2 {
             assert!(gpu_only.step(&cam, &target).unwrap_err().is_oom());
-            assert_eq!(gpu_only.gpu_pool.used_total(), all_resident);
+            assert_eq!(gpu_only.model.gpu_pool().used_total(), all_resident);
         }
     }
 
@@ -1033,7 +891,10 @@ mod tests {
         let (init, _cam, _target) = tiny_scene();
         let geometric = |kind| {
             let trainer = laptop_trainer(TrainConfig::fast_test(5), kind, &init);
-            trainer.gpu_pool.peak(MemoryCategory::GeometricParameters)
+            trainer
+                .model
+                .gpu_pool()
+                .peak(MemoryCategory::GeometricParameters)
         };
         assert!(geometric(SystemKind::GsScale) > 0);
         assert_eq!(geometric(SystemKind::BaselineOffload), 0);

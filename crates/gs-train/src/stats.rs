@@ -69,15 +69,6 @@ impl RunStats {
         }
     }
 
-    /// Mean loss over the last `n` iterations (or all, if fewer).
-    pub fn recent_loss(&self, n: usize) -> f32 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        let tail = &self.iterations[self.iterations.len().saturating_sub(n)..];
-        tail.iter().map(|i| i.loss).sum::<f32>() / tail.len() as f32
-    }
-
     /// Mean active-to-total Gaussian ratio over the run (Figure 4).
     pub fn mean_active_ratio(&self) -> f64 {
         if self.iterations.is_empty() {
@@ -142,16 +133,6 @@ mod tests {
     }
 
     #[test]
-    fn recent_loss_averages_tail() {
-        let mut run = RunStats::default();
-        for i in 0..10 {
-            run.iterations.push(iter_stat(i as f32, 0.1, 1, 10));
-        }
-        assert!((run.recent_loss(2) - 8.5).abs() < 1e-6);
-        assert!((run.recent_loss(100) - 4.5).abs() < 1e-6);
-    }
-
-    #[test]
     fn phase_breakdown_aggregates_labels() {
         let mut run = RunStats::default();
         run.iterations.push(iter_stat(1.0, 1.0, 1, 10));
@@ -165,7 +146,6 @@ mod tests {
     fn empty_run_is_well_behaved() {
         let run = RunStats::default();
         assert_eq!(run.throughput_images_per_s(), 0.0);
-        assert_eq!(run.recent_loss(5), 0.0);
         assert_eq!(run.split_fraction(), 0.0);
     }
 }

@@ -5,6 +5,8 @@
 //! For each system the example reports the simulated iteration time (on the
 //! modelled laptop), its per-phase breakdown, the peak GPU memory, and the
 //! final rendering quality — a miniature version of Figures 7, 9, 11 and 12.
+//! Every system trains to the same parameters, so the scene trains once,
+//! with GS-Scale, and each system is modelled from that recorded run.
 //!
 //! Run with:
 //!
@@ -15,7 +17,7 @@
 use gs_scale::core::scene::init_gaussians_from_point_cloud;
 use gs_scale::platform::PlatformSpec;
 use gs_scale::scene::{SceneConfig, SceneDataset};
-use gs_scale::train::{train, OffloadTrainer, SystemKind, TrainConfig};
+use gs_scale::train::{replay, train, OffloadTrainer, SystemKind, TrainConfig};
 
 fn main() {
     let scene = SceneDataset::generate(SceneConfig {
@@ -42,25 +44,26 @@ fn main() {
         platform.r_bw()
     );
 
+    let config = TrainConfig::reference(iterations, scene.scene_extent());
+    let mut trainer = OffloadTrainer::new(
+        config,
+        SystemKind::GsScale,
+        platform.clone(),
+        init,
+        scene.scene_extent(),
+    )
+    .expect("fits at this scale");
+    let recorded = train(&mut trainer, &scene, iterations, true).expect("training succeeds");
+    let quality = recorded.quality.expect("evaluated");
+
     let mut baseline_throughput = None;
     for kind in SystemKind::ALL {
-        let config = TrainConfig::reference(iterations, scene.scene_extent());
-        let mut trainer = OffloadTrainer::new(
-            config,
-            kind,
-            platform.clone(),
-            init.clone(),
-            scene.scene_extent(),
-        )
-        .expect("fits at this scale");
-        let outcome = train(&mut trainer, &scene, iterations, true).expect("training succeeds");
-
-        let throughput = outcome.run.throughput_images_per_s();
+        let run = replay(kind, &platform, &recorded).expect("fits at this scale");
+        let throughput = run.throughput_images_per_s();
         if kind == SystemKind::BaselineOffload {
             baseline_throughput = Some(throughput);
         }
         let normalized = baseline_throughput.map(|b| throughput / b).unwrap_or(1.0);
-        let quality = outcome.quality.expect("evaluated");
 
         println!("== {} ==", kind.name());
         println!(
@@ -68,14 +71,14 @@ fn main() {
         );
         println!(
             "  peak GPU mem {:.2} MB | final Gaussians {}",
-            outcome.run.peak_gpu_bytes as f64 / 1e6,
-            outcome.run.final_gaussians
+            run.peak_gpu_bytes as f64 / 1e6,
+            run.final_gaussians
         );
         println!(
             "  quality      PSNR {:.2} dB, SSIM {:.3}, LPIPS proxy {:.3}",
             quality.psnr, quality.ssim, quality.lpips
         );
-        let breakdown = outcome.run.phase_breakdown();
+        let breakdown = run.phase_breakdown();
         let total: f64 = breakdown.iter().map(|(_, t)| t).sum();
         let mut parts: Vec<String> = breakdown
             .iter()
