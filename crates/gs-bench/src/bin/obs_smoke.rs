@@ -47,7 +47,6 @@ fn smoke_tuning() -> ObsTuning {
         slo_slow_window_s: 8,
         watcher_interval_ms: 20,
         heat_window_s: 30,
-        heat_top_k: 8,
         ..ObsTuning::default()
     }
 }

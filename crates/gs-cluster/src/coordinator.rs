@@ -36,7 +36,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 use gs_core::gaussian::GaussianParams;
@@ -348,10 +348,10 @@ pub struct Coordinator {
     /// replica-tier LRU [`FrameCache`] with the same key scheme, one tier
     /// up.
     cache: Option<Mutex<CoordCache>>,
-    /// Optional workload-capture hook (see [`Coordinator::set_recorder`]):
+    /// Optional workload-capture hook, set once ([`Coordinator::set_recorder`]):
     /// every render answered by the coordinator — cache hit, completion or
     /// error — is appended as a [`gs_trace::TraceEvent`].
-    recorder: Mutex<Option<Arc<TraceRecorder>>>,
+    recorder: OnceLock<Arc<TraceRecorder>>,
     /// The coordinator tier's observability state: trace sampling, the
     /// finished-span ring, and the metrics registry the stats collector
     /// shares (kernel-phase sampling stays off — the coordinator never
@@ -481,7 +481,7 @@ impl Coordinator {
             collector: StatsCollector::with_registry(metrics, 1),
             counters: Counters::default(),
             cache,
-            recorder: Mutex::new(None),
+            recorder: OnceLock::new(),
             obs,
             _watcher: watcher,
             slo_burning: AtomicBool::new(false),
@@ -503,12 +503,12 @@ impl Coordinator {
         self.obs.metrics_text()
     }
 
-    /// Installs a workload recorder: from now on every render answered by
-    /// [`Coordinator::render`] is captured as a trace event (scene, client,
-    /// pose, deadline, outcome, latency), timestamped on the recorder's
-    /// clock at arrival.
+    /// Installs the workload recorder, once (a second call panics): from
+    /// now on every render answered by [`Coordinator::render`] is captured
+    /// as a trace event (scene, client, pose, deadline, outcome, latency),
+    /// timestamped on the recorder's clock at arrival.
     pub fn set_recorder(&self, recorder: Arc<TraceRecorder>) {
-        *self.recorder.lock().unwrap() = Some(recorder);
+        assert!(self.recorder.set(recorder).is_ok(), "recorder already set");
     }
 
     /// Drops every coordinator-cached frame of `scene` and mints it a fresh
@@ -1061,10 +1061,9 @@ impl Coordinator {
         trace: Option<&TraceContext>,
     ) -> Result<ClusterFrame, ClusterError> {
         let started = Instant::now();
-        let recorder = self.recorder.lock().unwrap().clone();
-        let arrival_us = recorder.as_deref().map_or(0, TraceRecorder::now_us);
+        let arrival_us = self.recorder.get().map_or(0, |rec| rec.now_us());
         let record = |outcome: Outcome| {
-            if let Some(rec) = &recorder {
+            if let Some(rec) = self.recorder.get() {
                 let client = request.client.as_deref().unwrap_or("unknown");
                 let latency = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
                 rec.record(request.to_trace_event(client, arrival_us, outcome, latency));
@@ -1166,8 +1165,9 @@ impl Coordinator {
             Err(e) => {
                 self.collector.record_error();
                 record(outcome_for_cluster_error(e));
-                self.obs
-                    .record_outcome(Some(request.scene.as_str()), false, false, latency_s);
+                let served = !matches!(e, ClusterError::UnknownScene(_));
+                let scene = served.then_some(request.scene.as_str());
+                self.obs.record_outcome(scene, false, false, latency_s);
             }
         }
         result

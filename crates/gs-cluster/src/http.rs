@@ -19,7 +19,7 @@
 //!   ring, relay hops stitched under their request roots;
 //!   `GET /trace?id=<hex>` exports just one trace (`404` once it ages out).
 //! * `GET /slo` — cluster-tier SLO burn-rate status as JSON.
-//! * `GET /heat` — windowed per-scene top-K telemetry as JSON.
+//! * `GET /heat` — windowed telemetry of served scenes as JSON; `untracked` counts the rest.
 //! * `GET /events` — the coordinator flight recorder's wide events (replica
 //!   downs, failovers, placement moves) as JSON.
 //! * `GET /incidents` — captured anomaly incidents as JSON.

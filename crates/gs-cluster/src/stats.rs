@@ -67,9 +67,9 @@ pub struct ClusterStats {
     pub merged_replica_latency: LatencySummary,
     /// Per-replica reports, in replica-id order.
     pub replicas: Vec<ReplicaReport>,
-    /// Windowed per-scene heat top-K at the coordinator tier (request
-    /// rate, hit/error ratios, mean latency) — the traffic-skew input the
-    /// replication planner consumes.
+    /// Windowed per-scene heat at the coordinator tier, hottest first
+    /// (request rate, hit/error ratios, mean latency) — the traffic-skew
+    /// input the replication planner consumes.
     pub hot_scenes: Vec<HeatRow>,
 }
 

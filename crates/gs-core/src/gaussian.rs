@@ -377,26 +377,6 @@ impl GaussianParams {
         out
     }
 
-    /// Scatters parameters from a packed `src` container back to the
-    /// Gaussians listed in `ids` (inverse of [`GaussianParams::gather`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src.len() != ids.len()` or any id is out of range.
-    pub fn scatter_from(&mut self, ids: &[u32], src: &GaussianParams) {
-        assert_eq!(src.len(), ids.len());
-        let d = 3 * MAX_COEFFS;
-        for (k, &id) in ids.iter().enumerate() {
-            let i = id as usize;
-            assert!(i < self.len);
-            self.means[3 * i..3 * i + 3].copy_from_slice(&src.means[3 * k..3 * k + 3]);
-            self.log_scales[3 * i..3 * i + 3].copy_from_slice(&src.log_scales[3 * k..3 * k + 3]);
-            self.quats[4 * i..4 * i + 4].copy_from_slice(&src.quats[4 * k..4 * k + 4]);
-            self.opacities[i] = src.opacities[k];
-            self.sh[d * i..d * (i + 1)].copy_from_slice(&src.sh[d * k..d * (k + 1)]);
-        }
-    }
-
     /// Appends all Gaussians from `other`.
     pub fn append(&mut self, other: &GaussianParams) {
         self.means.extend_from_slice(&other.means);
@@ -710,24 +690,6 @@ mod tests {
         let p = sample_params(10);
         assert_eq!(p.num_parameters(), 10 * 59);
         assert_eq!(p.total_bytes(), 10 * 59 * 4);
-    }
-
-    #[test]
-    fn gather_scatter_roundtrip() {
-        let mut p = sample_params(8);
-        let ids = vec![1u32, 4, 6];
-        let mut sub = p.gather(&ids);
-        // Modify the gathered subset then scatter back.
-        for i in 0..sub.len() {
-            sub.set_mean(i, sub.mean(i) + Vec3::splat(10.0));
-        }
-        p.scatter_from(&ids, &sub);
-        assert!((p.mean(1).x - 11.0).abs() < 1e-6);
-        assert!((p.mean(4).x - 14.0).abs() < 1e-6);
-        assert!((p.mean(6).x - 16.0).abs() < 1e-6);
-        // Untouched Gaussians keep their values.
-        assert!((p.mean(0).x - 0.0).abs() < 1e-6);
-        assert!((p.mean(5).x - 5.0).abs() < 1e-6);
     }
 
     #[test]

@@ -15,8 +15,6 @@
 //!   projection quantities needed for frustum culling.
 //! * [`image`] — a minimal RGB float image container.
 //! * [`scene`] — point clouds and scene initialization from SfM-like inputs.
-//! * [`sketch`] — a count-min frequency sketch for the bounded heat tables
-//!   of the observability layer.
 //! * [`rng`] — the deterministic workspace RNG ([`Rng64`]) plus a seeded
 //!   [`Zipf`] sampler for power-law scene popularity.
 //! * [`error`] — the crate-wide error type.
@@ -45,7 +43,6 @@ pub mod math;
 pub mod rng;
 pub mod scene;
 pub mod sh;
-pub mod sketch;
 
 pub use camera::Camera;
 pub use error::{Error, Result};
@@ -54,4 +51,3 @@ pub use image::Image;
 pub use math::{Mat3, Quat, Vec2, Vec3, Vec4};
 pub use rng::{Rng64, Zipf};
 pub use scene::PointCloud;
-pub use sketch::CountMinSketch;

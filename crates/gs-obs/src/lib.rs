@@ -28,12 +28,16 @@
 //! * [`slo`] — [`SloEngine`]: declarative SLOs evaluated with
 //!   multi-window burn-rate math, exported as `gs_slo_*` gauges and the
 //!   `/slo` endpoint.
-//! * [`heat`] — [`HeatTable`]: a windowed per-scene top-K request-rate,
-//!   hit-rate and latency table behind a count-min admission filter (the
-//!   `/heat` endpoint and the replication decision input).
+//! * [`heat`] — [`HeatTable`]: a windowed request-rate, hit-rate and
+//!   latency table over the scenes a tier serves (the `/heat` endpoint and
+//!   the replication decision input).
 //! * [`events`] — [`FlightRecorder`]: a bounded ring of structured wide
 //!   events plus incident capture (a metrics snapshot at anomaly time)
 //!   driven by a [`Watcher`] thread (`/events`, `/incidents`).
+//!
+//! SLOs and heat record with atomic adds and window when read: a read folds
+//! the growth since the previous one into an epoch ring, so windows lag by
+//! at most one fold (a watcher tick, 250 ms by default).
 //!
 //! The crate depends only on `gs-core` and the standard library.
 
@@ -48,6 +52,7 @@ pub mod metrics;
 pub mod sink;
 pub mod slo;
 pub mod span;
+mod window;
 
 pub use clock::SpanClock;
 pub use events::{

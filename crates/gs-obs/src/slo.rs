@@ -3,11 +3,12 @@
 //!
 //! An [`SloSpec`] names an objective (`p99 latency under X`, `success
 //! ratio`) and a target good-event fraction. The engine classifies every
-//! request outcome into good/bad per spec and accumulates them into a
-//! ring of fixed-width time buckets, so it can answer "what fraction of
-//! requests were bad over the last N seconds" for two windows at once: a
-//! **fast** window that reacts within seconds and a **slow** window that
-//! filters blips. The *burn rate* of a window is
+//! request outcome into good/bad per spec and counts it with an atomic
+//! add; each report folds the counts into a ring of fixed-width time
+//! buckets (a window lags by at most one fold), so it can answer "what
+//! fraction of requests were bad over the last N seconds" for two windows
+//! at once: a **fast** window that reacts within seconds and a **slow**
+//! window that filters blips. The *burn rate* of a window is
 //! `bad_ratio / (1 - target)` — the rate at which the error budget is
 //! being spent, where `1.0` means "exactly on budget". An SLO is
 //! **breached** only when *both* windows burn at or above the spec's
@@ -18,10 +19,9 @@
 //! [`SloEngine::report`] refreshes `gs_slo_*` gauges in the registry and
 //! returns the per-spec [`SloStatus`] rows the `/slo` endpoint renders.
 
-use std::sync::Mutex;
-
 use crate::clock::SpanClock;
 use crate::metrics::{Gauge, Registry};
+use crate::window::Windowed;
 
 /// What a spec classifies as a *good* event.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -67,30 +67,20 @@ impl SloSpec {
     }
 }
 
-/// The number of ring slots each window ring carries. More slots means
-/// finer window-edge resolution at slightly more memory per spec.
+/// The number of ring buckets each spec carries; the slow window spans
+/// the ring.
 const SLOTS: usize = 64;
-
-#[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// The bucket index this slot currently stores (slots are reused
-    /// modulo [`SLOTS`]; a stale epoch means the slot's counts expired).
-    epoch: u64,
-    good: u64,
-    bad: u64,
-}
 
 #[derive(Debug)]
 struct SpecState {
     spec: SloSpec,
-    /// Bucket width in microseconds; the slow window spans the ring.
-    bucket_us: u64,
-    fast_buckets: u64,
-    slow_buckets: u64,
-    slots: Mutex<[Slot; SLOTS]>,
+    /// Buckets of the fast and of the slow window.
+    windows: [u64; 2],
+    /// Cumulative (good, bad) events.
+    counts: Windowed<2>,
     target_gauge: Gauge,
-    fast_burn_gauge: Gauge,
-    slow_burn_gauge: Gauge,
+    /// Fast- and slow-window burn rates.
+    burn_gauges: [Gauge; 2],
     breached_gauge: Gauge,
 }
 
@@ -134,38 +124,30 @@ impl SloEngine {
             .into_iter()
             .map(|spec| {
                 let slow_us = spec.slow_window_s.max(1) * 1_000_000;
-                let bucket_us = (slow_us / SLOTS as u64).max(1_000);
+                let bucket_us = slow_us / SLOTS as u64;
                 let fast_us = spec.fast_window_s.max(1) * 1_000_000;
-                let target_gauge = registry.gauge(
-                    "gs_slo_target",
-                    &[("slo", &spec.name)],
-                    "SLO target good-event fraction",
-                );
+                let slo = ("slo", spec.name.as_str());
+                let target_gauge =
+                    registry.gauge("gs_slo_target", &[slo], "SLO target good-event fraction");
                 target_gauge.set(spec.target);
-                let fast_burn_gauge = registry.gauge(
-                    "gs_slo_burn_rate",
-                    &[("slo", &spec.name), ("window", "fast")],
-                    "error-budget burn rate per window (1 = on budget)",
-                );
-                let slow_burn_gauge = registry.gauge(
-                    "gs_slo_burn_rate",
-                    &[("slo", &spec.name), ("window", "slow")],
-                    "error-budget burn rate per window (1 = on budget)",
-                );
+                let burn_gauges = ["fast", "slow"].map(|window| {
+                    registry.gauge(
+                        "gs_slo_burn_rate",
+                        &[slo, ("window", window)],
+                        "error-budget burn rate per window (1 = on budget)",
+                    )
+                });
                 let breached_gauge = registry.gauge(
                     "gs_slo_breached",
-                    &[("slo", &spec.name)],
+                    &[slo],
                     "1 when both burn-rate windows exceed the threshold",
                 );
                 SpecState {
-                    fast_buckets: fast_us.div_ceil(bucket_us).max(1),
-                    slow_buckets: slow_us.div_ceil(bucket_us).max(1).min(SLOTS as u64),
-                    bucket_us,
-                    slots: Mutex::new([Slot::default(); SLOTS]),
+                    windows: [fast_us.div_ceil(bucket_us), SLOTS as u64],
+                    counts: Windowed::new(bucket_us, SLOTS),
                     spec,
                     target_gauge,
-                    fast_burn_gauge,
-                    slow_burn_gauge,
+                    burn_gauges,
                     breached_gauge,
                 }
             })
@@ -176,39 +158,15 @@ impl SloEngine {
         }
     }
 
-    /// The specs the engine evaluates.
-    pub fn specs(&self) -> Vec<SloSpec> {
-        self.specs.iter().map(|s| s.spec.clone()).collect()
-    }
-
-    /// Records one request outcome against every spec.
+    /// Records one request outcome against every spec: one atomic add
+    /// per spec, no lock and no clock read.
     pub fn record(&self, ok: bool, latency_s: f64) {
-        self.record_at(self.clock.now_us(), ok, latency_s);
-    }
-
-    /// [`SloEngine::record`] at an explicit timestamp (tests drive the
-    /// window math deterministically through this).
-    pub fn record_at(&self, now_us: u64, ok: bool, latency_s: f64) {
         for state in &self.specs {
             let good = match state.spec.kind {
                 SloKind::LatencyUnder { seconds } => ok && latency_s <= seconds,
                 SloKind::Success => ok,
             };
-            let epoch = now_us / state.bucket_us;
-            let mut slots = state.slots.lock().unwrap();
-            let slot = &mut slots[(epoch % SLOTS as u64) as usize];
-            if slot.epoch != epoch {
-                *slot = Slot {
-                    epoch,
-                    good: 0,
-                    bad: 0,
-                };
-            }
-            if good {
-                slot.good += 1;
-            } else {
-                slot.bad += 1;
-            }
+            state.counts.add([good as u64, !good as u64]);
         }
     }
 
@@ -217,49 +175,24 @@ impl SloEngine {
         self.report_at(self.clock.now_us())
     }
 
-    /// [`SloEngine::report`] at an explicit timestamp.
+    /// [`SloEngine::report`] at an explicit timestamp: folds the outcomes
+    /// recorded since the previous report into the bucket of `now_us`
+    /// first (tests drive the window math deterministically through this).
     pub fn report_at(&self, now_us: u64) -> Vec<SloStatus> {
         self.specs
             .iter()
             .map(|state| {
-                let epoch = now_us / state.bucket_us;
-                let slots = state.slots.lock().unwrap();
-                let mut fast = (0u64, 0u64); // (total, bad)
-                let mut slow = (0u64, 0u64);
-                for slot in slots.iter() {
-                    // A slot is live when its epoch falls inside the
-                    // window ending at the current bucket (inclusive).
-                    let age = epoch.saturating_sub(slot.epoch);
-                    if slot.epoch > epoch || slot.epoch == 0 && slot.good == 0 && slot.bad == 0 {
-                        continue;
-                    }
-                    let events = slot.good + slot.bad;
-                    if age < state.slow_buckets {
-                        slow.0 += events;
-                        slow.1 += slot.bad;
-                    }
-                    if age < state.fast_buckets {
-                        fast.0 += events;
-                        fast.1 += slot.bad;
-                    }
-                }
-                drop(slots);
                 let budget = (1.0 - state.spec.target).max(1e-9);
-                let burn = |(total, bad): (u64, u64)| {
-                    if total == 0 {
-                        0.0
-                    } else {
-                        (bad as f64 / total as f64) / budget
-                    }
-                };
-                let fast_burn = burn(fast);
-                let slow_burn = burn(slow);
-                let breached = fast.0 > 0
-                    && fast_burn >= state.spec.burn_threshold
-                    && slow_burn >= state.spec.burn_threshold;
+                // (total, bad, burn rate) of the fast and the slow window.
+                let [fast, slow] = state.counts.fold(now_us, state.windows).map(|[good, bad]| {
+                    let total = good + bad;
+                    (total, bad, (bad as f64 / total.max(1) as f64) / budget)
+                });
+                let threshold = state.spec.burn_threshold;
+                let breached = fast.0 > 0 && fast.2 >= threshold && slow.2 >= threshold;
                 state.target_gauge.set(state.spec.target);
-                state.fast_burn_gauge.set(fast_burn);
-                state.slow_burn_gauge.set(slow_burn);
+                state.burn_gauges[0].set(fast.2);
+                state.burn_gauges[1].set(slow.2);
                 state.breached_gauge.set(if breached { 1.0 } else { 0.0 });
                 SloStatus {
                     name: state.spec.name.clone(),
@@ -269,8 +202,8 @@ impl SloEngine {
                     fast_bad: fast.1,
                     slow_total: slow.0,
                     slow_bad: slow.1,
-                    fast_burn,
-                    slow_burn,
+                    fast_burn: fast.2,
+                    slow_burn: slow.2,
                     breached,
                 }
             })
@@ -353,10 +286,11 @@ mod tests {
     fn all_good_traffic_never_breaches() {
         let eng = engine(0.99, 2.0);
         let base = 1_000_000_000_000;
-        for i in 0..100 {
-            eng.record_at(base + i * 10_000, true, 0.001);
+        for _ in 0..100 {
+            eng.record(true, 0.001);
         }
         let s = &eng.report_at(base + 1_000_000)[0];
+        assert_eq!(s.fast_total, 100);
         assert_eq!(s.fast_bad, 0);
         assert_eq!(s.fast_burn, 0.0);
         assert!(!s.breached);
@@ -368,7 +302,7 @@ mod tests {
         let base = 1_000_000_000_000;
         // 50% failures: bad_ratio 0.5 / budget 0.1 = burn 5.
         for i in 0..200u64 {
-            eng.record_at(base + i * 10_000, i % 2 == 0, 0.001);
+            eng.record(i % 2 == 0, 0.001);
         }
         let s = &eng.report_at(base + 2_000_000)[0];
         assert!(s.fast_burn > 4.0, "fast burn {}", s.fast_burn);
@@ -380,14 +314,14 @@ mod tests {
     fn breach_recovers_once_the_fast_window_drains() {
         let eng = engine(0.9, 1.0);
         let base = 1_000_000_000_000;
-        for i in 0..100u64 {
-            eng.record_at(base + i * 10_000, false, 0.001);
+        for _ in 0..100 {
+            eng.record(false, 0.001);
         }
         assert!(eng.report_at(base + 1_000_000)[0].breached);
         // 10 s later the 4 s fast window holds only fresh good traffic.
         let later = base + 10_000_000;
-        for i in 0..100u64 {
-            eng.record_at(later + i * 10_000, true, 0.001);
+        for _ in 0..100 {
+            eng.record(true, 0.001);
         }
         let s = &eng.report_at(later + 1_000_000)[0];
         assert!(
@@ -395,8 +329,12 @@ mod tests {
             "fast burn {} slow burn {}",
             s.fast_burn, s.slow_burn
         );
-        // The slow window still remembers the bad minute.
-        assert!(s.slow_bad > 0);
+        assert_eq!((s.fast_total, s.fast_bad), (100, 0));
+        // The slow window still remembers the bad minute ...
+        assert_eq!((s.slow_total, s.slow_bad), (200, 100));
+        // ... until it too has passed.
+        let s = &eng.report_at(base + 80_000_000)[0];
+        assert_eq!((s.slow_total, s.slow_bad), (0, 0));
     }
 
     #[test]
@@ -412,11 +350,10 @@ mod tests {
                 burn_threshold: 1.0,
             }],
         );
-        let base = 1_000_000_000_000;
-        eng.record_at(base, true, 0.05); // good
-        eng.record_at(base + 1, true, 0.5); // bad: slow
-        eng.record_at(base + 2, false, 0.01); // bad: failed
-        let s = &eng.report_at(base + 10)[0];
+        eng.record(true, 0.05); // good
+        eng.record(true, 0.5); // bad: slow
+        eng.record(false, 0.01); // bad: failed
+        let s = &eng.report_at(1_000_000_000_000)[0];
         assert_eq!(s.fast_total, 3);
         assert_eq!(s.fast_bad, 2);
     }

@@ -187,13 +187,6 @@ impl MemoryPool {
             Ok(())
         }
     }
-
-    /// Clears all usage and peak statistics.
-    pub fn reset(&mut self) {
-        self.used.clear();
-        self.peak_total = 0;
-        self.peak_by_category.clear();
-    }
 }
 
 #[cfg(test)]
@@ -285,14 +278,5 @@ mod tests {
         pool.alloc(MemoryCategory::Other, 10).unwrap();
         pool.free(MemoryCategory::Other, 50);
         assert_eq!(pool.used(MemoryCategory::Other), 0);
-    }
-
-    #[test]
-    fn reset_clears_everything() {
-        let mut pool = MemoryPool::new("gpu", 100);
-        pool.alloc(MemoryCategory::Parameters, 60).unwrap();
-        pool.reset();
-        assert_eq!(pool.used_total(), 0);
-        assert_eq!(pool.peak_total(), 0);
     }
 }

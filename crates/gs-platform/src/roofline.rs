@@ -49,15 +49,6 @@ impl Work {
         self.random_access = true;
         self
     }
-
-    /// Sums two work descriptors (random-access if either is).
-    pub fn combine(&self, other: &Work) -> Work {
-        Work {
-            flops: self.flops + other.flops,
-            bytes: self.bytes + other.bytes,
-            random_access: self.random_access || other.random_access,
-        }
-    }
 }
 
 /// An *achieved* roofline measurement: the estimated work of one phase
@@ -190,15 +181,5 @@ mod tests {
         let t_stream = kernel_time(&streaming, &server.cpu, false);
         let t_random = kernel_time(&random, &server.cpu, false);
         assert!(t_random > t_stream * 1.5);
-    }
-
-    #[test]
-    fn combine_merges_flags() {
-        let a = Work::new(1.0, 2.0);
-        let b = Work::new(3.0, 4.0).with_random_access();
-        let c = a.combine(&b);
-        assert_eq!(c.flops, 4.0);
-        assert_eq!(c.bytes, 6.0);
-        assert!(c.random_access);
     }
 }

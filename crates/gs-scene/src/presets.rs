@@ -132,11 +132,6 @@ impl ScenePreset {
         self.paper_gaussians_small < self.paper_gaussians
     }
 
-    /// Total trainable parameters at the paper's full scale.
-    pub fn paper_parameter_count(&self) -> usize {
-        self.paper_gaussians * gs_core::gaussian::GaussianParams::PARAMS_PER_GAUSSIAN
-    }
-
     /// Builds a runnable [`SceneConfig`] downscaled by `scale` (both the
     /// Gaussian count and the resolution shrink; the active ratio and aspect
     /// ratio are preserved).
@@ -228,10 +223,5 @@ mod tests {
     #[should_panic(expected = "scale must be positive")]
     fn zero_scale_panics() {
         let _ = ScenePreset::RUBBLE.to_config(0.0, 1);
-    }
-
-    #[test]
-    fn parameter_count_uses_59_per_gaussian() {
-        assert_eq!(ScenePreset::SZIIT.paper_parameter_count(), 20_000_000 * 59);
     }
 }

@@ -34,7 +34,7 @@
 //!   (load it in `chrome://tracing` / Perfetto). `GET /trace?id=<hex>`
 //!   exports just that trace, `404` when it has aged out of the ring.
 //! * `GET /slo` — SLO burn-rate status as JSON (see [`gs_obs::SloEngine`]).
-//! * `GET /heat` — windowed per-scene top-K telemetry as JSON.
+//! * `GET /heat` — windowed telemetry of served scenes as JSON; `untracked` counts the rest.
 //! * `GET /events` — the flight recorder's recent wide events as JSON.
 //! * `GET /incidents` — captured anomaly incidents (trigger, event tail,
 //!   metrics snapshot) as JSON.

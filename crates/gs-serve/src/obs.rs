@@ -107,10 +107,9 @@ pub struct ObsTuning {
     pub slo_burn_threshold: f64,
     /// Heat-table sliding window, seconds.
     pub heat_window_s: u64,
-    /// Hottest scenes the heat table tracks exactly.
-    pub heat_top_k: usize,
     /// Watcher tick interval in milliseconds (`0` = no watcher thread;
-    /// `watch_tick` can still be driven manually).
+    /// `watch_tick` can still be driven manually). SLO and heat windows
+    /// lag the requests by at most one tick (without one, one read).
     pub watcher_interval_ms: u64,
 }
 
@@ -123,7 +122,6 @@ impl Default for ObsTuning {
             slo_availability_target: 0.999,
             slo_burn_threshold: 2.0,
             heat_window_s: 60,
-            heat_top_k: 16,
             watcher_interval_ms: 250,
         }
     }
@@ -258,7 +256,7 @@ impl ServeObs {
         );
         Self {
             slo,
-            heat_scenes: HeatTable::new(tuning.heat_window_s, tuning.heat_top_k),
+            heat_scenes: HeatTable::new(tuning.heat_window_s),
             recorder: FlightRecorder::new(EVENT_RING),
             registry,
             sink: SpanSink::new(SPAN_RING),
@@ -409,6 +407,7 @@ impl ServeObs {
         self.incidents_total
             .set(self.recorder.incidents_opened() as f64);
         self.slo.report();
+        self.heat_scenes.snapshot();
     }
 
     /// Files a finished trace into the ring.
@@ -467,20 +466,19 @@ impl ServeObs {
         (self.clock.now_us().saturating_sub(self.clock.anchor_us())) as f64 / 1e6
     }
 
-    /// Feeds one finished request into the SLO engine and heat table.
-    /// `scene` may be absent (rejected before routing); the request then
-    /// falls out of the heat table but still counts against SLOs.
+    /// Feeds one finished request into the SLO engine and heat table, with
+    /// atomic adds only. `scene` is `None` when the tier does not serve the
+    /// requested scene: the request then counts as untracked heat.
     pub fn record_outcome(&self, scene: Option<&str>, ok: bool, cache_hit: bool, latency_s: f64) {
         self.slo.record(ok, latency_s);
-        if let Some(scene) = scene {
-            self.heat_scenes.record(scene, ok, cache_hit, latency_s);
-        }
+        self.heat_scenes.record(scene, ok, cache_hit, latency_s);
     }
 
-    /// One watcher tick: evaluates the SLOs and lets the flight recorder
-    /// open/extend/resolve an incident (freezing `/metrics` when one
-    /// opens). Returns the statuses so owner-side ticks can act on them.
+    /// One watcher tick: folds heat, evaluates the SLOs and lets the flight
+    /// recorder open/extend/resolve an incident (freezing `/metrics` when
+    /// one opens). Returns the statuses so owner-side ticks can act on them.
     pub fn watch_tick(&self) -> Vec<SloStatus> {
+        self.heat_scenes.snapshot();
         let statuses = self.slo.report();
         let breaches: Vec<String> = statuses
             .iter()

@@ -64,7 +64,7 @@ pub struct ServeConfig {
     /// disables phase profiling).
     pub phase_sample_every: u32,
     /// Interpretation-layer tuning: SLO windows and targets, heat-table
-    /// window and top-K, watcher interval (see [`ObsTuning`]).
+    /// window, watcher interval (see [`ObsTuning`]).
     pub obs: ObsTuning,
 }
 
@@ -452,9 +452,7 @@ impl RenderServer {
             .unwrap()
             .contains(&request.scene)
         {
-            self.shared
-                .obs
-                .record_outcome(Some(request.scene.as_str()), false, false, 0.0);
+            self.shared.obs.record_outcome(None, false, false, 0.0);
             return Err(ServeError::UnknownScene(request.scene));
         }
         // A request that is already dead gets the same answer the workers'
@@ -642,15 +640,17 @@ impl RenderServer {
         // Layer traffic is a replica's main workload under a cluster, so it
         // feeds the heat tables and SLO windows like any front-door render.
         let started_total = Instant::now();
+        let view = self.shared.registry.lock().unwrap().get(&request.scene);
+        let served = view.is_ok().then_some(request.scene.as_str());
         let outcome = |ok: bool| {
             self.shared.obs.record_outcome(
-                Some(request.scene.as_str()),
+                served,
                 ok,
                 false,
                 started_total.elapsed().as_secs_f64(),
             );
         };
-        let view = match self.shared.registry.lock().unwrap().get(&request.scene) {
+        let view = match view {
             Ok(view) => view,
             Err(e) => {
                 outcome(false);
@@ -844,26 +844,26 @@ fn worker_loop(shared: &Shared, worker_idx: usize) {
         // in the histogram, so `completed + errors` always accounts for
         // every submitted request and the histogram for every formed batch.
         let acct = BatchAccounting::default();
-        let scene_for_event = scene_id.clone();
+        let scene = scene_id.clone();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             process_batch(shared, worker_idx, scene_id, batch, batch_size, &acct);
         }));
         if outcome.is_err() {
             let dropped = (batch_size as u64).saturating_sub(acct.answered.load(Ordering::Relaxed));
             shared.stats.record_errors(dropped);
+            for _ in 0..dropped {
+                shared.obs.record_outcome(Some(&scene), false, false, 0.0);
+            }
             shared.obs.recorder().record(
                 gs_obs::Event::new(
                     gs_obs::EventLevel::Error,
                     "worker",
                     "render batch panicked; jobs dropped to errors",
                 )
-                .scene(scene_for_event)
+                .scene(scene)
                 .field("worker", worker_idx.to_string())
                 .field("dropped", dropped.to_string()),
             );
-            for _ in 0..dropped {
-                shared.obs.record_outcome(None, false, false, 0.0);
-            }
             if !acct.batch_recorded.load(Ordering::Relaxed) {
                 shared.stats.record_batch(batch_size, 0, 0);
             }
@@ -959,14 +959,13 @@ fn process_batch(
                 .scene(scene_id.clone())
                 .field("jobs", misses.len().to_string()),
             );
+            // The scene was unloaded after these jobs were queued: the
+            // tier no longer serves it, so their heat is untracked.
             for (job, _) in misses {
                 shared.stats.record_error();
-                shared.obs.record_outcome(
-                    Some(job.request.scene.as_str()),
-                    false,
-                    false,
-                    job.enqueued.elapsed().as_secs_f64(),
-                );
+                shared
+                    .obs
+                    .record_outcome(None, false, false, job.enqueued.elapsed().as_secs_f64());
                 answered.fetch_add(1, Ordering::Relaxed);
                 let _ = job.tx.send(Err(e.clone()));
             }

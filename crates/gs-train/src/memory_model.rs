@@ -555,6 +555,40 @@ mod tests {
         assert!(w2.random_access);
     }
 
+    /// The NUMA server prices the deferred update's scattered rows as
+    /// random access; every other test's platform is a laptop, where
+    /// random access costs nothing extra.
+    #[test]
+    fn server_timeline_prices_the_deferred_update_as_random_access() {
+        let (n, updated) = (100_000, 6_000);
+        let record = StepRecord {
+            loss: 0.0,
+            gaussians: n,
+            active: 5_000,
+            whole: RenderStats {
+                num_input: 5_000,
+                num_splats: 4_000,
+                num_pairs: 40_000,
+                num_pixels: 32 * 24,
+            },
+            halves: None,
+            deferred_updates: Some(updated),
+        };
+        let server = PlatformSpec::server_h100();
+        let stats = SystemModel::new(SystemKind::GsScale, server.clone()).schedule(&record);
+        let deferred = StepStats::deferred(updated, n, GaussianParams::NON_GEOMETRIC_PARAMS);
+        let priced = |random_access| {
+            kernel_time(
+                &work_from_step(&deferred, random_access),
+                &server.cpu,
+                false,
+            )
+        };
+        let cpu_optimizer = stats.phase_breakdown["cpu_optimizer"];
+        assert_eq!(cpu_optimizer, priced(true));
+        assert!(cpu_optimizer > priced(false));
+    }
+
     #[test]
     fn gpu_only_rubble_scale_matches_paper_magnitude() {
         // Paper: ~40M Gaussians on Rubble require about 53 GB.

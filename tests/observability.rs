@@ -351,7 +351,6 @@ fn flash_crowd_replica_kill_yields_incident_heat_slo_and_exemplar() {
         slo_availability_target: 0.9,
         slo_burn_threshold: 1.0,
         heat_window_s: 60,
-        heat_top_k: 8,
         watcher_interval_ms: 20,
         ..ObsTuning::default()
     };

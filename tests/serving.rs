@@ -414,6 +414,12 @@ fn panicked_batch_records_one_error_per_dropped_job() {
         .unwrap();
     assert_eq!(frame.image.width(), 64);
 
+    // The dropped jobs are heat of the scene they asked for, not untracked.
+    let (rows, untracked) = server.obs().heat_scenes().snapshot();
+    assert_eq!(untracked, 0);
+    assert_eq!((rows[0].key.as_str(), rows[0].requests), ("city", 5));
+    assert_eq!(rows[0].error_ratio, 0.8);
+
     let stats = Arc::into_inner(server).unwrap().shutdown();
     assert_eq!(stats.completed, 1);
     assert_eq!(
@@ -545,4 +551,29 @@ fn batching_groups_same_scene_requests() {
         stats.cull_sharing_factor() >= 1.0,
         "sharing factor is a ratio of summed to union active counts"
     );
+}
+
+#[test]
+fn a_flood_of_unknown_scene_ids_adds_no_heat_row() {
+    let scene = tiny_scene(120, 300);
+    let server = RenderServer::new(no_cache_config(1), SceneRegistry::with_budget(1 << 30));
+    server
+        .load_scene("a", Arc::new(scene.gt_params.clone()), scene.background)
+        .unwrap();
+    let camera = &scene.train_cameras[0];
+    for i in 0..10_000 {
+        let request = RenderRequest::full(format!("ghost-{i}"), camera.clone());
+        assert!(matches!(
+            server.submit(request),
+            Err(ServeError::UnknownScene(_))
+        ));
+    }
+    server
+        .render_blocking(RenderRequest::full("a", camera.clone()))
+        .unwrap();
+    let (rows, untracked) = server.obs().heat_scenes().snapshot();
+    let keys: Vec<&str> = rows.iter().map(|r| r.key.as_str()).collect();
+    assert_eq!(keys, ["a"], "only the served scene has a heat row");
+    assert_eq!(untracked, 10_000);
+    assert!(server.obs().heat_json().contains("\"untracked\":10000"));
 }
