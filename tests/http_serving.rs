@@ -813,3 +813,70 @@ fn client_read_errors_promptly_on_an_unbacked_content_length() {
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
     assert!(elapsed < Duration::from_secs(10), "took {elapsed:?}");
 }
+
+/// The error surface both front-ends share, request by request: a
+/// single-node `HttpServer` and a cluster coordinator's front-end answer
+/// each request below with the status listed for that tier, and wherever
+/// the two tiers agree on the status they also agree on the body bytes.
+#[test]
+fn both_tiers_answer_the_shared_error_surface_alike() {
+    use gs_scale::cluster::{bind_http, ClusterConfig, Coordinator, ReplicaTransport};
+
+    let scene = tiny_scene(290, 200);
+    let (single, server) = front_end(&scene);
+    let cluster = Arc::new(Coordinator::new(ClusterConfig::default()));
+    cluster
+        .add_replica("replica-0", ReplicaTransport::InProcess(server))
+        .unwrap();
+    let coordinator = bind_http(HttpConfig::default(), Arc::clone(&cluster)).unwrap();
+
+    let mut truncated = wire::encode_scene(&scene.gt_params, scene.background);
+    truncated.truncate(truncated.len() - 3);
+    let unknown_trace = "/trace?id=00000000000000000000000000000001";
+    let huge_spec = b"gaussians 999999999\n";
+    // (method, path, body, single-node status, cluster status)
+    let mut requests: Vec<(&str, &str, &[u8], u16, u16)> = vec![
+        ("GET", "/bogus", b"", 404, 404),
+        ("GET", "/render", b"", 405, 405),
+        ("GET", unknown_trace, b"", 404, 404),
+        ("POST", "/render", &[0xff, 0xfe, 0x80], 400, 400),
+        ("POST", "/render", b"scene city\nnope", 400, 400),
+        ("POST", "/scenes/bad,id", b"gaussians 10\n", 400, 400),
+        ("POST", "/scenes/huge", huge_spec, 413, 413),
+        ("POST", "/scenes/cut", &truncated, 400, 400),
+        ("DELETE", "/scenes/x", b"", 404, 405),
+    ];
+    for path in [
+        "/metrics",
+        "/trace",
+        "/slo",
+        "/heat",
+        "/events",
+        "/incidents",
+    ] {
+        requests.push(("POST", path, b"", 405, 405));
+    }
+
+    let mut to_single = TcpStream::connect(single.local_addr()).unwrap();
+    let mut to_cluster = TcpStream::connect(coordinator.local_addr()).unwrap();
+    for (method, path, body, single_status, cluster_status) in &requests {
+        let a = client::request(&mut to_single, method, path, body).unwrap();
+        let b = client::request(&mut to_cluster, method, path, body).unwrap();
+        let what = format!(
+            "{method} {path}: single-node {} {:?}, cluster {} {:?}",
+            a.status,
+            String::from_utf8_lossy(&a.body),
+            b.status,
+            String::from_utf8_lossy(&b.body),
+        );
+        assert_eq!(a.status, *single_status, "{what}");
+        assert_eq!(b.status, *cluster_status, "{what}");
+        if single_status == cluster_status {
+            assert_eq!(a.body, b.body, "{what}");
+        }
+    }
+    // Nothing above placed a scene on either tier.
+    assert!(cluster.scenes().is_empty());
+    coordinator.shutdown();
+    single.shutdown();
+}
