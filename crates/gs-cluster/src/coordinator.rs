@@ -498,11 +498,6 @@ impl Coordinator {
         &self.obs
     }
 
-    /// Prometheus text exposition of the coordinator's metrics registry.
-    pub fn metrics_text(&self) -> String {
-        self.obs.metrics_text()
-    }
-
     /// Installs the workload recorder, once (a second call panics): from
     /// now on every render answered by [`Coordinator::render`] is captured
     /// as a trace event (scene, client, pose, deadline, outcome, latency),

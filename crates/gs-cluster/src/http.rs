@@ -1,45 +1,36 @@
 //! The cluster's own HTTP front-end.
 //!
 //! Built on the listener machinery shared with `gs-serve`
-//! ([`HttpServer::bind_with`]), so the cluster fronts clients with exactly
-//! the protocol a single replica speaks — load generators cannot tell one
-//! `RenderServer` from a fleet:
+//! ([`HttpServer::bind_with`]), so the cluster fronts clients with the
+//! protocol a single replica speaks — load generators cannot tell one
+//! `RenderServer` from a fleet. The routes both tiers share, and the
+//! functions that answer them, are listed once in [`gs_serve::http`]'s
+//! module docs. The coordinator differs from a single node in these:
 //!
-//! * `POST /render` — routed by scene id through the [`Coordinator`]
-//!   (failover, cross-node shard compositing); answers with the frame plus
-//!   `X-Shards`/`X-Culled`/`X-Replica`/`X-Latency-Us` headers.
-//! * `POST /scenes/<id>` — a text [`SceneSpec`] built coordinator-side or a
-//!   binary scene upload; placed across replicas, sharded by the spec's
-//!   explicit count or automatically above
-//!   [`crate::ClusterConfig::shard_bytes`].
-//! * `GET /stats` — the aggregated [`crate::ClusterStats`] report.
-//! * `GET /metrics` — Prometheus text exposition of the coordinator's own
-//!   registry (routing counters, latency histograms, trace-ring gauges).
-//! * `GET /trace` — Chrome trace-event JSON of the coordinator's span
-//!   ring, relay hops stitched under their request roots;
-//!   `GET /trace?id=<hex>` exports just one trace (`404` once it ages out).
-//! * `GET /slo` — cluster-tier SLO burn-rate status as JSON.
-//! * `GET /heat` — windowed telemetry of served scenes as JSON; `untracked` counts the rest.
-//! * `GET /events` — the coordinator flight recorder's wide events (replica
-//!   downs, failovers, placement moves) as JSON.
-//! * `GET /incidents` — captured anomaly incidents as JSON.
-//! * `GET /scenes` — placement rows (`id replicas=[..] gaussians bytes`).
-//! * `GET /replicas` — per-replica health/budget rows.
-//!
-//! `POST /render` honors the same `X-Trace-Id` / `X-Trace-Parent` request
-//! headers as the single-node front-end (shared [`route_trace`] ingress
-//! machinery), so a trace entering the cluster tier covers the routing
-//! decision and every replica hop in one tree.
+//! * `POST /render` is routed by scene id through the [`Coordinator`]
+//!   (failover, cross-node shard compositing, frame cache) and answers with
+//!   `X-Culled`/`X-Replica` headers instead of `X-Batch-Size`/`X-Worker`.
+//!   With no peer address, the request's client stays unnamed.
+//! * `POST /scenes/<id>` claims the id before it decodes the body (`409`
+//!   for a taken id, whatever the body), then places the scene across
+//!   replicas. A binary upload is sharded above
+//!   [`crate::ClusterConfig::shard_bytes`] like a spec, and never replaces.
+//! * `DELETE /scenes/<id>` answers `405`.
+//! * Its own routes: `GET /stats` (the aggregated [`crate::ClusterStats`]
+//!   report), `GET /scenes` (placement rows, `id shards=.. replicas=[..]
+//!   gaussians=.. bytes=..`) and `GET /replicas` (per-replica health and
+//!   budget rows). It serves no `/stats/wire`, `/healthz` or
+//!   `/render_layer`.
 
 use std::io;
 use std::sync::Arc;
 
-use gs_obs::TraceContext;
 use gs_serve::http::{
-    query_param, route_trace, split_path_query, status_for_error, Conn, HttpHandler, HttpRequest,
-    HttpResponse, HttpServer, RouteTrace,
+    obs_route, parse_render, parse_scene_body, split_path_query, status_for_error, traced, Conn,
+    HttpHandler, HttpRequest, HttpResponse, HttpServer,
 };
-use gs_serve::{wire, HttpConfig, SceneSpec, ServeError, WireFormat, WireRequest};
+use gs_serve::shard::shard_count;
+use gs_serve::{wire, HttpConfig, ServeError};
 
 use crate::coordinator::{ClusterError, Coordinator};
 
@@ -72,36 +63,11 @@ fn status_for_cluster_error(err: &ClusterError) -> u16 {
     }
 }
 
-/// A `200` JSON response.
-fn json_response(body: String) -> HttpResponse {
-    HttpResponse {
-        status: 200,
-        content_type: "application/json",
-        headers: Vec::new(),
-        body: body.into_bytes(),
-    }
-}
-
 impl HttpHandler for ClusterHandler {
     fn handle(&self, req: &HttpRequest, conn: &mut Conn<'_>) -> HttpResponse {
-        let (path, query) = split_path_query(req.path.as_str());
+        let (path, _) = split_path_query(req.path.as_str());
         match (req.method.as_str(), path) {
             ("GET", "/stats") => HttpResponse::text(200, self.coordinator.stats().to_string()),
-            ("GET", "/metrics") => HttpResponse::text(200, self.coordinator.metrics_text()),
-            ("GET", "/trace") => match query_param(query, "id") {
-                Some(id) => match self.coordinator.obs().chrome_json_for(id) {
-                    Some(json) => json_response(json),
-                    None => HttpResponse::text(
-                        404,
-                        format!("no trace {id:?} in the ring (bad id, or it aged out)\n"),
-                    ),
-                },
-                None => json_response(self.coordinator.obs().chrome_json()),
-            },
-            ("GET", "/slo") => json_response(self.coordinator.obs().slo_json()),
-            ("GET", "/heat") => json_response(self.coordinator.obs().heat_json()),
-            ("GET", "/events") => json_response(self.coordinator.obs().events_json()),
-            ("GET", "/incidents") => json_response(self.coordinator.obs().incidents_json()),
             ("GET", "/scenes") => {
                 let mut body = String::new();
                 for placement in self.coordinator.scenes() {
@@ -129,82 +95,45 @@ impl HttpHandler for ClusterHandler {
                 HttpResponse::text(200, body)
             }
             ("POST", "/render") => self.render_route(req, conn),
-            ("POST", path) if path.strip_prefix("/scenes/").is_some() => {
-                let id = path.strip_prefix("/scenes/").unwrap_or_default();
-                self.load_scene_route(id, &req.body)
+            ("POST", path) if path.starts_with("/scenes/") => {
+                self.load_scene_route(&path["/scenes/".len()..], &req.body)
             }
-            (
-                _,
-                "/stats" | "/metrics" | "/trace" | "/slo" | "/heat" | "/events" | "/incidents"
-                | "/scenes" | "/replicas" | "/render",
-            ) => HttpResponse::text(405, "method not allowed on this path\n"),
-            (_, path) if path.starts_with("/scenes/") => {
-                HttpResponse::text(405, "method not allowed on this path\n")
+            (_, "/stats" | "/scenes" | "/replicas" | "/render") => {
+                HttpResponse::method_not_allowed()
             }
-            _ => HttpResponse::text(404, "unknown path\n"),
+            (_, path) if path.starts_with("/scenes/") => HttpResponse::method_not_allowed(),
+            _ => obs_route(self.coordinator.obs(), req),
         }
     }
 }
 
 impl ClusterHandler {
     fn render_route(&self, req: &HttpRequest, conn: &mut Conn<'_>) -> HttpResponse {
-        let text = match std::str::from_utf8(&req.body) {
-            Ok(t) => t,
-            Err(_) => return HttpResponse::text(400, "bad request: body is not UTF-8\n"),
+        let wire_req = match parse_render(req, conn) {
+            Ok(wire_req) => wire_req,
+            Err(response) => return response,
         };
-        let mut wire_req = match WireRequest::parse(text) {
-            Ok(r) => r,
-            Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-        };
-        // Same client-id resolution as the single-node front-end: the body's
-        // `client` key wins, then the `X-Client-Id` header, then the peer
-        // address (workload capture attributes the request to a session).
-        if wire_req.client.is_none() {
-            wire_req.client = req
-                .headers
-                .get("x-client-id")
-                .cloned()
-                .or_else(|| conn.peer_addr());
-        }
-        // Shared ingress trace semantics with the single-node front-end:
-        // the route owns minting/settling; the coordinator records into it.
-        let rt = route_trace(self.coordinator.obs(), req);
-        let ctx = rt.as_ref().map(|rt| TraceContext {
-            trace: rt.trace.clone(),
-            parent: rt.parent,
-        });
-        let finish_trace = |rt: Option<RouteTrace>| {
-            rt.map_or_else(Vec::new, |rt| rt.finish(self.coordinator.obs()))
-        };
-        let frame = match self.coordinator.render_traced(&wire_req, ctx.as_ref()) {
-            Ok(frame) => frame,
-            Err(e) => {
-                let mut response =
-                    HttpResponse::text(status_for_cluster_error(&e), format!("{e}\n"));
-                response.headers = finish_trace(rt);
-                return response;
+        // The route owns minting and settling the trace; the coordinator
+        // records into it.
+        traced(self.coordinator.obs(), req, |trace| {
+            match self.coordinator.render_traced(&wire_req, trace.as_ref()) {
+                Ok(frame) => HttpResponse {
+                    status: 200,
+                    content_type: wire_req.format.content_type(),
+                    headers: vec![
+                        ("X-Image-Width", frame.image.width().to_string()),
+                        ("X-Image-Height", frame.image.height().to_string()),
+                        ("X-Shards", frame.shards_rendered.to_string()),
+                        ("X-Culled", frame.shards_culled.to_string()),
+                        ("X-Replica", frame.replica.unwrap_or_default()),
+                        ("X-Cache-Hit", u8::from(frame.cache_hit).to_string()),
+                        ("X-Latency-Us", frame.latency.as_micros().to_string()),
+                    ],
+                    body: wire_req.format.encode(&frame.image),
+                },
+                Err(e) => HttpResponse::text(status_for_cluster_error(&e), format!("{e}\n")),
             }
-        };
-        let body = match wire_req.format {
-            WireFormat::RawF32 => wire::encode_raw_f32(&frame.image),
-            WireFormat::Ppm => wire::encode_ppm(&frame.image),
-        };
-        let mut headers = vec![
-            ("X-Image-Width", frame.image.width().to_string()),
-            ("X-Image-Height", frame.image.height().to_string()),
-            ("X-Shards", frame.shards_rendered.to_string()),
-            ("X-Culled", frame.shards_culled.to_string()),
-            ("X-Replica", frame.replica.unwrap_or_default()),
-            ("X-Cache-Hit", u8::from(frame.cache_hit).to_string()),
-            ("X-Latency-Us", frame.latency.as_micros().to_string()),
-        ];
-        headers.extend(finish_trace(rt));
-        HttpResponse {
-            status: 200,
-            content_type: wire_req.format.content_type(),
-            headers,
-            body,
-        }
+        })
     }
 
     fn load_scene_route(&self, id: &str, body: &[u8]) -> HttpResponse {
@@ -218,41 +147,15 @@ impl ClusterHandler {
             let e = ClusterError::SceneExists(id.to_string());
             return HttpResponse::text(409, format!("{e}\n"));
         };
-        let (params, background, explicit_shards) = if wire::is_scene_upload(body) {
-            match wire::decode_scene(body) {
-                Ok((params, background)) => (params, background, None),
-                Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-            }
-        } else {
-            let text = match std::str::from_utf8(body) {
-                Ok(t) => t,
-                Err(_) => return HttpResponse::text(400, "bad request: body is not UTF-8\n"),
-            };
-            let spec = match SceneSpec::parse(text) {
-                Ok(s) => s,
-                Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-            };
-            if spec.gaussians > wire::MAX_SPEC_GAUSSIANS {
-                return HttpResponse::text(
-                    413,
-                    format!(
-                        "scene spec asks for {} gaussians, limit is {}\n",
-                        spec.gaussians,
-                        wire::MAX_SPEC_GAUSSIANS
-                    ),
-                );
-            }
-            (spec.build(), spec.background, spec.shards)
+        let (params, background, explicit_shards) = match parse_scene_body(body) {
+            Ok(body) => body.build(),
+            Err(response) => return response,
         };
-        let bytes = params.total_bytes() as u64;
-        let shard_bytes = self.coordinator.config().shard_bytes;
-        let shards = match explicit_shards {
-            Some(k) => k,
-            None if shard_bytes > 0 && bytes > shard_bytes => {
-                usize::try_from(bytes.div_ceil(shard_bytes)).unwrap_or(usize::MAX)
-            }
-            None => 1,
-        };
+        let shards = shard_count(
+            &params,
+            self.coordinator.config().shard_bytes,
+            explicit_shards,
+        );
         let params = Arc::new(params);
         let gaussians = params.len();
         let result = if shards > 1 {
@@ -268,8 +171,11 @@ impl ClusterHandler {
                 201,
                 format!("loaded scene {id}: {gaussians} gaussians in {placed} shard(s)\n"),
             ),
-            Err(e @ ClusterError::Serve(ServeError::Admission(_)))
-            | Err(e @ ClusterError::NoCapacity { .. }) => HttpResponse::text(413, format!("{e}\n")),
+            // Like `NoCapacity`, a replica's admission rejection means the
+            // scene is too large: the payload, not the service, is the problem.
+            Err(e @ ClusterError::Serve(ServeError::Admission(_))) => {
+                HttpResponse::text(413, format!("{e}\n"))
+            }
             Err(e) => HttpResponse::text(status_for_cluster_error(&e), format!("{e}\n")),
         }
     }

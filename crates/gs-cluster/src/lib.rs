@@ -44,9 +44,10 @@
 //!   coordinator's own routing/failover counters and the coordinator-side
 //!   frame cache's hit rate (`ClusterConfig::cache_bytes`).
 //! * [`http`] — the cluster's own HTTP front-end, built on the listener
-//!   machinery shared with `gs-serve` (`POST /render`, `GET /stats`,
-//!   `GET /metrics`, `GET /trace`, `GET /scenes`, `GET /replicas`,
-//!   `POST /scenes/<id>`).
+//!   machinery shared with `gs-serve`. It serves the routes both tiers
+//!   share (listed in [`gs_serve::http`]) through the same functions, plus
+//!   its own `GET /stats`, `GET /scenes` and `GET /replicas`; the module
+//!   docs name where it differs from a single node.
 //!
 //! The tier participates in the `gs-obs` observability layer end to end:
 //! sampled (or `X-Trace-Id`-carried) requests get a span tree covering the

@@ -48,13 +48,6 @@ impl Error {
         }
     }
 
-    /// Creates an [`Error::ShapeMismatch`].
-    pub fn shape_mismatch(reason: impl Into<String>) -> Self {
-        Error::ShapeMismatch {
-            reason: reason.into(),
-        }
-    }
-
     /// Whether this error is an out-of-memory condition.
     pub fn is_oom(&self) -> bool {
         matches!(self, Error::OutOfMemory { .. })
@@ -108,10 +101,6 @@ mod tests {
         assert!(matches!(
             Error::invalid_argument("bad"),
             Error::InvalidArgument { .. }
-        ));
-        assert!(matches!(
-            Error::shape_mismatch("len"),
-            Error::ShapeMismatch { .. }
         ));
         assert!(!Error::invalid_argument("x").is_oom());
     }

@@ -396,17 +396,6 @@ impl Mat3 {
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
     }
-
-    /// Frobenius inner product `sum_ij a_ij * b_ij`.
-    pub fn frob_dot(self, o: Self) -> f32 {
-        let mut s = 0.0;
-        for i in 0..3 {
-            for j in 0..3 {
-                s += self.m[i][j] * o.m[i][j];
-            }
-        }
-        s
-    }
 }
 
 impl Sym2 {
@@ -726,7 +715,12 @@ mod tests {
         let w = Mat3::from_rows([[0.3, -1.2, 0.7], [0.05, 0.9, -0.4], [1.1, 0.2, -0.6]]);
         let loss = |q: Quat| -> f32 {
             let (r, _, _) = quat_to_rotmat_with_norm(q);
-            r.frob_dot(w)
+            // The Frobenius inner product of R and W.
+            r.m.iter()
+                .flatten()
+                .zip(w.m.iter().flatten())
+                .map(|(a, b)| a * b)
+                .sum()
         };
         let grad = quat_to_rotmat_backward(q, &w);
         let eps = 1e-3;

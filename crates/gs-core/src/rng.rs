@@ -192,13 +192,6 @@ impl Zipf {
         false
     }
 
-    /// Probability mass of rank `i`.
-    pub fn pmf(&self, i: usize) -> f64 {
-        let hi = self.cdf[i];
-        let lo = if i == 0 { 0.0 } else { self.cdf[i - 1] };
-        hi - lo
-    }
-
     /// Draws one rank in `0..len()`.
     pub fn sample(&self, rng: &mut Rng64) -> usize {
         let u = rng.gen_f64();
@@ -282,6 +275,18 @@ mod tests {
         let _ = rng.gen_range(1.0f32..1.0);
     }
 
+    /// Rank `i`'s probability under `Zipf::new(n, s)`, from the definition
+    /// (`1 / (i + 1)^s`, normalised).
+    fn zipf_mass(n: usize, s: f64, i: usize) -> f64 {
+        let weight = |k: usize| 1.0 / ((k + 1) as f64).powf(s);
+        weight(i) / (0..n).map(weight).sum::<f64>()
+    }
+
+    /// Rank `i`'s probability mass in the sampler's table.
+    fn table_mass(zipf: &Zipf, i: usize) -> f64 {
+        zipf.cdf[i] - if i == 0 { 0.0 } else { zipf.cdf[i - 1] }
+    }
+
     #[test]
     fn zipf_empirical_frequency_matches_pmf() {
         let zipf = Zipf::new(16, 1.0);
@@ -292,7 +297,7 @@ mod tests {
             counts[zipf.sample(&mut rng)] += 1;
         }
         for (i, &c) in counts.iter().enumerate() {
-            let expected = zipf.pmf(i);
+            let expected = zipf_mass(16, 1.0, i);
             let observed = c as f64 / draws as f64;
             // 200k draws: absolute error at each rank should be well under
             // one percentage point; the hot head gets a relative check too.
@@ -317,11 +322,15 @@ mod tests {
         for _ in 0..256 {
             assert_eq!(zipf.sample(&mut a), zipf.sample(&mut b));
         }
-        // The pmf must be monotone decreasing in rank for s > 0.
-        for i in 1..zipf.len() {
-            assert!(zipf.pmf(i) <= zipf.pmf(i - 1));
+        // The table's mass must follow the definition, so it is monotone
+        // decreasing in rank for s > 0 and sums to one.
+        for i in 0..zipf.len() {
+            assert!((table_mass(&zipf, i) - zipf_mass(64, 1.2, i)).abs() < 1e-12);
         }
-        let total: f64 = (0..zipf.len()).map(|i| zipf.pmf(i)).sum();
+        for i in 1..zipf.len() {
+            assert!(table_mass(&zipf, i) <= table_mass(&zipf, i - 1));
+        }
+        let total: f64 = (0..zipf.len()).map(|i| table_mass(&zipf, i)).sum();
         assert!((total - 1.0).abs() < 1e-12);
     }
 
@@ -329,7 +338,7 @@ mod tests {
     fn zipf_exponent_zero_is_uniform() {
         let zipf = Zipf::new(8, 0.0);
         for i in 0..8 {
-            assert!((zipf.pmf(i) - 0.125).abs() < 1e-12);
+            assert!((table_mass(&zipf, i) - 0.125).abs() < 1e-12);
         }
     }
 }

@@ -118,14 +118,6 @@ impl ScenePreset {
         Self::AERIAL,
     ];
 
-    /// Looks a preset up by (case-insensitive) name.
-    pub fn by_name(name: &str) -> Option<ScenePreset> {
-        Self::ALL
-            .iter()
-            .find(|p| p.name.eq_ignore_ascii_case(name))
-            .cloned()
-    }
-
     /// Whether the paper could create a GPU-only-trainable "small" variant
     /// (Aerial could not because it is already too large at initialization).
     pub fn has_small_variant(&self) -> bool {
@@ -192,13 +184,6 @@ mod tests {
             (1600, 900)
         );
         assert_eq!(ScenePreset::AERIAL.kind, SceneKind::Synthetic);
-    }
-
-    #[test]
-    fn lookup_by_name_is_case_insensitive() {
-        assert_eq!(ScenePreset::by_name("rubble"), Some(ScenePreset::RUBBLE));
-        assert_eq!(ScenePreset::by_name("SZTU"), Some(ScenePreset::SZTU));
-        assert_eq!(ScenePreset::by_name("nonexistent"), None);
     }
 
     #[test]

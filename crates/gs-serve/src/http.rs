@@ -1,45 +1,47 @@
-//! A std-only HTTP/1.1 front-end for [`RenderServer`] — and the reusable
-//! listener machinery other services (the cluster coordinator) build their
-//! own front-ends on.
+//! A std-only HTTP/1.1 front-end for [`RenderServer`], and the listener
+//! machinery and route functions the cluster coordinator's front-end
+//! shares. [`HttpServer::bind`] serves `GET`/`POST` with `Content-Length`
+//! bodies and keep-alive, so load generators (curl, wrk-style closed
+//! loops) drive the service over a real wire protocol.
 //!
-//! [`HttpServer::bind`] starts a TCP listener and serves a minimal HTTP/1.1
-//! subset — `GET`/`POST` with `Content-Length` bodies and keep-alive — so
-//! external load generators (curl, wrk-style closed loops) can drive the
-//! rendering service over a real wire protocol:
+//! Routes both tiers serve, each decision made by one function here:
 //!
-//! * `POST /render` — body in the [`crate::wire`] format; answers with the
-//!   rendered frame encoded per the request's `format` (raw little-endian
-//!   `f32` or binary PPM) plus `X-Image-Width`/`X-Image-Height`/
-//!   `X-Cache-Hit`/`X-Batch-Size`/`X-Shards`/`X-Worker`/`X-Latency-Us`
-//!   headers. While the request is queued the handler watches the client
-//!   socket: a disconnect triggers the request's [`crate::CancelToken`], so
-//!   workers sweep the dead job out of the queue (counted as `cancelled`)
-//!   instead of rendering a frame nobody will read.
+//! * `POST /render` — a [`crate::wire`] body parsed by [`parse_render`],
+//!   which also names the client (the body's `client` key, else the
+//!   `X-Client-Id` header, else the peer address), run under [`traced`].
+//!   Answers with the frame in the request's `format`
+//!   ([`crate::WireFormat::encode`]) and `X-Image-Width`/`X-Image-Height`/
+//!   `X-Cache-Hit`/`X-Shards`/`X-Latency-Us` headers.
+//! * `POST /scenes/<id>` — a text [`SceneSpec`] or a binary
+//!   [`crate::wire::encode_scene`] upload, decoded by [`parse_scene_body`]
+//!   (`413` for a spec above [`wire::MAX_SPEC_GAUSSIANS`]). A spec's
+//!   `shards` wins, else [`crate::shard::shard_count`] shards by size.
+//! * [`obs_route`]'s read-only routes (any other method is `405`):
+//!   `GET /metrics` (Prometheus text), `GET /trace` (the span ring as
+//!   Chrome trace-event JSON; `?id=<hex>` for one trace, `404` once it has
+//!   aged out), `GET /slo` (burn rates, see [`gs_obs::SloEngine`]),
+//!   `GET /heat` (windowed telemetry of served scenes; `untracked` counts
+//!   the rest), `GET /events` (the flight recorder's wide events) and
+//!   `GET /incidents` (captured anomaly incidents), all JSON but `/metrics`.
+//!
+//! This front-end's own:
+//!
+//! * `POST /render` also answers `X-Batch-Size`/`X-Worker`, and a client
+//!   that disconnects while its request is queued cancels it through the
+//!   request's [`crate::CancelToken`] (counted as `cancelled`).
 //! * `POST /render_layer` — a [`crate::wire::encode_layer_request`] body;
 //!   renders one shard (or a whole scene) as a partial-frame
 //!   [`gs_render::rasterize::FrameLayer`], optionally continuing an attached
 //!   incoming layer's blend state, and answers with the
 //!   [`crate::wire::encode_layer`] bytes. The remote half of cross-node
 //!   sharded rendering.
-//! * `POST /scenes/<id>` — a text [`SceneSpec`] (synthetic build) or a
-//!   binary [`crate::wire::encode_scene`] upload (exact parameters; how a
-//!   cluster coordinator places scenes and shards on a replica).
-//! * `GET /stats` — the [`crate::stats::ServeStats`] text report.
-//! * `GET /stats/wire` — the machine-readable [`crate::wire::StatsReport`]
-//!   a cluster coordinator aggregates (counters, latency samples, budget).
-//! * `GET /metrics` — Prometheus text exposition of the metrics registry
-//!   (request counters, latency histograms, kernel-phase rooflines, trace
-//!   gauges).
-//! * `GET /trace` — the finished-span ring as Chrome trace-event JSON
-//!   (load it in `chrome://tracing` / Perfetto). `GET /trace?id=<hex>`
-//!   exports just that trace, `404` when it has aged out of the ring.
-//! * `GET /slo` — SLO burn-rate status as JSON (see [`gs_obs::SloEngine`]).
-//! * `GET /heat` — windowed telemetry of served scenes as JSON; `untracked` counts the rest.
-//! * `GET /events` — the flight recorder's recent wide events as JSON.
-//! * `GET /incidents` — captured anomaly incidents (trigger, event tail,
-//!   metrics snapshot) as JSON.
-//! * `GET /scenes` — the loaded scene ids, one per line.
-//! * `GET /healthz` — liveness probe.
+//! * `POST /scenes/<id>`: an upload loads or **replaces** the id unsharded;
+//!   a spec for a taken id is `409`. `DELETE /scenes/<id>` unloads (`404`
+//!   if the scene is not loaded).
+//! * `GET /stats` ([`crate::stats::ServeStats`]), `GET /stats/wire` (the
+//!   [`crate::wire::StatsReport`] a cluster coordinator aggregates),
+//!   `GET /scenes` (each scene's shard layout and residency) and
+//!   `GET /healthz`.
 //!
 //! Request tracing: `POST /render` joins the trace named by an
 //! `X-Trace-Id` header (generating none otherwise unless ingress sampling
@@ -70,14 +72,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use gs_obs::{RequestTrace, Span, TraceContext, TraceId};
+use gs_core::gaussian::GaussianParams;
+use gs_obs::{RequestTrace, TraceContext, TraceId};
 use gs_trace::{Outcome, TraceRecorder};
 
 use crate::obs::ServeObs;
 use crate::request::{CancelToken, ServeError};
 use crate::server::RenderServer;
 use crate::stats::ConnectionStats;
-use crate::wire::{self, SceneSpec, StatsReport, WireFormat, WireRequest};
+use crate::wire::{self, SceneSpec, StatsReport, WireError, WireRequest};
 
 /// Configuration of an [`HttpServer`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -727,6 +730,19 @@ impl HttpResponse {
             body: body.into().into_bytes(),
         }
     }
+
+    /// A `200` JSON response.
+    pub fn json(body: String) -> Self {
+        Self {
+            content_type: "application/json",
+            ..Self::text(200, body)
+        }
+    }
+
+    /// The `405` a route answers for a method it does not serve.
+    pub fn method_not_allowed() -> Self {
+        Self::text(405, "method not allowed on this path\n")
+    }
 }
 
 fn reason(status: u16) -> &'static str {
@@ -812,7 +828,7 @@ pub fn split_path_query(target: &str) -> (&str, Option<&str>) {
 }
 
 /// Extracts the (undecoded) value of `key` from a query string.
-pub fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
+fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
     query?
         .split('&')
         .filter_map(|pair| pair.split_once('='))
@@ -820,14 +836,108 @@ pub fn query_param<'a>(query: Option<&'a str>, key: &str) -> Option<&'a str> {
         .map(|(_, v)| v)
 }
 
-/// A `200` JSON response.
-fn json_response(body: String) -> HttpResponse {
-    HttpResponse {
-        status: 200,
-        content_type: "application/json",
-        headers: Vec::new(),
-        body: body.into_bytes(),
+/// The routes every serving tier answers from its [`ServeObs`] alone: the
+/// six read-only observability routes, `405` for any other method on them,
+/// and `404` for a path the tier does not serve. A tier's handler matches
+/// its own routes first and falls through to this one.
+pub fn obs_route(obs: &ServeObs, req: &HttpRequest) -> HttpResponse {
+    let (path, query) = split_path_query(req.path.as_str());
+    match (req.method.as_str(), path) {
+        ("GET", "/metrics") => HttpResponse::text(200, obs.metrics_text()),
+        ("GET", "/trace") => match query_param(query, "id") {
+            Some(id) => match obs.chrome_json_for(id) {
+                Some(json) => HttpResponse::json(json),
+                None => HttpResponse::text(
+                    404,
+                    format!("no trace {id:?} in the ring (bad id, or it aged out)\n"),
+                ),
+            },
+            None => HttpResponse::json(obs.chrome_json()),
+        },
+        ("GET", "/slo") => HttpResponse::json(obs.slo_json()),
+        ("GET", "/heat") => HttpResponse::json(obs.heat_json()),
+        ("GET", "/events") => HttpResponse::json(obs.events_json()),
+        ("GET", "/incidents") => HttpResponse::json(obs.incidents_json()),
+        (_, "/metrics" | "/trace" | "/slo" | "/heat" | "/events" | "/incidents") => {
+            HttpResponse::method_not_allowed()
+        }
+        _ => HttpResponse::text(404, "unknown path\n"),
     }
+}
+
+/// The `400` for a body that fails to decode.
+fn bad_request(err: WireError) -> HttpResponse {
+    HttpResponse::text(400, format!("{err}\n"))
+}
+
+/// A text body, or the `400` for one that is not UTF-8.
+fn utf8_body(body: &[u8]) -> Result<&str, HttpResponse> {
+    std::str::from_utf8(body)
+        .map_err(|_| HttpResponse::text(400, "bad request: body is not UTF-8\n"))
+}
+
+/// Parses a `POST /render` body and names its client: the body's `client`
+/// key, else the `X-Client-Id` header, else the peer address (`None` only
+/// when the OS cannot name the peer).
+///
+/// # Errors
+///
+/// The `400` for a body that is not UTF-8 or not a request.
+pub fn parse_render(req: &HttpRequest, conn: &Conn<'_>) -> Result<WireRequest, HttpResponse> {
+    let mut wire_req = WireRequest::parse(utf8_body(&req.body)?).map_err(bad_request)?;
+    if wire_req.client.is_none() {
+        wire_req.client = req
+            .headers
+            .get("x-client-id")
+            .cloned()
+            .or_else(|| conn.peer_addr());
+    }
+    Ok(wire_req)
+}
+
+/// A decoded `POST /scenes/<id>` body (see [`parse_scene_body`]).
+pub enum SceneBody {
+    /// A binary [`wire::encode_scene`] upload: parameters and background.
+    Upload(GaussianParams, [f32; 3]),
+    /// A text [`SceneSpec`] within the size cap, not built yet.
+    Spec(SceneSpec),
+}
+
+impl SceneBody {
+    /// The scene's parameters, background and explicit shard count (a
+    /// spec's `shards`; `None` for an upload), building a spec's scene.
+    pub fn build(self) -> (GaussianParams, [f32; 3], Option<usize>) {
+        match self {
+            SceneBody::Upload(params, background) => (params, background, None),
+            SceneBody::Spec(spec) => (spec.build(), spec.background, spec.shards),
+        }
+    }
+}
+
+/// Decodes a `POST /scenes/<id>` body in either form: a binary
+/// [`wire::encode_scene`] upload, or a text [`SceneSpec`].
+///
+/// # Errors
+///
+/// The response to answer with: `400` for a malformed body, `413` for a
+/// spec asking for more than [`wire::MAX_SPEC_GAUSSIANS`] Gaussians.
+pub fn parse_scene_body(body: &[u8]) -> Result<SceneBody, HttpResponse> {
+    if wire::is_scene_upload(body) {
+        let (params, background) = wire::decode_scene(body).map_err(bad_request)?;
+        return Ok(SceneBody::Upload(params, background));
+    }
+    let spec = SceneSpec::parse(utf8_body(body)?).map_err(bad_request)?;
+    if spec.gaussians > wire::MAX_SPEC_GAUSSIANS {
+        return Err(HttpResponse::text(
+            413,
+            format!(
+                "scene spec asks for {} gaussians, limit is {}\n",
+                spec.gaussians,
+                wire::MAX_SPEC_GAUSSIANS
+            ),
+        ));
+    }
+    Ok(SceneBody::Spec(spec))
 }
 
 /// The standard [`RenderServer`] routing layer (what [`HttpServer::bind`]
@@ -841,7 +951,9 @@ struct ServeHandler {
 impl HttpHandler for ServeHandler {
     fn handle(&self, req: &HttpRequest, conn: &mut Conn<'_>) -> HttpResponse {
         let server = self.server.as_ref();
-        let (path, query) = split_path_query(req.path.as_str());
+        let (path, _) = split_path_query(req.path.as_str());
+        // The `<id>` of a `/scenes/<id>` path; empty, and unread, for any other.
+        let scene = path.strip_prefix("/scenes/").unwrap_or_default();
         match (req.method.as_str(), path) {
             ("GET", "/stats") => {
                 let mut stats = server.stats();
@@ -872,59 +984,35 @@ impl HttpHandler for ServeHandler {
                 HttpResponse::text(200, body)
             }
             ("GET", "/healthz") => HttpResponse::text(200, "ok\n"),
-            ("GET", "/metrics") => HttpResponse::text(200, server.metrics_text()),
-            ("GET", "/trace") => match query_param(query, "id") {
-                Some(id) => match server.obs().chrome_json_for(id) {
-                    Some(json) => json_response(json),
-                    None => HttpResponse::text(
-                        404,
-                        format!("no trace {id:?} in the ring (bad id, or it aged out)\n"),
-                    ),
-                },
-                None => json_response(server.obs().chrome_json()),
-            },
-            ("GET", "/slo") => json_response(server.obs().slo_json()),
-            ("GET", "/heat") => json_response(server.obs().heat_json()),
-            ("GET", "/events") => json_response(server.obs().events_json()),
-            ("GET", "/incidents") => json_response(server.obs().incidents_json()),
             ("POST", "/render") => render_route(server, self.recorder.as_deref(), req, conn),
             ("POST", "/render_layer") => render_layer_route(server, req),
-            ("POST", path) if path.strip_prefix("/scenes/").is_some() => {
-                let id = path.strip_prefix("/scenes/").unwrap_or_default();
-                load_scene_route(server, id, &req.body)
+            ("POST", path) if path.starts_with("/scenes/") => {
+                load_scene_route(server, scene, &req.body)
             }
-            ("DELETE", path) if path.strip_prefix("/scenes/").is_some() => {
-                let id = path
-                    .strip_prefix("/scenes/")
-                    .unwrap_or_default()
-                    .to_string();
-                if server.unload_scene(&id) {
-                    HttpResponse::text(200, format!("unloaded scene {id}\n"))
+            ("DELETE", path) if path.starts_with("/scenes/") => {
+                if server.unload_scene(&scene.to_string()) {
+                    HttpResponse::text(200, format!("unloaded scene {scene}\n"))
                 } else {
-                    HttpResponse::text(404, format!("scene {id:?} is not loaded\n"))
+                    HttpResponse::text(404, format!("scene {scene:?} is not loaded\n"))
                 }
             }
             (
                 _,
-                "/stats" | "/stats/wire" | "/scenes" | "/healthz" | "/metrics" | "/trace" | "/slo"
-                | "/heat" | "/events" | "/incidents" | "/render" | "/render_layer",
-            ) => HttpResponse::text(405, "method not allowed on this path\n"),
-            (_, path) if path.starts_with("/scenes/") => {
-                HttpResponse::text(405, "method not allowed on this path\n")
-            }
-            _ => HttpResponse::text(404, "unknown path\n"),
+                "/stats" | "/stats/wire" | "/scenes" | "/healthz" | "/render" | "/render_layer",
+            ) => HttpResponse::method_not_allowed(),
+            (_, path) if path.starts_with("/scenes/") => HttpResponse::method_not_allowed(),
+            _ => obs_route(server.obs(), req),
         }
     }
 }
 
-/// `POST /scenes/<id>`: register a scene. Two body forms are accepted:
+/// `POST /scenes/<id>`: register a scene from a [`parse_scene_body`] body.
 ///
-/// * A binary [`wire::encode_scene`] upload — exact trained parameters, the
-///   form a cluster coordinator uses to place scenes and shards. Loads (or
-///   **replaces**) the id unsharded; the uploader owns the shard layout.
-/// * A text [`SceneSpec`] — a synthetic scene built server-side, sharded
-///   when it exceeds the size threshold (or as the spec's explicit `shards`
-///   count). Refuses to replace an existing id.
+/// * A binary upload loads (or **replaces**) the id unsharded; the uploader
+///   owns the shard layout.
+/// * A text spec is built server-side and sharded as
+///   [`RenderServer::load_scene_auto`] decides. It refuses to replace an
+///   existing id.
 ///
 /// `201` on success, `400` for a malformed body, `409` when a spec's id is
 /// taken, `413` when the scene is too large to build or to admit.
@@ -932,60 +1020,37 @@ fn load_scene_route(server: &RenderServer, id: &str, body: &[u8]) -> HttpRespons
     if !wire::valid_scene_id(id) {
         return HttpResponse::text(400, "bad request: invalid scene id\n");
     }
-    if wire::is_scene_upload(body) {
-        let (params, background) = match wire::decode_scene(body) {
-            Ok(decoded) => decoded,
-            Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-        };
-        let gaussians = params.len();
-        return match server.load_scene(id, Arc::new(params), background) {
-            Ok(()) => {
-                HttpResponse::text(201, format!("loaded scene {id}: {gaussians} gaussians\n"))
-            }
-            Err(e @ ServeError::Admission(_)) => HttpResponse::text(413, format!("{e}\n")),
-            Err(e) => HttpResponse::text(status_for_error(&e), format!("{e}\n")),
-        };
-    }
-    let text = match std::str::from_utf8(body) {
-        Ok(t) => t,
-        Err(_) => return HttpResponse::text(400, "bad request: body is not UTF-8\n"),
+    let body = match parse_scene_body(body) {
+        Ok(body) => body,
+        Err(response) => return response,
     };
-    let spec = match SceneSpec::parse(text) {
-        Ok(s) => s,
-        Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-    };
-    if spec.gaussians > wire::MAX_SPEC_GAUSSIANS {
-        return HttpResponse::text(
-            413,
-            format!(
-                "scene spec asks for {} gaussians, limit is {}\n",
-                spec.gaussians,
-                wire::MAX_SPEC_GAUSSIANS
-            ),
-        );
-    }
+    let upload = matches!(body, SceneBody::Upload(..));
     // Advisory duplicate check before the expensive scene build; the
     // authoritative check runs under the registry lock in load_scene_auto,
     // so a racing POST for the same id still gets exactly one 201.
-    if server.contains_scene(&id.to_string()) {
-        let e = ServeError::SceneExists(id.to_string());
-        return HttpResponse::text(409, format!("{e}\n"));
+    if !upload && server.contains_scene(&id.to_string()) {
+        return error_response(&ServeError::SceneExists(id.to_string()));
     }
-    let params = Arc::new(spec.build());
-    let result = server.load_scene_auto(id, Arc::clone(&params), spec.background, spec.shards);
+    let (params, background, shards) = body.build();
+    let gaussians = params.len();
+    let params = Arc::new(params);
+    let result = if upload {
+        server.load_scene(id, params, background).map(|()| None)
+    } else {
+        server
+            .load_scene_auto(id, params, background, shards)
+            .map(Some)
+    };
     match result {
-        Ok(shards) => HttpResponse::text(
+        Ok(None) => HttpResponse::text(201, format!("loaded scene {id}: {gaussians} gaussians\n")),
+        Ok(Some(shards)) => HttpResponse::text(
             201,
-            format!(
-                "loaded scene {id}: {} gaussians in {shards} shard(s)\n",
-                params.len()
-            ),
+            format!("loaded scene {id}: {gaussians} gaussians in {shards} shard(s)\n"),
         ),
-        Err(e @ ServeError::SceneExists(_)) => HttpResponse::text(409, format!("{e}\n")),
         // An admission rejection means the scene (or a shard of it) exceeds
         // the memory budget: the payload, not the service, is the problem.
         Err(e @ ServeError::Admission(_)) => HttpResponse::text(413, format!("{e}\n")),
-        Err(e) => HttpResponse::text(status_for_error(&e), format!("{e}\n")),
+        Err(e) => error_response(&e),
     }
 }
 
@@ -1001,50 +1066,26 @@ pub fn outcome_for_error(err: &ServeError) -> Outcome {
     }
 }
 
-/// Resolves the client/session id workload capture attributes a request
-/// to: the body's `client` key wins, then the `X-Client-Id` header, then
-/// the peer address.
-fn resolve_client(wire_req: &WireRequest, req: &HttpRequest, conn: &mut Conn<'_>) -> String {
-    wire_req
-        .client
-        .clone()
-        .or_else(|| req.headers.get("x-client-id").cloned())
-        .or_else(|| conn.peer_addr())
-        .unwrap_or_else(|| "unknown".to_string())
+/// The `X-Trace-Id` and `X-Trace-Parent` request headers, where they parse.
+fn trace_headers(req: &HttpRequest) -> (Option<TraceId>, Option<u32>) {
+    let header = |name: &str| req.headers.get(name);
+    (
+        header("x-trace-id").and_then(|v| TraceId::parse(v)),
+        header("x-trace-parent").and_then(|v| v.parse().ok()),
+    )
 }
 
-/// The route's view of a request's trace: the trace handle, the span id
-/// server-side spans parent under, the route-owned root span (for traces
-/// this node is responsible for finishing), and whether the trace belongs
-/// to a remote caller (spans go back in `X-Trace-Spans`, not the ring).
-///
-/// Public so front-ends layered on the same listener machinery (the
-/// cluster coordinator's) share the exact ingress semantics.
-pub struct RouteTrace {
-    /// The shared span collector for this request.
-    pub trace: RequestTrace,
-    /// Span id route-side work parents under (the root span, or the remote
-    /// caller's hop span).
-    pub parent: u32,
-    /// The route-owned root span; `None` for remote hops.
-    pub root: Option<Span>,
-    /// Whether a remote caller owns the trace (spans are returned via
-    /// `X-Trace-Spans` instead of landing in the local ring).
-    pub remote: bool,
-}
-
-/// Resolves the trace a `POST /render` participates in: the `X-Trace-Id` /
-/// `X-Trace-Parent` headers name an existing trace (a parent marks it as a
-/// remote hop), and with no header ingress sampling may mint a fresh one.
-pub fn route_trace(obs: &ServeObs, req: &HttpRequest) -> Option<RouteTrace> {
-    let header_id = req
-        .headers
-        .get("x-trace-id")
-        .and_then(|v| TraceId::parse(v));
-    let header_parent = req
-        .headers
-        .get("x-trace-parent")
-        .and_then(|v| v.parse::<u32>().ok());
+/// Runs a `POST /render` route under the trace its request joins: the one
+/// `X-Trace-Id` names (a hop of a remote caller's when `X-Trace-Parent` is
+/// set), else one ingress sampling mints. The response echoes `X-Trace-Id`;
+/// a remote hop returns its spans in `X-Trace-Spans`, and a trace this node
+/// owns closes its `request` root span and lands in the span ring.
+pub fn traced(
+    obs: &ServeObs,
+    req: &HttpRequest,
+    route: impl FnOnce(Option<TraceContext>) -> HttpResponse,
+) -> HttpResponse {
+    let (header_id, header_parent) = trace_headers(req);
     let trace = match header_id {
         // A hop on someone else's trace allocates from the remote id range
         // so the caller's graft can tell our internal parent links from
@@ -1052,43 +1093,38 @@ pub fn route_trace(obs: &ServeObs, req: &HttpRequest) -> Option<RouteTrace> {
         Some(id) if header_parent.is_some() => RequestTrace::remote(id, obs.node()),
         Some(id) => RequestTrace::new(id, obs.node()),
         None if obs.should_trace() => obs.mint(),
-        None => return None,
+        None => return route(None),
     };
-    if let Some(parent) = header_parent {
-        return Some(RouteTrace {
-            trace,
-            parent,
-            root: None,
-            remote: true,
-        });
-    }
-    let root = trace.start(0, "request");
-    let parent = root.id();
-    Some(RouteTrace {
-        trace,
+    let (root, parent) = match header_parent {
+        Some(parent) => (None, parent),
+        None => {
+            let root = trace.start(0, "request");
+            let parent = root.id();
+            (Some(root), parent)
+        }
+    };
+    let mut response = route(Some(TraceContext {
+        trace: trace.clone(),
         parent,
-        root: Some(root),
-        remote: false,
-    })
+    }));
+    response
+        .headers
+        .push(("X-Trace-Id", trace.id().to_string()));
+    match root {
+        Some(root) => {
+            root.finish();
+            obs.finish(&trace);
+        }
+        None => response
+            .headers
+            .push(("X-Trace-Spans", gs_obs::encode_spans(&trace.spans()))),
+    }
+    response
 }
 
-impl RouteTrace {
-    /// Ends the trace's route-owned root span and settles ownership: a
-    /// remote hop returns its spans to the caller via `X-Trace-Spans`, a
-    /// locally owned trace lands in the span ring. Either way the response
-    /// echoes `X-Trace-Id`.
-    pub fn finish(self, obs: &ServeObs) -> Vec<(&'static str, String)> {
-        let mut headers = vec![("X-Trace-Id", self.trace.id().to_string())];
-        if let Some(root) = self.root {
-            root.finish();
-        }
-        if self.remote {
-            headers.push(("X-Trace-Spans", gs_obs::encode_spans(&self.trace.spans())));
-        } else {
-            obs.finish(&self.trace);
-        }
-        headers
-    }
+/// The response for a request the server failed.
+fn error_response(err: &ServeError) -> HttpResponse {
+    HttpResponse::text(status_for_error(err), format!("{err}\n"))
 }
 
 fn render_route(
@@ -1097,112 +1133,86 @@ fn render_route(
     req: &HttpRequest,
     conn: &mut Conn<'_>,
 ) -> HttpResponse {
-    let text = match std::str::from_utf8(&req.body) {
-        Ok(t) => t,
-        Err(_) => return HttpResponse::text(400, "bad request: body is not UTF-8\n"),
+    let mut wire_req = match parse_render(req, conn) {
+        Ok(wire_req) => wire_req,
+        Err(response) => return response,
     };
-    let wire_req = match WireRequest::parse(text) {
-        Ok(r) => r,
-        Err(e) => return HttpResponse::text(400, format!("{e}\n")),
-    };
-    let route_trace = route_trace(server.obs(), req);
-    // Capture support: the arrival timestamp is stamped before the request
-    // queues, the event is recorded (with its outcome and latency) on every
-    // answer path below.
-    let arrival_us = recorder.map_or(0, TraceRecorder::now_us);
-    let started = Instant::now();
-    // Resolved unconditionally (not just under capture): the per-client
-    // heat table keys on it for every request that enters the server.
-    let client = resolve_client(&wire_req, req, conn);
-    let record = |outcome: Outcome| {
-        if let Some(recorder) = recorder {
-            recorder.record(wire_req.to_trace_event(
-                &client,
-                arrival_us,
-                outcome,
-                started.elapsed().as_micros() as u64,
-            ));
-        }
-    };
-    // Submit with a cancel token, then wait while watching the client
-    // socket: if the client disconnects while the job is queued, the token
-    // tells the workers to sweep it (counted as `cancelled`) instead of
-    // rendering a frame nobody will read. The handler returns immediately —
-    // the doomed write then closes the connection and frees its slot.
-    let cancel = CancelToken::new();
-    let mut render_req = wire_req.to_render_request().with_cancel(cancel.clone());
-    if render_req.client.is_none() {
-        render_req.client = Some(client.clone());
-    }
-    if let Some(rt) = &route_trace {
-        render_req = render_req.with_trace(TraceContext {
-            trace: rt.trace.clone(),
-            parent: rt.parent,
-        });
-    }
-    // Every return below settles the trace (closing the root span, pushing
-    // the tree to the ring or into `X-Trace-Spans`) so no path leaks an
-    // unfinished trace.
-    let finish_trace =
-        |rt: Option<RouteTrace>| rt.map_or_else(Vec::new, |rt| rt.finish(server.obs()));
-    let mut ticket = match server.submit(render_req) {
-        Ok(ticket) => ticket,
-        Err(e) => {
-            record(outcome_for_error(&e));
-            let mut response = HttpResponse::text(status_for_error(&e), format!("{e}\n"));
-            response.headers = finish_trace(route_trace);
-            return response;
-        }
-    };
-    let result = loop {
-        match ticket.wait_timeout(POLL_INTERVAL) {
-            Ok(result) => break result,
-            Err(pending) => {
-                ticket = pending;
-                if conn.client_disconnected() || conn.stopping() {
-                    cancel.cancel();
-                    record(Outcome::Cancelled);
-                    let mut response = HttpResponse::text(503, "client disconnected\n");
-                    response.headers = finish_trace(route_trace);
-                    return response;
+    let client = wire_req
+        .client
+        .get_or_insert_with(|| "unknown".to_string())
+        .clone();
+    traced(server.obs(), req, |trace| {
+        // Capture support: the arrival timestamp is stamped before the
+        // request queues, the event is recorded (with its outcome and
+        // latency) on every answer path below.
+        let arrival_us = recorder.map_or(0, TraceRecorder::now_us);
+        let started = Instant::now();
+        let record = |outcome: Outcome| {
+            if let Some(recorder) = recorder {
+                recorder.record(wire_req.to_trace_event(
+                    &client,
+                    arrival_us,
+                    outcome,
+                    started.elapsed().as_micros() as u64,
+                ));
+            }
+        };
+        // Submit with a cancel token, then wait while watching the client
+        // socket: if the client disconnects while the job is queued, the
+        // token tells the workers to sweep it (counted as `cancelled`)
+        // instead of rendering a frame nobody will read. The handler
+        // returns immediately — the doomed write then closes the connection
+        // and frees its slot.
+        let cancel = CancelToken::new();
+        let mut render_req = wire_req.to_render_request().with_cancel(cancel.clone());
+        render_req.trace = trace;
+        let mut ticket = match server.submit(render_req) {
+            Ok(ticket) => ticket,
+            Err(e) => {
+                record(outcome_for_error(&e));
+                return error_response(&e);
+            }
+        };
+        let result = loop {
+            match ticket.wait_timeout(POLL_INTERVAL) {
+                Ok(result) => break result,
+                Err(pending) => {
+                    ticket = pending;
+                    if conn.client_disconnected() || conn.stopping() {
+                        cancel.cancel();
+                        record(Outcome::Cancelled);
+                        return HttpResponse::text(503, "client disconnected\n");
+                    }
                 }
             }
+        };
+        let frame = match result {
+            Ok(frame) => frame,
+            Err(e) => {
+                record(outcome_for_error(&e));
+                return error_response(&e);
+            }
+        };
+        record(if frame.cache_hit {
+            Outcome::CacheHit
+        } else {
+            Outcome::Completed
+        });
+        HttpResponse {
+            status: 200,
+            content_type: wire_req.format.content_type(),
+            headers: vec![
+                ("X-Image-Width", frame.image.width().to_string()),
+                ("X-Image-Height", frame.image.height().to_string()),
+                ("X-Cache-Hit", u8::from(frame.cache_hit).to_string()),
+                ("X-Batch-Size", frame.batch_size.to_string()),
+                ("X-Shards", frame.shards.to_string()),
+                ("X-Worker", frame.worker.to_string()),
+                ("X-Latency-Us", frame.latency.as_micros().to_string()),
+            ],
+            body: wire_req.format.encode(&frame.image),
         }
-    };
-    let frame = match result {
-        Ok(frame) => frame,
-        Err(e) => {
-            record(outcome_for_error(&e));
-            let mut response = HttpResponse::text(status_for_error(&e), format!("{e}\n"));
-            response.headers = finish_trace(route_trace);
-            return response;
-        }
-    };
-    record(if frame.cache_hit {
-        Outcome::CacheHit
-    } else {
-        Outcome::Completed
-    });
-    let body = match wire_req.format {
-        WireFormat::RawF32 => wire::encode_raw_f32(&frame.image),
-        WireFormat::Ppm => wire::encode_ppm(&frame.image),
-    };
-    let mut headers = vec![
-        ("X-Image-Width", frame.image.width().to_string()),
-        ("X-Image-Height", frame.image.height().to_string()),
-        ("X-Cache-Hit", u8::from(frame.cache_hit).to_string()),
-        ("X-Batch-Size", frame.batch_size.to_string()),
-        ("X-Shards", frame.shards.to_string()),
-        ("X-Worker", frame.worker.to_string()),
-        ("X-Latency-Us", frame.latency.as_micros().to_string()),
-    ];
-    headers.extend(finish_trace(route_trace));
-    HttpResponse {
-        status: 200,
-        content_type: wire_req.format.content_type(),
-        headers,
-        body,
-    }
+    })
 }
 
 /// `POST /render_layer`: render one shard (or a whole scene) as a
@@ -1217,37 +1227,27 @@ fn render_route(
 fn render_layer_route(server: &RenderServer, req: &HttpRequest) -> HttpResponse {
     let (wire_req, block_trace, into) = match wire::decode_layer_request_traced(&req.body) {
         Ok(decoded) => decoded,
-        Err(e) => return HttpResponse::text(400, format!("{e}\n")),
+        Err(e) => return bad_request(e),
     };
     let trace = block_trace
-        .or_else(|| {
-            let id = req
-                .headers
-                .get("x-trace-id")
-                .and_then(|v| TraceId::parse(v))?;
-            let parent = req
-                .headers
-                .get("x-trace-parent")
-                .and_then(|v| v.parse::<u32>().ok())
-                .unwrap_or(0);
-            Some((id, parent))
+        .or_else(|| match trace_headers(req) {
+            (Some(id), parent) => Some((id, parent.unwrap_or(0))),
+            (None, _) => None,
         })
-        .map(|(id, parent)| (RequestTrace::remote(id, server.obs().node()), parent));
+        .map(|(id, parent)| TraceContext {
+            trace: RequestTrace::remote(id, server.obs().node()),
+            parent,
+        });
     let shard = wire_req.shard;
     let mut request = wire_req.to_render_request();
-    if let Some((trace, parent)) = &trace {
-        request = request.with_trace(TraceContext {
-            trace: trace.clone(),
-            parent: *parent,
-        });
-    }
+    request.trace = trace.clone();
     match server.render_layer_blocking(&request, shard, into) {
         Ok(layer) => {
             let mut headers = vec![
                 ("X-Image-Width", layer.width().to_string()),
                 ("X-Image-Height", layer.height().to_string()),
             ];
-            if let Some((trace, _)) = &trace {
+            if let Some(TraceContext { trace, .. }) = &trace {
                 headers.push(("X-Trace-Id", trace.id().to_string()));
                 headers.push(("X-Trace-Spans", gs_obs::encode_spans(&trace.spans())));
             }
@@ -1258,7 +1258,7 @@ fn render_layer_route(server: &RenderServer, req: &HttpRequest) -> HttpResponse 
                 body: wire::encode_layer(&layer),
             }
         }
-        Err(e) => HttpResponse::text(status_for_error(&e), format!("{e}\n")),
+        Err(e) => error_response(&e),
     }
 }
 

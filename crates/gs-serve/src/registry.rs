@@ -512,11 +512,6 @@ impl SceneRegistry {
         self.pool.capacity()
     }
 
-    /// Bytes held by sharded scenes' host-side stores.
-    pub fn host_used_bytes(&self) -> u64 {
-        self.host_used
-    }
-
     /// Bound on the host-side shard stores in bytes.
     pub fn host_budget_bytes(&self) -> u64 {
         self.host_budget
@@ -812,7 +807,7 @@ mod tests {
         let mut reg = SceneRegistry::with_budgets(10 * PER_GAUSSIAN, 25 * PER_GAUSSIAN);
         reg.load_sharded("a", shard_scene(&scene_of(20), 4), [0.0; 3])
             .unwrap();
-        assert_eq!(reg.host_used_bytes(), 20 * PER_GAUSSIAN);
+        assert_eq!(reg.host_used, 20 * PER_GAUSSIAN);
         let err = reg
             .load_sharded("b", shard_scene(&scene_of(10), 2), [0.0; 3])
             .unwrap_err();
@@ -823,17 +818,17 @@ mod tests {
         // Replacing "a" with a smaller scene nets against its old bytes...
         reg.load_sharded("a", shard_scene(&scene_of(12), 3), [0.0; 3])
             .unwrap();
-        assert_eq!(reg.host_used_bytes(), 12 * PER_GAUSSIAN);
+        assert_eq!(reg.host_used, 12 * PER_GAUSSIAN);
         // ...an oversized replacement is rejected with "a" left intact...
         let err = reg
             .load_sharded("a", shard_scene(&scene_of(40), 8), [0.0; 3])
             .unwrap_err();
         assert!(matches!(err, ServeError::Admission(_)));
-        assert_eq!(reg.host_used_bytes(), 12 * PER_GAUSSIAN);
+        assert_eq!(reg.host_used, 12 * PER_GAUSSIAN);
         assert!(reg.contains(&"a".to_string()));
         // ...and unloading releases the host bytes.
         assert!(reg.unload(&"a".to_string()));
-        assert_eq!(reg.host_used_bytes(), 0);
+        assert_eq!(reg.host_used, 0);
     }
 
     #[test]

@@ -355,19 +355,9 @@ impl RenderServer {
         background: [f32; 3],
         shards: Option<usize>,
     ) -> Result<usize, ServeError> {
+        assert!(shards != Some(0), "shard count must be at least 1");
         let id = id.into();
-        let bytes = params.total_bytes() as u64;
-        let shard_bytes = self.shared.config.shard_bytes;
-        let k = match shards {
-            Some(k) => {
-                assert!(k > 0, "shard count must be at least 1");
-                k
-            }
-            None if shard_bytes > 0 && bytes > shard_bytes => {
-                usize::try_from(bytes.div_ceil(shard_bytes)).unwrap_or(usize::MAX)
-            }
-            None => 1,
-        };
+        let k = shard::shard_count(&params, self.shared.config.shard_bytes, shards);
         let sources = (k > 1).then(|| shard::shard_scene(&params, k));
         // Report the count the partitioner actually produced (it clamps to
         // the Gaussian count), so the answer agrees with the layout.

@@ -252,6 +252,21 @@ fn split_recursive(params: &GaussianParams, ids: &mut [u32], k: usize, out: &mut
     split_recursive(params, right, k_right, out);
 }
 
+/// How many shards a scene is loaded in: `explicit` when the caller names a
+/// count, otherwise `ceil(bytes / shard_bytes)` for a scene larger than
+/// `shard_bytes`, otherwise one (also when `shard_bytes` is 0, which turns
+/// automatic sharding off).
+pub fn shard_count(params: &GaussianParams, shard_bytes: u64, explicit: Option<usize>) -> usize {
+    let bytes = params.total_bytes() as u64;
+    match explicit {
+        Some(k) => k,
+        None if shard_bytes > 0 && bytes > shard_bytes => {
+            usize::try_from(bytes.div_ceil(shard_bytes)).unwrap_or(usize::MAX)
+        }
+        None => 1,
+    }
+}
+
 /// Partitions a scene into `k` shards, gathering each shard's parameters
 /// into its own container (see [`partition_ids`] for the split rule).
 ///

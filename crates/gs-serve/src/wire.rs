@@ -85,6 +85,14 @@ impl WireFormat {
             WireFormat::Ppm => "image/x-portable-pixmap",
         }
     }
+
+    /// Encodes a rendered frame as a response body in this encoding.
+    pub fn encode(self, image: &Image) -> Vec<u8> {
+        match self {
+            WireFormat::RawF32 => encode_raw_f32(image),
+            WireFormat::Ppm => encode_ppm(image),
+        }
+    }
 }
 
 /// How much a request matters under overload. The coordinator's
@@ -887,19 +895,9 @@ pub fn encode_layer_request_traced(
     out
 }
 
-/// Decodes [`encode_layer_request`] bytes, validating that an attached
-/// layer matches the request's viewport size.
-///
-/// # Errors
-///
-/// [`WireError`] on a bad envelope, an invalid inner request, or a layer
-/// whose size does not match the request viewport.
-pub fn decode_layer_request(bytes: &[u8]) -> Result<(WireRequest, Option<FrameLayer>), WireError> {
-    decode_layer_request_traced(bytes).map(|(request, _, layer)| (request, layer))
-}
-
-/// Decodes [`encode_layer_request_traced`] bytes: the request, the trace
-/// context from the optional `GSTC` block, and the optional layer.
+/// Decodes [`encode_layer_request_traced`] (or [`encode_layer_request`])
+/// bytes: the request, the trace context from the optional `GSTC` block,
+/// and the optional layer, which must match the request's viewport size.
 ///
 /// # Errors
 ///
@@ -1486,14 +1484,15 @@ mod tests {
     fn layer_request_roundtrips_with_and_without_a_layer() {
         let mut req = demo();
         req.shard = Some(2);
-        let (parsed, none) = decode_layer_request(&encode_layer_request(&req, None)).unwrap();
+        let (parsed, _, none) =
+            decode_layer_request_traced(&encode_layer_request(&req, None)).unwrap();
         assert_eq!(parsed, req);
         assert_eq!(parsed.shard, Some(2));
         assert!(none.is_none());
 
         let layer = demo_layer(96, 72, 44);
-        let (parsed, relayed) =
-            decode_layer_request(&encode_layer_request(&req, Some(&layer))).unwrap();
+        let (parsed, _, relayed) =
+            decode_layer_request_traced(&encode_layer_request(&req, Some(&layer))).unwrap();
         assert_eq!(parsed, req);
         let relayed = relayed.expect("layer must survive the envelope");
         assert_eq!(relayed.color().data(), layer.color().data());
@@ -1507,7 +1506,7 @@ mod tests {
         let trace = gs_obs::TraceId::parse("00000000deadbeef").unwrap();
         let layer = demo_layer(96, 72, 47);
 
-        // Trace block + layer: everything survives, in both decoders.
+        // Trace block + layer: everything survives.
         let encoded = encode_layer_request_traced(&req, Some((trace, 7)), Some(&layer));
         let (parsed, ctx, relayed) = decode_layer_request_traced(&encoded).unwrap();
         assert_eq!(parsed, req);
@@ -1517,10 +1516,6 @@ mod tests {
             layer.color().data(),
             "the trace block must not disturb the layer payload"
         );
-        let (parsed, relayed) = decode_layer_request(&encoded).unwrap();
-        assert_eq!(parsed, req);
-        assert!(relayed.is_some());
-
         // An untraced envelope is byte-identical to the legacy encoder and
         // decodes with no context.
         assert_eq!(
@@ -1543,17 +1538,18 @@ mod tests {
         let req = demo();
         // Layer size must match the viewport (full image here: 96x72).
         let wrong = demo_layer(8, 8, 45);
-        assert!(decode_layer_request(&encode_layer_request(&req, Some(&wrong))).is_err());
+        assert!(decode_layer_request_traced(&encode_layer_request(&req, Some(&wrong))).is_err());
         // A viewport-restricted request accepts a viewport-sized layer.
         let mut vp_req = demo();
         vp_req.viewport = Some((8, 4, 40, 28));
         let vp_layer = demo_layer(32, 24, 46);
-        assert!(decode_layer_request(&encode_layer_request(&vp_req, Some(&vp_layer))).is_ok());
+        let vp_body = encode_layer_request(&vp_req, Some(&vp_layer));
+        assert!(decode_layer_request_traced(&vp_body).is_ok());
         // Bad magic / truncated text length.
-        assert!(decode_layer_request(b"NOPE").is_err());
+        assert!(decode_layer_request_traced(b"NOPE").is_err());
         let mut encoded = encode_layer_request(&req, None);
         encoded[4..8].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(decode_layer_request(&encoded).is_err());
+        assert!(decode_layer_request_traced(&encoded).is_err());
     }
 
     #[test]

@@ -335,8 +335,8 @@ fn http_single_render_grafts_queue_and_render_spans() {
 /// The acceptance bar for the interpretation layer: a 2-replica cluster
 /// replaying a flash-crowd workload with one replica killed mid-run must
 /// yield (a) an incident whose frozen event tail names the failover and
-/// carries a metrics snapshot, (b) a `/heat` top-K row naming the hot
-/// scene with a windowed count within 2x of what was actually sent,
+/// carries a metrics snapshot, (b) a `/heat` row naming the hot scene
+/// with a windowed count within 2x of what was actually sent,
 /// (c) an `/slo` availability burn-rate breach during the kill that
 /// recovers once the fast window drains, and (d) an exemplar trace id on
 /// the latency histogram resolving via `/trace?id=` to the stitched

@@ -187,7 +187,7 @@ fn hot_scene_replicates_balances_reads_and_dereplicates() {
     }
 
     // The copies gauge is exported on /metrics.
-    let metrics = cluster.metrics_text();
+    let metrics = cluster.obs().metrics_text();
     assert!(
         metrics.contains("gs_replication_copies{scene=\"hot\"} 2"),
         "{metrics}"
@@ -484,7 +484,7 @@ fn overload_sheds_speculative_work_and_browns_out_interactive() {
     assert!(text.contains("replication:"), "{text}");
 
     // The overload counters are exported lint-clean on /metrics.
-    let metrics = cluster.metrics_text();
+    let metrics = cluster.obs().metrics_text();
     assert!(
         metrics.contains("gs_shed_total{priority=\"speculative\"} 1"),
         "{metrics}"
